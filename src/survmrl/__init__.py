@@ -15,17 +15,10 @@ from .compare import (
     survival_difference,
     survival_ratio,
 )
-from .dataset import Observation, SurvivalSample, dump_dataset, load_dataset
+from .dataset import SurvivalSample, dump_dataset, load_dataset
 from .errors import EstimationError, ParseError, SchemaError, SurvmrlError
 from .gpd import Exceedance, GpdFit, fit_gpd, gpd_log_likelihood, gpd_mrl_at_threshold
-from .km import (
-    KmCurve,
-    StepFunction,
-    km_fit,
-    restricted_mrl_km,
-    step_eval,
-    step_integral,
-)
+from .km import KmCurve, StepFunction, km_fit, step_eval, step_integral
 from .mrl import MrlCurve, ThresholdConfig, evaluate_mrl, fit_hybrid_mrl, select_threshold
 from .render import PlotSeries, PlotSpec, export_curve_csv, render_plot_svg
 from .studystats import (
@@ -54,7 +47,6 @@ __all__ = [
     "KmCurve",
     "McnemarResult",
     "MrlCurve",
-    "Observation",
     "PairedBinary",
     "PairedSurvey",
     "ParseError",
@@ -82,7 +74,6 @@ __all__ = [
     "mrl_difference",
     "permutation_envelope",
     "render_plot_svg",
-    "restricted_mrl_km",
     "select_threshold",
     "step_eval",
     "step_integral",

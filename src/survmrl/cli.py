@@ -24,54 +24,27 @@ from .km import km_fit
 _BANNER = "survmrl"
 
 
-def _quantile_arg(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (0.0 < value < 1.0):
-        raise argparse.ArgumentTypeError(f"quantile must be strictly inside (0, 1), got {text}")
-    return value
+def _number_arg(kind: type, accept, requirement: str):
+    """argparse type that parses ``kind`` and rejects values failing ``accept``."""
+    noun = "a number" if kind is float else "an integer"
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not {noun}: {text!r}") from None
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"{requirement}, got {text}")
+        return value
+
+    return parse
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return value
-
-
-def _seed_arg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if not (0 <= value < 2**64):
-        raise argparse.ArgumentTypeError(f"seed must fit in an unsigned 64-bit range, got {text}")
-    return value
-
-
-def _min_exceedances_arg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be >= 2, got {text}")
-    return value
+_quantile_arg = _number_arg(float, lambda v: 0.0 < v < 1.0, "quantile must be strictly inside (0, 1)")
+_positive_float = _number_arg(float, lambda v: v > 0.0, "must be > 0")
+_nonnegative_int = _number_arg(int, lambda v: v >= 0, "must be >= 0")
+_seed_arg = _number_arg(int, lambda v: 0 <= v < 2**64, "seed must fit in an unsigned 64-bit range")
+_min_exceedances_arg = _number_arg(int, lambda v: v >= 2, "must be >= 2")
 
 
 def _band_arg(text: str) -> tuple[float, float]:

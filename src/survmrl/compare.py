@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataset import SurvivalSample
 from .errors import EstimationError
-from .km import KmCurve, km_fit, step_eval_many
+from .km import KmCurve, km_fit, product_limit, step_eval_many
 from .mrl import MrlCurve, evaluate_mrl
 
 KINDS = ("surv_diff", "surv_ratio", "mrl_diff")
@@ -149,16 +149,8 @@ def mrl_difference(
 def _km_on_grid(times: np.ndarray, statuses: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Product-limit survival of (times, statuses) evaluated on a grid."""
     order = np.argsort(times, kind="stable")
-    t = times[order]
-    s = statuses[order]
-    n = len(t)
-    distinct, first_index = np.unique(t, return_index=True)
-    deaths = np.add.reduceat(s, first_index)
-    has_event = deaths > 0
-    knots = distinct[has_event]
-    at_risk = n - first_index[has_event]
-    surv = np.concatenate(([1.0], np.cumprod((at_risk - deaths[has_event]) / at_risk)))
-    return surv[np.searchsorted(knots, grid, side="right")]
+    knots, _, _, surv = product_limit(times[order], statuses[order])
+    return np.concatenate(([1.0], surv))[np.searchsorted(knots, grid, side="right")]
 
 
 def _replicate_values(
@@ -224,8 +216,8 @@ def permutation_envelope(
     if grid_arr.size == 0:
         raise EstimationError("no common follow-up window")
 
-    times = np.array(sample_a.times() + sample_b.times())
-    statuses = np.array(sample_a.statuses() + sample_b.statuses())
+    times = np.concatenate((sample_a.times, sample_b.times))
+    statuses = np.concatenate((sample_a.statuses, sample_b.statuses))
     replicates = np.empty((n_permutations, grid_arr.size))
     for b in range(n_permutations):
         replicates[b] = _replicate_values(

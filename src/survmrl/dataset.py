@@ -13,68 +13,58 @@ import io
 import math
 import os
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Mapping
+from typing import BinaryIO, Iterator, Mapping
+
+import numpy as np
 
 from .errors import ParseError, SchemaError, SurvmrlError
 
 DEFAULT_GROUP = "all"
 
 
-@dataclass(frozen=True)
-class Observation:
-    """One subject: observed time, event indicator, group label."""
-
-    time: float
-    status: int
-    group: str
-
-    def __post_init__(self):
-        # normalize numpy scalars so exports and comparisons stay plain floats
-        object.__setattr__(self, "time", float(self.time))
-        object.__setattr__(self, "status", int(self.status))
-        if not (math.isfinite(self.time) and self.time >= 0.0):
-            raise ValueError(f"time must be finite and >= 0, got {self.time!r}")
-        if self.status not in (0, 1):
-            raise ValueError(f"status must be 0 or 1, got {self.status!r}")
-        if not self.group:
-            raise ValueError("group label must be non-empty")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurvivalSample:
-    """A non-empty group of observations sorted ascending by time.
+    """A non-empty group of subjects as sorted, read-only columns.
 
-    At equal times, events (status 1) precede censorings (status 0); this
-    is the standard tie convention for product-limit estimation.
+    ``times`` (float) ascend; at equal times, events (status 1) precede
+    censorings (status 0), the standard tie convention for product-limit
+    estimation. The constructor copies, validates and sorts its inputs.
     """
 
-    observations: tuple[Observation, ...]
+    times: np.ndarray
+    statuses: np.ndarray
 
     def __post_init__(self):
-        if not self.observations:
+        times = np.asarray(self.times, dtype=float)
+        statuses = np.asarray(self.statuses)
+        if times.ndim != 1 or statuses.shape != times.shape:
+            raise ValueError("times and statuses must be 1-D arrays of equal length")
+        if times.size == 0:
             raise ValueError("a sample needs at least one observation")
-        for a, b in zip(self.observations, self.observations[1:]):
-            if a.time > b.time or (a.time == b.time and a.status < b.status):
-                raise ValueError("observations must be sorted by time, events first at ties")
+        if not np.all(np.isfinite(times) & (times >= 0.0)):
+            raise ValueError("times must be finite and >= 0")
+        if not np.all((statuses == 0) | (statuses == 1)):
+            raise ValueError("statuses must be 0 or 1")
+        statuses = statuses.astype(np.int64)
+        order = np.lexsort((-statuses, times))
+        for name, column in (("times", times[order]), ("statuses", statuses[order])):
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
 
-    @classmethod
-    def from_observations(cls, observations: Iterable[Observation]) -> "SurvivalSample":
-        ordered = sorted(observations, key=lambda o: (o.time, -o.status))
-        return cls(tuple(ordered))
+    def __eq__(self, other):
+        if not isinstance(other, SurvivalSample):
+            return NotImplemented
+        return np.array_equal(self.times, other.times) and np.array_equal(
+            self.statuses, other.statuses
+        )
 
     @property
     def n(self) -> int:
-        return len(self.observations)
+        return self.times.size
 
     @property
     def max_time(self) -> float:
-        return self.observations[-1].time
-
-    def times(self) -> tuple[float, ...]:
-        return tuple(o.time for o in self.observations)
-
-    def statuses(self) -> tuple[int, ...]:
-        return tuple(o.status for o in self.observations)
+        return float(self.times[-1])
 
 
 def _decode(source: str | bytes | os.PathLike | BinaryIO | io.TextIOBase) -> str:
@@ -93,6 +83,34 @@ def _decode(source: str | bytes | os.PathLike | BinaryIO | io.TextIOBase) -> str
         raise SchemaError(f"input is not valid UTF-8: {exc}") from None
 
 
+def read_csv(
+    source: str | bytes | os.PathLike | BinaryIO | io.TextIOBase,
+) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+    """Decode a CSV source into its stripped header and numbered data rows.
+
+    Blank lines are skipped but counted: data row k sits k lines below
+    the header. Rows are checked for the header's field count as they are
+    consumed, so a caller validates the header before any row error can
+    surface. An input without a header is an empty dataset.
+    """
+    reader = csv.reader(io.StringIO(_decode(source)))
+    header = next((row for row in reader if row), None)
+    if header is None:
+        raise SchemaError("empty dataset")
+    header_line = reader.line_num
+
+    def rows():
+        for row in reader:
+            if not row:
+                continue
+            row_number = reader.line_num - header_line
+            if len(row) != len(header):
+                raise ParseError(row_number, f"expected {len(header)} fields, got {len(row)}")
+            yield row_number, row
+
+    return [h.strip() for h in header], rows()
+
+
 def load_dataset(
     source: str | bytes | os.PathLike | BinaryIO | io.TextIOBase,
     *,
@@ -105,16 +123,10 @@ def load_dataset(
     ``source`` may be a path, raw bytes, or an open file. The header must
     contain ``time_col`` and ``status_col``; ``group_col`` is optional and
     defaults every row to group "all" when absent. Columns outside these
-    three are a schema error. Blank lines are ignored; any malformed row
-    raises a ParseError naming its 1-based data row number.
+    three are a schema error. Blank lines are skipped; any malformed row
+    raises a ParseError naming its 1-based data row number (see read_csv).
     """
-    text = _decode(source)
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
-    if not rows:
-        raise SchemaError("empty dataset")
-
-    header = [h.strip() for h in rows[0]]
+    header, rows = read_csv(source)
     known = {time_col, status_col, group_col}
     unknown = [h for h in header if h not in known]
     if unknown:
@@ -124,16 +136,12 @@ def load_dataset(
     for required in (time_col, status_col):
         if required not in header:
             raise SchemaError(f"missing required column: {required}")
-    if len(rows) == 1:
-        raise SchemaError("empty dataset")
 
     idx = {name: header.index(name) for name in header}
     has_group = group_col in idx
 
-    grouped: dict[str, list[Observation]] = {}
-    for row_number, row in enumerate(rows[1:], start=1):
-        if len(row) != len(header):
-            raise ParseError(row_number, f"expected {len(header)} fields, got {len(row)}")
+    grouped: dict[str, tuple[list[float], list[int]]] = {}
+    for row_number, row in rows:
         time_text = row[idx[time_col]].strip()
         status_text = row[idx[status_col]].strip()
         try:
@@ -151,14 +159,13 @@ def load_dataset(
         group = row[idx[group_col]].strip() if has_group else DEFAULT_GROUP
         if not group:
             raise ParseError(row_number, "group label is empty")
-        grouped.setdefault(group, []).append(
-            Observation(time=time, status=int(status_value), group=group)
-        )
+        times, statuses = grouped.setdefault(group, ([], []))
+        times.append(time)
+        statuses.append(int(status_value))
 
-    return {
-        label: SurvivalSample.from_observations(observations)
-        for label, observations in grouped.items()
-    }
+    if not grouped:
+        raise SchemaError("empty dataset")
+    return {label: SurvivalSample(*columns) for label, columns in grouped.items()}
 
 
 def dump_dataset(samples: Mapping[str, SurvivalSample]) -> bytes:
@@ -172,7 +179,7 @@ def dump_dataset(samples: Mapping[str, SurvivalSample]) -> bytes:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["time", "status", "group"])
-    for label in samples:
-        for obs in samples[label].observations:
-            writer.writerow([repr(obs.time), obs.status, obs.group])
+    for label, sample in samples.items():
+        for time, status in zip(sample.times.tolist(), sample.statuses.tolist()):
+            writer.writerow([repr(time), status, label])
     return out.getvalue().encode("utf-8")

@@ -103,25 +103,18 @@ def km_fit(sample: SurvivalSample) -> KmCurve:
     Censored observations reduce later risk sets but add no jump; the
     curve reaches 0 only when the last-ordered observation is an event.
     """
-    times = np.array(sample.times())
-    statuses = np.array(sample.statuses())
-    knot_times, at_risk, deaths, surv = _surv_arrays(times, statuses)
-    censor_marks = tuple(float(t) for t, s in zip(times, statuses) if s == 0)
-    survival = StepFunction(
-        knots=tuple(float(t) for t in knot_times),
-        values=tuple(float(s) for s in surv),
-        initial_value=1.0,
-    )
+    event_times, at_risk, deaths, surv = product_limit(sample.times, sample.statuses)
+    knots = tuple(event_times.tolist())
     return KmCurve(
-        event_times=tuple(float(t) for t in knot_times),
-        at_risk=tuple(int(n) for n in at_risk),
-        deaths=tuple(int(d) for d in deaths),
-        survival=survival,
-        censor_marks=censor_marks,
+        event_times=knots,
+        at_risk=tuple(at_risk.tolist()),
+        deaths=tuple(deaths.tolist()),
+        survival=StepFunction(knots=knots, values=tuple(surv.tolist()), initial_value=1.0),
+        censor_marks=tuple(sample.times[sample.statuses == 0].tolist()),
     )
 
 
-def _surv_arrays(times: np.ndarray, statuses: np.ndarray):
+def product_limit(times: np.ndarray, statuses: np.ndarray):
     """Core product-limit recursion on time-sorted arrays.
 
     Returns (event_times, at_risk, deaths, survival_values) for the
@@ -137,17 +130,3 @@ def _surv_arrays(times: np.ndarray, statuses: np.ndarray):
     at_risk = n - first_index[has_event]
     surv = np.cumprod((at_risk - deaths) / at_risk)
     return event_times, at_risk, deaths, surv
-
-
-def restricted_mrl_km(curve: KmCurve, t: float, u: float) -> float:
-    """Mean residual life restricted to [t, u] under the fitted curve.
-
-    Computed as the exact area of the survival step function over [t, u]
-    divided by the survival at t. Undefined where survival has hit zero.
-    """
-    if not (0.0 <= t <= u):
-        raise EstimationError(f"need 0 <= t <= u, got t={t!r}, u={u!r}")
-    s_t = step_eval(curve.survival, t)
-    if s_t <= 0.0:
-        raise EstimationError(f"MRL undefined: zero survival at t={t!r}")
-    return step_integral(curve.survival, t, u) / s_t

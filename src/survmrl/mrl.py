@@ -76,16 +76,14 @@ def select_threshold(sample: SurvivalSample, config: ThresholdConfig) -> float:
     if config.mode == "explicit":
         u = float(config.explicit_value)
     else:
-        event_times = np.array([o.time for o in sample.observations if o.status == 1])
+        event_times = sample.times[sample.statuses == 1]
         if event_times.size == 0:
             raise EstimationError("no events for quantile threshold")
-        event_times.sort()
         h = (event_times.size - 1) * config.quantile
         low = int(math.floor(h))
         high = min(low + 1, event_times.size - 1)
         u = float(event_times[low] + (h - low) * (event_times[high] - event_times[low]))
-    exceedance_count = sum(1 for o in sample.observations if o.time > u)
-    if exceedance_count < config.min_exceedances:
+    if np.count_nonzero(sample.times > u) < config.min_exceedances:
         raise EstimationError(
             "threshold too high: fewer than "
             f"{config.min_exceedances} tail observations above u={u!r}"
@@ -95,10 +93,10 @@ def select_threshold(sample: SurvivalSample, config: ThresholdConfig) -> float:
 
 def tail_exceedances(sample: SurvivalSample, u: float) -> list[Exceedance]:
     """Excesses above u, censored ones included (their flags enter the fit)."""
+    above = sample.times > u
+    excesses = (sample.times[above] - u).tolist()
     return [
-        Exceedance(excess=o.time - u, status=o.status)
-        for o in sample.observations
-        if o.time > u
+        Exceedance(excess=e, status=s) for e, s in zip(excesses, sample.statuses[above].tolist())
     ]
 
 
@@ -129,7 +127,7 @@ def fit_hybrid_mrl(
     curve = km_fit(sample)
 
     if grid is None:
-        points = sorted({t for t in sample.times() if t <= u} | {0.0, u})
+        points = np.unique(np.append(sample.times[sample.times <= u], (0.0, u))).tolist()
     else:
         points = sorted({float(t) for t in grid if 0.0 <= t <= u} | {u})
     grid_arr = tuple(points)

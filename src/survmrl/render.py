@@ -52,10 +52,8 @@ class PlotSpec:
     series: tuple[PlotSeries, ...]
     width: int = 720
     height: int = 480
-    show_censor_marks: bool = True
     envelope: Envelope | None = None
     reference_line: float | None = None
-    y_range: tuple[float, float] | None = None
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
@@ -102,8 +100,6 @@ def _series_x_max(spec: PlotSpec) -> float:
 
 
 def _y_bounds(spec: PlotSpec) -> tuple[float, float]:
-    if spec.y_range is not None:
-        return spec.y_range
     finite: list[float] = []
     for s in spec.series:
         if s.step is not None:
@@ -223,14 +219,13 @@ def render_plot_svg(spec: PlotSpec) -> bytes:
                 f'<path d="{" ".join(d)}" fill="none" stroke="{color}" '
                 f'stroke-width="1.5"/>\n'
             )
-            if spec.show_censor_marks:
-                for t in series.censor_times:
-                    y = py(step_eval(f, t))
-                    out.write(
-                        f'<line x1="{_fmt(px(t))}" y1="{_fmt(y - 4)}" '
-                        f'x2="{_fmt(px(t))}" y2="{_fmt(y + 4)}" '
-                        f'stroke="{color}" stroke-width="1.2"/>\n'
-                    )
+            for t in series.censor_times:
+                y = py(step_eval(f, t))
+                out.write(
+                    f'<line x1="{_fmt(px(t))}" y1="{_fmt(y - 4)}" '
+                    f'x2="{_fmt(px(t))}" y2="{_fmt(y + 4)}" '
+                    f'stroke="{color}" stroke-width="1.2"/>\n'
+                )
         else:
             points = [
                 f"{_fmt(px(t))},{_fmt(py(v))}"

@@ -11,7 +11,6 @@ Proportion intervals are percentile bootstrap over participants, seeded.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 from dataclasses import dataclass
@@ -19,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .dataset import read_csv
 from .errors import EstimationError, ParseError, SchemaError
 
 EXACT_WILCOXON_LIMIT = 25
@@ -208,30 +208,16 @@ class PairedSurvey:
 
 def load_paired_survey(source: str | bytes | io.TextIOBase) -> PairedSurvey:
     """Parse a `participant,item,pre,post` CSV of paired binary outcomes."""
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, io.TextIOBase):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    rows = [row for row in csv.reader(io.StringIO(text)) if row]
-    if not rows:
-        raise SchemaError("empty dataset")
-    header = [h.strip() for h in rows[0]]
+    header, rows = read_csv(source)
     expected = ["participant", "item", "pre", "post"]
     if sorted(header) != sorted(expected):
         raise SchemaError(f"expected columns {','.join(expected)}, got {','.join(header)}")
-    if len(rows) == 1:
-        raise SchemaError("empty dataset")
     idx = {name: header.index(name) for name in expected}
 
     pre_by_participant: dict[str, list[int]] = {}
     post_by_participant: dict[str, list[int]] = {}
     b = c = concordant = 0
-    for row_number, row in enumerate(rows[1:], start=1):
-        if len(row) != len(header):
-            raise ParseError(row_number, f"expected {len(header)} fields, got {len(row)}")
+    for row_number, row in rows:
         participant = row[idx["participant"]].strip()
         if not participant:
             raise ParseError(row_number, "participant id is empty")
@@ -250,6 +236,8 @@ def load_paired_survey(source: str | bytes | io.TextIOBase) -> PairedSurvey:
             c += 1
         else:
             concordant += 1
+    if not pre_by_participant:
+        raise SchemaError("empty dataset")
 
     ids = tuple(sorted(pre_by_participant))
     pre_scores = tuple(float(np.mean(pre_by_participant[i])) for i in ids)

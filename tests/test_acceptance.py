@@ -22,7 +22,6 @@ from acceptance_helpers import (
 from survmrl import (
     EstimationError,
     GpdFit,
-    Observation,
     PairedBinary,
     SurvivalSample,
     fit_hybrid_mrl,
@@ -45,9 +44,8 @@ def report(number, name, ok, elapsed, detail=""):
 
 
 def make_sample(pairs):
-    return SurvivalSample.from_observations(
-        Observation(time=t, status=s, group="g") for t, s in pairs
-    )
+    times, statuses = zip(*pairs)
+    return SurvivalSample(times, statuses)
 
 
 def censored_exponential(seed, n=1000, mean=2.0, censor_mean=6.0):
@@ -56,7 +54,7 @@ def censored_exponential(seed, n=1000, mean=2.0, censor_mean=6.0):
     c = rng.exponential(censor_mean, n)
     observed = np.minimum(t, c)
     status = (t <= c).astype(int)
-    return make_sample(list(zip(observed.tolist(), (int(s) for s in status))))
+    return SurvivalSample(observed, status)
 
 
 def test_criterion_01_km_oracle_equivalence():
@@ -95,7 +93,7 @@ def test_criterion_02_exponential_mrl_recovery():
     for seed in range(20, 40):
         sample = censored_exponential(seed)
         curve = fit_hybrid_mrl(sample)
-        events = np.array([o.time for o in sample.observations if o.status == 1])
+        events = sample.times[sample.statuses == 1]
         cutoff = np.quantile(events, 0.6)
         worst = max(
             abs(v - 2.0) / 2.0 for t, v in zip(curve.grid, curve.values) if t < cutoff
@@ -186,7 +184,7 @@ def test_criterion_06_envelope_null_coverage_and_determinism():
             c = rng.exponential(8.0, 100)
             observed = np.minimum(t, c)
             status = (t <= c).astype(int)
-            return make_sample(list(zip(observed.tolist(), (int(s) for s in status))))
+            return SurvivalSample(observed, status)
 
         a, b = draw("A"), draw("B")
         observed_curve = survival_difference(km_fit(a), km_fit(b))

@@ -103,6 +103,22 @@ class TestExitCodes:
         assert code == 1
         assert "empty dataset" in capsys.readouterr().err
 
+    def test_non_utf8_survey_is_one_line_data_error(self, tmp_path, capsys):
+        survey = tmp_path / "latin1.csv"
+        survey.write_bytes("participant,item,pre,post\nJosé,i1,1,0\n".encode("latin-1"))
+        code = run_cli(["stats", "--input", str(survey)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input is not valid UTF-8: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_nan_threshold_is_flag_error(self, survival_csv, tmp_path, capsys):
+        code = run_cli(
+            ["mrl", "--input", str(survival_csv), "--threshold", "nan", "--out", str(tmp_path / "m.svg")]
+        )
+        assert code == 2
+        assert "must be > 0, got nan" in capsys.readouterr().err
+
     def test_mrl_diff_needs_exactly_two_groups(self, survival_csv, tmp_path, capsys):
         code = run_cli(
             [

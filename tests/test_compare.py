@@ -3,7 +3,6 @@ import pytest
 
 from survmrl import (
     EstimationError,
-    Observation,
     SurvivalSample,
     fit_hybrid_mrl,
     km_fit,
@@ -16,9 +15,8 @@ from survmrl.compare import _replicate_values
 
 
 def make_sample(pairs):
-    return SurvivalSample.from_observations(
-        Observation(time=t, status=s, group="g") for t, s in pairs
-    )
+    times, statuses = zip(*pairs)
+    return SurvivalSample(times, statuses)
 
 
 def exponential_sample(seed, n=100, mean=2.0, censor_mean=8.0):
@@ -27,7 +25,7 @@ def exponential_sample(seed, n=100, mean=2.0, censor_mean=8.0):
     c = rng.exponential(censor_mean, n)
     observed = np.minimum(t, c)
     status = (t <= c).astype(int)
-    return make_sample(list(zip(observed.tolist(), (int(s) for s in status))))
+    return SurvivalSample(observed, status)
 
 
 SAMPLE_A = make_sample([(2, 1), (3, 0), (4, 1), (5, 1)])
@@ -197,8 +195,8 @@ class TestPermutationEnvelope:
         a, b = exponential_sample(8), exponential_sample(9)
         env = permutation_envelope(a, b, "surv_diff", n_permutations=50, seed=11)
         grid = np.array(env.grid)
-        times = np.array(a.times() + b.times())
-        statuses = np.array(a.statuses() + b.statuses())
+        times = np.concatenate((a.times, b.times))
+        statuses = np.concatenate((a.statuses, b.statuses))
         rows = [
             _replicate_values(times, statuses, a.n, grid, "surv_diff", 11, r)
             for r in reversed(range(50))

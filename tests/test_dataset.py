@@ -1,10 +1,10 @@
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from survmrl import (
-    Observation,
     ParseError,
     SchemaError,
     SurvivalSample,
@@ -34,7 +34,7 @@ def test_four_row_sample_parses_sorted():
     sample = samples["A"]
     assert sample.n == 4
     assert sample.max_time == 5.0
-    assert sample.times() == (2.0, 3.0, 4.0, 5.0)
+    assert sample.times.tolist() == [2.0, 3.0, 4.0, 5.0]
 
 
 def test_bad_status_names_row():
@@ -77,6 +77,11 @@ def test_empty_group_label_is_row_error():
         load_dataset(b"time,status,group\n1,1,A\n2,0,\n")
 
 
+def test_row_numbers_count_blank_lines():
+    with pytest.raises(ParseError, match="^row 4: time must be finite"):
+        load_dataset(b"time,status,group\n1,1,A\n\n\n-2,1,A\n")
+
+
 def test_bad_field_count_is_row_error():
     with pytest.raises(ParseError, match="row 1"):
         load_dataset(b"time,status,group\n1,1\n")
@@ -91,15 +96,13 @@ def test_custom_column_names():
     samples = load_dataset(
         b"t,dead,arm\n5,1,X\n", time_col="t", status_col="dead", group_col="arm"
     )
-    assert samples["X"].observations[0].time == 5.0
+    assert samples["X"].times[0] == 5.0
 
 
 def test_tie_order_events_before_censorings():
     samples = load_dataset(b"time,status,group\n2,0,A\n2,1,A\n1,1,A\n")
-    statuses = samples["A"].statuses()
-    times = samples["A"].times()
-    assert times == (1.0, 2.0, 2.0)
-    assert statuses == (1, 1, 0)
+    assert samples["A"].times.tolist() == [1.0, 2.0, 2.0]
+    assert samples["A"].statuses.tolist() == [1, 1, 0]
 
 
 def test_round_trip_identity():
@@ -109,20 +112,34 @@ def test_round_trip_identity():
     assert first == second
 
 
-def test_observation_invariants():
+def test_sample_invariants():
+    for bad_time in (-1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            SurvivalSample([1.0, bad_time], [1, 1])
+    with pytest.raises(ValueError, match="0 or 1"):
+        SurvivalSample([1.0], [2])
+    with pytest.raises(ValueError, match="equal length"):
+        SurvivalSample([1.0, 2.0], [1])
+
+
+def test_sample_columns_are_sorted_read_only_copies():
+    times = np.array([3.0, 1.0, 1.0])
+    statuses = np.array([1, 0, 1])
+    sample = SurvivalSample(times, statuses)
+    assert sample.times.tolist() == [1.0, 1.0, 3.0]
+    assert sample.statuses.tolist() == [1, 0, 1]
+    assert sample.times.dtype == np.float64 and sample.statuses.dtype == np.int64
+    times[0] = 0.0
+    assert sample.max_time == 3.0
     with pytest.raises(ValueError):
-        Observation(time=-1.0, status=1, group="A")
-    with pytest.raises(ValueError):
-        Observation(time=1.0, status=2, group="A")
-    with pytest.raises(ValueError):
-        Observation(time=1.0, status=1, group="")
-    with pytest.raises(ValueError):
-        Observation(time=float("inf"), status=1, group="A")
+        sample.times[0] = 2.0
+    assert sample == SurvivalSample([1.0, 3.0, 1.0], [0, 1, 1])
+    assert sample != SurvivalSample([1.0, 1.0, 3.0], [1, 1, 1])
 
 
 def test_sample_requires_observations():
-    with pytest.raises(ValueError):
-        SurvivalSample(())
+    with pytest.raises(ValueError, match="at least one observation"):
+        SurvivalSample((), ())
 
 
 rows = st.lists(
@@ -147,12 +164,12 @@ def test_partition_preserves_row_count(data):
 def test_samples_sorted_with_events_first_at_ties(data):
     text = "time,status,group\n" + "".join(f"{t!r},{s},{g}\n" for t, s, g in data)
     for sample in load_dataset(text.encode()).values():
-        obs = sample.observations
-        for a, b in zip(obs, obs[1:]):
-            assert a.time <= b.time
-            if a.time == b.time:
-                assert a.status >= b.status
-        assert sample.max_time == obs[-1].time
+        pairs = list(zip(sample.times.tolist(), sample.statuses.tolist()))
+        for (t_a, s_a), (t_b, s_b) in zip(pairs, pairs[1:]):
+            assert t_a <= t_b
+            if t_a == t_b:
+                assert s_a >= s_b
+        assert sample.max_time == pairs[-1][0]
 
 
 @given(rows)

@@ -4,20 +4,17 @@ from hypothesis import given, settings, strategies as st
 
 from survmrl import (
     EstimationError,
-    Observation,
     StepFunction,
     SurvivalSample,
     km_fit,
-    restricted_mrl_km,
     step_eval,
     step_integral,
 )
 
 
 def make_sample(pairs):
-    return SurvivalSample.from_observations(
-        Observation(time=t, status=s, group="g") for t, s in pairs
-    )
+    times, statuses = zip(*pairs)
+    return SurvivalSample(times, statuses)
 
 
 SPEC_SAMPLE = make_sample([(2, 1), (3, 0), (4, 1), (5, 1)])
@@ -188,34 +185,13 @@ def test_additivity_exact_on_dyadic_inputs(f, bounds):
 
 
 class TestRestrictedMrl:
-    def test_zero_width_window(self):
-        curve = km_fit(SPEC_SAMPLE)
-        assert restricted_mrl_km(curve, 3.0, 3.0) == 0.0
+    """Restricted MRL over [t, u]: the exact area over [t, u] divided by S(t)."""
 
     def test_certain_survival_gives_window_length(self):
-        curve = km_fit(make_sample([(10, 1)]))
-        assert restricted_mrl_km(curve, 1.0, 4.0) == 3.0
+        survival = km_fit(make_sample([(10, 1)])).survival
+        assert step_integral(survival, 1.0, 4.0) / step_eval(survival, 1.0) == 3.0
 
     def test_spec_sample_value(self):
-        curve = km_fit(SPEC_SAMPLE)
-        assert restricted_mrl_km(curve, 2.0, 5.0) == (2 * 0.75 + 1 * 0.375) / 0.75
-
-    def test_zero_survival_is_loud(self):
-        curve = km_fit(SPEC_SAMPLE)
-        with pytest.raises(EstimationError, match="zero survival"):
-            restricted_mrl_km(curve, 5.0, 6.0)
-
-    def test_bounded_by_window_length(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            n = int(rng.integers(3, 25))
-            pairs = [
-                (float(t), int(s))
-                for t, s in zip(rng.exponential(2.0, n), rng.integers(0, 2, n))
-            ]
-            curve = km_fit(make_sample(pairs))
-            t, u = sorted(rng.uniform(0, 5, 2))
-            if step_eval(curve.survival, t) <= 0:
-                continue
-            value = restricted_mrl_km(curve, float(t), float(u))
-            assert 0.0 <= value <= (u - t) + 1e-12
+        survival = km_fit(SPEC_SAMPLE).survival
+        value = step_integral(survival, 2.0, 5.0) / step_eval(survival, 2.0)
+        assert value == (2 * 0.75 + 1 * 0.375) / 0.75

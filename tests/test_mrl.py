@@ -4,7 +4,6 @@ from scipy import integrate
 
 from survmrl import (
     EstimationError,
-    Observation,
     SurvivalSample,
     ThresholdConfig,
     evaluate_mrl,
@@ -15,9 +14,8 @@ from survmrl import (
 
 
 def make_sample(pairs):
-    return SurvivalSample.from_observations(
-        Observation(time=t, status=s, group="g") for t, s in pairs
-    )
+    times, statuses = zip(*pairs)
+    return SurvivalSample(times, statuses)
 
 
 def exponential_sample(seed, n=1000, mean=2.0, censor_mean=6.0):
@@ -26,7 +24,7 @@ def exponential_sample(seed, n=1000, mean=2.0, censor_mean=6.0):
     c = rng.exponential(censor_mean, n)
     observed = np.minimum(t, c)
     status = (t <= c).astype(int)
-    return make_sample(list(zip(observed.tolist(), (int(s) for s in status))))
+    return SurvivalSample(observed, status)
 
 
 def true_mrl_by_quadrature(survival, t, upper):
@@ -97,7 +95,7 @@ class TestFitHybridMrl:
         assert curve.grid[0] == 0.0
         assert curve.grid[-1] == curve.threshold
         assert all(a < b for a, b in zip(curve.grid, curve.grid[1:]))
-        inside = {t for t in sample.times() if t <= curve.threshold}
+        inside = set(sample.times[sample.times <= curve.threshold].tolist())
         assert inside <= set(curve.grid)
 
     def test_custom_grid_is_clamped_and_closed_with_threshold(self):
@@ -132,6 +130,12 @@ class TestFitHybridMrl:
         curve = fit_hybrid_mrl(exponential_sample(9, n=400))
         with pytest.raises(EstimationError, match="outside the fitted MRL domain"):
             evaluate_mrl(curve, curve.threshold * 1.5)
+
+    def test_km_component_bounded_by_window_length(self):
+        for seed in range(20):
+            curve = fit_hybrid_mrl(exponential_sample(100 + seed, n=200))
+            for t, k in zip(curve.grid, curve.km_component):
+                assert 0.0 <= k <= (curve.threshold - t) + 1e-12
 
     def test_propagates_threshold_errors(self):
         sample = make_sample([(1.0, 1), (2.0, 1)])

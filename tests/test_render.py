@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from survmrl import (
-    Observation,
     PlotSeries,
     PlotSpec,
     StepFunction,
@@ -24,9 +23,8 @@ from survmrl.render import _MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP, _MARGIN_BOT
 
 
 def make_sample(pairs):
-    return SurvivalSample.from_observations(
-        Observation(time=t, status=s, group="g") for t, s in pairs
-    )
+    times, statuses = zip(*pairs)
+    return SurvivalSample(times, statuses)
 
 
 SAMPLE = make_sample([(2, 1), (3, 0), (4, 1), (5, 1)])

@@ -228,6 +228,14 @@ class TestLoadPairedSurvey:
         with pytest.raises(ParseError, match="row 1"):
             load_paired_survey(b"participant,item,pre,post\np1,i1,2,1\n")
 
+    def test_row_numbers_count_blank_lines(self):
+        with pytest.raises(ParseError, match="^row 4: pre must be 0 or 1"):
+            load_paired_survey(b"participant,item,pre,post\np1,i1,1,1\n\n\np1,i2,2,1\n")
+
+    def test_non_utf8_is_schema_error(self):
+        with pytest.raises(SchemaError, match="input is not valid UTF-8"):
+            load_paired_survey(b"participant,item,pre,post\n\xff,i1,1,1\n")
+
     def test_score_vector_invariants(self):
         with pytest.raises(ValueError):
             ScoreVector(ids=(), scores=())
