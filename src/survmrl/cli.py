@@ -5,6 +5,8 @@ Each run reads one CSV, writes SVG and/or CSV outputs, and prints a
 one-line summary carrying every setting that affects the output, so a run
 can be reproduced from its log line. Any request for resampling
 (permutation envelopes, bootstrap intervals) requires an explicit seed.
+Outputs are staged beside their targets and moved into place only once
+every one of them is written, so a failed run leaves none behind.
 
 Exit codes: 0 success, 1 data or estimation error (message on stderr),
 2 flag errors (usage on stderr).
@@ -13,7 +15,11 @@ Exit codes: 0 success, 1 data or estimation error (message on stderr),
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
+from contextlib import suppress
+from functools import partial
 from pathlib import Path
 
 from . import compare, mrl, render, studystats
@@ -194,11 +200,53 @@ def _per_group_csv_path(base: str, group: str, many: bool) -> Path:
     return path.with_name(f"{path.stem}.{group}{path.suffix}")
 
 
-def _write(path: str, data: bytes):
-    Path(path).write_bytes(data)
+class _StagedOutputs:
+    """Output files that appear together or not at all.
+
+    ``write`` puts each output in a temp file beside its target as soon as
+    it is rendered, so only one rendering is in memory at a time.
+    ``commit`` moves every staged file into place with ``os.replace``;
+    ``discard`` deletes whatever a failed run left staged.
+    """
+
+    def __init__(self):
+        self._staged: list[tuple[Path, Path]] = []
+
+    def write(self, path: str | Path, data: bytes):
+        target = Path(path)
+        if target.is_dir():  # os.replace would fail only at commit time
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        temp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
+        try:
+            handle = open(temp, "xb")
+        except OSError as exc:  # name the output the user asked for, not the temp file
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
+        self._staged.append((temp, target))
+        with handle:
+            handle.write(data)
+
+    def commit(self):
+        for temp, target in self._staged:
+            os.replace(temp, target)
+        self._staged.clear()
+
+    def discard(self):
+        for temp, _ in self._staged:
+            with suppress(OSError):
+                temp.unlink()
+        self._staged.clear()
 
 
-def _run_km(args: argparse.Namespace) -> int:
+def _warn_unconverged(group: str, curve: mrl.MrlCurve):
+    if not curve.gpd.converged:
+        print(
+            f"warning: GPD tail fit for group {group} did not converge "
+            f"(shape={curve.gpd.shape:.6g} scale={curve.gpd.scale:.6g})",
+            file=sys.stderr,
+        )
+
+
+def _run_km(args: argparse.Namespace, outputs: _StagedOutputs) -> str:
     samples = load_dataset(args.input)
     groups = _resolve_groups(samples, args.groups, exactly_two=False)
     curves = {g: km_fit(samples[g]) for g in groups}
@@ -217,24 +265,25 @@ def _run_km(args: argparse.Namespace) -> int:
         series=series,
     )
     if args.out:
-        _write(args.out, render.render_plot_svg(spec))
+        outputs.write(args.out, render.render_plot_svg(spec))
     if args.out_csv:
         for g in groups:
             path = _per_group_csv_path(args.out_csv, g, many=len(groups) > 1)
-            path.write_bytes(render.export_curve_csv(curves[g]))
+            outputs.write(path, render.export_curve_csv(curves[g]))
     parts = [
         f"{g}: n={samples[g].n} events={sum(curves[g].deaths)} knots={len(curves[g].event_times)}"
         for g in groups
     ]
-    print(f"km input={args.input} groups={','.join(groups)} | " + " | ".join(parts))
-    return 0
+    return f"km input={args.input} groups={','.join(groups)} | " + " | ".join(parts)
 
 
-def _run_mrl(args: argparse.Namespace) -> int:
+def _run_mrl(args: argparse.Namespace, outputs: _StagedOutputs) -> str:
     samples = load_dataset(args.input)
     groups = _resolve_groups(samples, args.groups, exactly_two=False)
     config = _threshold_config(args)
     curves = {g: mrl.fit_hybrid_mrl(samples[g], config, grid=args.grid) for g in groups}
+    for g in groups:
+        _warn_unconverged(g, curves[g])
     series = tuple(
         render.PlotSeries(label=g, grid=curves[g].grid, values=curves[g].values)
         for g in groups
@@ -246,24 +295,23 @@ def _run_mrl(args: argparse.Namespace) -> int:
         series=series,
     )
     if args.out:
-        _write(args.out, render.render_plot_svg(spec))
+        outputs.write(args.out, render.render_plot_svg(spec))
     if args.out_csv:
         for g in groups:
             path = _per_group_csv_path(args.out_csv, g, many=len(groups) > 1)
-            path.write_bytes(render.export_curve_csv(curves[g]))
+            outputs.write(path, render.export_curve_csv(curves[g]))
     parts = [
         f"{g}: u={c.threshold!r} shape={c.gpd.shape:.6g} scale={c.gpd.scale:.6g} "
         f"converged={c.gpd.converged} m={c.gpd.n_exceedances} grid_size={len(c.grid)}"
         for g, c in ((g, curves[g]) for g in groups)
     ]
-    print(
+    return (
         f"mrl input={args.input} groups={','.join(groups)} {_threshold_summary(args)} "
         f"grid={'custom' if args.grid else 'default'} | " + " | ".join(parts)
     )
-    return 0
 
 
-def _run_two_group_surv(args: argparse.Namespace, kind: str) -> int:
+def _run_two_group_surv(args: argparse.Namespace, outputs: _StagedOutputs, kind: str) -> str:
     samples = load_dataset(args.input)
     groups = _resolve_groups(samples, args.groups, exactly_two=True)
     group_a, group_b = groups
@@ -292,29 +340,30 @@ def _run_two_group_surv(args: argparse.Namespace, kind: str) -> int:
         reference_line=reference,
     )
     if args.out:
-        _write(args.out, render.render_plot_svg(spec))
+        outputs.write(args.out, render.render_plot_svg(spec))
     if args.out_csv:
-        _write(args.out_csv, render.export_curve_csv(curve, envelope=envelope))
+        outputs.write(args.out_csv, render.export_curve_csv(curve, envelope=envelope))
     envelope_part = (
         f"permutations={args.permutations} seed={args.seed} band={args.band[0]!r},{args.band[1]!r}"
         if envelope is not None
         else "permutations=0"
     )
     command = "diff" if kind == "surv_diff" else "ratio"
-    print(
+    return (
         f"{command} input={args.input} groups={group_a},{group_b} {envelope_part} "
         f"grid_size={len(curve.grid)}"
     )
-    return 0
 
 
-def _run_mrl_diff(args: argparse.Namespace) -> int:
+def _run_mrl_diff(args: argparse.Namespace, outputs: _StagedOutputs) -> str:
     samples = load_dataset(args.input)
     groups = _resolve_groups(samples, args.groups, exactly_two=True)
     group_a, group_b = groups
     config = _threshold_config(args)
     mrl_a = mrl.fit_hybrid_mrl(samples[group_a], config)
     mrl_b = mrl.fit_hybrid_mrl(samples[group_b], config)
+    _warn_unconverged(group_a, mrl_a)
+    _warn_unconverged(group_b, mrl_b)
     curve = compare.mrl_difference(mrl_a, mrl_b, group_a=group_a, group_b=group_b)
     spec = render.PlotSpec(
         title=f"MRL difference ({group_a} vs {group_b})",
@@ -324,19 +373,18 @@ def _run_mrl_diff(args: argparse.Namespace) -> int:
         reference_line=0.0,
     )
     if args.out:
-        _write(args.out, render.render_plot_svg(spec))
+        outputs.write(args.out, render.render_plot_svg(spec))
     if args.out_csv:
-        _write(args.out_csv, render.export_curve_csv(curve))
-    print(
+        outputs.write(args.out_csv, render.export_curve_csv(curve))
+    return (
         f"mrl-diff input={args.input} groups={group_a},{group_b} {_threshold_summary(args)} "
         f"u_a={mrl_a.threshold!r} u_b={mrl_b.threshold!r} "
         f"shape_a={mrl_a.gpd.shape:.6g} shape_b={mrl_b.gpd.shape:.6g} "
         f"converged={mrl_a.gpd.converged and mrl_b.gpd.converged} grid_size={len(curve.grid)}"
     )
-    return 0
 
 
-def _run_stats(args: argparse.Namespace) -> int:
+def _run_stats(args: argparse.Namespace, outputs: _StagedOutputs) -> str:
     survey = studystats.load_paired_survey(args.input)
     gain = studystats.ScoreVector(
         ids=survey.pre.ids,
@@ -375,18 +423,18 @@ def _run_stats(args: argparse.Namespace) -> int:
         if args.bootstrap > 0
         else "bootstrap=0"
     )
-    print(
-        f"stats input={args.input} participants={survey.pre.n} items={survey.n_items} "
-        f"{bootstrap_part}"
-    )
-    for metric, value, lower, upper in rows:
-        tail = f" [{lower}, {upper}]" if lower else ""
-        print(f"  {metric} = {value}{tail}")
     if args.out_csv:
         lines = ["metric,value,lower,upper"]
         lines += [",".join(row) for row in rows]
-        _write(args.out_csv, ("\n".join(lines) + "\n").encode("utf-8"))
-    return 0
+        outputs.write(args.out_csv, ("\n".join(lines) + "\n").encode("utf-8"))
+    summary = [
+        f"stats input={args.input} participants={survey.pre.n} items={survey.n_items} "
+        f"{bootstrap_part}"
+    ]
+    for metric, value, lower, upper in rows:
+        tail = f" [{lower}, {upper}]" if lower else ""
+        summary.append(f"  {metric} = {value}{tail}")
+    return "\n".join(summary)
 
 
 def run_cli(argv: list[str]) -> int:
@@ -405,19 +453,22 @@ def run_cli(argv: list[str]) -> int:
     runners = {
         "km": _run_km,
         "mrl": _run_mrl,
-        "diff": lambda a: _run_two_group_surv(a, "surv_diff"),
-        "ratio": lambda a: _run_two_group_surv(a, "surv_ratio"),
+        "diff": partial(_run_two_group_surv, kind="surv_diff"),
+        "ratio": partial(_run_two_group_surv, kind="surv_ratio"),
         "mrl-diff": _run_mrl_diff,
         "stats": _run_stats,
     }
+    outputs = _StagedOutputs()
     try:
-        return runners[args.command](args)
-    except SurvmrlError as exc:
+        summary = runners[args.command](args, outputs)
+        outputs.commit()
+    except (SurvmrlError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    finally:
+        outputs.discard()
+    print(summary)
+    return 0
 
 
 def main():

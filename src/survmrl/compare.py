@@ -133,13 +133,13 @@ def mrl_difference(
     hi = min(mrl_a.threshold, mrl_b.threshold)
     if lo > hi:
         raise EstimationError("no overlapping MRL domain")
-    points = sorted(t for t in set(mrl_a.grid) | set(mrl_b.grid) if lo <= t <= hi)
-    if not points:
-        raise EstimationError("no overlapping MRL domain")
-    values = tuple(evaluate_mrl(mrl_a, t) - evaluate_mrl(mrl_b, t) for t in points)
+    # Nonempty: lo is a grid point of one curve and lies in [lo, hi].
+    points = np.union1d(mrl_a.grid, mrl_b.grid)
+    points = points[(points >= lo) & (points <= hi)]
+    values = evaluate_mrl(mrl_a, points) - evaluate_mrl(mrl_b, points)
     return ComparisonCurve(
-        grid=tuple(points),
-        values=values,
+        grid=tuple(points.tolist()),
+        values=tuple(values.tolist()),
         kind="mrl_diff",
         group_a=group_a,
         group_b=group_b,

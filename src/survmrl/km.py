@@ -74,27 +74,33 @@ def step_eval_many(f: StepFunction, ts: np.ndarray) -> np.ndarray:
     return values[np.searchsorted(knots, ts, side="right")]
 
 
-def step_integral(f: StepFunction, a: float, b: float) -> float:
-    """Exact integral of ``f`` over [a, b] as a sum of segment areas."""
-    if not (math.isfinite(a) and math.isfinite(b)) or a < 0 or a > b:
-        raise EstimationError(f"integration bounds must satisfy 0 <= a <= b, got [{a!r}, {b!r}]")
-    if a == b:
-        return 0.0
-    # Segment boundaries: a, the knots inside (a, b), then b.
-    lo = bisect_right(f.knots, a)
-    hi = bisect_right(f.knots, b)
-    total = 0.0
-    left = a
-    value = f.initial_value if lo == 0 else f.values[lo - 1]
-    for i in range(lo, hi):
-        knot = f.knots[i]
-        if knot >= b:
-            break
-        total += value * (knot - left)
-        left = knot
-        value = f.values[i]
-    total += value * (b - left)
-    return total
+def step_integral(f: StepFunction, a, b: float):
+    """Exact integral of ``f`` over [a, b]; ``a`` may be an array of lower bounds.
+
+    One suffix-area table is built from ``b``: the knots strictly below b
+    split [0, b] into segments, and ``suffix[i]`` sums the areas of
+    segment i and every segment after it, accumulated from b leftwards.
+    A lower bound then costs one ``searchsorted``: the partial area from
+    a to the next edge plus that edge's suffix. The value at each a
+    depends only on (f, a, b), never on the other bounds in the batch.
+    A scalar ``a`` returns a float, an array ``a`` an array.
+    """
+    b = float(b)
+    lower = np.asarray(a, dtype=float)
+    bad = ~((lower >= 0.0) & (lower <= b)) | (not math.isfinite(b))
+    if bad.any():
+        first = float(lower[bad].flat[0])
+        raise EstimationError(f"integration bounds must satisfy 0 <= a <= b, got [{first!r}, {b!r}]")
+    knots = np.asarray(f.knots, dtype=float)
+    below = knots[: np.searchsorted(knots, b, side="left")]
+    edge = np.append(below, b)
+    # level[i] is f on [edge[i - 1], edge[i]), with edge[-1] = 0.
+    level = np.concatenate(([f.initial_value], f.values[: below.size]))
+    areas = level[1:] * np.diff(edge)
+    suffix = np.append(np.cumsum(areas[::-1])[::-1], 0.0)
+    i = np.searchsorted(below, lower, side="right")
+    total = level[i] * (edge[i] - lower) + suffix[i]
+    return float(total) if lower.ndim == 0 else total
 
 
 def km_fit(sample: SurvivalSample) -> KmCurve:

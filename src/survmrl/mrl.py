@@ -23,7 +23,7 @@ import numpy as np
 from .dataset import SurvivalSample
 from .errors import EstimationError
 from .gpd import Exceedance, GpdFit, fit_gpd, gpd_mrl_at_threshold
-from .km import StepFunction, km_fit, step_eval, step_integral
+from .km import StepFunction, km_fit, step_eval, step_eval_many, step_integral
 
 
 @dataclass(frozen=True)
@@ -100,12 +100,14 @@ def tail_exceedances(sample: SurvivalSample, u: float) -> list[Exceedance]:
     ]
 
 
-def _components(curve_survival: StepFunction, t: float, u: float, tail_mean: float):
-    s_t = step_eval(curve_survival, t)
-    if s_t <= 0.0:
-        raise EstimationError(f"MRL undefined at t={t!r}: zero survival")
-    km_part = step_integral(curve_survival, t, u) / s_t
-    tail_part = tail_mean * (step_eval(curve_survival, u) / s_t)
+def _components(survival: StepFunction, t: np.ndarray, u: float, tail_mean: float):
+    """KM and tail parts of the hybrid MRL at every point of ``t``."""
+    s_t = step_eval_many(survival, t)
+    zero = s_t <= 0.0
+    if zero.any():
+        raise EstimationError(f"MRL undefined at t={float(t[zero].flat[0])!r}: zero survival")
+    km_part = step_integral(survival, t, u) / s_t
+    tail_part = tail_mean * (step_eval(survival, u) / s_t)
     return km_part, tail_part
 
 
@@ -130,19 +132,12 @@ def fit_hybrid_mrl(
         points = np.unique(np.append(sample.times[sample.times <= u], (0.0, u))).tolist()
     else:
         points = sorted({float(t) for t in grid if 0.0 <= t <= u} | {u})
-    grid_arr = tuple(points)
-
-    km_parts, tail_parts, values = [], [], []
-    for t in grid_arr:
-        km_part, tail_part = _components(curve.survival, t, u, tail_mean)
-        km_parts.append(km_part)
-        tail_parts.append(tail_part)
-        values.append(km_part + tail_part)
+    km_parts, tail_parts = _components(curve.survival, np.array(points), u, tail_mean)
     return MrlCurve(
-        grid=grid_arr,
-        values=tuple(values),
-        km_component=tuple(km_parts),
-        tail_component=tuple(tail_parts),
+        grid=tuple(points),
+        values=tuple((km_parts + tail_parts).tolist()),
+        km_component=tuple(km_parts.tolist()),
+        tail_component=tuple(tail_parts.tolist()),
         threshold=u,
         gpd=gpd,
         source_n=sample.n,
@@ -150,16 +145,21 @@ def fit_hybrid_mrl(
     )
 
 
-def evaluate_mrl(curve: MrlCurve, t: float) -> float:
+def evaluate_mrl(curve: MrlCurve, t):
     """Re-evaluate the fitted hybrid estimate at any t in [0, threshold].
 
-    Uses the stored survival step function and tail fit, so values agree
-    exactly with the curve's own grid values at shared points.
+    ``t`` may be a float (returns a float) or an array (returns an
+    array). Uses the stored survival step function and tail fit, so
+    values agree exactly with the curve's own grid values at shared
+    points, whatever the batch.
     """
-    if not (0.0 <= t <= curve.threshold):
+    ts = np.asarray(t, dtype=float)
+    outside = ~((ts >= 0.0) & (ts <= curve.threshold))
+    if outside.any():
         raise EstimationError(
-            f"t={t!r} outside the fitted MRL domain [0, {curve.threshold!r}]"
+            f"t={float(ts[outside].flat[0])!r} outside the fitted MRL domain [0, {curve.threshold!r}]"
         )
     tail_mean = gpd_mrl_at_threshold(curve.gpd)
-    km_part, tail_part = _components(curve.survival, t, curve.threshold, tail_mean)
-    return km_part + tail_part
+    km_part, tail_part = _components(curve.survival, ts, curve.threshold, tail_mean)
+    values = km_part + tail_part
+    return float(values) if ts.ndim == 0 else values

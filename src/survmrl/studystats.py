@@ -207,7 +207,10 @@ class PairedSurvey:
 
 
 def load_paired_survey(source: str | bytes | io.TextIOBase) -> PairedSurvey:
-    """Parse a `participant,item,pre,post` CSV of paired binary outcomes."""
+    """Parse a `participant,item,pre,post` CSV of paired binary outcomes.
+
+    Each (participant, item) pair may appear once; a repeat is a row error.
+    """
     header, rows = read_csv(source)
     expected = ["participant", "item", "pre", "post"]
     if sorted(header) != sorted(expected):
@@ -216,11 +219,22 @@ def load_paired_survey(source: str | bytes | io.TextIOBase) -> PairedSurvey:
 
     pre_by_participant: dict[str, list[int]] = {}
     post_by_participant: dict[str, list[int]] = {}
+    item_rows: dict[str, dict[str, int]] = {}  # participant -> item -> row number
     b = c = concordant = 0
     for row_number, row in rows:
         participant = row[idx["participant"]].strip()
         if not participant:
             raise ParseError(row_number, "participant id is empty")
+        item = row[idx["item"]].strip()
+        seen = item_rows.get(participant)
+        if seen is None:
+            seen = item_rows[participant] = {}
+        elif item in seen:
+            raise ParseError(
+                row_number,
+                f"duplicate (participant, item) {(participant, item)!r}, first given on row {seen[item]}",
+            )
+        seen[item] = row_number
         outcomes = []
         for col in ("pre", "post"):
             text_value = row[idx[col]].strip()

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import survmrl.mrl
 from survmrl.cli import run_cli
 
 
@@ -111,6 +114,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("input is not valid UTF-8: ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_duplicate_survey_row_is_one_line_data_error(self, tmp_path, capsys):
+        survey = tmp_path / "dup.csv"
+        survey.write_text("participant,item,pre,post\np1,i1,0,1\np1,i1,1,0\n")
+        code = run_cli(["stats", "--input", str(survey)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("row 2: duplicate (participant, item)")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
     def test_nan_threshold_is_flag_error(self, survival_csv, tmp_path, capsys):
         code = run_cli(
@@ -307,3 +320,69 @@ class TestOutputs:
             assert code == 0
             outs.append((svg.read_bytes(), csv_path.read_bytes()))
         assert outs[0] == outs[1]
+
+
+class TestNoHalfWrittenOutputs:
+    def test_failing_csv_leaves_no_svg(self, survival_csv, tmp_path, capsys):
+        missing = tmp_path / "missing_dir" / "x.csv"
+        code = run_cli(
+            ["mrl", "--input", str(survival_csv), "--out", str(tmp_path / "ok.svg"), "--out-csv", str(missing)]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "missing_dir" in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
+    def test_failing_second_group_csv_leaves_nothing(self, survival_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "km.B.csv").mkdir(parents=True)
+        code = run_cli(
+            ["km", "--input", str(survival_csv), "--out", str(out / "km.svg"), "--out-csv", str(out / "km.csv")]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("[Errno 21] Is a directory") and captured.err.count("\n") == 1
+        assert [p.name for p in out.iterdir()] == ["km.B.csv"]
+
+    def test_existing_outputs_replaced_only_on_success(self, survival_csv, tmp_path):
+        svg = tmp_path / "km.svg"
+        svg.write_bytes(b"old")
+        code = run_cli(
+            ["km", "--input", str(survival_csv), "--out", str(svg), "--out-csv", str(tmp_path / "no" / "k.csv")]
+        )
+        assert code == 1 and svg.read_bytes() == b"old"
+        assert run_cli(["km", "--input", str(survival_csv), "--out", str(svg)]) == 0
+        assert svg.read_bytes().startswith(b"<svg") or svg.read_bytes().startswith(b"<?xml")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "km.svg"]
+
+
+@pytest.fixture()
+def group_a_unconverged(monkeypatch):
+    """Mark the first GPD fit of a run (group A's, groups fit in order) unconverged."""
+    real_fit = survmrl.mrl.fit_gpd
+    calls = []
+
+    def fit_gpd(*args, **kwargs):
+        fit = real_fit(*args, **kwargs)
+        calls.append(fit)
+        return dataclasses.replace(fit, converged=False) if len(calls) == 1 else fit
+
+    monkeypatch.setattr(survmrl.mrl, "fit_gpd", fit_gpd)
+
+
+class TestUnconvergedTailWarning:
+    @pytest.mark.parametrize("command", ["mrl", "mrl-diff"])
+    def test_one_warning_naming_the_group(self, command, survival_csv, tmp_path, capsys, group_a_unconverged):
+        code = run_cli([command, "--input", str(survival_csv), "--out", str(tmp_path / "m.svg")])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err.startswith("warning: GPD tail fit for group A did not converge")
+        assert captured.err.count("\n") == 1
+        assert captured.out.count("\n") == 1 and "did not converge" not in captured.out
+        assert "converged=False" in captured.out
+
+    def test_converged_fits_print_no_warning(self, survival_csv, tmp_path, capsys):
+        assert run_cli(["mrl", "--input", str(survival_csv), "--out", str(tmp_path / "m.svg")]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and "converged=True" in captured.out

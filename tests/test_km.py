@@ -1,3 +1,5 @@
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -182,6 +184,83 @@ def dyadic_step_functions(draw):
 def test_additivity_exact_on_dyadic_inputs(f, bounds):
     a, b, c = bounds
     assert step_integral(f, a, c) == step_integral(f, a, b) + step_integral(f, b, c)
+
+
+def loop_step_integral(f, a, b):
+    """Reference: the segment loop that step_integral replaced.
+
+    Walks the knots inside (a, b) left to right and adds one segment area
+    per step; the suffix-area table must agree with it up to summation
+    order.
+    """
+    if a == b:
+        return 0.0
+    lo = bisect_right(f.knots, a)
+    hi = bisect_right(f.knots, b)
+    total = 0.0
+    left = a
+    value = f.initial_value if lo == 0 else f.values[lo - 1]
+    for i in range(lo, hi):
+        knot = f.knots[i]
+        if knot >= b:
+            break
+        total += value * (knot - left)
+        left = knot
+        value = f.values[i]
+    total += value * (b - left)
+    return total
+
+
+levels = st.floats(min_value=-10.0, max_value=10.0)
+positions = st.floats(min_value=0.0, max_value=100.0)
+
+
+@st.composite
+def step_functions_and_bounds(draw):
+    knots = sorted(draw(st.sets(positions, max_size=30)))
+    f = StepFunction(
+        knots=tuple(knots),
+        values=tuple(draw(levels) for _ in knots),
+        initial_value=draw(levels),
+    )
+    b = draw(st.one_of(positions, st.sampled_from(knots or [0.0])))
+    lower = draw(st.lists(st.one_of(positions, st.sampled_from(knots + [b])), max_size=20))
+    return f, np.array([min(x, b) for x in lower] + [0.0, b]), b
+
+
+@given(step_functions_and_bounds())
+@settings(max_examples=300)
+def test_suffix_table_matches_segment_loop(case):
+    f, lower, b = case
+    magnitude = StepFunction(
+        knots=f.knots, values=tuple(abs(v) for v in f.values), initial_value=abs(f.initial_value)
+    )
+    batch = step_integral(f, lower, b)
+    for a, got in zip(lower.tolist(), batch.tolist()):
+        assert abs(got - loop_step_integral(f, a, b)) <= 1e-12 * loop_step_integral(magnitude, a, b)
+
+
+@given(step_functions_and_bounds(), st.randoms(use_true_random=False))
+@settings(max_examples=100)
+def test_scalar_and_array_forms_agree_bitwise_in_any_order(case, random):
+    f, lower, b = case
+    batch = step_integral(f, lower, b)
+    order = list(range(lower.size))
+    random.shuffle(order)
+    shuffled = step_integral(f, lower[order], b)
+    for k, i in enumerate(order):
+        scalar = step_integral(f, float(lower[i]), b)
+        assert type(scalar) is float
+        assert scalar == batch[i] == shuffled[k]
+
+
+def test_array_bound_error_names_first_offender():
+    f = StepFunction(knots=(1.0,), values=(0.5,), initial_value=1.0)
+    with pytest.raises(EstimationError, match=r"got \[-2\.0, 5\.0\]$"):
+        step_integral(f, np.array([1.0, -2.0, 6.0]), 5.0)
+    with pytest.raises(EstimationError, match=r"got \[6\.0, 5\.0\]$"):
+        step_integral(f, np.array([1.0, 6.0, -2.0]), 5.0)
+    assert step_integral(f, np.array([]), 5.0).shape == (0,)
 
 
 class TestRestrictedMrl:

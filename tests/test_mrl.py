@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -126,10 +128,28 @@ class TestFitHybridMrl:
         for t, v in list(zip(curve.grid, curve.values))[::25]:
             assert evaluate_mrl(curve, t) == v
 
+    def test_evaluate_whole_grid_equals_values_exactly(self):
+        curve = fit_hybrid_mrl(exponential_sample(8, n=400))
+        assert evaluate_mrl(curve, np.array(curve.grid)).tolist() == list(curve.values)
+
+    def test_evaluate_scalar_and_array_agree_in_any_batch_order(self):
+        curve = fit_hybrid_mrl(exponential_sample(10, n=400))
+        rng = np.random.default_rng(10)
+        points = np.concatenate((rng.uniform(0.0, curve.threshold, 50), curve.grid[::7]))
+        batch = evaluate_mrl(curve, points)
+        order = rng.permutation(points.size)
+        assert evaluate_mrl(curve, points[order]).tolist() == batch[order].tolist()
+        for t, v in zip(points.tolist(), batch.tolist()):
+            scalar = evaluate_mrl(curve, t)
+            assert type(scalar) is float and scalar == v
+
     def test_evaluate_outside_domain_rejected(self):
         curve = fit_hybrid_mrl(exponential_sample(9, n=400))
         with pytest.raises(EstimationError, match="outside the fitted MRL domain"):
             evaluate_mrl(curve, curve.threshold * 1.5)
+        beyond = curve.threshold * 1.5
+        with pytest.raises(EstimationError, match=f"^t={re.escape(repr(beyond))} outside"):
+            evaluate_mrl(curve, np.array([0.0, beyond, -1.0]))
 
     def test_km_component_bounded_by_window_length(self):
         for seed in range(20):

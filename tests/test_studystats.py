@@ -228,6 +228,15 @@ class TestLoadPairedSurvey:
         with pytest.raises(ParseError, match="row 1"):
             load_paired_survey(b"participant,item,pre,post\np1,i1,2,1\n")
 
+    def test_duplicate_participant_item_is_row_error(self):
+        with pytest.raises(
+            ParseError, match=r"^row 3: duplicate \(participant, item\) \('p1', 'i1'\), first given on row 1$"
+        ):
+            load_paired_survey(b"participant,item,pre,post\np1,i1,0,1\np1,i2,1,1\np1,i1,1,0\n")
+        # the same item for another participant, or another item, is fine
+        survey = load_paired_survey(b"participant,item,pre,post\np1,i1,0,1\np2,i1,1,0\np1,i2,1,1\n")
+        assert survey.n_items == 3
+
     def test_row_numbers_count_blank_lines(self):
         with pytest.raises(ParseError, match="^row 4: pre must be 0 or 1"):
             load_paired_survey(b"participant,item,pre,post\np1,i1,1,1\n\n\np1,i2,2,1\n")
