@@ -40,6 +40,21 @@ CASES = {
     "diff": (TWO_GROUPS, ["diff", "--permutations", "100", "--seed", "42"], True),
     "ratio": (TWO_GROUPS, ["ratio", "--permutations", "100", "--seed", "42"], True),
     "mrl_diff": (TWO_GROUPS, ["mrl-diff"], True),
+    "km_one_group": (TWO_GROUPS, ["km", "--groups", "B"], True),
+    "mrl_one_group_quantile": (
+        TWO_GROUPS, ["mrl", "--groups", "B", "--threshold-quantile", "0.9"], True
+    ),
+    "diff_reversed_no_envelope_grid": (
+        TWO_GROUPS, ["diff", "--groups", "B,A", "--permutations", "0", "--grid", "0,1,2,5"], True
+    ),
+    "ratio_band": (
+        TWO_GROUPS, ["ratio", "--permutations", "50", "--seed", "3", "--band", "0.1,0.9"], True
+    ),
+    "mrl_diff_reversed": (
+        TWO_GROUPS,
+        ["mrl-diff", "--groups", "B,A", "--threshold-quantile", "0.7", "--min-exceedances", "20"],
+        True,
+    ),
     "stats": (SURVEY, ["stats"], False),
     "stats_bootstrap": (SURVEY, ["stats", "--bootstrap", "500", "--seed", "7"], False),
 }
