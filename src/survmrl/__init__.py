@@ -17,7 +17,7 @@ from .compare import (
 )
 from .dataset import SurvivalSample, dump_dataset, load_dataset
 from .errors import EstimationError, ParseError, SchemaError, SurvmrlError
-from .gpd import Exceedance, GpdFit, fit_gpd, gpd_log_likelihood, gpd_mrl_at_threshold
+from .gpd import GpdFit, fit_gpd, gpd_log_likelihood, gpd_mrl_at_threshold
 from .km import KmCurve, StepFunction, km_fit, step_eval, step_integral
 from .mrl import MrlCurve, ThresholdConfig, evaluate_mrl, fit_hybrid_mrl, select_threshold
 from .render import PlotSeries, PlotSpec, export_curve_csv, render_plot_svg
@@ -42,7 +42,6 @@ __all__ = [
     "ComparisonCurve",
     "Envelope",
     "EstimationError",
-    "Exceedance",
     "GpdFit",
     "KmCurve",
     "McnemarResult",

@@ -19,7 +19,6 @@ import errno
 import os
 import sys
 from contextlib import suppress
-from functools import partial
 from pathlib import Path
 
 from . import compare, mrl, render, studystats
@@ -80,6 +79,9 @@ def _groups_arg(text: str) -> tuple[str, ...]:
     groups = tuple(g.strip() for g in text.split(",") if g.strip())
     if not groups:
         raise argparse.ArgumentTypeError("groups list is empty")
+    repeated = [g for g in groups if groups.count(g) > 1]
+    if repeated:
+        raise argparse.ArgumentTypeError(f"group {repeated[0]!r} is listed more than once")
     return groups
 
 
@@ -115,10 +117,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_km = sub.add_parser("km", help="Kaplan-Meier survival plot")
+    p_km.set_defaults(run=_run_km)
     _add_io_arguments(p_km)
     p_km.add_argument("--groups", type=_groups_arg, help="groups to overlay (default: all)")
 
     p_mrl = sub.add_parser("mrl", help="hybrid mean residual life plot")
+    p_mrl.set_defaults(run=_run_mrl)
     _add_io_arguments(p_mrl)
     p_mrl.add_argument("--groups", type=_groups_arg, help="groups to overlay (default: all)")
     _add_threshold_arguments(p_mrl)
@@ -126,6 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, title in (("diff", "survival difference"), ("ratio", "survival ratio")):
         p = sub.add_parser(name, help=f"{title} plot with permutation envelope")
+        p.set_defaults(run=_run_survival_comparison)
         _add_io_arguments(p)
         p.add_argument("--groups", type=_groups_arg, help="two groups A,B (default: the file's two)")
         p.add_argument(
@@ -139,11 +144,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", type=_grid_arg, help="evaluation times (comma list)")
 
     p_md = sub.add_parser("mrl-diff", help="difference of hybrid MRL curves")
+    p_md.set_defaults(run=_run_mrl_diff)
     _add_io_arguments(p_md)
     p_md.add_argument("--groups", type=_groups_arg, help="two groups A,B (default: the file's two)")
     _add_threshold_arguments(p_md)
 
     p_stats = sub.add_parser("stats", help="paired pre/post survey statistics")
+    p_stats.set_defaults(run=_run_stats)
     _add_io_arguments(p_stats, csv_only=True)
     p_stats.add_argument(
         "--bootstrap",
@@ -156,35 +163,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_groups(
-    samples: dict[str, SurvivalSample],
-    requested: tuple[str, ...] | None,
-    exactly_two: bool,
-) -> list[str]:
-    if requested is None:
+def _shown(label: str) -> str:
+    """A group label as a message line prints it: quoted if it holds a control character."""
+    return label if label.isprintable() else repr(label)
+
+
+def _load(args: argparse.Namespace, exactly_two: bool) -> tuple[dict[str, SurvivalSample], list[str]]:
+    """The input's samples and the groups to use: ``--groups`` in order, or all sorted."""
+    samples = load_dataset(args.input)
+    if args.groups is None:
         groups = sorted(samples)
     else:
-        missing = [g for g in requested if g not in samples]
+        missing = [g for g in args.groups if g not in samples]
         if missing:
-            raise SurvmrlError(f"group(s) not in dataset: {', '.join(missing)}")
-        groups = list(requested)
+            raise SurvmrlError(f"group(s) not in dataset: {', '.join(map(_shown, missing))}")
+        groups = list(args.groups)
     if exactly_two and len(groups) != 2:
-        raise SurvmrlError(f"need exactly two groups, got {len(groups)}: {', '.join(groups)}")
-    return groups
-
-
-def _threshold_config(args: argparse.Namespace) -> mrl.ThresholdConfig:
-    if args.threshold is not None:
-        return mrl.ThresholdConfig(
-            mode="explicit",
-            explicit_value=args.threshold,
-            min_exceedances=args.min_exceedances,
-        )
-    return mrl.ThresholdConfig(
-        mode="quantile",
-        quantile=args.threshold_quantile,
-        min_exceedances=args.min_exceedances,
-    )
+        raise SurvmrlError(f"need exactly two groups, got {len(groups)}: {', '.join(map(_shown, groups))}")
+    return samples, groups
 
 
 def _threshold_summary(args: argparse.Namespace) -> str:
@@ -193,11 +189,23 @@ def _threshold_summary(args: argparse.Namespace) -> str:
     return f"threshold_quantile={args.threshold_quantile!r} min_exceedances={args.min_exceedances}"
 
 
-def _per_group_csv_path(base: str, group: str, many: bool) -> Path:
-    path = Path(base)
-    if not many:
-        return path
-    return path.with_name(f"{path.stem}.{group}{path.suffix}")
+def _fit_mrls(args, samples, groups, grid=None) -> dict[str, mrl.MrlCurve]:
+    """Hybrid MRL per group, then one stderr warning per unconverged tail fit."""
+    config = mrl.ThresholdConfig(
+        mode="quantile" if args.threshold is None else "explicit",
+        quantile=args.threshold_quantile,
+        explicit_value=args.threshold,
+        min_exceedances=args.min_exceedances,
+    )
+    curves = {g: mrl.fit_hybrid_mrl(samples[g], config, grid=grid) for g in groups}
+    for g, curve in curves.items():
+        if not curve.gpd.converged:
+            print(
+                f"warning: GPD tail fit for group {_shown(g)} did not converge "
+                f"(shape={curve.gpd.shape:.6g} scale={curve.gpd.scale:.6g})",
+                file=sys.stderr,
+            )
+    return curves
 
 
 class _StagedOutputs:
@@ -237,18 +245,37 @@ class _StagedOutputs:
         self._staged.clear()
 
 
-def _warn_unconverged(group: str, curve: mrl.MrlCurve):
-    if not curve.gpd.converged:
-        print(
-            f"warning: GPD tail fit for group {group} did not converge "
-            f"(shape={curve.gpd.shape:.6g} scale={curve.gpd.scale:.6g})",
-            file=sys.stderr,
-        )
+def _write_plot(args, outputs: _StagedOutputs, spec: render.PlotSpec, csv_curves: dict, envelope=None):
+    """The SVG goes to --out; each curve's CSV to --out-csv, named
+    ``<stem>.<group><suffix>`` when there are several curves."""
+    if args.out:
+        outputs.write(args.out, render.render_plot_svg(spec))
+    if args.out_csv:
+        base = Path(args.out_csv)
+        for group, curve in csv_curves.items():
+            path = base
+            if len(csv_curves) > 1:
+                name = f"{base.stem}.{group}{base.suffix}"
+                if "\0" in name or Path(name).name != name:
+                    raise SurvmrlError(f"group label {group!r} cannot be used in an output file name")
+                path = base.with_name(name)
+            outputs.write(path, render.export_curve_csv(curve, envelope=envelope))
+
+
+def _comparison_spec(title, y_label, groups, curve, reference, envelope=None) -> render.PlotSpec:
+    group_a, group_b = groups
+    return render.PlotSpec(
+        title=f"{title} ({group_a} vs {group_b})",
+        x_label="time",
+        y_label=y_label,
+        series=(render.PlotSeries(label=f"{group_a}-{group_b}", grid=curve.grid, values=curve.values),),
+        envelope=envelope,
+        reference_line=reference,
+    )
 
 
 def _run_km(args: argparse.Namespace, outputs: _StagedOutputs) -> str:
-    samples = load_dataset(args.input)
-    groups = _resolve_groups(samples, args.groups, exactly_two=False)
+    samples, groups = _load(args, exactly_two=False)
     curves = {g: km_fit(samples[g]) for g in groups}
     series = tuple(
         render.PlotSeries(
@@ -264,12 +291,7 @@ def _run_km(args: argparse.Namespace, outputs: _StagedOutputs) -> str:
         y_label="survival probability",
         series=series,
     )
-    if args.out:
-        outputs.write(args.out, render.render_plot_svg(spec))
-    if args.out_csv:
-        for g in groups:
-            path = _per_group_csv_path(args.out_csv, g, many=len(groups) > 1)
-            outputs.write(path, render.export_curve_csv(curves[g]))
+    _write_plot(args, outputs, spec, curves)
     parts = [
         f"{g}: n={samples[g].n} events={sum(curves[g].deaths)} knots={len(curves[g].event_times)}"
         for g in groups
@@ -278,12 +300,8 @@ def _run_km(args: argparse.Namespace, outputs: _StagedOutputs) -> str:
 
 
 def _run_mrl(args: argparse.Namespace, outputs: _StagedOutputs) -> str:
-    samples = load_dataset(args.input)
-    groups = _resolve_groups(samples, args.groups, exactly_two=False)
-    config = _threshold_config(args)
-    curves = {g: mrl.fit_hybrid_mrl(samples[g], config, grid=args.grid) for g in groups}
-    for g in groups:
-        _warn_unconverged(g, curves[g])
+    samples, groups = _load(args, exactly_two=False)
+    curves = _fit_mrls(args, samples, groups, grid=args.grid)
     series = tuple(
         render.PlotSeries(label=g, grid=curves[g].grid, values=curves[g].values)
         for g in groups
@@ -294,16 +312,11 @@ def _run_mrl(args: argparse.Namespace, outputs: _StagedOutputs) -> str:
         y_label="mean residual life",
         series=series,
     )
-    if args.out:
-        outputs.write(args.out, render.render_plot_svg(spec))
-    if args.out_csv:
-        for g in groups:
-            path = _per_group_csv_path(args.out_csv, g, many=len(groups) > 1)
-            outputs.write(path, render.export_curve_csv(curves[g]))
+    _write_plot(args, outputs, spec, curves)
     parts = [
         f"{g}: u={c.threshold!r} shape={c.gpd.shape:.6g} scale={c.gpd.scale:.6g} "
         f"converged={c.gpd.converged} m={c.gpd.n_exceedances} grid_size={len(c.grid)}"
-        for g, c in ((g, curves[g]) for g in groups)
+        for g, c in curves.items()
     ]
     return (
         f"mrl input={args.input} groups={','.join(groups)} {_threshold_summary(args)} "
@@ -311,71 +324,47 @@ def _run_mrl(args: argparse.Namespace, outputs: _StagedOutputs) -> str:
     )
 
 
-def _run_two_group_surv(args: argparse.Namespace, outputs: _StagedOutputs, kind: str) -> str:
-    samples = load_dataset(args.input)
-    groups = _resolve_groups(samples, args.groups, exactly_two=True)
+def _run_survival_comparison(args: argparse.Namespace, outputs: _StagedOutputs) -> str:
+    """``diff`` or ``ratio``, after ``args.command``."""
+    samples, groups = _load(args, exactly_two=True)
     group_a, group_b = groups
     curve_a, curve_b = km_fit(samples[group_a]), km_fit(samples[group_b])
-    build = compare.survival_difference if kind == "surv_diff" else compare.survival_ratio
+    if args.command == "ratio":
+        build, label, reference = compare.survival_ratio, "survival ratio", 1.0
+    else:
+        build, label, reference = compare.survival_difference, "survival difference", 0.0
     curve = build(curve_a, curve_b, grid=args.grid, group_a=group_a, group_b=group_b)
     envelope = None
     if args.permutations > 0:
         envelope = compare.permutation_envelope(
             samples[group_a],
             samples[group_b],
-            kind,
+            f"surv_{args.command}",
             n_permutations=args.permutations,
             seed=args.seed,
             grid=curve.grid,
             band_quantiles=args.band,
         )
-    reference = 0.0 if kind == "surv_diff" else 1.0
-    label = "survival difference" if kind == "surv_diff" else "survival ratio"
-    spec = render.PlotSpec(
-        title=f"{label} ({group_a} vs {group_b})",
-        x_label="time",
-        y_label=label,
-        series=(render.PlotSeries(label=f"{group_a}-{group_b}", grid=curve.grid, values=curve.values),),
-        envelope=envelope,
-        reference_line=reference,
-    )
-    if args.out:
-        outputs.write(args.out, render.render_plot_svg(spec))
-    if args.out_csv:
-        outputs.write(args.out_csv, render.export_curve_csv(curve, envelope=envelope))
+    spec = _comparison_spec(label, label, groups, curve, reference, envelope)
+    _write_plot(args, outputs, spec, {group_a: curve}, envelope)
     envelope_part = (
         f"permutations={args.permutations} seed={args.seed} band={args.band[0]!r},{args.band[1]!r}"
         if envelope is not None
         else "permutations=0"
     )
-    command = "diff" if kind == "surv_diff" else "ratio"
     return (
-        f"{command} input={args.input} groups={group_a},{group_b} {envelope_part} "
+        f"{args.command} input={args.input} groups={group_a},{group_b} {envelope_part} "
         f"grid_size={len(curve.grid)}"
     )
 
 
 def _run_mrl_diff(args: argparse.Namespace, outputs: _StagedOutputs) -> str:
-    samples = load_dataset(args.input)
-    groups = _resolve_groups(samples, args.groups, exactly_two=True)
+    samples, groups = _load(args, exactly_two=True)
     group_a, group_b = groups
-    config = _threshold_config(args)
-    mrl_a = mrl.fit_hybrid_mrl(samples[group_a], config)
-    mrl_b = mrl.fit_hybrid_mrl(samples[group_b], config)
-    _warn_unconverged(group_a, mrl_a)
-    _warn_unconverged(group_b, mrl_b)
+    mrl_a, mrl_b = _fit_mrls(args, samples, groups).values()
     curve = compare.mrl_difference(mrl_a, mrl_b, group_a=group_a, group_b=group_b)
-    spec = render.PlotSpec(
-        title=f"MRL difference ({group_a} vs {group_b})",
-        x_label="time",
-        y_label="difference in mean residual life",
-        series=(render.PlotSeries(label=f"{group_a}-{group_b}", grid=curve.grid, values=curve.values),),
-        reference_line=0.0,
-    )
-    if args.out:
-        outputs.write(args.out, render.render_plot_svg(spec))
-    if args.out_csv:
-        outputs.write(args.out_csv, render.export_curve_csv(curve))
+    spec = _comparison_spec("MRL difference", "difference in mean residual life", groups, curve, 0.0)
+    _write_plot(args, outputs, spec, {group_a: curve})
     return (
         f"mrl-diff input={args.input} groups={group_a},{group_b} {_threshold_summary(args)} "
         f"u_a={mrl_a.threshold!r} u_b={mrl_b.threshold!r} "
@@ -450,17 +439,9 @@ def run_cli(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    runners = {
-        "km": _run_km,
-        "mrl": _run_mrl,
-        "diff": partial(_run_two_group_surv, kind="surv_diff"),
-        "ratio": partial(_run_two_group_surv, kind="surv_ratio"),
-        "mrl-diff": _run_mrl_diff,
-        "stats": _run_stats,
-    }
     outputs = _StagedOutputs()
     try:
-        summary = runners[args.command](args, outputs)
+        summary = args.run(args, outputs)
         outputs.commit()
     except (SurvmrlError, OSError) as exc:
         print(str(exc), file=sys.stderr)

@@ -89,24 +89,33 @@ def read_csv(
     """Decode a CSV source into its stripped header and numbered data rows.
 
     Blank lines are skipped but counted: data row k sits k lines below
-    the header. Rows are checked for the header's field count as they are
+    the header. A bare carriage return ends a line, as in any CSV
+    dialect. Rows are checked for the header's field count as they are
     consumed, so a caller validates the header before any row error can
-    surface. An input without a header is an empty dataset.
+    surface. An input without a header is an empty dataset; a row the csv
+    module cannot split is a ParseError, a header it cannot split a
+    SchemaError.
     """
-    reader = csv.reader(io.StringIO(_decode(source)))
-    header = next((row for row in reader if row), None)
+    reader = csv.reader(io.StringIO(_decode(source), newline=""))
+    try:
+        header = next((row for row in reader if row), None)
+    except csv.Error as exc:
+        raise SchemaError(f"malformed CSV header: {exc}") from None
     if header is None:
         raise SchemaError("empty dataset")
     header_line = reader.line_num
 
     def rows():
-        for row in reader:
-            if not row:
-                continue
-            row_number = reader.line_num - header_line
-            if len(row) != len(header):
-                raise ParseError(row_number, f"expected {len(header)} fields, got {len(row)}")
-            yield row_number, row
+        try:
+            for row in reader:
+                if not row:
+                    continue
+                row_number = reader.line_num - header_line
+                if len(row) != len(header):
+                    raise ParseError(row_number, f"expected {len(header)} fields, got {len(row)}")
+                yield row_number, row
+        except csv.Error as exc:
+            raise ParseError(reader.line_num - header_line, f"malformed CSV: {exc}") from None
 
     return [h.strip() for h in header], rows()
 
@@ -130,7 +139,7 @@ def load_dataset(
     known = {time_col, status_col, group_col}
     unknown = [h for h in header if h not in known]
     if unknown:
-        raise SchemaError(f"unknown column(s): {', '.join(unknown)}")
+        raise SchemaError(f"unknown column(s): {', '.join(map(repr, unknown))}")
     if len(set(header)) != len(header):
         raise SchemaError("duplicate column names in header")
     for required in (time_col, status_col):

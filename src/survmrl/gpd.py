@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -33,22 +32,6 @@ SHAPE_BOUND = 0.99
 SMALL_SHAPE_CUTOFF = 1e-14
 _BOUNDARY_MARGIN = 1e-6
 _LOG_SCALE_LIMIT = 50.0
-
-
-@dataclass(frozen=True)
-class Exceedance:
-    """Excess above the threshold, with the original censoring flag."""
-
-    excess: float
-    status: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "excess", float(self.excess))
-        object.__setattr__(self, "status", int(self.status))
-        if not (math.isfinite(self.excess) and self.excess >= 0.0):
-            raise ValueError(f"excess must be finite and >= 0, got {self.excess!r}")
-        if self.status not in (0, 1):
-            raise ValueError(f"status must be 0 or 1, got {self.status!r}")
 
 
 @dataclass(frozen=True)
@@ -80,31 +63,44 @@ def _loglik(excess: np.ndarray, status: np.ndarray, shape: float, scale: float) 
     return -k * math.log(scale) - total / shape - events
 
 
-def gpd_log_likelihood(
-    exceedances: Sequence[Exceedance], shape: float, scale: float
-) -> float:
+def _tail_sample(excess, status) -> tuple[np.ndarray, np.ndarray]:
+    """Excesses and censoring flags as float arrays, checked; the first
+    offender is named in the ValueError."""
+    excess = np.asarray(excess, dtype=float)
+    flags = np.asarray(status)
+    if excess.ndim != 1 or flags.shape != excess.shape:
+        raise ValueError("excess and status must be 1-D arrays of equal length")
+    bad = np.flatnonzero(~(np.isfinite(excess) & (excess >= 0.0)))
+    if bad.size:
+        raise ValueError(f"excess must be finite and >= 0, got {excess[bad[0]].item()!r}")
+    bad = np.flatnonzero((flags != 0) & (flags != 1))
+    if bad.size:
+        raise ValueError(f"status must be 0 or 1, got {flags[bad[0]].item()!r}")
+    return excess, flags.astype(float)
+
+
+def gpd_log_likelihood(excess, status, shape: float, scale: float) -> float:
     """Log likelihood of the censored tail sample at (shape, scale).
 
-    Returns -inf when (shape, scale) put any excess outside the GPD
-    support, which optimizers can treat as a rejection.
+    ``excess`` (>= 0) and ``status`` (1 event, 0 censored) are equal-length
+    arrays. Returns -inf when (shape, scale) put any excess outside the
+    GPD support, which optimizers can treat as a rejection.
     """
-    excess = np.array([e.excess for e in exceedances], dtype=float)
-    status = np.array([e.status for e in exceedances], dtype=float)
-    return _loglik(excess, status, shape, scale)
+    return _loglik(*_tail_sample(excess, status), shape, scale)
 
 
-def fit_gpd(exceedances: Sequence[Exceedance], threshold: float = 0.0) -> GpdFit:
+def fit_gpd(excess, status, threshold: float = 0.0) -> GpdFit:
     """Maximum-likelihood GPD fit to censored exceedances.
 
-    Runs the simplex search from three starts (moment-style, exponential,
+    ``excess`` and ``status`` are as for ``gpd_log_likelihood``. Runs the
+    simplex search from three starts (moment-style, exponential,
     heavy-tailed) and keeps the best; ``converged`` reports whether that
     run met the simplex-diameter tolerance.
     """
-    m = len(exceedances)
+    excess, status = _tail_sample(excess, status)
+    m = excess.size
     if m < 2:
         raise EstimationError("insufficient tail data")
-    excess = np.array([e.excess for e in exceedances], dtype=float)
-    status = np.array([e.status for e in exceedances], dtype=float)
     n_events = int(np.sum(status))
     if n_events == 0:
         raise EstimationError("all tail observations censored")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .dataset import SurvivalSample
 from .errors import EstimationError
-from .gpd import Exceedance, GpdFit, fit_gpd, gpd_mrl_at_threshold
+from .gpd import GpdFit, fit_gpd, gpd_mrl_at_threshold
 from .km import StepFunction, km_fit, step_eval, step_eval_many, step_integral
 
 
@@ -91,13 +91,10 @@ def select_threshold(sample: SurvivalSample, config: ThresholdConfig) -> float:
     return u
 
 
-def tail_exceedances(sample: SurvivalSample, u: float) -> list[Exceedance]:
-    """Excesses above u, censored ones included (their flags enter the fit)."""
+def tail_exceedances(sample: SurvivalSample, u: float) -> tuple[np.ndarray, np.ndarray]:
+    """Excesses above u and their censoring flags (censored ones enter the fit too)."""
     above = sample.times > u
-    excesses = (sample.times[above] - u).tolist()
-    return [
-        Exceedance(excess=e, status=s) for e, s in zip(excesses, sample.statuses[above].tolist())
-    ]
+    return sample.times[above] - u, sample.statuses[above]
 
 
 def _components(survival: StepFunction, t: np.ndarray, u: float, tail_mean: float):
@@ -124,7 +121,7 @@ def fit_hybrid_mrl(
     curve is not extrapolated past u) and always closed with u.
     """
     u = select_threshold(sample, config)
-    gpd = fit_gpd(tail_exceedances(sample, u), threshold=u)
+    gpd = fit_gpd(*tail_exceedances(sample, u), threshold=u)
     tail_mean = gpd_mrl_at_threshold(gpd)
     curve = km_fit(sample)
 

@@ -214,7 +214,7 @@ def load_paired_survey(source: str | bytes | io.TextIOBase) -> PairedSurvey:
     header, rows = read_csv(source)
     expected = ["participant", "item", "pre", "post"]
     if sorted(header) != sorted(expected):
-        raise SchemaError(f"expected columns {','.join(expected)}, got {','.join(header)}")
+        raise SchemaError(f"expected columns {','.join(expected)}, got {', '.join(map(repr, header))}")
     idx = {name: header.index(name) for name in expected}
 
     pre_by_participant: dict[str, list[int]] = {}

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -386,3 +387,58 @@ class TestUnconvergedTailWarning:
         assert run_cli(["mrl", "--input", str(survival_csv), "--out", str(tmp_path / "m.svg")]) == 0
         captured = capsys.readouterr()
         assert captured.err == "" and "converged=True" in captured.out
+
+
+def _relabel(source, tmp_path, label):
+    """``source`` with group A renamed to ``label`` (quoted CSV field)."""
+    text = source.read_text().replace(",A\n", ',"' + label.replace('"', '""') + '"\n')
+    path = tmp_path / "relabelled.csv"
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+class TestGroupLabelsInFileNames:
+    @pytest.mark.parametrize("command", ["km", "mrl"])
+    @pytest.mark.parametrize("label", ["a/b", "a\0b"])
+    def test_unusable_label_in_per_group_csv_is_one_line_data_error(
+        self, command, label, survival_csv, tmp_path, capsys
+    ):
+        source = _relabel(survival_csv, tmp_path, label)
+        out = tmp_path / "out"
+        out.mkdir()
+        code = run_cli(
+            [command, "--input", str(source), "--out", str(out / "p.svg"), "--out-csv", str(out / "p.csv")]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        if sys.version_info >= (3, 11):  # older csv modules reject a NUL while reading
+            assert captured.err == f"group label {label!r} cannot be used in an output file name\n"
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["km", "mrl"])
+    def test_label_outside_file_names_keeps_working(self, command, survival_csv, tmp_path):
+        source = _relabel(survival_csv, tmp_path, "a/b")
+        single = run_cli([command, "--input", str(source), "--groups", "a/b", "--out-csv", str(tmp_path / "one.csv")])
+        legend_only = run_cli([command, "--input", str(source), "--out", str(tmp_path / "both.svg")])
+        assert (single, legend_only) == (0, 0)
+        assert b"a/b" in (tmp_path / "both.svg").read_bytes()
+        assert (tmp_path / "one.csv").read_text().startswith("t,value")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["km", "--groups", "A,A"],
+        ["diff", "--groups", "A, A", "--permutations", "0"],
+        ["mrl", "--groups", "A,B,A"],
+        ["mrl-diff", "--groups", "B,B"],
+    ],
+)
+def test_repeated_group_is_flag_error(argv, survival_csv, tmp_path, capsys):
+    code = run_cli([*argv, "--input", str(survival_csv), "--out-csv", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"argument --groups: group '{argv[2][0]}' is listed more than once" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]

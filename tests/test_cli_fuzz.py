@@ -1,0 +1,99 @@
+"""Random, often malformed, survival CSVs through every plotting subcommand.
+
+Whatever the input, ``run_cli`` must return 0, 1 or 2 without raising; a
+data error (exit 1) prints exactly one stderr line besides any
+``warning:`` lines; and a run leaves no staged ``.tmp`` file, and no
+output at all unless it succeeds.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import csv
+import io
+import os
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from survmrl.cli import run_cli
+
+HEADERS = [
+    "time,status,group",
+    "time,status",
+    "group,status,time",
+    "time,status,group,extra",
+    'time,status,"gr\noup"',
+    "time,time,status",
+    "participant,item,pre,post",
+]
+GOOD_TIMES = ["0", "0.5", "1", "2.5", "3", "7", "1e3", " 4 "]
+BAD_TIMES = ["-1", "nan", "inf", "x", ""]
+GOOD_STATUSES = ["0", "1", "1.0", " 1"]
+BAD_STATUSES = ["2", "-1", "yes", ""]
+LABELS = ["A", "B", "a/b", "a\0b", 'q"t', "'", "line\nbreak", "c\rr", "t\tb", " ", ""]
+COMMANDS = {
+    "km": [],
+    "mrl": ["--min-exceedances", "3"],
+    "diff": ["--permutations", "9", "--seed", "1"],
+    "ratio": ["--permutations", "0"],
+    "mrl-diff": ["--min-exceedances", "3"],
+}
+
+
+def _quoted(fields) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="").writerow(fields)
+    return out.getvalue()
+
+
+@st.composite
+def survival_csvs(draw) -> str:
+    """A header, then maybe 60 well-formed rows for each of two groups
+    (so the fits often run, also under awkward labels), then up to 12
+    drawn rows, each quoted by the csv module or joined raw, or a blank
+    line. Half the inputs keep the valid header, half draw only valid
+    time and status tokens, and half the drawn rows join group A or B."""
+    header = draw(st.sampled_from(HEADERS)) if draw(st.booleans()) else HEADERS[0]
+    bad = draw(st.booleans())
+    times = GOOD_TIMES + BAD_TIMES if bad else GOOD_TIMES
+    statuses = GOOD_STATUSES + BAD_STATUSES if bad else GOOD_STATUSES
+    pair = draw(st.sampled_from([("A", "B"), ("A", "a/b"), ("a\0b", "B"), ('q"t', "line\nbreak")]))
+    lines = [header]
+    for k in range(draw(st.sampled_from([0, 3, 120]))):
+        lines.append(_quoted([f"{(k * 0.618) % 7 + 0.1:.3f}", int(k % 3 != 0), pair[k % 2]]))
+    labels = st.sampled_from(["A", "B"]) | st.sampled_from(LABELS)
+    row = st.tuples(st.sampled_from(times), st.sampled_from(statuses), labels)
+    for fields in draw(st.lists(st.none() | row, max_size=12)):
+        if fields is None:
+            lines.append("")
+        else:
+            lines.append(_quoted(fields) if draw(st.booleans()) else ",".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(command=st.sampled_from(sorted(COMMANDS)), text=survival_csvs())
+def test_cli_survives_any_survival_csv(command, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        source = work / "input.csv"
+        source.write_bytes(text.encode("utf-8"))
+        argv = [command, "--input", str(source), *COMMANDS[command]]
+        argv += ["--out", str(work / "plot.svg"), "--out-csv", str(work / "plot.csv")]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run_cli(argv)
+        left = sorted(name for _, _, names in os.walk(work) for name in names)
+
+    assert code in (0, 1, 2)
+    assert not [name for name in left if name.endswith(".tmp")]
+    if code != 0:
+        assert left == ["input.csv"]
+    if code == 1:
+        err = stderr.getvalue()
+        assert err.endswith("\n")
+        messages = [line for line in err[:-1].split("\n") if not line.startswith("warning:")]
+        assert len(messages) == 1, err
+        assert stdout.getvalue() == ""

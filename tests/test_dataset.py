@@ -62,6 +62,27 @@ def test_unknown_column_is_schema_error():
         load_dataset(b"time,status,flavor\n1,1,x\n")
 
 
+def test_header_names_in_messages_are_quoted():
+    with pytest.raises(SchemaError) as info:
+        load_dataset(b'time,status,"gr\noup"\n1,1,a\n')
+    assert str(info.value) == "unknown column(s): 'gr\\noup'"
+
+
+def test_bare_carriage_returns_end_lines():
+    samples = load_dataset(b"time,status,group\r1,1,A\r2,0,A\r")
+    assert samples["A"].times.tolist() == [1.0, 2.0]
+    with pytest.raises(ParseError, match="row 2: expected 3 fields, got 1"):
+        load_dataset(b"time,status,group\n1,1,a\rb\n")
+
+
+def test_rows_the_csv_module_cannot_split_are_errors():
+    huge = b"x" * 200_000  # beyond the csv module's field size limit
+    with pytest.raises(ParseError, match="row 2: malformed CSV"):
+        load_dataset(b"time,status,group\n1,1,A\n2,0," + huge + b"\n")
+    with pytest.raises(SchemaError, match="malformed CSV header"):
+        load_dataset(b"time,status," + huge + b"\n1,1,A\n")
+
+
 def test_group_column_optional_defaults_to_all():
     samples = load_dataset(b"time,status\n1,1\n2,0\n")
     assert set(samples) == {"all"}

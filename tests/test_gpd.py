@@ -5,7 +5,6 @@ import pytest
 
 from survmrl import (
     EstimationError,
-    Exceedance,
     GpdFit,
     fit_gpd,
     gpd_log_likelihood,
@@ -28,36 +27,35 @@ def direct_log_density(t, shape, scale):
 
 class TestLogLikelihood:
     def test_exponential_event(self):
-        assert gpd_log_likelihood([Exceedance(1.0, 1)], 0.0, 1.0) == -1.0
+        assert gpd_log_likelihood([1.0], [1], 0.0, 1.0) == -1.0
 
     def test_exponential_censored(self):
-        assert gpd_log_likelihood([Exceedance(1.0, 0)], 0.0, 1.0) == -1.0
+        assert gpd_log_likelihood([1.0], [0], 0.0, 1.0) == -1.0
 
     def test_event_with_positive_shape(self):
-        value = gpd_log_likelihood([Exceedance(1.0, 1)], 0.5, 2.0)
+        value = gpd_log_likelihood([1.0], [1], 0.5, 2.0)
         assert value == pytest.approx(math.log(0.5 * 1.25**-3), rel=1e-12)
 
     def test_outside_support_signals_minus_inf(self):
-        assert gpd_log_likelihood([Exceedance(5.0, 1)], -0.5, 1.0) == -math.inf
+        assert gpd_log_likelihood([5.0], [1], -0.5, 1.0) == -math.inf
 
     def test_nonpositive_scale_signals_minus_inf(self):
-        assert gpd_log_likelihood([Exceedance(1.0, 1)], 0.1, 0.0) == -math.inf
+        assert gpd_log_likelihood([1.0], [1], 0.1, 0.0) == -math.inf
 
     def test_matches_direct_density_sum_uncensored(self):
         rng = np.random.default_rng(2)
         for shape in (-0.4, -0.1, 0.1, 0.3, 0.7):
             for scale in (0.5, 1.0, 3.0):
                 x = gpd_draw(rng, shape, scale, 40)
-                exceedances = [Exceedance(float(v), 1) for v in x]
                 expected = sum(direct_log_density(float(v), shape, scale) for v in x)
-                got = gpd_log_likelihood(exceedances, shape, scale)
+                got = gpd_log_likelihood(x, np.ones(x.size), shape, scale)
                 assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_censored_terms_are_log_survival(self):
         # survival of GPD: (1 + shape*t/scale)^(-1/shape)
         t, shape, scale = 2.0, 0.3, 1.5
         expected = (-1.0 / shape) * math.log(1.0 + shape * t / scale)
-        assert gpd_log_likelihood([Exceedance(t, 0)], shape, scale) == pytest.approx(
+        assert gpd_log_likelihood([t], [0], shape, scale) == pytest.approx(
             expected, rel=1e-14
         )
 
@@ -67,25 +65,25 @@ class TestLogLikelihood:
         for t in (0.0, 0.5, 1.0, 10.0, 100.0):
             for scale in (0.1, 1.0, 10.0):
                 for status in (0, 1):
-                    at_zero = gpd_log_likelihood([Exceedance(t, status)], 0.0, scale)
+                    at_zero = gpd_log_likelihood([t], [status], 0.0, scale)
                     for eps in (SMALL_SHAPE_CUTOFF, -SMALL_SHAPE_CUTOFF):
-                        near = gpd_log_likelihood([Exceedance(t, status)], eps, scale)
+                        near = gpd_log_likelihood([t], [status], eps, scale)
                         assert abs(near - at_zero) < 1e-8
 
 
 class TestFitGpd:
     def test_single_exceedance_rejected(self):
         with pytest.raises(EstimationError, match="insufficient tail data"):
-            fit_gpd([Exceedance(1.0, 1)])
+            fit_gpd([1.0], [1])
 
     def test_all_censored_rejected(self):
         with pytest.raises(EstimationError, match="all tail observations censored"):
-            fit_gpd([Exceedance(1.0, 0), Exceedance(2.0, 0)])
+            fit_gpd([1.0, 2.0], [0, 0])
 
     def test_exponential_sample_recovers_rate(self):
         rng = np.random.default_rng(1)
         x = rng.exponential(1.0, 2000)
-        fit = fit_gpd([Exceedance(float(v), 1) for v in x])
+        fit = fit_gpd(x, np.ones(x.size))
         assert abs(fit.shape) < 0.1
         assert abs(fit.scale - x.mean()) < 0.05
         assert fit.converged
@@ -94,21 +92,21 @@ class TestFitGpd:
 
     def test_log_likelihood_field_matches_function(self):
         rng = np.random.default_rng(8)
-        exceedances = [Exceedance(float(v), 1) for v in rng.exponential(2.0, 200)]
-        fit = fit_gpd(exceedances, threshold=3.0)
+        x = rng.exponential(2.0, 200)
+        fit = fit_gpd(x, np.ones(x.size), threshold=3.0)
         assert fit.threshold == 3.0
-        assert fit.log_likelihood == gpd_log_likelihood(exceedances, fit.shape, fit.scale)
+        assert fit.log_likelihood == gpd_log_likelihood(x, np.ones(x.size), fit.shape, fit.scale)
 
     def test_beats_grid_search(self):
         rng = np.random.default_rng(17)
         x = gpd_draw(rng, 0.25, 2.0, 400)
-        exceedances = [Exceedance(float(v), 1) for v in x]
-        fit = fit_gpd(exceedances)
+        status = np.ones(x.size)
+        fit = fit_gpd(x, status)
         mean = x.mean()
         best = -math.inf
         for shape in np.linspace(-0.9, 0.9, 120):
             for scale in np.linspace(0.1 * mean, 10 * mean, 120):
-                best = max(best, gpd_log_likelihood(exceedances, float(shape), float(scale)))
+                best = max(best, gpd_log_likelihood(x, status, float(shape), float(scale)))
         assert fit.log_likelihood >= best - 1e-6
 
     def test_censored_fit_beats_grid_search(self):
@@ -117,13 +115,12 @@ class TestFitGpd:
         c = rng.exponential(6.0, 300)
         excess = np.minimum(x, c)
         status = (x <= c).astype(int)
-        exceedances = [Exceedance(float(v), int(s)) for v, s in zip(excess, status)]
-        fit = fit_gpd(exceedances)
+        fit = fit_gpd(excess, status)
         mean = excess.mean()
         best = -math.inf
         for shape in np.linspace(-0.9, 0.9, 120):
             for scale in np.linspace(0.1 * mean, 10 * mean, 120):
-                best = max(best, gpd_log_likelihood(exceedances, float(shape), float(scale)))
+                best = max(best, gpd_log_likelihood(excess, status, float(shape), float(scale)))
         assert fit.log_likelihood >= best - 1e-6
 
     def test_consistency_short_study(self):
@@ -131,7 +128,7 @@ class TestFitGpd:
         for seed in range(3):
             rng = np.random.default_rng(500 + seed)
             x = gpd_draw(rng, 0.25, 2.0, 5000)
-            fit = fit_gpd([Exceedance(float(v), 1) for v in x])
+            fit = fit_gpd(x, np.ones(x.size))
             shapes.append(fit.shape)
             scales.append(fit.scale)
         assert np.mean(np.abs(np.array(shapes) - 0.25)) < 0.05
@@ -140,9 +137,9 @@ class TestFitGpd:
     def test_scaling_data_scales_scale_only(self):
         rng = np.random.default_rng(6)
         x = gpd_draw(rng, 0.2, 1.5, 800)
-        fit1 = fit_gpd([Exceedance(float(v), 1) for v in x])
+        fit1 = fit_gpd(x, np.ones(x.size))
         c = 37.0
-        fit2 = fit_gpd([Exceedance(float(v * c), 1) for v in x])
+        fit2 = fit_gpd(x * c, np.ones(x.size))
         assert fit2.shape == pytest.approx(fit1.shape, abs=1e-4)
         assert fit2.scale == pytest.approx(fit1.scale * c, rel=1e-4)
 
@@ -151,7 +148,7 @@ class TestFitGpd:
         # near the box edge but stays a usable finite-mean result
         rng = np.random.default_rng(12)
         values = rng.uniform(0.0, 1.0, 400)
-        fit = fit_gpd([Exceedance(float(v), 1) for v in values])
+        fit = fit_gpd(values, np.ones(values.size))
         assert -0.99 < fit.shape < -0.8
         # tail mean of a uniform excess sample is about half its range
         assert gpd_mrl_at_threshold(fit) == pytest.approx(0.5, abs=0.1)
@@ -160,7 +157,7 @@ class TestFitGpd:
         rng = np.random.default_rng(13)
         x = gpd_draw(rng, 2.5, 1.0, 500)
         with pytest.raises(EstimationError, match="infinite-mean tail fit"):
-            fit_gpd([Exceedance(float(v), 1) for v in x])
+            fit_gpd(x, np.ones(x.size))
 
 
 class TestMrlAtThreshold:
@@ -178,8 +175,17 @@ class TestMrlAtThreshold:
             gpd_mrl_at_threshold(fit)
 
 
-def test_exceedance_invariants():
-    with pytest.raises(ValueError):
-        Exceedance(-0.5, 1)
-    with pytest.raises(ValueError):
-        Exceedance(1.0, 2)
+@pytest.mark.parametrize(
+    "function",
+    [fit_gpd, lambda excess, status: gpd_log_likelihood(excess, status, 0.1, 1.0)],
+    ids=["fit_gpd", "gpd_log_likelihood"],
+)
+def test_invalid_tail_sample_rejected(function):
+    with pytest.raises(ValueError, match=r"excess must be finite and >= 0, got -0\.5"):
+        function([1.0, -0.5, -2.0], [1, 1, 1])
+    with pytest.raises(ValueError, match=r"excess must be finite and >= 0, got nan"):
+        function([1.0, float("nan")], [1, 1])
+    with pytest.raises(ValueError, match="status must be 0 or 1, got 2"):
+        function([1.0, 2.0, 3.0], [1, 2, 3])
+    with pytest.raises(ValueError, match="equal length"):
+        function([1.0, 2.0], [1])

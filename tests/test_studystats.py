@@ -223,6 +223,11 @@ class TestLoadPairedSurvey:
             load_paired_survey(b"participant,item,pre,post\n")
         with pytest.raises(SchemaError, match="expected columns"):
             load_paired_survey(b"who,item,pre,post\nx,i,0,1\n")
+        with pytest.raises(SchemaError) as info:
+            load_paired_survey(b'"parti\ncipant",item,pre,post\nx,i,0,1\n')
+        assert str(info.value) == (
+            "expected columns participant,item,pre,post, got 'parti\\ncipant', 'item', 'pre', 'post'"
+        )
 
     def test_row_errors(self):
         with pytest.raises(ParseError, match="row 1"):
