@@ -32,7 +32,17 @@ def write_survey():
     (HERE / "survey.csv").write_text("\n".join(rows) + "\n")
 
 
+def write_ratio_zero():
+    # tie-heavy, every subject an event: under relabelling the denominator
+    # group often loses its last subject before the top of the ratio grid
+    rows = ["time,status,group"]
+    for label, times in (("A", (1, 1, 2, 2, 2, 3, 3, 4, 5, 5)), ("B", (1, 2, 2, 3, 3, 3, 4, 4, 5, 6))):
+        rows += [f"{t},1,{label}" for t in times]
+    (HERE / "ratio_zero.csv").write_text("\n".join(rows) + "\n")
+
+
 if __name__ == "__main__":
     write_two_groups()
     write_survey()
-    print("wrote", HERE / "two_groups.csv", "and", HERE / "survey.csv")
+    write_ratio_zero()
+    print("wrote", HERE / "two_groups.csv", HERE / "survey.csv", "and", HERE / "ratio_zero.csv")

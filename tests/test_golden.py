@@ -29,6 +29,7 @@ ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = Path(__file__).resolve().parent / "golden.json"
 TWO_GROUPS = ROOT / "sample_data" / "two_groups.csv"
 SURVEY = ROOT / "sample_data" / "survey.csv"
+RATIO_ZERO = ROOT / "sample_data" / "ratio_zero.csv"
 
 # name -> (input, argv after --input, excluding output flags, write an SVG)
 CASES = {
@@ -53,6 +54,13 @@ CASES = {
     "mrl_diff_reversed": (
         TWO_GROUPS,
         ["mrl-diff", "--groups", "B,A", "--threshold-quantile", "0.7", "--min-exceedances", "20"],
+        True,
+    ),
+    "ratio_zero_defined": (RATIO_ZERO, ["ratio", "--permutations", "300", "--seed", "2"], True),
+    "diff_ties": (RATIO_ZERO, ["diff", "--permutations", "60", "--seed", "4"], True),
+    "diff_full_band_grid_past_follow_up": (
+        TWO_GROUPS,
+        ["diff", "--permutations", "200", "--seed", "5", "--band", "0,1", "--grid", "0,1,2,5,12,30,40"],
         True,
     ),
     "stats": (SURVEY, ["stats"], False),
