@@ -7,18 +7,22 @@ come from relabeling the pooled subjects: each of B replicates permutes
 group membership (sizes preserved), recomputes the comparison on the
 fixed grid, and the band is the pointwise quantile span of the replicate
 values. Replicate b draws from a stream derived from (seed, b), so the
-envelope does not depend on evaluation order.
+envelope does not depend on evaluation order. The pooled subjects are
+binned against the pooled event times once; a replicate only counts its
+group A's subjects per bin, and the quantiles are taken a block of grid
+columns at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .dataset import SurvivalSample
 from .errors import EstimationError
-from .km import KmCurve, km_fit, product_limit, step_eval_many
+from .km import KmCurve, km_fit, step_eval_many
 from .mrl import MrlCurve, evaluate_mrl
 
 KINDS = ("surv_diff", "surv_ratio", "mrl_diff")
@@ -57,9 +61,8 @@ class Envelope:
 
 
 def _default_grid(curve_a: KmCurve, curve_b: KmCurve, max_a: float, max_b: float) -> np.ndarray:
-    horizon = min(max_a, max_b)
-    merged = sorted(set(curve_a.event_times) | set(curve_b.event_times))
-    return np.array([t for t in merged if t <= horizon])
+    merged = np.union1d(curve_a.event_times, curve_b.event_times)
+    return merged[merged <= min(max_a, max_b)]
 
 
 def _follow_up(curve: KmCurve) -> float:
@@ -146,39 +149,103 @@ def mrl_difference(
     )
 
 
-def _km_on_grid(times: np.ndarray, statuses: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Product-limit survival of (times, statuses) evaluated on a grid."""
-    order = np.argsort(times, kind="stable")
-    knots, _, _, surv = product_limit(times[order], statuses[order])
-    return np.concatenate(([1.0], surv))[np.searchsorted(knots, grid, side="right")]
+# Grid columns per quantile block: each block is sorted as one
+# (replicates x _QUANTILE_BLOCK) copy, so the band never holds more.
+_QUANTILE_BLOCK = 256
 
 
-def _replicate_values(
-    times: np.ndarray,
-    statuses: np.ndarray,
-    n_a: int,
-    grid: np.ndarray,
-    kind: str,
-    seed: int,
-    replicate: int,
-) -> np.ndarray:
+class _Pool(NamedTuple):
+    """Both samples' subjects binned once against the pooled event times.
+
+    Subject i of (sample_a, sample_b) is at risk at event time j exactly
+    when ``past[i] > j``, and dies there when ``death_at[i] == j``; a
+    censored subject's ``death_at`` is the sentinel bin past the last
+    time. Relabelling subjects moves them between groups but never
+    changes their bins.
+    """
+
+    n_a: int
+    past: np.ndarray  # number of pooled event times at or before each subject's time
+    death_at: np.ndarray
+    at_risk: np.ndarray
+    deaths: np.ndarray
+    at_grid: np.ndarray  # number of pooled event times at or before each grid point
+
+
+def _risk_counts(past: np.ndarray, death_at: np.ndarray, n_times: int) -> tuple[np.ndarray, np.ndarray]:
+    """Subjects at risk just before, and deaths at, each of the event times."""
+    at_risk = past.size - np.cumsum(np.bincount(past, minlength=n_times + 1))[:n_times]
+    return at_risk, np.bincount(death_at, minlength=n_times + 1)[:n_times]
+
+
+def _pool(sample_a: SurvivalSample, sample_b: SurvivalSample, grid: np.ndarray) -> _Pool:
+    times = np.concatenate((sample_a.times, sample_b.times))
+    died = np.concatenate((sample_a.statuses, sample_b.statuses)) == 1
+    event_times = np.unique(times[died])
+    past = np.searchsorted(event_times, times, side="right")
+    death_at = np.where(died, past - 1, event_times.size)
+    return _Pool(
+        sample_a.n,
+        past,
+        death_at,
+        *_risk_counts(past, death_at, event_times.size),
+        np.searchsorted(event_times, grid, side="right"),
+    )
+
+
+def _survival_on_grid(at_risk: np.ndarray, deaths: np.ndarray, at_grid: np.ndarray) -> np.ndarray:
+    """Product-limit survival from one group's counts at every pooled event time.
+
+    An event time where the group has no death contributes the factor
+    r / r, exactly 1.0 (1 / 1 past its last subject, where r is 0), and
+    multiplying by 1.0 changes no bits of the running product: the values
+    equal ``product_limit`` on the group alone.
+    """
+    at_risk = np.maximum(at_risk, 1)
+    return np.concatenate(([1.0], np.cumprod((at_risk - deaths) / at_risk)))[at_grid]
+
+
+def _relabelled_values(pool: _Pool, kind: str, seed: int, replicate: int) -> np.ndarray:
     """Comparison values for one permutation replicate.
 
     A pure function of (seed, replicate): the stream is spawned from the
-    master seed with the replicate index as spawn key.
+    master seed with the replicate index as spawn key, and its first
+    ``n_a`` permuted subjects form group A. Group A's counts come from
+    those subjects' bins alone; group B's are the pooled counts minus A's.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(replicate,)))
-    perm = rng.permutation(len(times))
-    in_a = perm[:n_a]
-    in_b = perm[n_a:]
-    s_a = _km_on_grid(times[in_a], statuses[in_a], grid)
-    s_b = _km_on_grid(times[in_b], statuses[in_b], grid)
+    in_a = rng.permutation(pool.past.size)[: pool.n_a]
+    at_risk_a, deaths_a = _risk_counts(pool.past[in_a], pool.death_at[in_a], pool.deaths.size)
+    s_a = _survival_on_grid(at_risk_a, deaths_a, pool.at_grid)
+    s_b = _survival_on_grid(pool.at_risk - at_risk_a, pool.deaths - deaths_a, pool.at_grid)
     if kind == "surv_diff":
         return s_a - s_b
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = s_a / s_b
     ratio[s_b == 0.0] = np.nan
     return ratio
+
+
+def _band(
+    replicates: np.ndarray, quantiles: tuple[float, float]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per column: the two quantiles of its defined replicates, and their count.
+
+    Undefined values are NaN, which a sort puts last, so after sorting a
+    block the first ``count`` rows of a column are exactly its defined
+    values; columns sharing a count take one ``np.quantile`` call. A
+    column without a defined value stays NaN.
+    """
+    counts = np.isfinite(replicates).sum(axis=0)
+    band = np.full((2, replicates.shape[1]), np.nan)
+    for start in range(0, replicates.shape[1], _QUANTILE_BLOCK):
+        stop = start + _QUANTILE_BLOCK
+        block = np.sort(replicates[:, start:stop], axis=0)
+        block_counts = counts[start:stop]
+        for count in np.unique(block_counts[block_counts > 0]):
+            columns = np.flatnonzero(block_counts == count)
+            band[:, start + columns] = np.quantile(block[:count, columns], quantiles, axis=0)
+    return band[0], band[1], counts
 
 
 def permutation_envelope(
@@ -206,33 +273,19 @@ def permutation_envelope(
     if not (0.0 <= band_quantiles[0] < band_quantiles[1] <= 1.0):
         raise EstimationError(f"invalid band quantiles {band_quantiles!r}")
 
-    curve_a = km_fit(sample_a)
-    curve_b = km_fit(sample_b)
     if grid is None:
         base = survival_difference if kind == "surv_diff" else survival_ratio
-        grid_arr = np.array(base(curve_a, curve_b).grid)
+        grid_arr = np.array(base(km_fit(sample_a), km_fit(sample_b)).grid)
     else:
         grid_arr = np.array(sorted(set(float(t) for t in grid)))
     if grid_arr.size == 0:
         raise EstimationError("no common follow-up window")
 
-    times = np.concatenate((sample_a.times, sample_b.times))
-    statuses = np.concatenate((sample_a.statuses, sample_b.statuses))
+    pool = _pool(sample_a, sample_b, grid_arr)
     replicates = np.empty((n_permutations, grid_arr.size))
     for b in range(n_permutations):
-        replicates[b] = _replicate_values(
-            times, statuses, sample_a.n, grid_arr, kind, seed, b
-        )
-
-    defined = np.isfinite(replicates)
-    counts = defined.sum(axis=0)
-    lower = np.full(grid_arr.size, np.nan)
-    upper = np.full(grid_arr.size, np.nan)
-    for i in range(grid_arr.size):
-        col = replicates[defined[:, i], i]
-        if col.size:
-            lower[i] = np.quantile(col, band_quantiles[0])
-            upper[i] = np.quantile(col, band_quantiles[1])
+        replicates[b] = _relabelled_values(pool, kind, seed, b)
+    lower, upper, counts = _band(replicates, band_quantiles)
     return Envelope(
         grid=tuple(float(t) for t in grid_arr),
         lower=tuple(float(v) for v in lower),

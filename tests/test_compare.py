@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from survmrl import (
     EstimationError,
@@ -11,7 +14,8 @@ from survmrl import (
     survival_difference,
     survival_ratio,
 )
-from survmrl.compare import _replicate_values
+from survmrl.compare import _pool, _relabelled_values
+from survmrl.km import product_limit
 
 
 def make_sample(pairs):
@@ -26,6 +30,53 @@ def exponential_sample(seed, n=100, mean=2.0, censor_mean=8.0):
     observed = np.minimum(t, c)
     status = (t <= c).astype(int)
     return SurvivalSample(observed, status)
+
+
+def reference_envelope(sample_a, sample_b, kind, n_permutations, seed, grid, band_quantiles):
+    """The envelope as one product-limit fit per relabelled group and one
+    pair of ``np.quantile`` calls per grid point; returns (lower, upper,
+    defined_counts). The relabelling envelope must match it bit for bit."""
+    times = np.concatenate((sample_a.times, sample_b.times))
+    statuses = np.concatenate((sample_a.statuses, sample_b.statuses))
+    replicates = np.empty((n_permutations, grid.size))
+    for b in range(n_permutations):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
+        perm = rng.permutation(len(times))
+        curves = []
+        for members in (perm[: sample_a.n], perm[sample_a.n :]):
+            order = np.argsort(times[members], kind="stable")
+            knots, _, _, surv = product_limit(times[members][order], statuses[members][order])
+            curves.append(np.concatenate(([1.0], surv))[np.searchsorted(knots, grid, side="right")])
+        s_a, s_b = curves
+        if kind == "surv_diff":
+            replicates[b] = s_a - s_b
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = s_a / s_b
+            ratio[s_b == 0.0] = np.nan
+            replicates[b] = ratio
+    defined = np.isfinite(replicates)
+    lower = np.full(grid.size, np.nan)
+    upper = np.full(grid.size, np.nan)
+    for i in range(grid.size):
+        col = replicates[defined[:, i], i]
+        if col.size:
+            lower[i] = np.quantile(col, band_quantiles[0])
+            upper[i] = np.quantile(col, band_quantiles[1])
+    return lower, upper, defined.sum(axis=0)
+
+
+def assert_matches_reference(a, b, kind, n_permutations, seed, grid, band_quantiles):
+    env = permutation_envelope(
+        a, b, kind, n_permutations=n_permutations, seed=seed, grid=grid, band_quantiles=band_quantiles
+    )
+    lower, upper, counts = reference_envelope(
+        a, b, kind, n_permutations, seed, np.array(env.grid), band_quantiles
+    )
+    assert np.array(env.lower).tobytes() == lower.tobytes()
+    assert np.array(env.upper).tobytes() == upper.tobytes()
+    assert env.defined_counts == tuple(counts.tolist())
+    return env
 
 
 SAMPLE_A = make_sample([(2, 1), (3, 0), (4, 1), (5, 1)])
@@ -194,13 +245,8 @@ class TestPermutationEnvelope:
     def test_order_independence_of_replicates(self):
         a, b = exponential_sample(8), exponential_sample(9)
         env = permutation_envelope(a, b, "surv_diff", n_permutations=50, seed=11)
-        grid = np.array(env.grid)
-        times = np.concatenate((a.times, b.times))
-        statuses = np.concatenate((a.statuses, b.statuses))
-        rows = [
-            _replicate_values(times, statuses, a.n, grid, "surv_diff", 11, r)
-            for r in reversed(range(50))
-        ]
+        pool = _pool(a, b, np.array(env.grid))
+        rows = [_relabelled_values(pool, "surv_diff", 11, r) for r in reversed(range(50))]
         stacked = np.stack(rows)
         assert np.quantile(stacked, 0.025, axis=0) == pytest.approx(env.lower, abs=0.0)
         assert np.quantile(stacked, 0.975, axis=0) == pytest.approx(env.upper, abs=0.0)
@@ -223,3 +269,77 @@ class TestPermutationEnvelope:
             lo <= v <= hi for v, lo, hi in zip(observed.values, env.lower, env.upper)
         ]
         assert np.mean(inside) >= 0.85
+
+    @pytest.mark.parametrize("kind", ["surv_diff", "surv_ratio"])
+    def test_many_quantile_blocks_match_reference(self, kind):
+        # more than two 256-column blocks, ties, and (ratio, all events)
+        # columns whose defined count falls step by step to zero
+        rng = np.random.default_rng(13)
+        a = SurvivalSample(np.round(rng.exponential(1.0, 300), 2), np.ones(300, dtype=int))
+        b = SurvivalSample(np.round(rng.exponential(1.5, 250), 2), rng.random(250) < 0.7)
+        grid = np.linspace(0.0, 1.2 * max(a.max_time, b.max_time), 700)
+        env = assert_matches_reference(a, b, kind, 40, 17, grid, (0.05, 0.9))
+        if kind == "surv_ratio":
+            assert env.defined_counts[-1] < 40 and len(set(env.defined_counts)) > 3
+
+    def test_no_runtime_warning(self):
+        # all-event groups; the grid runs past every subject, where no
+        # ratio replicate is defined
+        a = make_sample([(float(t), 1) for t in (1, 1, 2, 3, 3, 4)])
+        b = make_sample([(float(t), 1) for t in (1, 2, 2, 3, 5)])
+        grid = (0.0, 1.0, 2.5, 4.0, 5.0, 9.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            diff = permutation_envelope(a, b, "surv_diff", n_permutations=30, seed=4, grid=grid)
+            ratio = permutation_envelope(a, b, "surv_ratio", n_permutations=30, seed=4, grid=grid)
+        assert diff.defined_counts == (30,) * len(grid)
+        assert ratio.defined_counts[-1] == 0
+        assert np.isnan(ratio.lower[-1]) and np.isnan(ratio.upper[-1])
+        assert ratio.defined_counts[0] == 30
+
+
+TIES = [0.0, 0.5, 1.0, 1.0, 2.0, 3.0, 3.0, 4.5, 7.0]
+
+
+@st.composite
+def envelope_cases(draw):
+    """Two small samples (tie-heavy or continuous times, sometimes every
+    subject an event), a kind, B, a seed, band quantiles and a grid."""
+    time = st.sampled_from(TIES) if draw(st.booleans()) else st.floats(0.0, 10.0)
+
+    def sample(n):
+        times = draw(st.lists(time, min_size=n, max_size=n))
+        all_events = draw(st.booleans())
+        statuses = [1] * n if all_events else draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        return SurvivalSample(times, statuses)
+
+    n_a = draw(st.integers(1, 15))
+    a, b = sample(n_a), sample(draw(st.integers(max(1, 4 - n_a), 15)))
+    bound = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    lo, hi = sorted((draw(bound), draw(bound)))
+    if lo == hi:
+        lo, hi = 0.0, max(hi, 0.5)
+    grid = draw(st.none() | st.lists(st.sampled_from(TIES) | st.floats(0.0, 12.0), min_size=1, max_size=15))
+    return dict(
+        a=a,
+        b=b,
+        kind=draw(st.sampled_from(["surv_diff", "surv_ratio"])),
+        n_permutations=draw(st.integers(1, 60)),
+        seed=draw(st.integers(0, 2**63)),
+        grid=grid,
+        band_quantiles=(lo, hi),
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=envelope_cases())
+def test_envelope_matches_reference_bitwise(case):
+    if case["grid"] is None:
+        base = survival_difference if case["kind"] == "surv_diff" else survival_ratio
+        try:
+            base(km_fit(case["a"]), km_fit(case["b"]))
+        except EstimationError:
+            with pytest.raises(EstimationError):
+                permutation_envelope(case["a"], case["b"], case["kind"], case["n_permutations"], case["seed"])
+            return
+    assert_matches_reference(**case)
