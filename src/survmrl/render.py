@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import math
+import re
 from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
@@ -62,6 +63,16 @@ class PlotSpec:
 
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
+
+
+# Characters XML 1.0 cannot carry, not even as character references.
+_NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def _text(text: str) -> str:
+    """``text`` as SVG character data: ``&<>`` escaped, and each character
+    XML forbids written out as its Python escape (U+0001 as ``\\x01``)."""
+    return escape(_NOT_XML_CHAR.sub(lambda m: repr(m.group())[1:-1], text))
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
@@ -240,18 +251,18 @@ def render_plot_svg(spec: PlotSpec) -> bytes:
 
     out.write(
         f'<text x="{_fmt(spec.width / 2)}" y="20" font-size="14" text-anchor="middle" '
-        f'font-family="sans-serif">{escape(spec.title)}</text>\n'
+        f'font-family="sans-serif">{_text(spec.title)}</text>\n'
     )
     out.write(
         f'<text x="{_fmt(_MARGIN_LEFT + plot_w / 2)}" y="{_fmt(spec.height - 10)}" '
         f'font-size="12" text-anchor="middle" font-family="sans-serif">'
-        f"{escape(spec.x_label)}</text>\n"
+        f"{_text(spec.x_label)}</text>\n"
     )
     out.write(
         f'<text x="16" y="{_fmt(_MARGIN_TOP + plot_h / 2)}" font-size="12" '
         f'text-anchor="middle" font-family="sans-serif" '
         f'transform="rotate(-90 16 {_fmt(_MARGIN_TOP + plot_h / 2)})">'
-        f"{escape(spec.y_label)}</text>\n"
+        f"{_text(spec.y_label)}</text>\n"
     )
 
     if any(s.label for s in spec.series):
@@ -265,7 +276,7 @@ def render_plot_svg(spec: PlotSpec) -> bytes:
             )
             out.write(
                 f'<text x="{_fmt(legend_x + 28)}" y="{_fmt(y + 4)}" font-size="11" '
-                f'font-family="sans-serif">{escape(series.label)}</text>\n'
+                f'font-family="sans-serif">{_text(series.label)}</text>\n'
             )
 
     out.write("</svg>\n")

@@ -1,5 +1,6 @@
 import dataclasses
 import sys
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -425,6 +426,23 @@ class TestGroupLabelsInFileNames:
         assert (single, legend_only) == (0, 0)
         assert b"a/b" in (tmp_path / "both.svg").read_bytes()
         assert (tmp_path / "one.csv").read_text().startswith("t,value")
+
+
+class TestControlCharacterLabels:
+    @pytest.mark.parametrize("command", ["km", "mrl", "diff", "ratio", "mrl-diff"])
+    @pytest.mark.parametrize("label", ["a\nb", "a\x01b"])
+    def test_one_summary_line_and_well_formed_svg(self, command, label, survival_csv, tmp_path, capsys):
+        source = _relabel(survival_csv, tmp_path, label)
+        svg = tmp_path / "p.svg"
+        extra = ["--permutations", "20", "--seed", "1"] if command in ("diff", "ratio") else []
+        code = run_cli([command, "--input", str(source), "--out", str(svg), *extra])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.count("\n") == 1 and out.endswith("\n") and out[:-1].isprintable()
+        assert repr(label) in out
+        document = minidom.parse(str(svg))
+        texts = [node.firstChild.data for node in document.getElementsByTagName("text")]
+        assert any(label.replace("\x01", "\\x01") in text for text in texts)
 
 
 @pytest.mark.parametrize(

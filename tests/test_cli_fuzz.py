@@ -2,8 +2,9 @@
 
 Whatever the input, ``run_cli`` must return 0, 1 or 2 without raising; a
 data error (exit 1) prints exactly one stderr line besides any
-``warning:`` lines; and a run leaves no staged ``.tmp`` file, and no
-output at all unless it succeeds.
+``warning:`` lines; a run leaves no staged ``.tmp`` file, and no
+output at all unless it succeeds; and every SVG a successful run writes
+is well-formed XML.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import io
 import os
 import tempfile
 from pathlib import Path
+from xml.dom import minidom
 
 from hypothesis import given, settings, strategies as st
 
@@ -32,7 +34,7 @@ GOOD_TIMES = ["0", "0.5", "1", "2.5", "3", "7", "1e3", " 4 "]
 BAD_TIMES = ["-1", "nan", "inf", "x", ""]
 GOOD_STATUSES = ["0", "1", "1.0", " 1"]
 BAD_STATUSES = ["2", "-1", "yes", ""]
-LABELS = ["A", "B", "a/b", "a\0b", 'q"t', "'", "line\nbreak", "c\rr", "t\tb", " ", ""]
+LABELS = ["A", "B", "a/b", "a\0b", "a\x01b", 'q"t', "'", "line\nbreak", "c\rr", "t\tb", " ", ""]
 COMMANDS = {
     "km": [],
     "mrl": ["--min-exceedances", "3"],
@@ -59,7 +61,9 @@ def survival_csvs(draw) -> str:
     bad = draw(st.booleans())
     times = GOOD_TIMES + BAD_TIMES if bad else GOOD_TIMES
     statuses = GOOD_STATUSES + BAD_STATUSES if bad else GOOD_STATUSES
-    pair = draw(st.sampled_from([("A", "B"), ("A", "a/b"), ("a\0b", "B"), ('q"t', "line\nbreak")]))
+    pair = draw(
+        st.sampled_from([("A", "B"), ("A", "a/b"), ("a\0b", "B"), ("a\x01b", "B"), ('q"t', "line\nbreak")])
+    )
     lines = [header]
     for k in range(draw(st.sampled_from([0, 3, 120]))):
         lines.append(_quoted([f"{(k * 0.618) % 7 + 0.1:.3f}", int(k % 3 != 0), pair[k % 2]]))
@@ -86,6 +90,8 @@ def test_cli_survives_any_survival_csv(command, text):
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = run_cli(argv)
         left = sorted(name for _, _, names in os.walk(work) for name in names)
+        if code == 0:
+            minidom.parse(str(work / "plot.svg"))
 
     assert code in (0, 1, 2)
     assert not [name for name in left if name.endswith(".tmp")]

@@ -140,6 +140,19 @@ class TestRenderSvg:
         assert b"a &lt; b &amp; c" in svg
         ET.fromstring(svg)
 
+    def test_characters_xml_forbids_are_shown_as_escapes(self):
+        curve = km_fit(SAMPLE)
+        spec = PlotSpec(
+            title="a\x01b < c",
+            x_label="t\x1f",
+            y_label="s\tok",
+            series=(PlotSeries(label="g\x00\ufffe", step=curve.survival),),
+        )
+        root = ET.fromstring(render_plot_svg(spec))
+        texts = [node.text for node in root.iter() if node.tag.endswith("text")]
+        assert "a\\x01b < c" in texts and "t\\x1f" in texts and "s\tok" in texts
+        assert "g\\x00\\ufffe" in texts
+
 
 class TestExportCsv:
     def test_km_curve_rows_are_knots(self):
