@@ -167,8 +167,8 @@ class _Pool(NamedTuple):
     n_a: int
     past: np.ndarray  # number of pooled event times at or before each subject's time
     death_at: np.ndarray
-    at_risk: np.ndarray
-    deaths: np.ndarray
+    at_risk: np.ndarray  # pooled, just before each event time
+    deaths: np.ndarray  # pooled, at each event time
     at_grid: np.ndarray  # number of pooled event times at or before each grid point
 
 
