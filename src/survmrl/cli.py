@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _shown(label: str) -> str:
-    """A group label as a message or summary line prints it: quoted if it holds a control character."""
+    """A label or path as a message or summary line prints it: quoted if it holds a control character."""
     return label if label.isprintable() else repr(label)
 
 
@@ -293,10 +293,10 @@ def _run_km(args: argparse.Namespace, outputs: _StagedOutputs) -> str:
     )
     _write_plot(args, outputs, spec, curves)
     parts = [
-        f"{_shown(g)}: n={samples[g].n} events={sum(curves[g].deaths)} knots={len(curves[g].event_times)}"
+        f"{_shown(g)}: n={samples[g].n} events={curves[g].deaths.sum()} knots={len(curves[g].event_times)}"
         for g in groups
     ]
-    return f"km input={args.input} groups={','.join(map(_shown, groups))} | " + " | ".join(parts)
+    return f"km input={_shown(args.input)} groups={','.join(map(_shown, groups))} | " + " | ".join(parts)
 
 
 def _run_mrl(args: argparse.Namespace, outputs: _StagedOutputs) -> str:
@@ -319,7 +319,7 @@ def _run_mrl(args: argparse.Namespace, outputs: _StagedOutputs) -> str:
         for g, c in curves.items()
     ]
     return (
-        f"mrl input={args.input} groups={','.join(map(_shown, groups))} {_threshold_summary(args)} "
+        f"mrl input={_shown(args.input)} groups={','.join(map(_shown, groups))} {_threshold_summary(args)} "
         f"grid={'custom' if args.grid else 'default'} | " + " | ".join(parts)
     )
 
@@ -353,8 +353,8 @@ def _run_survival_comparison(args: argparse.Namespace, outputs: _StagedOutputs) 
         else "permutations=0"
     )
     return (
-        f"{args.command} input={args.input} groups={_shown(group_a)},{_shown(group_b)} {envelope_part} "
-        f"grid_size={len(curve.grid)}"
+        f"{args.command} input={_shown(args.input)} groups={_shown(group_a)},{_shown(group_b)} "
+        f"{envelope_part} grid_size={len(curve.grid)}"
     )
 
 
@@ -366,8 +366,8 @@ def _run_mrl_diff(args: argparse.Namespace, outputs: _StagedOutputs) -> str:
     spec = _comparison_spec("MRL difference", "difference in mean residual life", groups, curve, 0.0)
     _write_plot(args, outputs, spec, {group_a: curve})
     return (
-        f"mrl-diff input={args.input} groups={_shown(group_a)},{_shown(group_b)} {_threshold_summary(args)} "
-        f"u_a={mrl_a.threshold!r} u_b={mrl_b.threshold!r} "
+        f"mrl-diff input={_shown(args.input)} groups={_shown(group_a)},{_shown(group_b)} "
+        f"{_threshold_summary(args)} u_a={mrl_a.threshold!r} u_b={mrl_b.threshold!r} "
         f"shape_a={mrl_a.gpd.shape:.6g} shape_b={mrl_b.gpd.shape:.6g} "
         f"converged={mrl_a.gpd.converged and mrl_b.gpd.converged} grid_size={len(curve.grid)}"
     )
@@ -417,7 +417,7 @@ def _run_stats(args: argparse.Namespace, outputs: _StagedOutputs) -> str:
         lines += [",".join(row) for row in rows]
         outputs.write(args.out_csv, ("\n".join(lines) + "\n").encode("utf-8"))
     summary = [
-        f"stats input={args.input} participants={survey.pre.n} items={survey.n_items} "
+        f"stats input={_shown(args.input)} participants={survey.pre.n} items={survey.n_items} "
         f"{bootstrap_part}"
     ]
     for metric, value, lower, upper in rows:

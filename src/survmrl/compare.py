@@ -20,54 +20,67 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import SurvivalSample
+from .dataset import SurvivalSample, fields_equal, freeze_columns
 from .errors import EstimationError
-from .km import KmCurve, km_fit, step_eval_many
+from .km import KmCurve, km_fit, sorted_grid, step_eval
 from .mrl import MrlCurve, evaluate_mrl
 
 KINDS = ("surv_diff", "surv_ratio", "mrl_diff")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComparisonCurve:
-    grid: tuple[float, ...]
-    values: tuple[float, ...]
+    """Comparison values on a grid, both read-only float arrays."""
+
+    grid: np.ndarray
+    values: np.ndarray
     kind: str
     group_a: str
     group_b: str
 
+    __eq__ = fields_equal
+
     def __post_init__(self):
+        freeze_columns(self, grid=float, values=float)
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Envelope:
     """Pointwise reference band from B seeded label permutations.
 
-    ``defined_counts[i]`` is how many replicates produced a finite value
-    at grid point i; for ratio envelopes it can drop below B when a
-    permuted denominator curve hits zero early.
+    The columns are read-only arrays. ``defined_counts[i]`` is how many
+    replicates produced a finite value at grid point i; for ratio
+    envelopes it can drop below B when a permuted denominator curve hits
+    zero early.
     """
 
-    grid: tuple[float, ...]
-    lower: tuple[float, ...]
-    upper: tuple[float, ...]
+    grid: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
     n_permutations: int
     seed: int
     band_quantiles: tuple[float, float]
     kind: str
-    defined_counts: tuple[int, ...]
+    defined_counts: np.ndarray
+
+    __eq__ = fields_equal
+
+    def __post_init__(self):
+        freeze_columns(self, grid=float, lower=float, upper=float, defined_counts=np.int64)
 
 
-def _default_grid(curve_a: KmCurve, curve_b: KmCurve, max_a: float, max_b: float) -> np.ndarray:
+def _grid(curve_a: KmCurve, curve_b: KmCurve, grid) -> np.ndarray:
+    """``grid`` sorted, or both curves' event times up to the shorter follow-up."""
+    if grid is not None:
+        return sorted_grid(grid)
     merged = np.union1d(curve_a.event_times, curve_b.event_times)
-    return merged[merged <= min(max_a, max_b)]
+    return merged[merged <= min(_follow_up(curve_a), _follow_up(curve_b))]
 
 
 def _follow_up(curve: KmCurve) -> float:
-    times = curve.event_times + curve.censor_marks
-    return max(times)
+    return max(curve.event_times.max(initial=0.0), curve.censor_marks.max(initial=0.0))
 
 
 def survival_difference(
@@ -78,16 +91,13 @@ def survival_difference(
     group_b: str = "B",
 ) -> ComparisonCurve:
     """Pointwise S_A - S_B on the union of event times within the common window."""
-    if grid is None:
-        grid_arr = _default_grid(curve_a, curve_b, _follow_up(curve_a), _follow_up(curve_b))
-    else:
-        grid_arr = np.array(sorted(set(float(t) for t in grid)))
+    grid_arr = _grid(curve_a, curve_b, grid)
     if grid_arr.size == 0:
         raise EstimationError("no common follow-up window")
-    values = step_eval_many(curve_a.survival, grid_arr) - step_eval_many(curve_b.survival, grid_arr)
+    values = step_eval(curve_a.survival, grid_arr) - step_eval(curve_b.survival, grid_arr)
     return ComparisonCurve(
-        grid=tuple(float(t) for t in grid_arr),
-        values=tuple(float(v) for v in values),
+        grid=grid_arr,
+        values=values,
         kind="surv_diff",
         group_a=group_a,
         group_b=group_b,
@@ -102,19 +112,16 @@ def survival_ratio(
     group_b: str = "B",
 ) -> ComparisonCurve:
     """Pointwise S_A / S_B, restricted to times where S_B is positive."""
-    if grid is None:
-        grid_arr = _default_grid(curve_a, curve_b, _follow_up(curve_a), _follow_up(curve_b))
-    else:
-        grid_arr = np.array(sorted(set(float(t) for t in grid)))
-    s_b = step_eval_many(curve_b.survival, grid_arr)
+    grid_arr = _grid(curve_a, curve_b, grid)
+    s_b = step_eval(curve_b.survival, grid_arr)
     keep = s_b > 0.0
     grid_arr = grid_arr[keep]
     if grid_arr.size == 0:
         raise EstimationError("ratio undefined: denominator survival is zero")
-    values = step_eval_many(curve_a.survival, grid_arr) / s_b[keep]
+    values = step_eval(curve_a.survival, grid_arr) / s_b[keep]
     return ComparisonCurve(
-        grid=tuple(float(t) for t in grid_arr),
-        values=tuple(float(v) for v in values),
+        grid=grid_arr,
+        values=values,
         kind="surv_ratio",
         group_a=group_a,
         group_b=group_b,
@@ -141,8 +148,8 @@ def mrl_difference(
     points = points[(points >= lo) & (points <= hi)]
     values = evaluate_mrl(mrl_a, points) - evaluate_mrl(mrl_b, points)
     return ComparisonCurve(
-        grid=tuple(points.tolist()),
-        values=tuple(values.tolist()),
+        grid=points,
+        values=values,
         kind="mrl_diff",
         group_a=group_a,
         group_b=group_b,
@@ -275,9 +282,9 @@ def permutation_envelope(
 
     if grid is None:
         base = survival_difference if kind == "surv_diff" else survival_ratio
-        grid_arr = np.array(base(km_fit(sample_a), km_fit(sample_b)).grid)
+        grid_arr = base(km_fit(sample_a), km_fit(sample_b)).grid
     else:
-        grid_arr = np.array(sorted(set(float(t) for t in grid)))
+        grid_arr = sorted_grid(grid)
     if grid_arr.size == 0:
         raise EstimationError("no common follow-up window")
 
@@ -287,12 +294,12 @@ def permutation_envelope(
         replicates[b] = _relabelled_values(pool, kind, seed, b)
     lower, upper, counts = _band(replicates, band_quantiles)
     return Envelope(
-        grid=tuple(float(t) for t in grid_arr),
-        lower=tuple(float(v) for v in lower),
-        upper=tuple(float(v) for v in upper),
+        grid=grid_arr,
+        lower=lower,
+        upper=upper,
         n_permutations=n_permutations,
         seed=seed,
         band_quantiles=(float(band_quantiles[0]), float(band_quantiles[1])),
         kind=kind,
-        defined_counts=tuple(int(c) for c in counts),
+        defined_counts=counts,
     )

@@ -12,7 +12,7 @@ import csv
 import io
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import BinaryIO, Iterator, Mapping
 
 import numpy as np
@@ -22,20 +22,42 @@ from .errors import ParseError, SchemaError, SurvmrlError
 DEFAULT_GROUP = "all"
 
 
+def freeze_columns(obj, **dtypes) -> None:
+    """Set each named field of frozen ``obj`` to a read-only copy of that dtype, all 1-D of one length."""
+    columns = {name: np.array(getattr(obj, name), dtype=dtype) for name, dtype in dtypes.items()}
+    shapes = {c.shape for c in columns.values()}
+    if len(shapes) != 1 or len(shapes.pop()) != 1:
+        raise ValueError(f"{', '.join(columns)} must be 1-D arrays of one length")
+    for name, column in columns.items():
+        column.setflags(write=False)
+        object.__setattr__(obj, name, column)
+
+
+def fields_equal(a, b) -> bool:
+    """``==`` for dataclasses with array fields, ``np.array_equal`` on arrays (NaN equals NaN)."""
+    if type(b) is not type(a):
+        return NotImplemented
+    return all(
+        np.array_equal(x, y, equal_nan=True) if isinstance(x, np.ndarray) else x == y
+        for x, y in ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class SurvivalSample:
     """A non-empty group of subjects as sorted, read-only columns.
 
     ``times`` (float) ascend; at equal times, events (status 1) precede
     censorings (status 0), the standard tie convention for product-limit
-    estimation. The constructor copies, validates and sorts its inputs.
+    estimation. The constructor copies, validates and sorts its inputs,
+    and reads a time of -0.0 as 0.0.
     """
 
     times: np.ndarray
     statuses: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
+        times = np.asarray(self.times, dtype=float) + 0.0
         statuses = np.asarray(self.statuses)
         if times.ndim != 1 or statuses.shape != times.shape:
             raise ValueError("times and statuses must be 1-D arrays of equal length")
@@ -51,12 +73,7 @@ class SurvivalSample:
             column.setflags(write=False)
             object.__setattr__(self, name, column)
 
-    def __eq__(self, other):
-        if not isinstance(other, SurvivalSample):
-            return NotImplemented
-        return np.array_equal(self.times, other.times) and np.array_equal(
-            self.statuses, other.statuses
-        )
+    __eq__ = fields_equal
 
     @property
     def n(self) -> int:

@@ -10,68 +10,72 @@ computed as exact segment sums, never by quadrature.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import SurvivalSample
+from .dataset import SurvivalSample, fields_equal, freeze_columns
 from .errors import EstimationError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepFunction:
     """Right-continuous piecewise-constant function on [0, inf).
 
     ``initial_value`` holds on [0, knots[0]); the value at each knot is
     the post-jump value. A knotless instance is the constant function.
+    ``knots`` and ``values`` are read-only float arrays.
     """
 
-    knots: tuple[float, ...]
-    values: tuple[float, ...]
+    knots: np.ndarray
+    values: np.ndarray
     initial_value: float
 
-    def __post_init__(self):
-        if len(self.knots) != len(self.values):
-            raise ValueError("knots and values must have equal length")
-        if any(k < 0 or not math.isfinite(k) for k in self.knots):
-            raise ValueError("knots must be finite and >= 0")
-        if any(a >= b for a, b in zip(self.knots, self.knots[1:])):
-            raise ValueError("knots must be strictly increasing")
+    __eq__ = fields_equal
 
-    def __call__(self, t: float) -> float:
+    def __post_init__(self):
+        freeze_columns(self, knots=float, values=float)
+        if not (np.all(np.isfinite(self.knots) & (self.knots >= 0.0)) and np.all(np.diff(self.knots) > 0.0)):
+            raise ValueError("knots must be finite, >= 0 and strictly increasing")
+
+    def __call__(self, t):
         return step_eval(self, t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KmCurve:
-    """Fitted product-limit curve with its per-event-time bookkeeping."""
+    """Fitted product-limit curve with its per-event-time bookkeeping, as
+    read-only arrays (times float, counts int64)."""
 
-    event_times: tuple[float, ...]
-    at_risk: tuple[int, ...]
-    deaths: tuple[int, ...]
+    event_times: np.ndarray
+    at_risk: np.ndarray
+    deaths: np.ndarray
     survival: StepFunction
-    censor_marks: tuple[float, ...]
+    censor_marks: np.ndarray
+
+    __eq__ = fields_equal
+
+    def __post_init__(self):
+        freeze_columns(self, event_times=float, at_risk=np.int64, deaths=np.int64)
+        freeze_columns(self, censor_marks=float)
 
 
-def step_eval(f: StepFunction, t: float) -> float:
-    """Evaluate ``f`` at ``t`` >= 0 (right-continuous at knots)."""
-    if not (math.isfinite(t) and t >= 0.0):
-        raise EstimationError(f"step function argument must be finite and >= 0, got {t!r}")
-    i = bisect_right(f.knots, t)
-    if i == 0:
-        return f.initial_value
-    return f.values[i - 1]
+def sorted_grid(points) -> np.ndarray:
+    """The distinct values of ``points`` in ascending order, -0.0 read as 0.0."""
+    return np.unique(np.asarray(points, dtype=float) + 0.0)
 
 
-def step_eval_many(f: StepFunction, ts: np.ndarray) -> np.ndarray:
-    """Vectorized step_eval over an array of non-negative times."""
-    ts = np.asarray(ts, dtype=float)
-    if ts.size and (not np.all(np.isfinite(ts)) or np.any(ts < 0)):
-        raise EstimationError("step function arguments must be finite and >= 0")
-    knots = np.asarray(f.knots)
-    values = np.concatenate(([f.initial_value], np.asarray(f.values)))
-    return values[np.searchsorted(knots, ts, side="right")]
+def step_eval(f: StepFunction, t):
+    """``f`` at ``t`` >= 0 (right-continuous at knots): a float for a float, an array for an array."""
+    ts = np.asarray(t, dtype=float)
+    bad = ~(np.isfinite(ts) & (ts >= 0.0))
+    if bad.any():
+        raise EstimationError(
+            f"step function argument must be finite and >= 0, got {float(ts[bad].flat[0])!r}"
+        )
+    levels = np.concatenate(([f.initial_value], f.values))
+    values = levels[np.searchsorted(f.knots, ts, side="right")]
+    return float(values) if ts.ndim == 0 else values
 
 
 def step_integral(f: StepFunction, a, b: float):
@@ -91,8 +95,7 @@ def step_integral(f: StepFunction, a, b: float):
     if bad.any():
         first = float(lower[bad].flat[0])
         raise EstimationError(f"integration bounds must satisfy 0 <= a <= b, got [{first!r}, {b!r}]")
-    knots = np.asarray(f.knots, dtype=float)
-    below = knots[: np.searchsorted(knots, b, side="left")]
+    below = f.knots[: np.searchsorted(f.knots, b, side="left")]
     edge = np.append(below, b)
     # level[i] is f on [edge[i - 1], edge[i]), with edge[-1] = 0.
     level = np.concatenate(([f.initial_value], f.values[: below.size]))
@@ -110,13 +113,12 @@ def km_fit(sample: SurvivalSample) -> KmCurve:
     curve reaches 0 only when the last-ordered observation is an event.
     """
     event_times, at_risk, deaths, surv = product_limit(sample.times, sample.statuses)
-    knots = tuple(event_times.tolist())
     return KmCurve(
-        event_times=knots,
-        at_risk=tuple(at_risk.tolist()),
-        deaths=tuple(deaths.tolist()),
-        survival=StepFunction(knots=knots, values=tuple(surv.tolist()), initial_value=1.0),
-        censor_marks=tuple(sample.times[sample.statuses == 0].tolist()),
+        event_times=event_times,
+        at_risk=at_risk,
+        deaths=deaths,
+        survival=StepFunction(knots=event_times, values=surv, initial_value=1.0),
+        censor_marks=sample.times[sample.statuses == 0],
     )
 
 

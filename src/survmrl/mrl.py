@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import SurvivalSample
+from .dataset import SurvivalSample, fields_equal, freeze_columns
 from .errors import EstimationError
 from .gpd import GpdFit, fit_gpd, gpd_mrl_at_threshold
-from .km import StepFunction, km_fit, step_eval, step_eval_many, step_integral
+from .km import StepFunction, km_fit, sorted_grid, step_eval, step_integral
 
 
 @dataclass(frozen=True)
@@ -46,9 +46,9 @@ class ThresholdConfig:
             raise ValueError("explicit mode needs explicit_value")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MrlCurve:
-    """Hybrid MRL evaluated on a grid over [0, threshold].
+    """Hybrid MRL evaluated on a grid over [0, threshold], as read-only arrays.
 
     ``values`` is elementwise exactly ``km_component + tail_component``;
     the value at the threshold equals the fitted tail mean. ``survival``
@@ -56,14 +56,19 @@ class MrlCurve:
     consistently at new points (see ``evaluate_mrl``).
     """
 
-    grid: tuple[float, ...]
-    values: tuple[float, ...]
-    km_component: tuple[float, ...]
-    tail_component: tuple[float, ...]
+    grid: np.ndarray
+    values: np.ndarray
+    km_component: np.ndarray
+    tail_component: np.ndarray
     threshold: float
     gpd: GpdFit
     source_n: int
     survival: StepFunction
+
+    __eq__ = fields_equal
+
+    def __post_init__(self):
+        freeze_columns(self, grid=float, values=float, km_component=float, tail_component=float)
 
 
 def select_threshold(sample: SurvivalSample, config: ThresholdConfig) -> float:
@@ -99,10 +104,10 @@ def tail_exceedances(sample: SurvivalSample, u: float) -> tuple[np.ndarray, np.n
 
 def _components(survival: StepFunction, t: np.ndarray, u: float, tail_mean: float):
     """KM and tail parts of the hybrid MRL at every point of ``t``."""
-    s_t = step_eval_many(survival, t)
-    zero = s_t <= 0.0
-    if zero.any():
-        raise EstimationError(f"MRL undefined at t={float(t[zero].flat[0])!r}: zero survival")
+    s_t = step_eval(survival, t)
+    zero = np.flatnonzero(s_t <= 0.0)
+    if zero.size:
+        raise EstimationError(f"MRL undefined at t={float(np.ravel(t)[zero[0]])!r}: zero survival")
     km_part = step_integral(survival, t, u) / s_t
     tail_part = tail_mean * (step_eval(survival, u) / s_t)
     return km_part, tail_part
@@ -125,16 +130,14 @@ def fit_hybrid_mrl(
     tail_mean = gpd_mrl_at_threshold(gpd)
     curve = km_fit(sample)
 
-    if grid is None:
-        points = np.unique(np.append(sample.times[sample.times <= u], (0.0, u))).tolist()
-    else:
-        points = sorted({float(t) for t in grid if 0.0 <= t <= u} | {u})
-    km_parts, tail_parts = _components(curve.survival, np.array(points), u, tail_mean)
+    points = np.append(sample.times, 0.0) if grid is None else np.asarray(grid, dtype=float)
+    points = sorted_grid(np.append(points[(points >= 0.0) & (points <= u)], u))
+    km_parts, tail_parts = _components(curve.survival, points, u, tail_mean)
     return MrlCurve(
-        grid=tuple(points),
-        values=tuple((km_parts + tail_parts).tolist()),
-        km_component=tuple(km_parts.tolist()),
-        tail_component=tuple(tail_parts.tolist()),
+        grid=points,
+        values=km_parts + tail_parts,
+        km_component=km_parts,
+        tail_component=tail_parts,
         threshold=u,
         gpd=gpd,
         source_n=sample.n,
@@ -158,5 +161,4 @@ def evaluate_mrl(curve: MrlCurve, t):
         )
     tail_mean = gpd_mrl_at_threshold(curve.gpd)
     km_part, tail_part = _components(curve.survival, ts, curve.threshold, tail_mean)
-    values = km_part + tail_part
-    return float(values) if ts.ndim == 0 else values
+    return km_part + tail_part

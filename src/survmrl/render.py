@@ -14,9 +14,13 @@ import io
 import math
 import re
 from dataclasses import dataclass
+from typing import Iterator
 from xml.sax.saxutils import escape
 
+import numpy as np
+
 from .compare import ComparisonCurve, Envelope
+from .dataset import fields_equal, freeze_columns
 from .errors import SurvmrlError
 from .km import KmCurve, StepFunction, step_eval
 from .mrl import MrlCurve
@@ -28,21 +32,24 @@ _MARGIN_TOP = 34.0
 _MARGIN_BOTTOM = 48.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlotSeries:
-    """One curve: either a step function (with optional censor marks) or grid/values."""
+    """One curve: either a step function (with optional censor marks) or
+    grid/values, each a read-only float array."""
 
     label: str
     step: StepFunction | None = None
-    grid: tuple[float, ...] = ()
-    values: tuple[float, ...] = ()
-    censor_times: tuple[float, ...] = ()
+    grid: np.ndarray = ()
+    values: np.ndarray = ()
+    censor_times: np.ndarray = ()
+
+    __eq__ = fields_equal
 
     def __post_init__(self):
-        if self.step is None and not self.grid:
+        freeze_columns(self, grid=float, values=float)
+        freeze_columns(self, censor_times=float)
+        if self.step is None and not self.grid.size:
             raise ValueError("a series needs either a step function or grid data")
-        if self.step is None and len(self.grid) != len(self.values):
-            raise ValueError("grid and values must have equal length")
 
 
 @dataclass(frozen=True)
@@ -61,8 +68,26 @@ class PlotSpec:
             raise ValueError("width and height must be positive")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.6g}"
+_fmt = "{:.6g}".format  # one coordinate or tick value as written
+
+
+def _fmts(xs: np.ndarray) -> Iterator[str]:
+    """``_fmt`` of each element, made as it is consumed."""
+    return map(_fmt, xs.tolist())
+
+
+def _line(x1: str, y1: str, x2: str, y2: str, stroke: str, width: str, extra: str = "") -> str:
+    """A ``<line>`` element from formatted coordinates."""
+    return (
+        f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}" '
+        f'stroke-width="{width}"{extra}/>\n'
+    )
+
+
+def _label(x: str, y: str, size: int, anchor: str, body: str, extra: str = "") -> str:
+    """A ``<text>`` element; ``anchor`` is its text-anchor, or "" for none."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return f'<text x="{x}" y="{y}" font-size="{size}"{anchor} font-family="sans-serif"{extra}>{body}</text>\n'
 
 
 # Characters XML 1.0 cannot carry, not even as character references.
@@ -96,40 +121,31 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
 
 
 def _series_x_max(spec: PlotSpec) -> float:
-    x_max = 0.0
-    for s in spec.series:
-        if s.step is not None:
-            if s.step.knots:
-                x_max = max(x_max, s.step.knots[-1])
-            if s.censor_times:
-                x_max = max(x_max, max(s.censor_times))
-        if s.grid:
-            x_max = max(x_max, s.grid[-1])
-    if spec.envelope is not None and spec.envelope.grid:
-        x_max = max(x_max, spec.envelope.grid[-1])
-    return x_max
+    """The largest knot, censor time or last grid point drawn, at least 0."""
+    ends = [s.grid[-1:] for s in spec.series]
+    ends += [np.append(s.step.knots[-1:], s.censor_times) for s in spec.series if s.step is not None]
+    if spec.envelope is not None:
+        ends.append(spec.envelope.grid[-1:])
+    return float(np.concatenate(ends).max(initial=0.0))
 
 
 def _y_bounds(spec: PlotSpec) -> tuple[float, float]:
-    finite: list[float] = []
-    for s in spec.series:
-        if s.step is not None:
-            finite.append(s.step.initial_value)
-            finite.extend(s.step.values)
-        finite.extend(v for v in s.values if math.isfinite(v))
+    """Every step level and the finite grid and envelope values set the y range."""
+    columns = [s.values for s in spec.series]
     if spec.envelope is not None:
-        finite.extend(v for v in spec.envelope.lower if math.isfinite(v))
-        finite.extend(v for v in spec.envelope.upper if math.isfinite(v))
+        columns += [spec.envelope.lower, spec.envelope.upper]
+    levels = [np.append(s.step.initial_value, s.step.values) for s in spec.series if s.step is not None]
+    shown = np.concatenate([c[np.isfinite(c)] for c in columns] + levels)
     if spec.reference_line is not None:
         ref = spec.reference_line
-        spread = max((abs(v - ref) for v in finite), default=0.0)
+        spread = float(np.abs(shown - ref).max(initial=0.0))
         if spread == 0.0:
             spread = 1.0
         return ref - 1.05 * spread, ref + 1.05 * spread
     if all(s.step is not None for s in spec.series):
         return 0.0, 1.0
-    top = max(finite, default=1.0)
-    bottom = min(0.0, min(finite, default=0.0))
+    top = float(shown.max()) if shown.size else 1.0
+    bottom = min(0.0, float(shown.min()) if shown.size else 0.0)
     if top <= bottom:
         top = bottom + 1.0
     return bottom, 1.05 * top
@@ -140,8 +156,8 @@ def render_plot_svg(spec: PlotSpec) -> bytes:
     if not spec.series:
         raise SurvmrlError("nothing to plot")
     if spec.envelope is not None:
-        grids = [s.grid for s in spec.series if s.grid]
-        if grids and spec.envelope.grid != grids[0]:
+        grids = [s.grid for s in spec.series if s.grid.size]
+        if grids and not np.array_equal(spec.envelope.grid, grids[0]):
             raise SurvmrlError("envelope grid mismatch")
 
     data_x_max = _series_x_max(spec)
@@ -151,11 +167,16 @@ def render_plot_svg(spec: PlotSpec) -> bytes:
     plot_w = spec.width - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = spec.height - _MARGIN_TOP - _MARGIN_BOTTOM
 
-    def px(x: float) -> float:
+    # Floats or arrays: an element gets the IEEE operations a float would.
+    def px(x):
         return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(y: float) -> float:
+    def py(y):
         return _MARGIN_TOP + (y_hi - y) / (y_hi - y_lo) * plot_h
+
+    def points(ts: np.ndarray, vs: np.ndarray) -> list[str]:
+        shown = np.isfinite(vs)
+        return [f"{x},{y}" for x, y in zip(_fmts(px(ts[shown])), _fmts(py(vs[shown])))]
 
     out = io.StringIO()
     out.write('<?xml version="1.0" encoding="UTF-8"?>\n')
@@ -168,16 +189,11 @@ def render_plot_svg(spec: PlotSpec) -> bytes:
 
     # Envelope band behind everything else.
     if spec.envelope is not None:
-        points = []
-        for t, v in zip(spec.envelope.grid, spec.envelope.upper):
-            if math.isfinite(v):
-                points.append(f"{_fmt(px(t))},{_fmt(py(v))}")
-        for t, v in zip(reversed(spec.envelope.grid), reversed(spec.envelope.lower)):
-            if math.isfinite(v):
-                points.append(f"{_fmt(px(t))},{_fmt(py(v))}")
-        if points:
+        env = spec.envelope
+        band = points(env.grid, env.upper) + points(env.grid[::-1], env.lower[::-1])
+        if band:
             out.write(
-                f'<polygon points="{" ".join(points)}" fill="#c6dbef" '
+                f'<polygon points="{" ".join(band)}" fill="#c6dbef" '
                 f'stroke="none" opacity="0.7"/>\n'
             )
 
@@ -190,94 +206,53 @@ def render_plot_svg(spec: PlotSpec) -> bytes:
     bottom = _MARGIN_TOP + plot_h
     for t in _nice_ticks(x_lo, x_hi):
         x = px(t)
-        out.write(
-            f'<line x1="{_fmt(x)}" y1="{_fmt(bottom)}" x2="{_fmt(x)}" '
-            f'y2="{_fmt(bottom + 5)}" stroke="black" stroke-width="1"/>\n'
-        )
-        out.write(
-            f'<text x="{_fmt(x)}" y="{_fmt(bottom + 18)}" font-size="11" '
-            f'text-anchor="middle" font-family="sans-serif">{_fmt(t)}</text>\n'
-        )
+        out.write(_line(_fmt(x), _fmt(bottom), _fmt(x), _fmt(bottom + 5), "black", "1"))
+        out.write(_label(_fmt(x), _fmt(bottom + 18), 11, "middle", _fmt(t)))
     for t in _nice_ticks(y_lo, y_hi):
         y = py(t)
-        out.write(
-            f'<line x1="{_fmt(_MARGIN_LEFT - 5)}" y1="{_fmt(y)}" '
-            f'x2="{_fmt(_MARGIN_LEFT)}" y2="{_fmt(y)}" stroke="black" stroke-width="1"/>\n'
-        )
-        out.write(
-            f'<text x="{_fmt(_MARGIN_LEFT - 8)}" y="{_fmt(y + 4)}" font-size="11" '
-            f'text-anchor="end" font-family="sans-serif">{_fmt(t)}</text>\n'
-        )
+        out.write(_line(_fmt(_MARGIN_LEFT - 5), _fmt(y), _fmt(_MARGIN_LEFT), _fmt(y), "black", "1"))
+        out.write(_label(_fmt(_MARGIN_LEFT - 8), _fmt(y + 4), 11, "end", _fmt(t)))
 
     if spec.reference_line is not None and y_lo <= spec.reference_line <= y_hi:
-        y = py(spec.reference_line)
-        out.write(
-            f'<line x1="{_fmt(_MARGIN_LEFT)}" y1="{_fmt(y)}" '
-            f'x2="{_fmt(_MARGIN_LEFT + plot_w)}" y2="{_fmt(y)}" '
-            f'stroke="#555555" stroke-width="1" stroke-dasharray="5,4"/>\n'
-        )
+        y = _fmt(py(spec.reference_line))
+        dash = ' stroke-dasharray="5,4"'
+        out.write(_line(_fmt(_MARGIN_LEFT), y, _fmt(_MARGIN_LEFT + plot_w), y, "#555555", "1", dash))
 
     for index, series in enumerate(spec.series):
         color = PALETTE[index % len(PALETTE)]
         if series.step is not None:
             f = series.step
             d = [f"M{_fmt(px(0.0))},{_fmt(py(f.initial_value))}"]
-            for knot, value in zip(f.knots, f.values):
-                d.append(f"H{_fmt(px(knot))}")
-                d.append(f"V{_fmt(py(value))}")
+            d += [f"H{x} V{y}" for x, y in zip(_fmts(px(f.knots)), _fmts(py(f.values)))]
             d.append(f"H{_fmt(px(data_x_max))}")
             out.write(
                 f'<path d="{" ".join(d)}" fill="none" stroke="{color}" '
                 f'stroke-width="1.5"/>\n'
             )
-            for t in series.censor_times:
-                y = py(step_eval(f, t))
-                out.write(
-                    f'<line x1="{_fmt(px(t))}" y1="{_fmt(y - 4)}" '
-                    f'x2="{_fmt(px(t))}" y2="{_fmt(y + 4)}" '
-                    f'stroke="{color}" stroke-width="1.2"/>\n'
-                )
+            y = py(step_eval(f, series.censor_times))
+            ticks = zip(_fmts(px(series.censor_times)), _fmts(y - 4), _fmts(y + 4))
+            out.writelines(_line(x, lo, x, hi, color, "1.2") for x, lo, hi in ticks)
         else:
-            points = [
-                f"{_fmt(px(t))},{_fmt(py(v))}"
-                for t, v in zip(series.grid, series.values)
-                if math.isfinite(v)
-            ]
-            if points:
+            line = points(series.grid, series.values)
+            if line:
                 out.write(
-                    f'<polyline points="{" ".join(points)}" fill="none" '
+                    f'<polyline points="{" ".join(line)}" fill="none" '
                     f'stroke="{color}" stroke-width="1.5"/>\n'
                 )
 
-    out.write(
-        f'<text x="{_fmt(spec.width / 2)}" y="20" font-size="14" text-anchor="middle" '
-        f'font-family="sans-serif">{_text(spec.title)}</text>\n'
-    )
-    out.write(
-        f'<text x="{_fmt(_MARGIN_LEFT + plot_w / 2)}" y="{_fmt(spec.height - 10)}" '
-        f'font-size="12" text-anchor="middle" font-family="sans-serif">'
-        f"{_text(spec.x_label)}</text>\n"
-    )
-    out.write(
-        f'<text x="16" y="{_fmt(_MARGIN_TOP + plot_h / 2)}" font-size="12" '
-        f'text-anchor="middle" font-family="sans-serif" '
-        f'transform="rotate(-90 16 {_fmt(_MARGIN_TOP + plot_h / 2)})">'
-        f"{_text(spec.y_label)}</text>\n"
-    )
+    out.write(_label(_fmt(spec.width / 2), "20", 14, "middle", _text(spec.title)))
+    center_x, center_y = _fmt(_MARGIN_LEFT + plot_w / 2), _fmt(_MARGIN_TOP + plot_h / 2)
+    out.write(_label(center_x, _fmt(spec.height - 10), 12, "middle", _text(spec.x_label)))
+    rotate = f' transform="rotate(-90 16 {center_y})"'
+    out.write(_label("16", center_y, 12, "middle", _text(spec.y_label), rotate))
 
     if any(s.label for s in spec.series):
         legend_x = _MARGIN_LEFT + plot_w - 150
         for index, series in enumerate(spec.series):
             y = _MARGIN_TOP + 14 + 16 * index
             color = PALETTE[index % len(PALETTE)]
-            out.write(
-                f'<line x1="{_fmt(legend_x)}" y1="{_fmt(y)}" x2="{_fmt(legend_x + 22)}" '
-                f'y2="{_fmt(y)}" stroke="{color}" stroke-width="1.5"/>\n'
-            )
-            out.write(
-                f'<text x="{_fmt(legend_x + 28)}" y="{_fmt(y + 4)}" font-size="11" '
-                f'font-family="sans-serif">{_text(series.label)}</text>\n'
-            )
+            out.write(_line(_fmt(legend_x), _fmt(y), _fmt(legend_x + 22), _fmt(y), color, "1.5"))
+            out.write(_label(_fmt(legend_x + 28), _fmt(y + 4), 11, "", _text(series.label)))
 
     out.write("</svg>\n")
     return out.getvalue().encode("utf-8")
@@ -292,31 +267,20 @@ def export_curve_csv(
     Columns are `t,value`, plus `lower,upper` when an envelope accompanies
     a comparison curve, or `component_km,component_tail` for MRL curves.
     """
-    out = io.StringIO()
     if isinstance(curve, MrlCurve):
-        if not curve.grid:
-            raise SurvmrlError("empty curve")
-        out.write("t,value,component_km,component_tail\n")
-        for t, v, k, g in zip(curve.grid, curve.values, curve.km_component, curve.tail_component):
-            out.write(f"{t!r},{v!r},{k!r},{g!r}\n")
+        header = "t,value,component_km,component_tail"
+        columns = (curve.grid, curve.values, curve.km_component, curve.tail_component)
     elif isinstance(curve, ComparisonCurve):
-        if not curve.grid:
-            raise SurvmrlError("empty curve")
+        header, columns = "t,value", (curve.grid, curve.values)
         if envelope is not None:
-            if envelope.grid != curve.grid:
+            if not np.array_equal(envelope.grid, curve.grid):
                 raise SurvmrlError("envelope grid mismatch")
-            out.write("t,value,lower,upper\n")
-            for t, v, lo, hi in zip(curve.grid, curve.values, envelope.lower, envelope.upper):
-                out.write(f"{t!r},{v!r},{lo!r},{hi!r}\n")
-        else:
-            out.write("t,value\n")
-            for t, v in zip(curve.grid, curve.values):
-                out.write(f"{t!r},{v!r}\n")
+            header, columns = "t,value,lower,upper", columns + (envelope.lower, envelope.upper)
     else:
         step = curve.survival if isinstance(curve, KmCurve) else curve
-        if not step.knots:
-            raise SurvmrlError("empty curve")
-        out.write("t,value\n")
-        for t, v in zip(step.knots, step.values):
-            out.write(f"{t!r},{v!r}\n")
-    return out.getvalue().encode("utf-8")
+        header, columns = "t,value", (step.knots, step.values)
+    if columns[0].size == 0:
+        raise SurvmrlError("empty curve")
+    # repr of Python floats: numpy 2 writes np.float64(1.0) as 'np.float64(1.0)'.
+    rows = zip(*(map(repr, column.tolist()) for column in columns))
+    return "\n".join([header, *map(",".join, rows), ""]).encode("utf-8")

@@ -460,3 +460,61 @@ def test_repeated_group_is_flag_error(argv, survival_csv, tmp_path, capsys):
     assert code == 2
     assert f"argument --groups: group '{argv[2][0]}' is listed more than once" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
+
+class TestSignedZero:
+    """-0 and 0 are one time and one grid point: the outputs are the same bytes."""
+
+    def _outputs(self, tmp_path, name, argv):
+        work = tmp_path / name
+        work.mkdir()
+        assert run_cli([*argv, "--out", str(work / "p.svg"), "--out-csv", str(work / "p.csv")]) == 0
+        return {path.name: path.read_bytes() for path in sorted(work.iterdir())}
+
+    def test_negative_zero_time(self, tmp_path):
+        rows = "1,1,A\n2,0,A\n3,1,A\n0.5,1,B\n2.5,1,B\n4,0,B\n"
+        runs = []
+        for zero in ("0", "-0"):
+            source = tmp_path / f"in{zero}.csv"
+            source.write_text(f"time,status,group\n{zero},1,A\n{zero},0,B\n{rows}")
+            runs.append(self._outputs(tmp_path, f"km{zero}", ["km", "--input", str(source)]))
+        assert runs[0] == runs[1]
+        assert b"-0.0" not in runs[1]["p.A.csv"] and runs[1]["p.A.csv"].startswith(b"t,value\n0.0,")
+
+    @pytest.mark.parametrize(
+        "argv, first, second",
+        [
+            (["diff", "--permutations", "20", "--seed", "1"], "--grid=-0,0,1", "--grid=0,-0,1"),
+            (["ratio", "--permutations", "0"], "--grid=-0,0.5", "--grid=0,0.5"),
+            (["mrl"], "--grid=-0,0.5,1", "--grid=0,0.5,1"),
+        ],
+    )
+    def test_negative_zero_grid_point(self, argv, first, second, survival_csv, tmp_path):
+        runs = [
+            self._outputs(tmp_path, f"run{k}", [*argv, "--input", str(survival_csv), "--groups", "A,B", grid])
+            for k, grid in enumerate((first, second))
+        ]
+        assert runs[0] == runs[1]
+        assert all(b"\n-0.0," not in data for data in runs[0].values())
+
+
+@pytest.mark.parametrize("command", ["km", "mrl", "diff", "ratio", "mrl-diff", "stats"])
+def test_input_path_with_newline_keeps_the_summary_on_one_line(
+    command, survival_csv, survey_csv, tmp_path, capsys
+):
+    source = survey_csv if command == "stats" else survival_csv
+    odd = tmp_path / "new\nline.csv"
+    odd.write_bytes(source.read_bytes())
+    extra = {"diff": ["--permutations", "10", "--seed", "1"], "ratio": ["--permutations", "0"]}.get(command, [])
+    if command != "stats":
+        extra += ["--out-csv", str(tmp_path / "out.csv")]
+    printed = []
+    for path in (source, odd):
+        assert run_cli([command, "--input", str(path), *extra]) == 0
+        printed.append(capsys.readouterr().out)
+    plain, quoted = printed
+    assert quoted.count("\n") == plain.count("\n")
+    if command != "stats":  # stats prints one line per metric after the summary
+        assert quoted.count("\n") == 1
+    first = quoted.split("\n", 1)[0]
+    assert first.startswith(f"{command} input={str(odd)!r} ") and first.isprintable()

@@ -41,25 +41,25 @@ def km_oracle(pairs):
 class TestKmFit:
     def test_all_events_gives_empirical_survival(self):
         curve = km_fit(make_sample([(1, 1), (2, 1), (3, 1)]))
-        assert curve.survival.knots == (1.0, 2.0, 3.0)
-        assert curve.survival.values == (2 / 3, 1 / 3, 0.0)
+        assert np.array_equal(curve.survival.knots, [1.0, 2.0, 3.0])
+        assert np.array_equal(curve.survival.values, [2 / 3, 1 / 3, 0.0])
         assert step_eval(curve.survival, 0.5) == 1.0
 
     def test_all_censored_curve_stays_at_one(self):
         curve = km_fit(make_sample([(1, 0), (2, 0), (3, 0)]))
-        assert curve.survival.knots == ()
+        assert np.array_equal(curve.survival.knots, [])
         for t in (0.0, 1.5, 3.0):
             assert step_eval(curve.survival, t) == 1.0
-        assert curve.censor_marks == (1.0, 2.0, 3.0)
+        assert np.array_equal(curve.censor_marks, [1.0, 2.0, 3.0])
 
     def test_spec_sample_hand_values(self):
         curve = km_fit(SPEC_SAMPLE)
-        assert curve.survival.knots == (2.0, 4.0, 5.0)
-        assert curve.survival.values == (0.75, 0.375, 0.0)
-        assert curve.event_times == (2.0, 4.0, 5.0)
-        assert curve.at_risk == (4, 2, 1)
-        assert curve.deaths == (1, 1, 1)
-        assert curve.censor_marks == (3.0,)
+        assert np.array_equal(curve.survival.knots, [2.0, 4.0, 5.0])
+        assert np.array_equal(curve.survival.values, [0.75, 0.375, 0.0])
+        assert np.array_equal(curve.event_times, [2.0, 4.0, 5.0])
+        assert np.array_equal(curve.at_risk, [4, 2, 1])
+        assert np.array_equal(curve.deaths, [1, 1, 1])
+        assert np.array_equal(curve.censor_marks, [3.0])
 
     def test_reaches_zero_only_when_last_observation_is_event(self):
         ends_event = km_fit(make_sample([(1, 0), (2, 1)]))

@@ -1,12 +1,17 @@
 import csv
+import dataclasses
 import io
+import math
 import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import render_reference as reference
 from survmrl import (
+    Envelope,
     PlotSeries,
     PlotSpec,
     StepFunction,
@@ -183,8 +188,8 @@ class TestExportCsv:
         reader = csv.reader(io.StringIO(export_curve_csv(curve).decode()))
         next(reader)
         parsed = [(float(t), float(v)) for t, v in reader]
-        assert tuple(t for t, _ in parsed) == curve.survival.knots
-        assert tuple(v for _, v in parsed) == curve.survival.values
+        assert np.array_equal([t for t, _ in parsed], curve.survival.knots)
+        assert np.array_equal([v for _, v in parsed], curve.survival.values)
 
     def test_comparison_with_envelope_columns(self):
         a = make_sample([(float(t), 1) for t in range(1, 30)])
@@ -214,3 +219,133 @@ class TestExportCsv:
 
     def test_deterministic_bytes(self):
         assert export_curve_csv(km_fit(SAMPLE)) == export_curve_csv(km_fit(SAMPLE))
+
+
+# Times on a 1/40 grid or anywhere in [0, 100]; levels on a 1/1000 grid or
+# anywhere in [-5, 5]. Grid values and band edges also take NaN and +-inf.
+times = st.integers(0, 4000).map(lambda k: k / 40.0) | st.floats(0.0, 100.0, allow_subnormal=False)
+levels = st.integers(-3000, 3000).map(lambda k: k / 1000.0) | st.floats(-5.0, 5.0, allow_subnormal=False)
+with_odd = levels | st.sampled_from([math.nan, math.inf, -math.inf])
+labels = st.sampled_from(["", "A", "a<b", "x\x01y"])
+
+
+@st.composite
+def step_series(draw):
+    knots = sorted(draw(st.sets(times, max_size=12)))
+    step = StepFunction(knots, draw(st.lists(levels, min_size=len(knots), max_size=len(knots))), draw(levels))
+    censor = draw(st.lists(times | st.sampled_from(knots or [0.0]), max_size=10) | st.just([]))
+    return PlotSeries(draw(labels), step=step, censor_times=censor)
+
+
+def grid_series(draw, grid):
+    values = draw(st.lists(with_odd, min_size=len(grid), max_size=len(grid)))
+    return PlotSeries(draw(labels), grid=grid, values=values)
+
+
+@st.composite
+def plot_specs(draw):
+    """One to three step or grid series; maybe an envelope on the first
+    grid (or, rarely, another one) with all-NaN columns; maybe a reference
+    line near the data or far outside it."""
+    first_grid = sorted(draw(st.sets(times, min_size=1, max_size=12)))
+    series = []
+    for kind in draw(st.lists(st.sampled_from(["step", "grid"]), min_size=1, max_size=3)):
+        if kind == "step":
+            series.append(draw(step_series()))
+        else:
+            grid = first_grid if not any(s.grid.size for s in series) else sorted(
+                draw(st.sets(times, min_size=1, max_size=12))
+            )
+            series.append(grid_series(draw, grid))
+    envelope = None
+    if draw(st.booleans()):
+        grid = first_grid if draw(st.integers(0, 9)) else sorted(draw(st.sets(times, min_size=1, max_size=12)))
+        column = st.just((math.nan, math.nan)) | st.tuples(with_odd, with_odd)
+        band = draw(st.lists(column, min_size=len(grid), max_size=len(grid)))
+        envelope = Envelope(
+            grid=grid,
+            lower=[lo for lo, _ in band],
+            upper=[hi for _, hi in band],
+            n_permutations=1,
+            seed=0,
+            band_quantiles=(0.025, 0.975),
+            kind="surv_diff",
+            defined_counts=[0] * len(grid),
+        )
+    width, height = draw(st.sampled_from([(720, 480), (300, 200)]))
+    return PlotSpec(
+        title=draw(labels),
+        x_label="t",
+        y_label="y",
+        series=tuple(series),
+        width=width,
+        height=height,
+        envelope=envelope,
+        reference_line=draw(st.none() | levels | st.sampled_from([50.0, -50.0])),
+    )
+
+
+def _outcome(render, spec):
+    try:
+        return render(spec)
+    except Exception as exc:  # both renderers must fail alike
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(plot_specs())
+def test_svg_matches_tuple_reference_bytewise(spec):
+    assert _outcome(render_plot_svg, spec) == _outcome(reference.render_plot_svg, reference.as_tuples(spec))
+
+
+def test_reference_agrees_on_a_fitted_km_plot():
+    rng = np.random.default_rng(8)
+    sample = make_sample(list(zip(rng.exponential(2.0, 400).tolist(), rng.integers(0, 2, 400).tolist())))
+    spec = PlotSpec(
+        title="km",
+        x_label="t",
+        y_label="S",
+        series=(PlotSeries("g", step=km_fit(sample).survival, censor_times=km_fit(sample).censor_marks),),
+    )
+    assert render_plot_svg(spec) == reference.render_plot_svg(reference.as_tuples(spec))
+
+
+def test_curve_columns_are_read_only_float64_or_int64_arrays():
+    rng = np.random.default_rng(2)
+    a = make_sample(list(zip(rng.exponential(2.0, 200).tolist(), rng.integers(0, 2, 200).tolist())))
+    b = make_sample(list(zip(rng.exponential(3.0, 200).tolist(), rng.integers(0, 2, 200).tolist())))
+    km = km_fit(a)
+    comparison = survival_difference(km, km_fit(b))
+    floats, counts = np.dtype(np.float64), np.dtype(np.int64)
+    cases = [
+        (km.survival, {"knots": floats, "values": floats}),
+        (km, {"event_times": floats, "at_risk": counts, "deaths": counts, "censor_marks": floats}),
+        (
+            fit_hybrid_mrl(a),
+            {"grid": floats, "values": floats, "km_component": floats, "tail_component": floats},
+        ),
+        (comparison, {"grid": floats, "values": floats}),
+        (
+            permutation_envelope(a, b, "surv_diff", n_permutations=5, seed=1, grid=comparison.grid),
+            {"grid": floats, "lower": floats, "upper": floats, "defined_counts": counts},
+        ),
+        (PlotSeries("g", step=km.survival), {"grid": floats, "values": floats, "censor_times": floats}),
+        (PlotSeries("g", grid=(1, 2), values=(3, 4)), {"grid": floats, "values": floats, "censor_times": floats}),
+    ]
+    for curve, expected in cases:
+        arrays = {
+            f.name: getattr(curve, f.name)
+            for f in dataclasses.fields(curve)
+            if isinstance(getattr(curve, f.name), np.ndarray)
+        }
+        assert {name: column.dtype for name, column in arrays.items()} == expected
+        assert not any(column.flags.writeable for column in arrays.values())
+
+
+def test_curve_columns_are_copied():
+    knots = np.array([1.0, 2.0])
+    f = StepFunction(knots, knots / 4, 1.0)
+    knots[0] = 0.5
+    assert np.array_equal(f.knots, [1.0, 2.0]) and np.array_equal(f.values, [0.25, 0.5])
+    with pytest.raises(ValueError):
+        f.knots[0] = 0.0
