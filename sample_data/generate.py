@@ -32,6 +32,36 @@ def write_survey():
     (HERE / "survey.csv").write_text("\n".join(rows) + "\n")
 
 
+def _ragged_survey(rng, n_participants, max_items, id_format):
+    """Rows for participants with 1..max_items items each, in shuffled row order."""
+    rows = []
+    for participant in range(n_participants):
+        skill = rng.uniform(0.2, 0.7)
+        gain = rng.uniform(-0.1, 0.4)
+        for item in range(int(rng.integers(1, max_items + 1))):
+            pre = int(rng.uniform() < skill)
+            post = int(rng.uniform() < min(1.0, skill + gain))
+            rows.append(f"{id_format.format(participant)},i{item},{pre},{post}")
+    order = rng.permutation(len(rows))
+    return ["participant,item,pre,post"] + [rows[k] for k in order]
+
+
+def write_survey_ragged():
+    # 1-7 items per participant: means are not multiples of one step, so
+    # the summation order of every mean shows in the output digits
+    rng = np.random.default_rng(20261018)
+    rows = _ragged_survey(rng, 200, 7, "p{:03d}")
+    (HERE / "survey_ragged.csv").write_text("\n".join(rows) + "\n")
+
+
+def write_survey_small():
+    # 20 participants: at most 20 nonzero differences, so the Wilcoxon test
+    # takes its exact path, and ragged items give tied |d| (half-integer ranks)
+    rng = np.random.default_rng(20261019)
+    rows = _ragged_survey(rng, 20, 4, "s{}")
+    (HERE / "survey_small.csv").write_text("\n".join(rows) + "\n")
+
+
 def write_ratio_zero():
     # tie-heavy, every subject an event: under relabelling the denominator
     # group often loses its last subject before the top of the ratio grid
@@ -45,4 +75,8 @@ if __name__ == "__main__":
     write_two_groups()
     write_survey()
     write_ratio_zero()
-    print("wrote", HERE / "two_groups.csv", HERE / "survey.csv", "and", HERE / "ratio_zero.csv")
+    write_survey_ragged()
+    write_survey_small()
+    print("wrote", *(HERE / name for name in (
+        "two_groups.csv", "survey.csv", "ratio_zero.csv", "survey_ragged.csv", "survey_small.csv"
+    )))

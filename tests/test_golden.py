@@ -30,6 +30,8 @@ MANIFEST = Path(__file__).resolve().parent / "golden.json"
 TWO_GROUPS = ROOT / "sample_data" / "two_groups.csv"
 SURVEY = ROOT / "sample_data" / "survey.csv"
 RATIO_ZERO = ROOT / "sample_data" / "ratio_zero.csv"
+SURVEY_RAGGED = ROOT / "sample_data" / "survey_ragged.csv"
+SURVEY_SMALL = ROOT / "sample_data" / "survey_small.csv"
 
 # name -> (input, argv after --input, excluding output flags, write an SVG)
 CASES = {
@@ -65,6 +67,9 @@ CASES = {
     ),
     "stats": (SURVEY, ["stats"], False),
     "stats_bootstrap": (SURVEY, ["stats", "--bootstrap", "500", "--seed", "7"], False),
+    "stats_ragged": (SURVEY_RAGGED, ["stats"], False),
+    "stats_ragged_bootstrap": (SURVEY_RAGGED, ["stats", "--bootstrap", "500", "--seed", "7"], False),
+    "stats_small": (SURVEY_SMALL, ["stats"], False),
 }
 
 
