@@ -9,7 +9,9 @@ Outputs are staged beside their targets and moved into place only once
 every one of them is written, so a failed run leaves none behind.
 
 Exit codes: 0 success, 1 data or estimation error (message on stderr),
-2 flag errors (usage on stderr).
+2 flag errors (usage on stderr). A run whose stdout is closed before the
+summary is printed (``survmrl ... | head -1``) keeps its committed outputs,
+prints one stderr line and exits 1.
 """
 
 from __future__ import annotations
@@ -375,25 +377,20 @@ def _run_mrl_diff(args: argparse.Namespace, outputs: _StagedOutputs) -> str:
 
 def _run_stats(args: argparse.Namespace, outputs: _StagedOutputs) -> str:
     survey = studystats.load_paired_survey(args.input)
-    gain = studystats.ScoreVector(
-        ids=survey.pre.ids,
-        scores=tuple(b - a for a, b in zip(survey.pre.scores, survey.post.scores)),
-    )
+    gain = studystats.ScoreVector(ids=survey.pre.ids, scores=survey.post.scores - survey.pre.scores)
     rows: list[tuple[str, str, str, str]] = []
 
     def add(metric: str, value, lower="", upper=""):
         rows.append((metric, str(value), str(lower), str(upper)))
 
-    if args.bootstrap > 0:
-        for name, vector in (("pre_accuracy", survey.pre), ("post_accuracy", survey.post), ("learning_gain", gain)):
+    for name, vector in (("pre_accuracy", survey.pre), ("post_accuracy", survey.post), ("learning_gain", gain)):
+        if args.bootstrap > 0:
             ci = studystats.bootstrap_proportion_ci(
                 vector, n_replicates=args.bootstrap, seed=args.seed, quantiles=args.band
             )
             add(name, repr(ci.estimate), repr(ci.lower), repr(ci.upper))
-    else:
-        add("pre_accuracy", repr(sum(survey.pre.scores) / survey.pre.n))
-        add("post_accuracy", repr(sum(survey.post.scores) / survey.post.n))
-        add("learning_gain", repr(sum(gain.scores) / gain.n))
+        else:  # a left-to-right sum of Python floats, not numpy's pairwise mean
+            add(name, repr(sum(vector.scores.tolist()) / vector.n))
 
     add("discordant_b", survey.transitions.b)
     add("discordant_c", survey.transitions.c)
@@ -448,7 +445,15 @@ def run_cli(argv: list[str]) -> int:
         return 1
     finally:
         outputs.discard()
-    print(summary)
+    try:
+        print(summary, flush=True)
+    except BrokenPipeError:
+        # Send what is still buffered to devnull, so the flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("stdout closed before the whole summary was written", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -144,7 +144,7 @@ def _y_bounds(spec: PlotSpec) -> tuple[float, float]:
         return ref - 1.05 * spread, ref + 1.05 * spread
     if all(s.step is not None for s in spec.series):
         return 0.0, 1.0
-    top = float(shown.max()) if shown.size else 1.0
+    top = max(float(shown.max()), 0.0) if shown.size else 1.0
     bottom = min(0.0, float(shown.min()) if shown.size else 0.0)
     if top <= bottom:
         top = bottom + 1.0

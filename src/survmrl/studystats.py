@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import read_csv
+from .dataset import fields_equal, freeze_columns, read_csv
 from .errors import EstimationError, ParseError, SchemaError
 
 EXACT_WILCOXON_LIMIT = 25
@@ -37,19 +37,22 @@ class PairedBinary:
             raise ValueError("pair counts must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreVector:
-    """Per-participant scores keyed by participant id."""
+    """Per-participant scores: ``ids`` a tuple of str, ``scores`` a read-only float64 array."""
 
     ids: tuple[str, ...]
-    scores: tuple[float, ...]
+    scores: np.ndarray
+
+    __eq__ = fields_equal
 
     def __post_init__(self):
-        if not self.ids or len(self.ids) != len(self.scores):
+        freeze_columns(self, scores=float)
+        if not self.ids or len(self.ids) != self.scores.size:
             raise ValueError("need one score per participant id, at least one pair")
         if len(set(self.ids)) != len(self.ids):
             raise ValueError("participant ids must be unique")
-        if any(not math.isfinite(s) for s in self.scores):
+        if not np.all(np.isfinite(self.scores)):
             raise ValueError("scores must be finite")
 
     @property
@@ -99,17 +102,14 @@ def mcnemar_test(pairs: PairedBinary, method: str = "continuity_corrected") -> M
     raise ValueError(f"unknown method {method!r}")
 
 
-def _average_ranks(magnitudes: np.ndarray) -> np.ndarray:
-    order = np.argsort(magnitudes, kind="stable")
-    ranks = np.empty(len(magnitudes))
-    i = 0
-    while i < len(order):
-        j = i
-        while j < len(order) and magnitudes[order[j]] == magnitudes[order[i]]:
-            j += 1
-        ranks[order[i:j]] = (i + j + 1) / 2.0  # average of ranks i+1 .. j
-        i = j
-    return ranks
+def _average_ranks(magnitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Average rank of each magnitude, and the size of each group of ties.
+
+    Ties at sorted positions first .. last - 1 share rank (first + last + 1) / 2.
+    """
+    _, group, tie_counts = np.unique(magnitudes, return_inverse=True, return_counts=True)
+    last = np.cumsum(tie_counts)
+    return ((last - tie_counts + last + 1) / 2.0)[group], tie_counts
 
 
 def _exact_two_sided_p(doubled_ranks: list[int], doubled_w: int) -> float:
@@ -135,29 +135,28 @@ def wilcoxon_signed_rank(pre: ScoreVector, post: ScoreVector) -> WilcoxonResult:
     """Paired signed-rank test of post - pre, matched on participant id."""
     if set(pre.ids) != set(post.ids):
         raise EstimationError("pre and post scores cover different participants")
-    post_by_id = dict(zip(post.ids, post.scores))
-    differences = np.array([post_by_id[i] - s for i, s in zip(pre.ids, pre.scores)])
-    return wilcoxon_from_differences(differences)
+    position = {i: k for k, i in enumerate(post.ids)}
+    return wilcoxon_from_differences(post.scores[[position[i] for i in pre.ids]] - pre.scores)
 
 
 def wilcoxon_from_differences(differences: Sequence[float]) -> WilcoxonResult:
     """Signed-rank test given the paired differences directly."""
     d = np.asarray(differences, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(d))
+    if bad.size:
+        raise EstimationError(f"difference {bad[0]} is not finite: {float(d[bad[0]])!r}")
     d = d[d != 0.0]
     n = len(d)
     if n == 0:
         raise EstimationError("no nonzero differences")
-    ranks = _average_ranks(np.abs(d))
+    ranks, tie_counts = _average_ranks(np.abs(d))
     w_plus = float(np.sum(ranks[d > 0.0]))
     if n <= EXACT_WILCOXON_LIMIT:
         doubled = [int(round(2 * r)) for r in ranks]
         p = _exact_two_sided_p(doubled, int(round(2 * w_plus)))
         return WilcoxonResult(statistic=w_plus, p_value=p, n_nonzero=n, method="exact")
     mean = n * (n + 1) / 4.0
-    tie_term = 0.0
-    _, tie_counts = np.unique(np.abs(d), return_counts=True)
-    for t in tie_counts:
-        tie_term += t**3 - t
+    tie_term = float(np.sum(tie_counts**3 - tie_counts))
     variance = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term / 48.0
     z = (w_plus - mean) / math.sqrt(variance)
     p = math.erfc(abs(z) / math.sqrt(2.0))
@@ -180,7 +179,7 @@ def bootstrap_proportion_ci(
         raise EstimationError("need at least one bootstrap replicate")
     if not (0.0 <= quantiles[0] < quantiles[1] <= 1.0):
         raise EstimationError(f"invalid bootstrap quantiles {quantiles!r}")
-    values = np.array(scores.scores)
+    values = scores.scores
     n = len(values)
     means = np.empty(n_replicates)
     for b in range(n_replicates):
@@ -217,49 +216,39 @@ def load_paired_survey(source: str | bytes | io.TextIOBase) -> PairedSurvey:
         raise SchemaError(f"expected columns {','.join(expected)}, got {', '.join(map(repr, header))}")
     idx = {name: header.index(name) for name in expected}
 
-    pre_by_participant: dict[str, list[int]] = {}
-    post_by_participant: dict[str, list[int]] = {}
-    item_rows: dict[str, dict[str, int]] = {}  # participant -> item -> row number
-    b = c = concordant = 0
+    participants: list[str] = []
+    outcomes: list[int] = []  # pre, post of each row in turn
+    first_rows: dict[tuple[str, str], int] = {}  # (participant, item) -> row number
     for row_number, row in rows:
         participant = row[idx["participant"]].strip()
         if not participant:
             raise ParseError(row_number, "participant id is empty")
-        item = row[idx["item"]].strip()
-        seen = item_rows.get(participant)
-        if seen is None:
-            seen = item_rows[participant] = {}
-        elif item in seen:
-            raise ParseError(
-                row_number,
-                f"duplicate (participant, item) {(participant, item)!r}, first given on row {seen[item]}",
-            )
-        seen[item] = row_number
-        outcomes = []
+        key = (participant, row[idx["item"]].strip())
+        first = first_rows.setdefault(key, row_number)
+        if first != row_number:
+            raise ParseError(row_number, f"duplicate (participant, item) {key!r}, first given on row {first}")
         for col in ("pre", "post"):
             text_value = row[idx[col]].strip()
             if text_value not in ("0", "1"):
                 raise ParseError(row_number, f"{col} must be 0 or 1, got {text_value!r}")
             outcomes.append(int(text_value))
-        pre_value, post_value = outcomes
-        pre_by_participant.setdefault(participant, []).append(pre_value)
-        post_by_participant.setdefault(participant, []).append(post_value)
-        if pre_value == 1 and post_value == 0:
-            b += 1
-        elif pre_value == 0 and post_value == 1:
-            c += 1
-        else:
-            concordant += 1
-    if not pre_by_participant:
+        participants.append(participant)
+    if not participants:
         raise SchemaError("empty dataset")
 
-    ids = tuple(sorted(pre_by_participant))
-    pre_scores = tuple(float(np.mean(pre_by_participant[i])) for i in ids)
-    post_scores = tuple(float(np.mean(post_by_participant[i])) for i in ids)
-    n_items = sum(len(v) for v in pre_by_participant.values())
+    # Item sums are exact integers, so each mean is one correctly rounded quotient.
+    ids = tuple(sorted(set(participants)))
+    index = {p: k for k, p in enumerate(ids)}
+    who = np.fromiter(map(index.__getitem__, participants), dtype=np.intp, count=len(participants))
+    pre, post = np.array(outcomes, dtype=float).reshape(-1, 2).T
+    n_answered = np.bincount(who)
     return PairedSurvey(
-        pre=ScoreVector(ids=ids, scores=pre_scores),
-        post=ScoreVector(ids=ids, scores=post_scores),
-        transitions=PairedBinary(b=b, c=c, n_concordant=concordant),
-        n_items=n_items,
+        pre=ScoreVector(ids=ids, scores=np.bincount(who, weights=pre) / n_answered),
+        post=ScoreVector(ids=ids, scores=np.bincount(who, weights=post) / n_answered),
+        transitions=PairedBinary(
+            b=int(np.count_nonzero(pre > post)),
+            c=int(np.count_nonzero(pre < post)),
+            n_concordant=int(np.count_nonzero(pre == post)),
+        ),
+        n_items=len(participants),
     )

@@ -4,7 +4,9 @@ reference for ``survmrl.render.render_plot_svg``.
 It walks every point through the ``px``/``py`` closures and finds each
 censor tick's height with a ``bisect``, on a tuple view of the spec:
 ``as_tuples`` copies a ``PlotSpec`` into plain objects whose columns are
-tuples of Python floats, as the curve classes held them.
+tuples of Python floats, as the curve classes held them. Its y range
+has the renderer's later fix: without a reference line the top is at
+least 0, so an all-negative series stays inside the frame.
 """
 
 from __future__ import annotations
@@ -131,7 +133,7 @@ def _y_bounds(spec) -> tuple[float, float]:
         return ref - 1.05 * spread, ref + 1.05 * spread
     if all(s.step is not None for s in spec.series):
         return 0.0, 1.0
-    top = max(finite, default=1.0)
+    top = max(max(finite, default=1.0), 0.0)
     bottom = min(0.0, min(finite, default=0.0))
     if top <= bottom:
         top = bottom + 1.0

@@ -1,5 +1,8 @@
 import dataclasses
+import os
+import subprocess
 import sys
+from pathlib import Path
 from xml.dom import minidom
 
 import numpy as np
@@ -357,6 +360,27 @@ class TestNoHalfWrittenOutputs:
         assert run_cli(["km", "--input", str(survival_csv), "--out", str(svg)]) == 0
         assert svg.read_bytes().startswith(b"<svg") or svg.read_bytes().startswith(b"<?xml")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "km.svg"]
+
+
+def test_closed_stdout_is_one_stderr_line_after_the_outputs(survey_csv, tmp_path, capsys):
+    argv = ["stats", "--input", str(survey_csv), "--bootstrap", "50", "--seed", "1", "--out-csv"]
+    assert run_cli([*argv, str(tmp_path / "normal.csv")]) == 0
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the summary can only fail to be written
+    env = {**os.environ, "PYTHONPATH": str(Path(survmrl.__file__).parents[1])}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "survmrl.cli", *argv, str(tmp_path / "piped.csv")],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b"stdout closed before the whole summary was written\n"
+    assert (tmp_path / "piped.csv").read_bytes() == (tmp_path / "normal.csv").read_bytes()
 
 
 @pytest.fixture()

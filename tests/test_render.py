@@ -94,6 +94,18 @@ class TestRenderSvg:
             assert abs(t_back - t) * plot_w / (x_hi - x_lo) < 0.5
             assert abs(v_back - v) * plot_h / (y_hi - y_lo) < 0.5
 
+    @pytest.mark.parametrize("values", [(-1.05, -1.0), (-3.0, -0.5, -2.0), (-1e-9, -2e-9)])
+    def test_all_negative_series_stays_inside_the_frame(self, values):
+        grid = tuple(float(k) for k in range(1, len(values) + 1))
+        spec = PlotSpec(title="t", x_label="x", y_label="y", series=(PlotSeries("s", grid=grid, values=values),))
+        svg = render_plot_svg(spec).decode()
+        points = re.search(r'<polyline points="([^"]+)"', svg).group(1).split()
+        assert len(points) == len(values)
+        for token in points:
+            x_px, y_px = (float(p) for p in token.split(","))
+            assert _MARGIN_LEFT <= x_px <= spec.width - _MARGIN_RIGHT
+            assert _MARGIN_TOP <= y_px <= spec.height - _MARGIN_BOTTOM
+
     def test_envelope_polygon_behind_curve(self):
         a = make_sample([(float(t), 1) for t in range(1, 40)])
         b = make_sample([(float(t) + 0.5, 1) for t in range(1, 40)])

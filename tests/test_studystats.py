@@ -1,8 +1,14 @@
+import csv
+import io
 import itertools
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
+
+import studystats_reference as reference
 
 from survmrl import (
     EstimationError,
@@ -15,6 +21,7 @@ from survmrl import (
     wilcoxon_signed_rank,
 )
 from survmrl.errors import ParseError, SchemaError
+from survmrl.studystats import EXACT_WILCOXON_LIMIT, _average_ranks
 
 
 def wilcoxon_enumeration_oracle(differences):
@@ -137,6 +144,32 @@ class TestWilcoxon:
         by_diffs = wilcoxon_from_differences([1.0, 0.0, 0.5])
         assert by_vectors.p_value == by_diffs.p_value
 
+    @pytest.mark.parametrize(
+        "differences, message",
+        [
+            ([1.0, float("nan"), 2.0], "difference 1 is not finite: nan"),
+            ([1.0, float("inf"), -2.0, 3.0], "difference 1 is not finite: inf"),
+            ([0.0, 1.0, 2.0, float("-inf")], "difference 3 is not finite: -inf"),
+        ],
+    )
+    def test_non_finite_difference_rejected_at_once(self, differences, message):
+        # run in a daemon thread, so a ranking loop that never ends fails
+        # the test instead of holding the whole run
+        raised = []
+
+        def call():
+            try:
+                wilcoxon_from_differences(differences)
+            except Exception as exc:
+                raised.append(exc)
+
+        worker = threading.Thread(target=call, daemon=True)
+        worker.start()
+        worker.join(10.0)
+        assert not worker.is_alive(), "wilcoxon_from_differences did not return"
+        assert len(raised) == 1 and isinstance(raised[0], EstimationError)
+        assert str(raised[0]) == message
+
     def test_mismatched_participants_rejected(self):
         pre = ScoreVector(ids=("a", "b"), scores=(0.0, 1.0))
         post = ScoreVector(ids=("a", "x"), scores=(1.0, 1.0))
@@ -208,8 +241,8 @@ class TestLoadPairedSurvey:
     def test_per_participant_scores(self):
         survey = load_paired_survey(SURVEY)
         assert survey.pre.ids == ("p1", "p2", "p3")
-        assert survey.pre.scores == (0.5, 0.0, 1.0)
-        assert survey.post.scores == (1.0, 0.5, 0.5)
+        assert np.array_equal(survey.pre.scores, [0.5, 0.0, 1.0])
+        assert np.array_equal(survey.post.scores, [1.0, 0.5, 0.5])
         assert survey.n_items == 6
 
     def test_transition_counts(self):
@@ -257,3 +290,110 @@ class TestLoadPairedSurvey:
             ScoreVector(ids=("a", "a"), scores=(1.0, 0.0))
         with pytest.raises(ValueError):
             ScoreVector(ids=("a",), scores=(float("nan"),))
+
+    def test_scores_are_a_read_only_float64_copy(self):
+        given_scores = np.array([1, 0, 1])
+        vector = ScoreVector(ids=("a", "b", "c"), scores=given_scores)
+        given_scores[0] = 0
+        assert vector.scores.dtype == np.float64
+        assert vector.scores.flags.writeable is False
+        assert np.array_equal(vector.scores, [1.0, 0.0, 1.0])
+        survey = load_paired_survey(SURVEY)
+        for scores in (survey.pre.scores, survey.post.scores):
+            assert scores.dtype == np.float64 and scores.flags.writeable is False
+        assert all(type(i) is str for i in survey.pre.ids)
+
+    def test_ids_differing_by_a_trailing_nul_stay_apart(self):
+        survey = load_paired_survey(b"participant,item,pre,post\np1\x00,i1,1,1\np1,i1,0,1\n")
+        assert survey.pre.ids == ("p1", "p1\x00")
+        assert np.array_equal(survey.pre.scores, [0.0, 1.0])
+
+
+# Ids that differ only by a trailing NUL, by case or by padding (which the
+# loader strips), unicode ids, and items that collide the same ways.
+IDS = ["p1", "p1\x00", "P1", " p1", "p1 ", "p2", "p10", "é", "e\u0301", "参加者", "\x00", "a,b", 'q"t']
+ITEMS = ["i1", "i2", "i3", "I1", " i1", "i1\x00", ""]
+BAD_OUTCOMES = ["2", "", " 1", "1.0", "x"]
+HEADERS = ["participant,item,pre,post"] * 8 + ["post,pre,item,participant", "who,item,pre,post"]
+
+
+@st.composite
+def survey_csvs(draw) -> bytes:
+    """A header, then (participant, item) rows with ragged items per
+    participant and the odd blank line, in drawn order. One survey in
+    five repeats a pair (also as a case or padding variant that the
+    loader's strip makes equal), one in five holds bad 0/1 tokens."""
+    header = draw(st.sampled_from(HEADERS))
+    flaw = draw(st.sampled_from(["none", "none", "none", "repeat", "token"]))
+    pair = st.tuples(st.sampled_from(IDS), st.sampled_from(ITEMS))
+    keys = draw(st.lists(pair, max_size=40, unique_by=lambda k: (k[0].strip(), k[1].strip())))
+    if keys and flaw == "repeat":
+        participant, item = draw(st.sampled_from(keys))
+        keys.insert(draw(st.integers(0, len(keys))), (draw(st.sampled_from([participant, f" {participant}"])), item))
+    outcome = st.sampled_from(["0", "1"] * 8 + (BAD_OUTCOMES if flaw == "token" else []))
+    out = io.StringIO()
+    out.write(header + "\n")
+    writer = csv.writer(out, lineterminator="\n")
+    for participant, item in keys:
+        writer.writerow([participant, item, draw(outcome), draw(outcome)])
+        if draw(st.integers(0, 20)) == 0:
+            out.write("\n")
+    return out.getvalue().encode("utf-8")
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(survey_csvs())
+def test_survey_loader_matches_the_reference(text):
+    try:
+        expected = reference.load_paired_survey(text)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as info:
+            load_paired_survey(text)
+        assert str(info.value) == str(exc)
+        return
+    survey = load_paired_survey(text)
+    assert survey.pre.ids == survey.post.ids == expected.ids
+    assert all(type(i) is str for i in survey.pre.ids)
+    assert _bits(survey.pre.scores) == _bits(expected.pre_scores)
+    assert _bits(survey.post.scores) == _bits(expected.post_scores)
+    counts = (survey.transitions.b, survey.transitions.c, survey.transitions.n_concordant, survey.n_items)
+    assert counts == (expected.b, expected.c, expected.n_concordant, expected.n_items)
+    assert all(type(v) is int for v in counts)
+    differences = [b - a for a, b in zip(expected.pre_scores, expected.post_scores)]
+    if any(differences):
+        assert repr(wilcoxon_signed_rank(survey.pre, survey.post)) == repr(
+            reference.wilcoxon_from_differences(differences)
+        )
+
+
+DIFFERENCES = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 1 / 3, -1 / 3, 0.25, -0.25, 2.0, -2.0, 5e-324, -1e300]
+
+
+@st.composite
+def difference_vectors(draw) -> list[float]:
+    """Lengths mostly around the exact/normal switch at 25 nonzero
+    differences; values mostly from a small tie-heavy pool with zeros and
+    -0.0, otherwise any finite float."""
+    n = draw(st.one_of(st.integers(1, 40), st.integers(EXACT_WILCOXON_LIMIT - 3, EXACT_WILCOXON_LIMIT + 3)))
+    value = st.one_of(
+        st.sampled_from(DIFFERENCES), st.sampled_from(DIFFERENCES), st.floats(allow_nan=False, allow_infinity=False)
+    )
+    return draw(st.lists(value, min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(difference_vectors())
+def test_signed_rank_matches_the_reference_bitwise(differences):
+    try:
+        expected = reference.wilcoxon_from_differences(differences)
+    except EstimationError as exc:
+        with pytest.raises(EstimationError, match=f"^{exc}$"):
+            wilcoxon_from_differences(differences)
+        return
+    assert repr(wilcoxon_from_differences(differences)) == repr(expected)
+    magnitudes = np.abs([d for d in differences if d != 0.0])
+    assert _bits(_average_ranks(magnitudes)[0]) == _bits(reference._average_ranks(magnitudes))
