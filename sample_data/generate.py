@@ -62,6 +62,21 @@ def write_survey_small():
     (HERE / "survey_small.csv").write_text("\n".join(rows) + "\n")
 
 
+def write_tail_ties():
+    # 2x2000 rows on a 0.1 time grid (heavy ties, some zero times), GPD
+    # lifetimes with a heavy tail and ~25% exponential censoring per group,
+    # rows shuffled so the groups interleave
+    rng = np.random.default_rng(20261020)
+    rows = []
+    for label, shape, scale in (("A", 0.25, 2.0), ("B", 0.15, 3.0)):
+        life = scale / shape * ((1.0 - rng.uniform(size=2000)) ** -shape - 1.0)
+        censor = rng.exponential(scale * 3.5, 2000)
+        status = (life <= censor).astype(int)
+        rows += [f"{x:.1f},{int(s)},{label}" for x, s in zip(np.minimum(life, censor), status)]
+    order = rng.permutation(len(rows))
+    (HERE / "tail_ties.csv").write_text("\n".join(["time,status,group"] + [rows[k] for k in order]) + "\n")
+
+
 def write_ratio_zero():
     # tie-heavy, every subject an event: under relabelling the denominator
     # group often loses its last subject before the top of the ratio grid
@@ -77,6 +92,8 @@ if __name__ == "__main__":
     write_ratio_zero()
     write_survey_ragged()
     write_survey_small()
+    write_tail_ties()
     print("wrote", *(HERE / name for name in (
-        "two_groups.csv", "survey.csv", "ratio_zero.csv", "survey_ragged.csv", "survey_small.csv"
+        "two_groups.csv", "survey.csv", "ratio_zero.csv", "survey_ragged.csv", "survey_small.csv",
+        "tail_ties.csv",
     )))

@@ -32,6 +32,7 @@ SURVEY = ROOT / "sample_data" / "survey.csv"
 RATIO_ZERO = ROOT / "sample_data" / "ratio_zero.csv"
 SURVEY_RAGGED = ROOT / "sample_data" / "survey_ragged.csv"
 SURVEY_SMALL = ROOT / "sample_data" / "survey_small.csv"
+TAIL_TIES = ROOT / "sample_data" / "tail_ties.csv"
 
 # name -> (input, argv after --input, excluding output flags, write an SVG)
 CASES = {
@@ -65,6 +66,11 @@ CASES = {
         ["diff", "--permutations", "200", "--seed", "5", "--band", "0,1", "--grid", "0,1,2,5,12,30,40"],
         True,
     ),
+    "tail_ties_km": (TAIL_TIES, ["km"], True),
+    "tail_ties_mrl": (TAIL_TIES, ["mrl"], True),
+    "tail_ties_mrl_diff": (TAIL_TIES, ["mrl-diff"], True),
+    "tail_ties_diff": (TAIL_TIES, ["diff", "--permutations", "200", "--seed", "8"], True),
+    "tail_ties_ratio": (TAIL_TIES, ["ratio", "--permutations", "200", "--seed", "9"], True),
     "stats": (SURVEY, ["stats"], False),
     "stats_bootstrap": (SURVEY, ["stats", "--bootstrap", "500", "--seed", "7"], False),
     "stats_ragged": (SURVEY_RAGGED, ["stats"], False),
