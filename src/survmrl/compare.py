@@ -22,7 +22,7 @@ import numpy as np
 
 from .dataset import SurvivalSample, fields_equal, freeze_columns
 from .errors import EstimationError
-from .km import KmCurve, km_fit, sorted_grid, step_eval
+from .km import KmCurve, event_bins, km_fit, risk_counts, sorted_grid, step_eval, survival_levels
 from .mrl import MrlCurve, evaluate_mrl
 
 KINDS = ("surv_diff", "surv_ratio", "mrl_diff")
@@ -162,54 +162,30 @@ _QUANTILE_BLOCK = 256
 
 
 class _Pool(NamedTuple):
-    """Both samples' subjects binned once against the pooled event times.
-
-    Subject i of (sample_a, sample_b) is at risk at event time j exactly
-    when ``past[i] > j``, and dies there when ``death_at[i] == j``; a
-    censored subject's ``death_at`` is the sentinel bin past the last
-    time. Relabelling subjects moves them between groups but never
-    changes their bins.
-    """
+    """Both samples' subjects binned once against the pooled event times
+    (see ``km.event_bins``). Relabelling subjects moves them between
+    groups but never changes their bins."""
 
     n_a: int
-    past: np.ndarray  # number of pooled event times at or before each subject's time
+    past: np.ndarray
     death_at: np.ndarray
     at_risk: np.ndarray  # pooled, just before each event time
     deaths: np.ndarray  # pooled, at each event time
     at_grid: np.ndarray  # number of pooled event times at or before each grid point
 
 
-def _risk_counts(past: np.ndarray, death_at: np.ndarray, n_times: int) -> tuple[np.ndarray, np.ndarray]:
-    """Subjects at risk just before, and deaths at, each of the event times."""
-    at_risk = past.size - np.cumsum(np.bincount(past, minlength=n_times + 1))[:n_times]
-    return at_risk, np.bincount(death_at, minlength=n_times + 1)[:n_times]
-
-
 def _pool(sample_a: SurvivalSample, sample_b: SurvivalSample, grid: np.ndarray) -> _Pool:
-    times = np.concatenate((sample_a.times, sample_b.times))
-    died = np.concatenate((sample_a.statuses, sample_b.statuses)) == 1
-    event_times = np.unique(times[died])
-    past = np.searchsorted(event_times, times, side="right")
-    death_at = np.where(died, past - 1, event_times.size)
+    event_times, past, death_at = event_bins(
+        np.concatenate((sample_a.times, sample_b.times)),
+        np.concatenate((sample_a.statuses, sample_b.statuses)) == 1,
+    )
     return _Pool(
         sample_a.n,
         past,
         death_at,
-        *_risk_counts(past, death_at, event_times.size),
+        *risk_counts(past, death_at, event_times.size),
         np.searchsorted(event_times, grid, side="right"),
     )
-
-
-def _survival_on_grid(at_risk: np.ndarray, deaths: np.ndarray, at_grid: np.ndarray) -> np.ndarray:
-    """Product-limit survival from one group's counts at every pooled event time.
-
-    An event time where the group has no death contributes the factor
-    r / r, exactly 1.0 (1 / 1 past its last subject, where r is 0), and
-    multiplying by 1.0 changes no bits of the running product: the values
-    equal ``product_limit`` on the group alone.
-    """
-    at_risk = np.maximum(at_risk, 1)
-    return np.concatenate(([1.0], np.cumprod((at_risk - deaths) / at_risk)))[at_grid]
 
 
 def _relabelled_values(pool: _Pool, kind: str, seed: int, replicate: int) -> np.ndarray:
@@ -222,9 +198,9 @@ def _relabelled_values(pool: _Pool, kind: str, seed: int, replicate: int) -> np.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(replicate,)))
     in_a = rng.permutation(pool.past.size)[: pool.n_a]
-    at_risk_a, deaths_a = _risk_counts(pool.past[in_a], pool.death_at[in_a], pool.deaths.size)
-    s_a = _survival_on_grid(at_risk_a, deaths_a, pool.at_grid)
-    s_b = _survival_on_grid(pool.at_risk - at_risk_a, pool.deaths - deaths_a, pool.at_grid)
+    at_risk_a, deaths_a = risk_counts(pool.past[in_a], pool.death_at[in_a], pool.deaths.size)
+    s_a = survival_levels(at_risk_a, deaths_a)[pool.at_grid]
+    s_b = survival_levels(pool.at_risk - at_risk_a, pool.deaths - deaths_a)[pool.at_grid]
     if kind == "surv_diff":
         return s_a - s_b
     with np.errstate(divide="ignore", invalid="ignore"):

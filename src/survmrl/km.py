@@ -5,6 +5,10 @@ the first event time, then the running product of (n_j - d_j) / n_j over
 distinct event times t_(j), where n_j counts subjects still at risk just
 before t_(j) and d_j the events at t_(j). Integrals of step functions are
 computed as exact segment sums, never by quadrature.
+
+``km_fit`` and the permutation envelope share one product-limit kernel:
+``event_bins`` (binning), ``risk_counts`` (n_j and d_j) and
+``survival_levels`` (the running product).
 """
 
 from __future__ import annotations
@@ -112,29 +116,43 @@ def km_fit(sample: SurvivalSample) -> KmCurve:
     Censored observations reduce later risk sets but add no jump; the
     curve reaches 0 only when the last-ordered observation is an event.
     """
-    event_times, at_risk, deaths, surv = product_limit(sample.times, sample.statuses)
+    event_times, past, death_at = event_bins(sample.times, sample.statuses == 1)
+    at_risk, deaths = risk_counts(past, death_at, event_times.size)
+    levels = survival_levels(at_risk, deaths)
     return KmCurve(
         event_times=event_times,
         at_risk=at_risk,
         deaths=deaths,
-        survival=StepFunction(knots=event_times, values=surv, initial_value=1.0),
+        survival=StepFunction(knots=event_times, values=levels[1:], initial_value=1.0),
         censor_marks=sample.times[sample.statuses == 0],
     )
 
 
-def product_limit(times: np.ndarray, statuses: np.ndarray):
-    """Core product-limit recursion on time-sorted arrays.
+def event_bins(times: np.ndarray, died: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct event times, and every subject's bins against them.
 
-    Returns (event_times, at_risk, deaths, survival_values) for the
-    distinct times carrying at least one event. ``times`` must be sorted
-    ascending; tie order does not affect the result.
+    Subject i is at risk at event time j exactly when ``past[i] > j``
+    (``past`` counts the event times at or before its time) and dies there
+    when ``death_at[i] == j``; a censored subject's ``death_at`` is the
+    sentinel bin past the last event time. ``times`` need not be sorted.
     """
-    n = len(times)
-    distinct, first_index = np.unique(times, return_index=True)
-    d = np.add.reduceat(statuses, first_index)
-    has_event = d > 0
-    event_times = distinct[has_event]
-    deaths = d[has_event]
-    at_risk = n - first_index[has_event]
-    surv = np.cumprod((at_risk - deaths) / at_risk)
-    return event_times, at_risk, deaths, surv
+    event_times = np.unique(times[died])
+    past = np.searchsorted(event_times, times, side="right")
+    return event_times, past, np.where(died, past - 1, event_times.size)
+
+
+def risk_counts(past: np.ndarray, death_at: np.ndarray, n_times: int) -> tuple[np.ndarray, np.ndarray]:
+    """Subjects at risk just before, and deaths at, each of the event times."""
+    at_risk = past.size - np.cumsum(np.bincount(past, minlength=n_times + 1))[:n_times]
+    return at_risk, np.bincount(death_at, minlength=n_times + 1)[:n_times]
+
+
+def survival_levels(at_risk: np.ndarray, deaths: np.ndarray) -> np.ndarray:
+    """1.0, then the running product of (r - d) / r: entry j is the survival after j event times.
+
+    A time where one group of the pooled subjects has no death gives r / r
+    = 1.0 (1 / 1 past its last subject, where r is 0), which changes no
+    bits of the product: the group's levels equal ``km_fit`` on it alone.
+    """
+    at_risk = np.maximum(at_risk, 1)
+    return np.concatenate(([1.0], np.cumprod((at_risk - deaths) / at_risk)))

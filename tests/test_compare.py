@@ -15,7 +15,7 @@ from survmrl import (
     survival_ratio,
 )
 from survmrl.compare import _pool, _relabelled_values
-from survmrl.km import product_limit
+from km_reference import product_limit
 
 
 def make_sample(pairs):
