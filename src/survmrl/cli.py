@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import math
 import os
 import sys
 from contextlib import suppress
@@ -52,6 +53,7 @@ _positive_float = _number_arg(float, lambda v: v > 0.0, "must be > 0")
 _nonnegative_int = _number_arg(int, lambda v: v >= 0, "must be >= 0")
 _seed_arg = _number_arg(int, lambda v: 0 <= v < 2**64, "seed must fit in an unsigned 64-bit range")
 _min_exceedances_arg = _number_arg(int, lambda v: v >= 2, "must be >= 2")
+_grid_point = _number_arg(float, lambda v: math.isfinite(v) and v >= 0.0, "grid values must be finite and >= 0")
 
 
 def _band_arg(text: str) -> tuple[float, float]:
@@ -68,13 +70,7 @@ def _band_arg(text: str) -> tuple[float, float]:
 
 
 def _grid_arg(text: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"grid must be a comma list of numbers, got {text!r}") from None
-    if not values:
-        raise argparse.ArgumentTypeError("grid is empty")
-    return values
+    return tuple(map(_grid_point, text.split(",")))
 
 
 def _groups_arg(text: str) -> tuple[str, ...]:
@@ -194,7 +190,6 @@ def _threshold_summary(args: argparse.Namespace) -> str:
 def _fit_mrls(args, samples, groups, grid=None) -> dict[str, mrl.MrlCurve]:
     """Hybrid MRL per group, then one stderr warning per unconverged tail fit."""
     config = mrl.ThresholdConfig(
-        mode="quantile" if args.threshold is None else "explicit",
         quantile=args.threshold_quantile,
         explicit_value=args.threshold,
         min_exceedances=args.min_exceedances,
@@ -214,8 +209,8 @@ class _StagedOutputs:
     """Output files that appear together or not at all.
 
     ``write`` puts each output in a temp file beside its target as soon as
-    it is rendered, so only one rendering is in memory at a time.
-    ``commit`` moves every staged file into place with ``os.replace``;
+    it is rendered, so only one rendering is in memory at a time, and
+    refuses a second output to the same file. ``commit`` moves every staged file into place with ``os.replace``;
     ``discard`` deletes whatever a failed run left staged.
     """
 
@@ -226,6 +221,10 @@ class _StagedOutputs:
         target = Path(path)
         if target.is_dir():  # os.replace would fail only at commit time
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        # os.replace acts on the directory entry: resolve the directory, not a symlinked name
+        entry = target.parent.resolve() / target.name
+        if any(entry == staged.parent.resolve() / staged.name for _, staged in self._staged):
+            raise SurvmrlError(f"output {_shown(str(path))} is named twice in this run")
         temp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
         try:
             handle = open(temp, "xb")

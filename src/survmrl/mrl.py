@@ -28,22 +28,20 @@ from .km import StepFunction, km_fit, sorted_grid, step_eval, step_integral
 
 @dataclass(frozen=True)
 class ThresholdConfig:
-    """How to pick the tail threshold u."""
+    """How to pick the tail threshold u: ``explicit_value`` when it is
+    set, else the ``quantile`` of the event times."""
 
-    mode: str = "quantile"
     quantile: float = 0.8
     explicit_value: float | None = None
     min_exceedances: int = 10
 
     def __post_init__(self):
-        if self.mode not in ("quantile", "explicit"):
-            raise ValueError(f"mode must be 'quantile' or 'explicit', got {self.mode!r}")
         if not (0.0 < self.quantile < 1.0):
             raise ValueError(f"quantile must be strictly inside (0, 1), got {self.quantile!r}")
         if self.min_exceedances < 2:
             raise ValueError("min_exceedances must be >= 2")
-        if self.mode == "explicit" and self.explicit_value is None:
-            raise ValueError("explicit mode needs explicit_value")
+        if self.explicit_value is not None and not (0.0 <= self.explicit_value < math.inf):
+            raise ValueError(f"explicit_value must be finite and >= 0, got {self.explicit_value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,11 +72,11 @@ class MrlCurve:
 def select_threshold(sample: SurvivalSample, config: ThresholdConfig) -> float:
     """Pick the tail threshold u per the config.
 
-    Quantile mode takes the configured quantile of event times, linearly
-    interpolated at rank (n_events - 1) * q. Either mode requires at
-    least ``min_exceedances`` observations strictly above u.
+    Without an explicit value, u is the configured quantile of event
+    times, linearly interpolated at rank (n_events - 1) * q. Either way u
+    must leave at least ``min_exceedances`` observations strictly above it.
     """
-    if config.mode == "explicit":
+    if config.explicit_value is not None:
         u = float(config.explicit_value)
     else:
         event_times = sample.times[sample.statuses == 1]

@@ -137,6 +137,17 @@ class TestExitCodes:
         assert code == 2
         assert "must be > 0, got nan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("point", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("argv", [["mrl"], ["diff", "--permutations", "0"], ["ratio", "--permutations", "0"]])
+    def test_nonfinite_or_negative_grid_is_flag_error(self, argv, point, survival_csv, tmp_path, capsys):
+        out = tmp_path / "g.svg"
+        code = run_cli([*argv, "--input", str(survival_csv), "--grid", point, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("usage:")
+        assert f"grid values must be finite and >= 0, got {point}" in captured.err
+        assert not out.exists()
+
     def test_mrl_diff_needs_exactly_two_groups(self, survival_csv, tmp_path, capsys):
         code = run_cli(
             [
@@ -349,6 +360,23 @@ class TestNoHalfWrittenOutputs:
         assert code == 1
         assert captured.err.startswith("[Errno 21] Is a directory") and captured.err.count("\n") == 1
         assert [p.name for p in out.iterdir()] == ["km.B.csv"]
+
+    @pytest.mark.parametrize(
+        "argv, out, out_csv, repeated",
+        [
+            (["diff", "--permutations", "0"], "d.out", "d.out", "d.out"),
+            (["km"], "k.A.csv", "k.csv", "k.A.csv"),
+        ],
+    )
+    def test_two_outputs_to_one_file_is_one_line_data_error(
+        self, argv, out, out_csv, repeated, survival_csv, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        code = run_cli([*argv, "--input", str(survival_csv), "--out", out, "--out-csv", str(tmp_path / out_csv)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"output {tmp_path / repeated} is named twice in this run\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
 
     def test_existing_outputs_replaced_only_on_success(self, survival_csv, tmp_path):
         svg = tmp_path / "km.svg"

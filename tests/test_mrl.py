@@ -49,7 +49,7 @@ class TestSelectThreshold:
 
     def test_explicit_at_max_time_rejected(self):
         sample = make_sample([(float(i), 1) for i in range(1, 8)])
-        config = ThresholdConfig(mode="explicit", explicit_value=7.0, min_exceedances=2)
+        config = ThresholdConfig(explicit_value=7.0, min_exceedances=2)
         with pytest.raises(EstimationError, match="threshold too high"):
             select_threshold(sample, config)
 
@@ -60,9 +60,9 @@ class TestSelectThreshold:
 
     def test_explicit_mode_counts_exceedances(self):
         sample = make_sample([(float(i), 1) for i in range(1, 21)])
-        config = ThresholdConfig(mode="explicit", explicit_value=5.0, min_exceedances=10)
+        config = ThresholdConfig(explicit_value=5.0, min_exceedances=10)
         assert select_threshold(sample, config) == 5.0
-        too_high = ThresholdConfig(mode="explicit", explicit_value=15.0, min_exceedances=10)
+        too_high = ThresholdConfig(explicit_value=15.0, min_exceedances=10)
         with pytest.raises(EstimationError, match="threshold too high"):
             select_threshold(sample, too_high)
 
@@ -73,10 +73,9 @@ class TestSelectThreshold:
             ThresholdConfig(quantile=1.0)
         with pytest.raises(ValueError):
             ThresholdConfig(min_exceedances=1)
-        with pytest.raises(ValueError):
-            ThresholdConfig(mode="explicit")
-        with pytest.raises(ValueError):
-            ThresholdConfig(mode="median")
+        for bad in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ValueError, match="explicit_value must be finite and >= 0"):
+                ThresholdConfig(explicit_value=bad)
 
 
 class TestFitHybridMrl:
