@@ -49,7 +49,7 @@ def _number_arg(kind: type, accept, requirement: str):
 
 
 _quantile_arg = _number_arg(float, lambda v: 0.0 < v < 1.0, "quantile must be strictly inside (0, 1)")
-_positive_float = _number_arg(float, lambda v: v > 0.0, "must be > 0")
+_positive_float = _number_arg(float, lambda v: 0.0 < v < math.inf, "must be finite and > 0")
 _nonnegative_int = _number_arg(int, lambda v: v >= 0, "must be >= 0")
 _seed_arg = _number_arg(int, lambda v: 0 <= v < 2**64, "seed must fit in an unsigned 64-bit range")
 _min_exceedances_arg = _number_arg(int, lambda v: v >= 2, "must be >= 2")
@@ -221,9 +221,9 @@ class _StagedOutputs:
         target = Path(path)
         if target.is_dir():  # os.replace would fail only at commit time
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-        # os.replace acts on the directory entry: resolve the directory, not a symlinked name
-        entry = target.parent.resolve() / target.name
-        if any(entry == staged.parent.resolve() / staged.name for _, staged in self._staged):
+        # the directory entry os.replace acts on; os.path.realpath, unlike Path.resolve, survives symlink loops
+        entry = (os.path.realpath(target.parent), target.name)
+        if any(entry == (os.path.realpath(staged.parent), staged.name) for _, staged in self._staged):
             raise SurvmrlError(f"output {_shown(str(path))} is named twice in this run")
         temp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
         try:

@@ -131,11 +131,12 @@ class TestExitCodes:
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
     def test_nan_threshold_is_flag_error(self, survival_csv, tmp_path, capsys):
-        code = run_cli(
-            ["mrl", "--input", str(survival_csv), "--threshold", "nan", "--out", str(tmp_path / "m.svg")]
-        )
-        assert code == 2
-        assert "must be > 0, got nan" in capsys.readouterr().err
+        for value in ("nan", "inf"):
+            code = run_cli(
+                ["mrl", "--input", str(survival_csv), "--threshold", value, "--out", str(tmp_path / "m.svg")]
+            )
+            assert code == 2
+            assert f"must be finite and > 0, got {value}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("point", ["nan", "inf", "-1"])
     @pytest.mark.parametrize("argv", [["mrl"], ["diff", "--permutations", "0"], ["ratio", "--permutations", "0"]])
@@ -377,6 +378,13 @@ class TestNoHalfWrittenOutputs:
         assert code == 1 and captured.out == ""
         assert captured.err == f"output {tmp_path / repeated} is named twice in this run\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
+    def test_output_under_a_symlink_loop_is_one_line_data_error(self, survival_csv, tmp_path, capsys):
+        (tmp_path / "loop").symlink_to("loop")
+        code = run_cli(["km", "--input", str(survival_csv), "--out", str(tmp_path / "loop" / "k.svg")])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
     def test_existing_outputs_replaced_only_on_success(self, survival_csv, tmp_path):
         svg = tmp_path / "km.svg"
