@@ -53,7 +53,7 @@ _positive_float = _number_arg(float, lambda v: 0.0 < v < math.inf, "must be fini
 _nonnegative_int = _number_arg(int, lambda v: v >= 0, "must be >= 0")
 _seed_arg = _number_arg(int, lambda v: 0 <= v < 2**64, "seed must fit in an unsigned 64-bit range")
 _min_exceedances_arg = _number_arg(int, lambda v: v >= 2, "must be >= 2")
-_grid_point = _number_arg(float, lambda v: math.isfinite(v) and v >= 0.0, "grid values must be finite and >= 0")
+_grid_point = _number_arg(float, lambda v: 0.0 <= v < math.inf, "grid values must be finite and >= 0")
 
 
 def _band_arg(text: str) -> tuple[float, float]:
@@ -210,8 +210,9 @@ class _StagedOutputs:
 
     ``write`` puts each output in a temp file beside its target as soon as
     it is rendered, so only one rendering is in memory at a time, and
-    refuses a second output to the same file. ``commit`` moves every staged file into place with ``os.replace``;
-    ``discard`` deletes whatever a failed run left staged.
+    refuses a second output to the same file. ``commit`` moves every
+    staged file into place with ``os.replace``; ``discard`` deletes
+    whatever a failed run left staged.
     """
 
     def __init__(self):
@@ -221,7 +222,7 @@ class _StagedOutputs:
         target = Path(path)
         if target.is_dir():  # os.replace would fail only at commit time
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-        # the directory entry os.replace acts on; os.path.realpath, unlike Path.resolve, survives symlink loops
+        # the entry os.replace acts on; unlike Path.resolve, realpath survives a symlink loop
         entry = (os.path.realpath(target.parent), target.name)
         if any(entry == (os.path.realpath(staged.parent), staged.name) for _, staged in self._staged):
             raise SurvmrlError(f"output {_shown(str(path))} is named twice in this run")

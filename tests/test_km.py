@@ -120,7 +120,6 @@ def test_km_fit_matches_the_reference_bitwise(sample):
     for column, reference in zip(got, expected):
         assert column.dtype == reference.dtype
         assert column.tobytes() == reference.tobytes()
-    assert curve.at_risk.dtype == curve.deaths.dtype == np.int64
 
 
 class TestStepEval:
