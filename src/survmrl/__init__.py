@@ -29,6 +29,7 @@ from .studystats import (
     ScoreVector,
     WilcoxonResult,
     bootstrap_proportion_ci,
+    bootstrap_proportion_cis,
     load_paired_survey,
     mcnemar_test,
     wilcoxon_from_differences,
@@ -59,6 +60,7 @@ __all__ = [
     "ThresholdConfig",
     "WilcoxonResult",
     "bootstrap_proportion_ci",
+    "bootstrap_proportion_cis",
     "dump_dataset",
     "evaluate_mrl",
     "export_curve_csv",

@@ -383,13 +383,15 @@ def _run_stats(args: argparse.Namespace, outputs: _StagedOutputs) -> str:
     def add(metric: str, value, lower="", upper=""):
         rows.append((metric, str(value), str(lower), str(upper)))
 
-    for name, vector in (("pre_accuracy", survey.pre), ("post_accuracy", survey.post), ("learning_gain", gain)):
-        if args.bootstrap > 0:
-            ci = studystats.bootstrap_proportion_ci(
-                vector, n_replicates=args.bootstrap, seed=args.seed, quantiles=args.band
-            )
+    named = (("pre_accuracy", survey.pre), ("post_accuracy", survey.post), ("learning_gain", gain))
+    if args.bootstrap > 0:
+        cis = studystats.bootstrap_proportion_cis(
+            [vector for _, vector in named], n_replicates=args.bootstrap, seed=args.seed, quantiles=args.band
+        )
+        for (name, _), ci in zip(named, cis):
             add(name, repr(ci.estimate), repr(ci.lower), repr(ci.upper))
-        else:  # a left-to-right sum of Python floats, not numpy's pairwise mean
+    else:
+        for name, vector in named:  # a left-to-right sum of Python floats, not numpy's pairwise mean
             add(name, repr(sum(vector.scores.tolist()) / vector.n))
 
     add("discordant_b", survey.transitions.b)

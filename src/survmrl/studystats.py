@@ -96,7 +96,12 @@ def mcnemar_test(pairs: PairedBinary, method: str = "continuity_corrected") -> M
         return McnemarResult(statistic=statistic, p_value=p, method=method)
     if method == "exact":
         k = min(pairs.b, pairs.c)
-        tail = sum(math.comb(n, i) for i in range(k + 1))
+        # C(n, i + 1) = C(n, i) * (n - i) // (i + 1) is exact: the product is a
+        # multiple of i + 1, so the tail is the same integer as the comb sum.
+        term = tail = 1
+        for i in range(k):
+            term = term * (n - i) // (i + 1)
+            tail += term
         p = min(1.0, 2 * tail / 2**n)
         return McnemarResult(statistic=float(k), p_value=p, method=method)
     raise ValueError(f"unknown method {method!r}")
@@ -169,29 +174,51 @@ def bootstrap_proportion_ci(
     seed: int,
     quantiles: tuple[float, float] = (0.025, 0.975),
 ) -> BootstrapCi:
-    """Percentile bootstrap interval for the mean per-participant score.
+    """Percentile bootstrap interval for the mean per-participant score."""
+    return bootstrap_proportion_cis((scores,), n_replicates, seed, quantiles)[0]
+
+
+def bootstrap_proportion_cis(
+    vectors: Sequence[ScoreVector],
+    n_replicates: int,
+    seed: int,
+    quantiles: tuple[float, float] = (0.025, 0.975),
+) -> tuple[BootstrapCi, ...]:
+    """Percentile bootstrap intervals for the means of score vectors over one set of participants.
 
     Participants are the resampling unit; replicate b draws its indices
     from a stream derived from (seed, b), so results are reproducible and
-    order-independent.
+    order-independent. Each replicate draws once and every vector takes
+    its mean over that draw, so each interval is bitwise the one a
+    single-vector call gives.
     """
+    if not vectors:
+        raise EstimationError("need at least one score vector")
+    ids = vectors[0].ids
+    if any(v.ids != ids for v in vectors):
+        raise EstimationError("score vectors cover different participants")
     if n_replicates < 1:
         raise EstimationError("need at least one bootstrap replicate")
     if not (0.0 <= quantiles[0] < quantiles[1] <= 1.0):
         raise EstimationError(f"invalid bootstrap quantiles {quantiles!r}")
-    values = scores.scores
-    n = len(values)
-    means = np.empty(n_replicates)
+    columns = [v.scores for v in vectors]
+    n = len(ids)
+    means = [np.empty(n_replicates) for _ in columns]
     for b in range(n_replicates):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
-        means[b] = values[rng.integers(0, n, size=n)].mean()
-    return BootstrapCi(
-        estimate=float(values.mean()),
-        lower=float(np.quantile(means, quantiles[0])),
-        upper=float(np.quantile(means, quantiles[1])),
-        n_replicates=n_replicates,
-        seed=seed,
-        quantiles=(float(quantiles[0]), float(quantiles[1])),
+        idx = rng.integers(0, n, size=n)
+        for out, values in zip(means, columns):
+            out[b] = values[idx].mean()  # a 1-D gather per vector: a (k, n) gather's row means differ in bits
+    return tuple(
+        BootstrapCi(
+            estimate=float(values.mean()),
+            lower=float(np.quantile(out, quantiles[0])),
+            upper=float(np.quantile(out, quantiles[1])),
+            n_replicates=n_replicates,
+            seed=seed,
+            quantiles=(float(quantiles[0]), float(quantiles[1])),
+        )
+        for out, values in zip(means, columns)
     )
 
 

@@ -1,11 +1,14 @@
-"""The survey loader and signed-rank test as they were before the survey
-was held as arrays, kept as a reference for ``survmrl.studystats``.
+"""The survey loader, signed-rank test, exact McNemar tail and bootstrap
+loop as they were before their fast paths, kept as a reference for
+``survmrl.studystats``.
 
 The loader groups outcomes in per-participant dicts of lists and takes
 one ``np.mean`` per participant; ``_average_ranks`` walks each run of
 ties with a ``while`` loop, and the normal approximation counts ties with
 a second ``np.unique``. Scores come back as tuples of Python floats.
 Differences must be finite: a NaN makes ``_average_ranks`` loop forever.
+The exact McNemar tail sums ``math.comb`` term by term, and the bootstrap
+resamples one score vector per call.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from survmrl.dataset import read_csv
 from survmrl.errors import EstimationError, ParseError, SchemaError
-from survmrl.studystats import EXACT_WILCOXON_LIMIT, WilcoxonResult, _exact_two_sided_p
+from survmrl.studystats import EXACT_WILCOXON_LIMIT, BootstrapCi, WilcoxonResult, _exact_two_sided_p
 
 
 def load_paired_survey(source) -> SimpleNamespace:
@@ -109,3 +112,26 @@ def wilcoxon_from_differences(differences) -> WilcoxonResult:
     z = (w_plus - mean) / math.sqrt(variance)
     p = math.erfc(abs(z) / math.sqrt(2.0))
     return WilcoxonResult(statistic=w_plus, p_value=p, n_nonzero=n, method="normal")
+
+
+def mcnemar_exact_p(b: int, c: int) -> float:
+    n = b + c
+    tail = sum(math.comb(n, i) for i in range(min(b, c) + 1))
+    return min(1.0, 2 * tail / 2**n)
+
+
+def bootstrap_proportion_ci(scores, n_replicates, seed, quantiles=(0.025, 0.975)) -> BootstrapCi:
+    values = scores.scores
+    n = len(values)
+    means = np.empty(n_replicates)
+    for b in range(n_replicates):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
+        means[b] = values[rng.integers(0, n, size=n)].mean()
+    return BootstrapCi(
+        estimate=float(values.mean()),
+        lower=float(np.quantile(means, quantiles[0])),
+        upper=float(np.quantile(means, quantiles[1])),
+        n_replicates=n_replicates,
+        seed=seed,
+        quantiles=(float(quantiles[0]), float(quantiles[1])),
+    )

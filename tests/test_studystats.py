@@ -5,7 +5,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats as scipy_stats
 
 import studystats_reference as reference
@@ -15,6 +15,7 @@ from survmrl import (
     PairedBinary,
     ScoreVector,
     bootstrap_proportion_ci,
+    bootstrap_proportion_cis,
     load_paired_survey,
     mcnemar_test,
     wilcoxon_from_differences,
@@ -225,6 +226,23 @@ class TestBootstrap:
         with pytest.raises(EstimationError):
             bootstrap_proportion_ci(scores, n_replicates=0, seed=1)
 
+    @pytest.mark.parametrize(
+        "other_ids",
+        [("a", "b", "x"), ("b", "a", "c"), ("a", "b"), ("a", "b", "c", "d")],
+        ids=["other-participant", "other-order", "fewer", "more"],
+    )
+    def test_shared_draw_needs_one_participant_tuple(self, other_ids):
+        # The participant is the resampling unit: index k must name the same
+        # participant in every vector that shares a draw.
+        first = ScoreVector(ids=("a", "b", "c"), scores=(1.0, 0.0, 1.0))
+        other = ScoreVector(ids=other_ids, scores=[0.5] * len(other_ids))
+        with pytest.raises(EstimationError, match="different participants"):
+            bootstrap_proportion_cis((first, other), n_replicates=10, seed=1)
+
+    def test_shared_draw_needs_a_vector(self):
+        with pytest.raises(EstimationError, match="at least one score vector"):
+            bootstrap_proportion_cis((), n_replicates=10, seed=1)
+
 
 SURVEY = (
     b"participant,item,pre,post\n"
@@ -397,3 +415,52 @@ def test_signed_rank_matches_the_reference_bitwise(differences):
     assert repr(wilcoxon_from_differences(differences)) == repr(expected)
     magnitudes = np.abs([d for d in differences if d != 0.0])
     assert _bits(_average_ranks(magnitudes)[0]) == _bits(reference._average_ranks(magnitudes))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.one_of(st.integers(0, 40), st.integers(0, 3000)),
+    st.one_of(st.integers(0, 40), st.integers(0, 3000)),
+)
+@example(0, 1)
+@example(7, 0)
+@example(0, 3000)
+@example(25, 25)
+@example(3000, 3000)
+@example(1600, 6400)
+def test_exact_mcnemar_matches_the_comb_sum_bitwise(b, c):
+    if b + c == 0:
+        with pytest.raises(EstimationError, match="no discordant pairs"):
+            mcnemar_test(PairedBinary(b, c), method="exact")
+        return
+    result = mcnemar_test(PairedBinary(b, c), method="exact")
+    assert _bits(result.p_value) == _bits(reference.mcnemar_exact_p(b, c))
+    assert result.statistic == float(min(b, c))
+
+
+SCORES = [0.0, 1.0, 0.5, 1 / 3, 2 / 3, 0.25, -1.0, -0.5, 1 / 7]
+
+
+@st.composite
+def shared_draw_cases(draw):
+    """One participant tuple, 1-3 score vectors over it, B, seed and a band."""
+    n = draw(st.integers(1, 30))
+    ids = tuple(f"p{i}" for i in range(n))
+    value = st.one_of(st.sampled_from(SCORES), st.floats(-1e6, 1e6, allow_nan=False))
+    vectors = draw(
+        st.lists(st.lists(value, min_size=n, max_size=n).map(lambda v: ScoreVector(ids=ids, scores=v)), min_size=1, max_size=3)
+    )
+    n_replicates = draw(st.integers(1, 60))
+    seed = draw(st.integers(0, 2**63))
+    band = draw(st.sampled_from([(0.025, 0.975), (0.0, 1.0), (0.1, 0.9), (0.5, 0.75)]))
+    return vectors, n_replicates, seed, band
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(shared_draw_cases())
+def test_shared_draw_bootstrap_matches_separate_draws_bitwise(case):
+    vectors, n_replicates, seed, band = case
+    shared = bootstrap_proportion_cis(vectors, n_replicates, seed, band)
+    separate = tuple(reference.bootstrap_proportion_ci(v, n_replicates, seed, band) for v in vectors)
+    assert repr(shared) == repr(separate)
+    assert repr(bootstrap_proportion_ci(vectors[0], n_replicates, seed, band)) == repr(separate[0])
