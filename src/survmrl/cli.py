@@ -383,16 +383,15 @@ def _run_stats(args: argparse.Namespace, outputs: _StagedOutputs) -> str:
     def add(metric: str, value, lower="", upper=""):
         rows.append((metric, str(value), str(lower), str(upper)))
 
-    named = (("pre_accuracy", survey.pre), ("post_accuracy", survey.post), ("learning_gain", gain))
+    vectors = (survey.pre, survey.post, gain)
+    bounds = [("", "")] * len(vectors)
     if args.bootstrap > 0:
         cis = studystats.bootstrap_proportion_cis(
-            [vector for _, vector in named], n_replicates=args.bootstrap, seed=args.seed, quantiles=args.band
+            vectors, n_replicates=args.bootstrap, seed=args.seed, quantiles=args.band
         )
-        for (name, _), ci in zip(named, cis):
-            add(name, repr(ci.estimate), repr(ci.lower), repr(ci.upper))
-    else:
-        for name, vector in named:  # a left-to-right sum of Python floats, not numpy's pairwise mean
-            add(name, repr(sum(vector.scores.tolist()) / vector.n))
+        bounds = [(repr(ci.lower), repr(ci.upper)) for ci in cis]
+    for name, vector, (lower, upper) in zip(("pre_accuracy", "post_accuracy", "learning_gain"), vectors, bounds):
+        add(name, repr(float(vector.scores.mean())), lower, upper)
 
     add("discordant_b", survey.transitions.b)
     add("discordant_c", survey.transitions.c)

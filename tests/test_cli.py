@@ -261,6 +261,18 @@ class TestOutputs:
         header = out_csv.read_text().splitlines()[0]
         assert header == "metric,value,lower,upper"
 
+    def test_stats_value_column_does_not_depend_on_bootstrap(self, tmp_path):
+        # survey_ragged.csv's means differ in the last bit between a
+        # left-to-right sum and numpy's pairwise mean.
+        survey = Path(__file__).resolve().parent.parent / "sample_data" / "survey_ragged.csv"
+        values = []
+        for extra in ([], ["--bootstrap", "50", "--seed", "3"]):
+            out_csv = tmp_path / f"stats{len(extra)}.csv"
+            assert run_cli(["stats", "--input", str(survey), "--out-csv", str(out_csv), *extra]) == 0
+            values.append([line.split(",")[:2] for line in out_csv.read_text().splitlines()])
+        assert values[0] == values[1]
+        assert ["pre_accuracy", "0.3799404761904762"] in values[0]
+
     def test_ratio_runs(self, survival_csv, tmp_path):
         code = run_cli(
             [
