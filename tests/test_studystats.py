@@ -443,20 +443,20 @@ SCORES = [0.0, 1.0, 0.5, 1 / 3, 2 / 3, 0.25, -1.0, -0.5, 1 / 7]
 
 @st.composite
 def shared_draw_cases(draw):
-    """One participant tuple, 1-3 score vectors over it, B, seed and a band."""
-    n = draw(st.integers(1, 30))
+    """One participant tuple, 1-3 score vectors over it, B, seed and a band.
+    Some tuples pass 128 participants, where numpy's sum turns pairwise."""
+    n = draw(st.one_of(st.integers(1, 30), st.integers(129, 260)))
     ids = tuple(f"p{i}" for i in range(n))
     value = st.one_of(st.sampled_from(SCORES), st.floats(-1e6, 1e6, allow_nan=False))
-    vectors = draw(
-        st.lists(st.lists(value, min_size=n, max_size=n).map(lambda v: ScoreVector(ids=ids, scores=v)), min_size=1, max_size=3)
-    )
+    vector = st.lists(value, min_size=n, max_size=n).map(lambda v: ScoreVector(ids=ids, scores=v))
+    vectors = draw(st.lists(vector, min_size=1, max_size=3))
     n_replicates = draw(st.integers(1, 60))
     seed = draw(st.integers(0, 2**63))
     band = draw(st.sampled_from([(0.025, 0.975), (0.0, 1.0), (0.1, 0.9), (0.5, 0.75)]))
     return vectors, n_replicates, seed, band
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(shared_draw_cases())
 def test_shared_draw_bootstrap_matches_separate_draws_bitwise(case):
     vectors, n_replicates, seed, band = case
