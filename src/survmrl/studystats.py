@@ -2,11 +2,14 @@
 
 The McNemar test acts on the discordant-pair counts of paired binary
 outcomes; the default is the continuity-corrected chi-square
-(|b - c| - 1)^2 / (b + c), with an exact two-sided binomial variant.
+(|b - c| - 1)^2 / (b + c), with an exact two-sided binomial variant whose
+tail is summed by an exact integer recurrence in O(min(b, c)) steps.
 The Wilcoxon signed-rank test drops zero differences, average-ranks ties,
 and is exact (full sign-assignment distribution) up to 25 nonzero
 differences, switching to a tie-corrected normal approximation above.
-Proportion intervals are percentile bootstrap over participants, seeded.
+Proportion intervals are percentile bootstrap over participants, seeded
+per replicate; score vectors over the same participants share each
+replicate's draw.
 """
 
 from __future__ import annotations
