@@ -12,7 +12,10 @@ and a censored exceedance contributes the log survival
 For |shape| below a small cutoff both collapse to the exponential limit.
 Parameters are estimated by a multi-start simplex search over
 (shape, log(scale)); the shape is confined to (-0.99, 0.99) so the fitted
-tail always has a finite mean, and boundary-hitting fits are errors.
+tail always has a finite mean, the scale to exp(-50)..exp(50), and
+boundary-hitting fits are errors: a shape at the upper bound, or a scale
+at either bound. Data whose mean excess lies outside that scale range is
+rejected before the search.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ SHAPE_BOUND = 0.99
 SMALL_SHAPE_CUTOFF = 1e-14
 _BOUNDARY_MARGIN = 1e-6
 _LOG_SCALE_LIMIT = 50.0
+_SCALE_RANGE = f"exp(-{_LOG_SCALE_LIMIT:g})..exp({_LOG_SCALE_LIMIT:g})"
 
 
 @dataclass(frozen=True)
@@ -113,10 +117,13 @@ def fit_gpd(excess, status, threshold: float = 0.0) -> GpdFit:
             return math.inf
         return -_loglik(excess, status, shape, math.exp(log_scale))
 
-    mean = float(np.mean(excess))
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(excess))
+    if not (0.0 < mean and abs(math.log(mean)) < _LOG_SCALE_LIMIT):
+        raise EstimationError(f"mean tail excess {mean!r} outside the fitted scale range {_SCALE_RANGE}")
     var = float(np.var(excess))
     starts = [(0.0, math.log(mean)), (0.5, math.log(mean))]
-    if var > 0.0 and mean > 0.0:
+    if var > 0.0:
         ratio = mean * mean / var
         shape_guess = min(max(0.5 * (1.0 - ratio), -0.9), 0.9)
         scale_guess = max(0.5 * mean * (ratio + 1.0), 1e-12)
@@ -135,6 +142,10 @@ def fit_gpd(excess, status, threshold: float = 0.0) -> GpdFit:
     # legitimate constrained MLE with a finite, sensible tail mean.
     if shape >= SHAPE_BOUND - _BOUNDARY_MARGIN:
         raise EstimationError("infinite-mean tail fit")
+    # A scale on the box edge (or no finite likelihood at all) means the
+    # data's scale lies outside the box, not that the fit found it.
+    if not math.isfinite(best.fx) or abs(log_scale) >= _LOG_SCALE_LIMIT - _BOUNDARY_MARGIN:
+        raise EstimationError(f"tail scale fit at the edge of the fitted scale range {_SCALE_RANGE}")
     scale = math.exp(log_scale)
     return GpdFit(
         shape=float(shape),

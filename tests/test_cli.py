@@ -590,3 +590,30 @@ def test_input_path_with_newline_keeps_the_summary_on_one_line(
         assert quoted.count("\n") == 1
     first = quoted.split("\n", 1)[0]
     assert first.startswith(f"{command} input={str(odd)!r} ") and first.isprintable()
+
+
+@pytest.mark.parametrize("factor", [1e-25, 1e25, 1e299])
+@pytest.mark.parametrize("command", ["mrl", "mrl-diff"])
+def test_times_outside_the_fitted_scale_range_are_one_stderr_line(command, factor, tmp_path):
+    # a subprocess, so a numpy RuntimeWarning would reach the real stderr
+    source = Path(__file__).resolve().parent.parent / "sample_data" / "two_groups.csv"
+    header, *rows = source.read_text().splitlines()
+    scaled = tmp_path / "scaled.csv"
+    lines = [header]
+    for row in rows:
+        time, rest = row.split(",", 1)
+        lines.append(f"{float(time) * factor!r},{rest}")
+    scaled.write_text("\n".join(lines) + "\n")
+    out = ["--out-csv", str(tmp_path / "out.csv")] if command == "mrl" else ["--out", str(tmp_path / "out.svg")]
+    env = {**os.environ, "PYTHONPATH": str(Path(survmrl.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "survmrl.cli", command, "--input", str(scaled), *out],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "outside the fitted scale range" in proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scaled.csv"]

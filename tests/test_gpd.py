@@ -134,14 +134,34 @@ class TestFitGpd:
         assert np.mean(np.abs(np.array(shapes) - 0.25)) < 0.05
         assert np.mean(np.abs(np.array(scales) - 2.0)) < 0.15
 
-    def test_scaling_data_scales_scale_only(self):
+    @pytest.mark.parametrize("c", [37.0] + [10.0**k for k in range(-21, 22, 3)])
+    def test_scaling_data_scales_scale_only(self, c):
         rng = np.random.default_rng(6)
         x = gpd_draw(rng, 0.2, 1.5, 800)
         fit1 = fit_gpd(x, np.ones(x.size))
-        c = 37.0
         fit2 = fit_gpd(x * c, np.ones(x.size))
+        assert fit2.converged
         assert fit2.shape == pytest.approx(fit1.shape, abs=1e-4)
         assert fit2.scale == pytest.approx(fit1.scale * c, rel=1e-4)
+
+    @pytest.mark.parametrize("c", [1e-25, 1e25, 1e299])
+    def test_data_scale_outside_the_scale_range_is_an_error(self, c):
+        rng = np.random.default_rng(6)
+        x = gpd_draw(rng, 0.2, 1.5, 800)
+        with pytest.raises(EstimationError, match=r"mean tail excess .* outside the fitted scale range"):
+            fit_gpd(x * c, np.ones(x.size))
+
+    def test_all_zero_excesses_are_an_error(self):
+        with pytest.raises(EstimationError, match=r"mean tail excess 0\.0 outside the fitted scale range"):
+            fit_gpd([0.0, 0.0], [1, 1])
+
+    def test_fit_on_the_scale_range_edge_is_an_error(self):
+        # the mean excess is just inside exp(-50), the fitted scale below it
+        rng = np.random.default_rng(6)
+        x = gpd_draw(rng, 0.2, 1.5, 800)
+        x *= math.exp(-49.9) / x.mean()
+        with pytest.raises(EstimationError, match="tail scale fit at the edge of the fitted scale range"):
+            fit_gpd(x, np.ones(x.size))
 
     def test_uniform_tail_rests_near_lower_bound(self):
         # uniform excesses correspond to shape -1; the constrained fit sits
