@@ -12,10 +12,8 @@ and a censored exceedance contributes the log survival
 For |shape| below a small cutoff both collapse to the exponential limit.
 Parameters are estimated by a multi-start simplex search over
 (shape, log(scale)); the shape is confined to (-0.99, 0.99) so the fitted
-tail always has a finite mean, the scale to exp(-50)..exp(50), and
-boundary-hitting fits are errors: a shape at the upper bound, or a scale
-at either bound. Data whose mean excess lies outside that scale range is
-rejected before the search.
+tail always has a finite mean, the scale to exp(-50)..exp(50), and fits
+on the shape's upper bound or on either scale bound are errors.
 """
 
 from __future__ import annotations
@@ -129,11 +127,7 @@ def fit_gpd(excess, status, threshold: float = 0.0) -> GpdFit:
         scale_guess = max(0.5 * mean * (ratio + 1.0), 1e-12)
         starts.insert(0, (shape_guess, math.log(scale_guess)))
 
-    best = None
-    for start in starts:
-        result = nelder_mead(objective, start, step=(0.1, 0.25))
-        if best is None or result.fx < best.fx:
-            best = result
+    best = min((nelder_mead(objective, start, step=(0.1, 0.25)) for start in starts), key=lambda r: r.fx)
 
     shape, log_scale = best.x
     # Only the upper bound is fatal: there the constrained optimum is an
@@ -142,8 +136,7 @@ def fit_gpd(excess, status, threshold: float = 0.0) -> GpdFit:
     # legitimate constrained MLE with a finite, sensible tail mean.
     if shape >= SHAPE_BOUND - _BOUNDARY_MARGIN:
         raise EstimationError("infinite-mean tail fit")
-    # A scale on the box edge (or no finite likelihood at all) means the
-    # data's scale lies outside the box, not that the fit found it.
+    # a scale on the box edge says the data's scale lies outside the box
     if not math.isfinite(best.fx) or abs(log_scale) >= _LOG_SCALE_LIMIT - _BOUNDARY_MARGIN:
         raise EstimationError(f"tail scale fit at the edge of the fitted scale range {_SCALE_RANGE}")
     scale = math.exp(log_scale)
@@ -153,7 +146,7 @@ def fit_gpd(excess, status, threshold: float = 0.0) -> GpdFit:
         threshold=float(threshold),
         n_exceedances=m,
         n_tail_events=n_events,
-        log_likelihood=_loglik(excess, status, float(shape), scale),
+        log_likelihood=float(-best.fx),
         converged=best.converged,
     )
 

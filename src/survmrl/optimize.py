@@ -2,8 +2,8 @@
 
 Hand-rolled rather than delegated so the stopping rule is exactly the
 contract the fitter reports: the simplex is converged when its diameter
-(max coordinate spread across vertices) drops below ``diameter_tol``,
-else it stops unconverged at ``max_iter``.
+(max coordinate spread across vertices) drops below ``_DIAMETER_TOL``
+(1e-7), else it stops unconverged after ``_MAX_ITER`` (500) iterations.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ _ALPHA = 1.0   # reflection
 _GAMMA = 2.0   # expansion
 _RHO = 0.5     # contraction
 _SIGMA = 0.5   # shrink
+_DIAMETER_TOL = 1e-7
+_MAX_ITER = 500
 
 
 @dataclass(frozen=True)
@@ -32,8 +34,6 @@ def nelder_mead(
     x0: Sequence[float],
     *,
     step: Sequence[float],
-    diameter_tol: float = 1e-7,
-    max_iter: int = 500,
 ) -> SimplexResult:
     """Minimize ``fn`` starting from ``x0``; ``step`` sets the initial simplex size.
 
@@ -41,54 +41,48 @@ def nelder_mead(
     """
     x0 = np.asarray(x0, dtype=float)
     dim = x0.size
-    vertices = [x0.copy()]
+    simplex = np.tile(x0, (dim + 1, 1))
     for i in range(dim):
-        v = x0.copy()
-        v[i] += step[i]
-        vertices.append(v)
-    fvals = [fn(v) for v in vertices]
+        simplex[i + 1, i] += step[i]
+    fvals = np.array([fn(v) for v in simplex], dtype=float)
 
     iterations = 0
     converged = False
-    while iterations < max_iter:
+    while iterations < _MAX_ITER:
         order = np.argsort(fvals, kind="stable")
-        vertices = [vertices[i] for i in order]
-        fvals = [fvals[i] for i in order]
+        simplex, fvals = simplex[order], fvals[order]
 
-        spread = np.max(np.ptp(np.array(vertices), axis=0))
-        if spread < diameter_tol:
+        if np.max(np.ptp(simplex, axis=0)) < _DIAMETER_TOL:
             converged = True
             break
         iterations += 1
 
-        centroid = np.mean(vertices[:-1], axis=0)
-        worst = vertices[-1]
+        centroid = np.mean(simplex[:-1], axis=0)
+        worst = simplex[-1]
 
         reflected = centroid + _ALPHA * (centroid - worst)
         f_reflected = fn(reflected)
         if fvals[0] <= f_reflected < fvals[-2]:
-            vertices[-1], fvals[-1] = reflected, f_reflected
+            simplex[-1], fvals[-1] = reflected, f_reflected
             continue
 
         if f_reflected < fvals[0]:
             expanded = centroid + _GAMMA * (centroid - worst)
             f_expanded = fn(expanded)
             if f_expanded < f_reflected:
-                vertices[-1], fvals[-1] = expanded, f_expanded
+                simplex[-1], fvals[-1] = expanded, f_expanded
             else:
-                vertices[-1], fvals[-1] = reflected, f_reflected
+                simplex[-1], fvals[-1] = reflected, f_reflected
             continue
 
         contracted = centroid + _RHO * (worst - centroid)
         f_contracted = fn(contracted)
         if f_contracted < fvals[-1]:
-            vertices[-1], fvals[-1] = contracted, f_contracted
+            simplex[-1], fvals[-1] = contracted, f_contracted
             continue
 
-        best = vertices[0]
-        vertices = [best] + [best + _SIGMA * (v - best) for v in vertices[1:]]
-        fvals = [fvals[0]] + [fn(v) for v in vertices[1:]]
+        simplex[1:] = simplex[0] + _SIGMA * (simplex[1:] - simplex[0])
+        fvals[1:] = [fn(v) for v in simplex[1:]]
 
-    order = np.argsort(fvals, kind="stable")
-    best = vertices[order[0]]
-    return SimplexResult(x=best, fx=fvals[order[0]], iterations=iterations, converged=converged)
+    best = np.argsort(fvals, kind="stable")[0]
+    return SimplexResult(x=simplex[best].copy(), fx=float(fvals[best]), iterations=iterations, converged=converged)
