@@ -134,15 +134,15 @@ class TestFitGpd:
         assert np.mean(np.abs(np.array(shapes) - 0.25)) < 0.05
         assert np.mean(np.abs(np.array(scales) - 2.0)) < 0.15
 
-    @pytest.mark.parametrize("c", [37.0] + [10.0**k for k in range(-21, 22, 3)])
-    def test_scaling_data_scales_scale_only(self, c):
+    def test_scaling_data_scales_scale_only(self):
         rng = np.random.default_rng(6)
         x = gpd_draw(rng, 0.2, 1.5, 800)
         fit1 = fit_gpd(x, np.ones(x.size))
-        fit2 = fit_gpd(x * c, np.ones(x.size))
-        assert fit2.converged
-        assert fit2.shape == pytest.approx(fit1.shape, abs=1e-4)
-        assert fit2.scale == pytest.approx(fit1.scale * c, rel=1e-4)
+        for c in [37.0] + [10.0**k for k in range(-21, 22)]:
+            fit2 = fit_gpd(x * c, np.ones(x.size))
+            assert fit2.converged
+            assert fit2.shape == pytest.approx(fit1.shape, abs=1e-4)
+            assert fit2.scale == pytest.approx(fit1.scale * c, rel=1e-4)
 
     @pytest.mark.parametrize("c", [1e-25, 1e25, 1e299])
     def test_data_scale_outside_the_scale_range_is_an_error(self, c):

@@ -108,13 +108,6 @@ def test_pinned_runs_reach_the_branches_they_name():
     assert (result.iterations, result.converged) == (500, False)
 
 
-def test_negative_zero_start_keeps_its_sign():
-    calls, _ = _run(nelder_mead, lambda x: math.inf, [-0.0, -0.0], [0.5, 0.0])
-    first = calls[:3]
-    assert [p.tolist() for p in first] == [[-0.0, -0.0], [0.5, -0.0], [-0.0, 0.0]]
-    assert [np.signbit(p).tolist() for p in first] == [[True, True], [False, True], [True, False]]
-
-
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**32 - 1),
