@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -151,9 +152,12 @@ class TestFitGpd:
         with pytest.raises(EstimationError, match=r"mean tail excess .* outside the fitted scale range"):
             fit_gpd(x * c, np.ones(x.size))
 
-    def test_all_zero_excesses_are_an_error(self):
-        with pytest.raises(EstimationError, match=r"mean tail excess 0\.0 outside the fitted scale range"):
-            fit_gpd([0.0, 0.0], [1, 1])
+    @pytest.mark.parametrize("value, shown", [(0.0, "0.0"), (1e308, "inf")])
+    def test_degenerate_mean_excess_is_an_error(self, value, shown):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflowing mean is no RuntimeWarning
+            with pytest.raises(EstimationError, match=rf"mean tail excess {shown} outside the fitted scale range"):
+                fit_gpd([value, value], [1, 1])
 
     def test_fit_on_the_scale_range_edge_is_an_error(self):
         # the mean excess is just inside exp(-50), the fitted scale below it
