@@ -51,12 +51,15 @@ def _loglik(excess: np.ndarray, status: np.ndarray, shape: float, scale: float) 
     """Censored GPD log likelihood; -inf outside the parameter support."""
     if not (scale > 0.0) or not math.isfinite(scale):
         return -math.inf
-    z = excess / scale
-    if abs(shape) < SMALL_SHAPE_CUTOFF:
-        return float(-np.sum(status) * math.log(scale) - np.sum(z))
-    if np.any(shape * z <= -1.0):
+    # an excess whose shape * excess / scale overflows has zero density and survival
+    with np.errstate(over="ignore"):
+        z = excess / scale
+        if abs(shape) < SMALL_SHAPE_CUTOFF:
+            return float(-np.sum(status) * math.log(scale) - np.sum(z))
+        arg = shape * z
+    if np.any((arg <= -1.0) | np.isinf(arg)):
         return -math.inf
-    log_arg = np.log1p(shape * z)
+    log_arg = np.log1p(arg)
     events = float(np.sum(status * log_arg))
     total = float(np.sum(log_arg))
     k = float(np.sum(status))
@@ -85,8 +88,8 @@ def gpd_log_likelihood(excess, status, shape: float, scale: float) -> float:
     """Log likelihood of the censored tail sample at (shape, scale).
 
     ``excess`` (>= 0) and ``status`` (1 event, 0 censored) are equal-length
-    arrays. Returns -inf when (shape, scale) put any excess outside the
-    GPD support, which optimizers can treat as a rejection.
+    arrays. Returns -inf, never NaN, when (shape, scale) put any excess
+    outside the GPD support or its density or survival underflows to 0.
     """
     return _loglik(*_tail_sample(excess, status), shape, scale)
 

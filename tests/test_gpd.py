@@ -40,6 +40,15 @@ class TestLogLikelihood:
     def test_outside_support_signals_minus_inf(self):
         assert gpd_log_likelihood([5.0], [1], -0.5, 1.0) == -math.inf
 
+    @pytest.mark.parametrize("shape, scale", [(0.5, 1e-10), (0.0, 1e-10), (-0.5, 1e-10), (10.0, 1e-8)])
+    @pytest.mark.parametrize("flags", [[1, 0], [1, 1]])
+    def test_overflowing_excess_over_scale_is_minus_inf(self, shape, scale, flags):
+        # 1e300 / 1e-10, or 10 * 1e300 / 1e-8, overflows: zero density and
+        # zero survival, not NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gpd_log_likelihood([1.0, 1e300], flags, shape, scale) == -math.inf
+
     def test_nonpositive_scale_signals_minus_inf(self):
         assert gpd_log_likelihood([1.0], [1], 0.1, 0.0) == -math.inf
 
