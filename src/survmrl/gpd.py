@@ -10,10 +10,11 @@ and a censored exceedance contributes the log survival
     -(1/shape) * log(1 + shape * t / sigma).
 
 For |shape| below a small cutoff both collapse to the exponential limit.
-Parameters are estimated by a multi-start simplex search over
-(shape, log(scale)); the shape is confined to (-0.99, 0.99) so the fitted
-tail always has a finite mean, the scale to exp(-50)..exp(50), and fits
-on the shape's upper bound or on either scale bound are errors.
+The fit maximises the profile likelihood over theta = shape / sigma
+(Grimshaw 1993; Coles 2001, section 4.3): at each theta the best shape is
+sum(log1p(theta * t)) / k over k tail events, clipped into (-0.99, 0.99)
+so the tail mean stays finite. A fit on the shape's upper bound, or with
+sigma outside exp(-50)..exp(50), is an error.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError
-from .optimize import nelder_mead
 
 SHAPE_BOUND = 0.99
 # With log1p the full formula is accurate for any shape the float grid can
@@ -34,6 +34,10 @@ SMALL_SHAPE_CUTOFF = 1e-14
 _BOUNDARY_MARGIN = 1e-6
 _LOG_SCALE_LIMIT = 50.0
 _SCALE_RANGE = f"exp(-{_LOG_SCALE_LIMIT:g})..exp({_LOG_SCALE_LIMIT:g})"
+_OPEN_BOUND = math.nextafter(SHAPE_BOUND, 0.0)  # largest |shape| inside the box
+_SCAN_POINTS = 32
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section step, 1 - 1/phi
+_S_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -97,60 +101,80 @@ def gpd_log_likelihood(excess, status, shape: float, scale: float) -> float:
 def fit_gpd(excess, status, threshold: float = 0.0) -> GpdFit:
     """Maximum-likelihood GPD fit to censored exceedances.
 
-    ``excess`` and ``status`` are as for ``gpd_log_likelihood``. Runs the
-    simplex search from three starts (moment-style, exponential,
-    heavy-tailed) and keeps the best; ``converged`` reports whether that
-    run met the simplex-diameter tolerance.
+    ``excess`` and ``status`` are as for ``gpd_log_likelihood``. A scan of
+    theta over (-1/max x, theta_hi], theta_hi doubled from 1/max x until the
+    shape reaches its bound, and a golden-section search find the fit.
+    ``converged`` (the search bracket met its tolerance) is always True.
     """
     excess, status = _tail_sample(excess, status)
     m = excess.size
     if m < 2:
         raise EstimationError("insufficient tail data")
-    n_events = int(np.sum(status))
-    if n_events == 0:
+    k = float(np.sum(status))
+    if k == 0.0:
         raise EstimationError("all tail observations censored")
-
-    def objective(params: np.ndarray) -> float:
-        shape, log_scale = params
-        if not (-SHAPE_BOUND < shape < SHAPE_BOUND):
-            return math.inf
-        if abs(log_scale) > _LOG_SCALE_LIMIT:
-            return math.inf
-        return -_loglik(excess, status, shape, math.exp(log_scale))
-
     with np.errstate(over="ignore"):
         mean = float(np.mean(excess))
     if not (0.0 < mean and abs(math.log(mean)) < _LOG_SCALE_LIMIT):
         raise EstimationError(f"mean tail excess {mean!r} outside the fitted scale range {_SCALE_RANGE}")
-    var = float(np.var(excess))
-    starts = [(0.0, math.log(mean)), (0.5, math.log(mean))]
-    if var > 0.0:
-        ratio = mean * mean / var
-        shape_guess = min(max(0.5 * (1.0 - ratio), -0.9), 0.9)
-        scale_guess = max(0.5 * mean * (ratio + 1.0), 1e-12)
-        starts.insert(0, (shape_guess, math.log(scale_guess)))
 
-    best = min((nelder_mead(objective, start, step=(0.1, 0.25)) for start in starts), key=lambda r: r.fx)
+    # The scan and the search run over s = log1p(theta * max x), free of the
+    # data's scale: geometric towards theta = -1/max x and theta_hi, linear
+    # around 0. Below s_lo the profile rises (its slope in t = theta * max x
+    # is at least g / (1 + t) - k / |t|); past theta_hi the shape is clipped,
+    # or every shape puts sigma below exp(-50). No maximum lies outside.
+    top = float(np.max(excess))
+    g = 1.0 / SHAPE_BOUND - 1.0
+    s_lo = math.log(g / (k + g))
 
-    shape, log_scale = best.x
+    def profile(s: float) -> tuple[float, float, float]:
+        """(log likelihood, shape, scale) at s."""
+        theta = math.expm1(s) / top
+        log_arg = np.log1p(theta * excess)
+        total = float(np.sum(log_arg))
+        shape = min(max(total / k, -_OPEN_BOUND), _OPEN_BOUND)
+        if shape == 0.0:  # theta == 0: the exponential fit
+            scale = float(np.sum(excess)) / k
+            return -k * math.log(scale) - k, 0.0, scale
+        scale = shape / theta
+        return -k * math.log(scale) - total / shape - float(status @ log_arg), shape, scale
+
+    t_hi = 1.0
+    while profile(math.log1p(t_hi))[1] < _OPEN_BOUND and t_hi < top * math.exp(_LOG_SCALE_LIMIT):
+        t_hi *= 2.0
+    scan = np.linspace(s_lo, math.log1p(t_hi), _SCAN_POINTS)
+    values = [profile(s)[0] for s in scan]
+    best = max(zip(values, scan))
+    # Refine every local maximum of the scan by golden section on its
+    # bracket (a, b, c): a small tail's profile can have two near-equal modes.
+    for i in [j for j, v in enumerate(values) if v == max(values[max(j - 1, 0):j + 2])]:
+        a, b, c, fb = scan[max(i - 1, 0)], scan[i], scan[min(i + 1, _SCAN_POINTS - 1)], values[i]
+        while c - a > _S_TOL:
+            x = b + _GOLDEN * (c - b if c - b > b - a else a - b)
+            fx = profile(x)[0]
+            if fx > fb:
+                a, b, c, fb = (b, x, c, fx) if x > b else (a, x, b, fx)
+            else:
+                a, c = (a, x) if x > b else (x, c)
+        best = max(best, (fb, b))
+    _, shape, scale = profile(best[1])
     # Only the upper bound is fatal: there the constrained optimum is an
     # artifact of the box and the tail mean would be unbounded. A fit
     # resting near the lower edge (short-tailed data, e.g. uniform) is a
     # legitimate constrained MLE with a finite, sensible tail mean.
     if shape >= SHAPE_BOUND - _BOUNDARY_MARGIN:
         raise EstimationError("infinite-mean tail fit")
-    # a scale on the box edge says the data's scale lies outside the box
-    if not math.isfinite(best.fx) or abs(log_scale) >= _LOG_SCALE_LIMIT - _BOUNDARY_MARGIN:
+    # a scale at the edge of the range says the data's scale lies outside it
+    if abs(math.log(scale)) >= _LOG_SCALE_LIMIT - _BOUNDARY_MARGIN:
         raise EstimationError(f"tail scale fit at the edge of the fitted scale range {_SCALE_RANGE}")
-    scale = math.exp(log_scale)
     return GpdFit(
-        shape=float(shape),
-        scale=float(scale),
+        shape=shape,
+        scale=scale,
         threshold=float(threshold),
         n_exceedances=m,
-        n_tail_events=n_events,
-        log_likelihood=float(-best.fx),
-        converged=best.converged,
+        n_tail_events=int(k),
+        log_likelihood=_loglik(excess, status, shape, scale),
+        converged=True,
     )
 
 
