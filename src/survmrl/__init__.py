@@ -15,7 +15,7 @@ from .compare import (
     survival_difference,
     survival_ratio,
 )
-from .dataset import SurvivalSample, dump_dataset, load_dataset
+from .dataset import SurvivalSample, load_dataset
 from .errors import EstimationError, ParseError, SchemaError, SurvmrlError
 from .gpd import GpdFit, fit_gpd, gpd_log_likelihood, gpd_mrl_at_threshold
 from .km import KmCurve, StepFunction, km_fit, step_eval, step_integral
@@ -61,7 +61,6 @@ __all__ = [
     "WilcoxonResult",
     "bootstrap_proportion_ci",
     "bootstrap_proportion_cis",
-    "dump_dataset",
     "evaluate_mrl",
     "export_curve_csv",
     "fit_gpd",

@@ -188,21 +188,13 @@ def _threshold_summary(args: argparse.Namespace) -> str:
 
 
 def _fit_mrls(args, samples, groups, grid=None) -> dict[str, mrl.MrlCurve]:
-    """Hybrid MRL per group, then one stderr warning per unconverged tail fit."""
+    """Hybrid MRL per group, in ``groups`` order."""
     config = mrl.ThresholdConfig(
         quantile=args.threshold_quantile,
         explicit_value=args.threshold,
         min_exceedances=args.min_exceedances,
     )
-    curves = {g: mrl.fit_hybrid_mrl(samples[g], config, grid=grid) for g in groups}
-    for g, curve in curves.items():
-        if not curve.gpd.converged:
-            print(
-                f"warning: GPD tail fit for group {_shown(g)} did not converge "
-                f"(shape={curve.gpd.shape:.6g} scale={curve.gpd.scale:.6g})",
-                file=sys.stderr,
-            )
-    return curves
+    return {g: mrl.fit_hybrid_mrl(samples[g], config, grid=grid) for g in groups}
 
 
 class _StagedOutputs:
@@ -335,7 +327,7 @@ def _run_survival_comparison(args: argparse.Namespace, outputs: _StagedOutputs) 
         build, label, reference = compare.survival_ratio, "survival ratio", 1.0
     else:
         build, label, reference = compare.survival_difference, "survival difference", 0.0
-    curve = build(curve_a, curve_b, grid=args.grid, group_a=group_a, group_b=group_b)
+    curve = build(curve_a, curve_b, grid=args.grid)
     envelope = None
     if args.permutations > 0:
         envelope = compare.permutation_envelope(
@@ -364,7 +356,7 @@ def _run_mrl_diff(args: argparse.Namespace, outputs: _StagedOutputs) -> str:
     samples, groups = _load(args, exactly_two=True)
     group_a, group_b = groups
     mrl_a, mrl_b = _fit_mrls(args, samples, groups).values()
-    curve = compare.mrl_difference(mrl_a, mrl_b, group_a=group_a, group_b=group_b)
+    curve = compare.mrl_difference(mrl_a, mrl_b)
     spec = _comparison_spec("MRL difference", "difference in mean residual life", groups, curve, 0.0)
     _write_plot(args, outputs, spec, {group_a: curve})
     return (

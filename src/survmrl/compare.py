@@ -25,8 +25,6 @@ from .errors import EstimationError
 from .km import KmCurve, event_bins, km_fit, risk_counts, sorted_grid, step_eval, survival_levels
 from .mrl import MrlCurve, evaluate_mrl
 
-KINDS = ("surv_diff", "surv_ratio", "mrl_diff")
-
 
 @dataclass(frozen=True, eq=False)
 class ComparisonCurve:
@@ -34,16 +32,11 @@ class ComparisonCurve:
 
     grid: np.ndarray
     values: np.ndarray
-    kind: str
-    group_a: str
-    group_b: str
 
     __eq__ = fields_equal
 
     def __post_init__(self):
         freeze_columns(self, grid=float, values=float)
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,29 +80,19 @@ def survival_difference(
     curve_a: KmCurve,
     curve_b: KmCurve,
     grid: tuple[float, ...] | list[float] | None = None,
-    group_a: str = "A",
-    group_b: str = "B",
 ) -> ComparisonCurve:
     """Pointwise S_A - S_B on the union of event times within the common window."""
     grid_arr = _grid(curve_a, curve_b, grid)
     if grid_arr.size == 0:
         raise EstimationError("no common follow-up window")
     values = step_eval(curve_a.survival, grid_arr) - step_eval(curve_b.survival, grid_arr)
-    return ComparisonCurve(
-        grid=grid_arr,
-        values=values,
-        kind="surv_diff",
-        group_a=group_a,
-        group_b=group_b,
-    )
+    return ComparisonCurve(grid=grid_arr, values=values)
 
 
 def survival_ratio(
     curve_a: KmCurve,
     curve_b: KmCurve,
     grid: tuple[float, ...] | list[float] | None = None,
-    group_a: str = "A",
-    group_b: str = "B",
 ) -> ComparisonCurve:
     """Pointwise S_A / S_B, restricted to times where S_B is positive."""
     grid_arr = _grid(curve_a, curve_b, grid)
@@ -119,21 +102,10 @@ def survival_ratio(
     if grid_arr.size == 0:
         raise EstimationError("ratio undefined: denominator survival is zero")
     values = step_eval(curve_a.survival, grid_arr) / s_b[keep]
-    return ComparisonCurve(
-        grid=grid_arr,
-        values=values,
-        kind="surv_ratio",
-        group_a=group_a,
-        group_b=group_b,
-    )
+    return ComparisonCurve(grid=grid_arr, values=values)
 
 
-def mrl_difference(
-    mrl_a: MrlCurve,
-    mrl_b: MrlCurve,
-    group_a: str = "A",
-    group_b: str = "B",
-) -> ComparisonCurve:
+def mrl_difference(mrl_a: MrlCurve, mrl_b: MrlCurve) -> ComparisonCurve:
     """Difference of hybrid MRL estimates on the overlap of both domains.
 
     Both curves are re-evaluated (consistently with their own fits) on
@@ -147,13 +119,7 @@ def mrl_difference(
     points = np.union1d(mrl_a.grid, mrl_b.grid)
     points = points[(points >= lo) & (points <= hi)]
     values = evaluate_mrl(mrl_a, points) - evaluate_mrl(mrl_b, points)
-    return ComparisonCurve(
-        grid=points,
-        values=values,
-        kind="mrl_diff",
-        group_a=group_a,
-        group_b=group_b,
-    )
+    return ComparisonCurve(grid=points, values=values)
 
 
 # Grid columns per quantile block: each block is sorted as one

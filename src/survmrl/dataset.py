@@ -13,11 +13,11 @@ import io
 import math
 import os
 from dataclasses import dataclass, fields
-from typing import BinaryIO, Iterator, Mapping
+from typing import Iterator
 
 import numpy as np
 
-from .errors import ParseError, SchemaError, SurvmrlError
+from .errors import ParseError, SchemaError
 
 DEFAULT_GROUP = "all"
 
@@ -84,26 +84,19 @@ class SurvivalSample:
         return float(self.times[-1])
 
 
-def _decode(source: str | bytes | os.PathLike | BinaryIO | io.TextIOBase) -> str:
-    if isinstance(source, (str, os.PathLike)):
+def _decode(source: str | bytes | os.PathLike) -> str:
+    """The UTF-8 text of ``source``: raw bytes, or the bytes of the file at a path."""
+    if not isinstance(source, bytes):
         with open(source, "rb") as fh:
-            raw = fh.read()
-    elif isinstance(source, bytes):
-        raw = source
-    elif isinstance(source, io.TextIOBase):
-        return source.read()
-    else:
-        raw = source.read()
+            source = fh.read()
     try:
-        return raw.decode("utf-8")
+        return source.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"input is not valid UTF-8: {exc}") from None
 
 
-def read_csv(
-    source: str | bytes | os.PathLike | BinaryIO | io.TextIOBase,
-) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
-    """Decode a CSV source into its stripped header and numbered data rows.
+def read_csv(source: str | bytes | os.PathLike) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+    """Decode a CSV path or bytes into its stripped header and numbered data rows.
 
     Blank lines are skipped but counted: data row k sits k lines below
     the header. A bare carriage return ends a line, as in any CSV
@@ -137,52 +130,49 @@ def read_csv(
     return [h.strip() for h in header], rows()
 
 
-def load_dataset(
-    source: str | bytes | os.PathLike | BinaryIO | io.TextIOBase,
-    *,
-    time_col: str = "time",
-    status_col: str = "status",
-    group_col: str = "group",
-) -> dict[str, SurvivalSample]:
-    """Parse a CSV source into one SurvivalSample per group label.
+def load_dataset(source: str | bytes | os.PathLike) -> dict[str, SurvivalSample]:
+    """Parse a CSV path or bytes into one SurvivalSample per group label.
 
-    ``source`` may be a path, raw bytes, or an open file. The header must
-    contain ``time_col`` and ``status_col``; ``group_col`` is optional and
-    defaults every row to group "all" when absent. Columns outside these
-    three are a schema error. Blank lines are skipped; any malformed row
-    raises a ParseError naming its 1-based data row number (see read_csv).
+    The header must contain ``time`` and ``status``; ``group`` is optional
+    and defaults every row to group "all" when absent. Any other column is
+    a schema error. Blank lines are skipped; any malformed row raises a
+    ParseError naming its 1-based data row number (see read_csv).
     """
     header, rows = read_csv(source)
-    known = {time_col, status_col, group_col}
-    unknown = [h for h in header if h not in known]
+    unknown = [h for h in header if h not in ("time", "status", "group")]
     if unknown:
         raise SchemaError(f"unknown column(s): {', '.join(map(repr, unknown))}")
     if len(set(header)) != len(header):
         raise SchemaError("duplicate column names in header")
-    for required in (time_col, status_col):
+    for required in ("time", "status"):
         if required not in header:
             raise SchemaError(f"missing required column: {required}")
 
     idx = {name: header.index(name) for name in header}
-    has_group = group_col in idx
+    has_group = "group" in idx
 
     grouped: dict[str, tuple[list[float], list[int]]] = {}
     for row_number, row in rows:
-        time_text = row[idx[time_col]].strip()
-        status_text = row[idx[status_col]].strip()
+        time_text = row[idx["time"]].strip()
+        status_text = row[idx["status"]].strip()
+        # float() reads the digit separator in "1_5" as 15.0; a CSV number has none.
         try:
+            if "_" in time_text:
+                raise ValueError
             time = float(time_text)
         except ValueError:
             raise ParseError(row_number, f"time is not numeric: {time_text!r}") from None
         if not math.isfinite(time) or time < 0.0:
             raise ParseError(row_number, f"time must be finite and >= 0, got {time_text!r}")
         try:
+            if "_" in status_text:
+                raise ValueError
             status_value = float(status_text)
         except ValueError:
             raise ParseError(row_number, f"status is not numeric: {status_text!r}") from None
         if status_value not in (0.0, 1.0):
             raise ParseError(row_number, f"status must be 0 or 1, got {status_text!r}")
-        group = row[idx[group_col]].strip() if has_group else DEFAULT_GROUP
+        group = row[idx["group"]].strip() if has_group else DEFAULT_GROUP
         if not group:
             raise ParseError(row_number, "group label is empty")
         times, statuses = grouped.setdefault(group, ([], []))
@@ -192,20 +182,3 @@ def load_dataset(
     if not grouped:
         raise SchemaError("empty dataset")
     return {label: SurvivalSample(*columns) for label, columns in grouped.items()}
-
-
-def dump_dataset(samples: Mapping[str, SurvivalSample]) -> bytes:
-    """Serialize samples back to the input CSV schema (UTF-8 bytes).
-
-    Times are written with full precision so a dump/load round trip
-    reproduces the samples exactly.
-    """
-    if not samples:
-        raise SurvmrlError("nothing to export: no samples")
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["time", "status", "group"])
-    for label, sample in samples.items():
-        for time, status in zip(sample.times.tolist(), sample.statuses.tolist()):
-            writer.writerow([repr(time), status, label])
-    return out.getvalue().encode("utf-8")

@@ -42,9 +42,6 @@ class StepFunction:
         if not (np.all(np.isfinite(self.knots) & (self.knots >= 0.0)) and np.all(np.diff(self.knots) > 0.0)):
             raise ValueError("knots must be finite, >= 0 and strictly increasing")
 
-    def __call__(self, t):
-        return step_eval(self, t)
-
 
 @dataclass(frozen=True, eq=False)
 class KmCurve:

@@ -60,7 +60,6 @@ class MrlCurve:
     tail_component: np.ndarray
     threshold: float
     gpd: GpdFit
-    source_n: int
     survival: StepFunction
 
     __eq__ = fields_equal
@@ -138,7 +137,6 @@ def fit_hybrid_mrl(
         tail_component=tail_parts,
         threshold=u,
         gpd=gpd,
-        source_n=sample.n,
         survival=curve.survival,
     )
 

@@ -116,6 +116,8 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     t = first
     while t <= hi + step * 1e-9:
         ticks.append(0.0 if abs(t) < step * 1e-9 else t)
+        if t + step == t:  # a range a few ulps wide: step is below half an ulp of t
+            break
         t += step
     return ticks
 
@@ -162,6 +164,8 @@ def render_plot_svg(spec: PlotSpec) -> bytes:
 
     data_x_max = _series_x_max(spec)
     x_lo, x_hi = 0.0, (data_x_max if data_x_max > 0 else 1.0) * 1.05
+    if not math.isfinite(x_hi):
+        raise SurvmrlError(f"cannot plot: time {data_x_max!r} is too large for the x axis")
     y_lo, y_hi = _y_bounds(spec)
 
     plot_w = spec.width - _MARGIN_LEFT - _MARGIN_RIGHT
@@ -258,10 +262,7 @@ def render_plot_svg(spec: PlotSpec) -> bytes:
     return out.getvalue().encode("utf-8")
 
 
-def export_curve_csv(
-    curve: KmCurve | StepFunction | MrlCurve | ComparisonCurve,
-    envelope: Envelope | None = None,
-) -> bytes:
+def export_curve_csv(curve: KmCurve | MrlCurve | ComparisonCurve, envelope: Envelope | None = None) -> bytes:
     """Serialize a curve as CSV, full precision, one row per grid point.
 
     Columns are `t,value`, plus `lower,upper` when an envelope accompanies
@@ -277,8 +278,7 @@ def export_curve_csv(
                 raise SurvmrlError("envelope grid mismatch")
             header, columns = "t,value,lower,upper", columns + (envelope.lower, envelope.upper)
     else:
-        step = curve.survival if isinstance(curve, KmCurve) else curve
-        header, columns = "t,value", (step.knots, step.values)
+        header, columns = "t,value", (curve.survival.knots, curve.survival.values)
     if columns[0].size == 0:
         raise SurvmrlError("empty curve")
     # repr of Python floats: numpy 2 writes np.float64(1.0) as 'np.float64(1.0)'.

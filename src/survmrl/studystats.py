@@ -14,8 +14,8 @@ replicate's draw.
 
 from __future__ import annotations
 
-import io
 import math
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -235,8 +235,8 @@ class PairedSurvey:
     n_items: int
 
 
-def load_paired_survey(source: str | bytes | io.TextIOBase) -> PairedSurvey:
-    """Parse a `participant,item,pre,post` CSV of paired binary outcomes.
+def load_paired_survey(source: str | bytes | os.PathLike) -> PairedSurvey:
+    """Parse a `participant,item,pre,post` CSV path or bytes of paired binary outcomes.
 
     Each (participant, item) pair may appear once; a repeat is a row error.
     """

@@ -1,5 +1,5 @@
-import dataclasses
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +8,7 @@ from xml.dom import minidom
 import numpy as np
 import pytest
 
-import survmrl.mrl
+import survmrl
 from survmrl.cli import run_cli
 
 
@@ -431,31 +431,7 @@ def test_closed_stdout_is_one_stderr_line_after_the_outputs(survey_csv, tmp_path
     assert (tmp_path / "piped.csv").read_bytes() == (tmp_path / "normal.csv").read_bytes()
 
 
-@pytest.fixture()
-def group_a_unconverged(monkeypatch):
-    """Mark the first GPD fit of a run (group A's, groups fit in order) unconverged."""
-    real_fit = survmrl.mrl.fit_gpd
-    calls = []
-
-    def fit_gpd(*args, **kwargs):
-        fit = real_fit(*args, **kwargs)
-        calls.append(fit)
-        return dataclasses.replace(fit, converged=False) if len(calls) == 1 else fit
-
-    monkeypatch.setattr(survmrl.mrl, "fit_gpd", fit_gpd)
-
-
 class TestUnconvergedTailWarning:
-    @pytest.mark.parametrize("command", ["mrl", "mrl-diff"])
-    def test_one_warning_naming_the_group(self, command, survival_csv, tmp_path, capsys, group_a_unconverged):
-        code = run_cli([command, "--input", str(survival_csv), "--out", str(tmp_path / "m.svg")])
-        captured = capsys.readouterr()
-        assert code == 0
-        assert captured.err.startswith("warning: GPD tail fit for group A did not converge")
-        assert captured.err.count("\n") == 1
-        assert captured.out.count("\n") == 1 and "did not converge" not in captured.out
-        assert "converged=False" in captured.out
-
     def test_converged_fits_print_no_warning(self, survival_csv, tmp_path, capsys):
         assert run_cli(["mrl", "--input", str(survival_csv), "--out", str(tmp_path / "m.svg")]) == 0
         captured = capsys.readouterr()
@@ -617,3 +593,53 @@ def test_times_outside_the_fitted_scale_range_are_one_stderr_line(command, facto
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1 and "outside the fitted scale range" in proc.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scaled.csv"]
+
+
+HUGE_TIME_CSV = "time,status,group\n1,1,A\n1.79e308,1,A\n2,0,A\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["km", "--input", "{huge}"],
+        ["diff", "--input", "{two_groups}", "--grid", "0,1.75e308", "--permutations", "0"],
+    ],
+    ids=["km-huge-time", "diff-huge-grid"],
+)
+def test_x_range_overflow_is_one_line_data_error(argv, tmp_path, capsys):
+    huge = tmp_path / "huge.csv"
+    huge.write_text(HUGE_TIME_CSV)
+    two_groups = Path(__file__).resolve().parent.parent / "sample_data" / "two_groups.csv"
+    argv = [a.format(huge=huge, two_groups=two_groups) for a in argv]
+    assert run_cli([*argv, "--out", str(tmp_path / "plot.svg")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "too large for the x axis" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.csv"]
+    # the CSV alone draws no axis, so it is still written
+    assert run_cli([*argv, "--out-csv", str(tmp_path / "curve.csv")]) == 0
+
+
+def _limit_address_space():
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_ratio_a_few_ulps_from_one_ends(tmp_path):
+    # The ratio is 0.9999999999999999, so the y range is a few ulps wide around 1
+    # and its tick step is below half an ulp, where ``t += step`` cannot advance.
+    data = tmp_path / "ulps.csv"
+    data.write_text("time,status,group\n1,1,A\n2,1,A\n3,0,A\n1,1,B\n2,1,B\n2,1,B\n2,1,B\n3,0,B\n3,0,B\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(survmrl.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+    argv = ["ratio", "--input", str(data), "--permutations", "0", "--grid", "2", "--out", str(tmp_path / "r.svg")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "survmrl.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    minidom.parse(str(tmp_path / "r.svg"))

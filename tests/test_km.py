@@ -142,10 +142,6 @@ class TestStepEval:
         with pytest.raises(EstimationError):
             step_eval(f, float("nan"))
 
-    def test_callable_sugar(self):
-        curve = km_fit(SPEC_SAMPLE)
-        assert curve.survival(2.0) == 0.75
-
 
 class TestStepIntegral:
     def test_unit_rectangle(self):

@@ -110,10 +110,6 @@ class TestFitHybridMrl:
         sample = exponential_sample(4)
         assert fit_hybrid_mrl(sample) == fit_hybrid_mrl(sample)
 
-    def test_source_n_recorded(self):
-        sample = exponential_sample(5, n=300)
-        assert fit_hybrid_mrl(sample).source_n == 300
-
     def test_tail_component_nondecreasing(self):
         curve = fit_hybrid_mrl(exponential_sample(6))
         assert all(a <= b for a, b in zip(curve.tail_component, curve.tail_component[1:]))

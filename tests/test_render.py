@@ -225,9 +225,9 @@ class TestExportCsv:
             export_curve_csv(curve, envelope=env)
 
     def test_empty_curve_rejected(self):
-        flat = StepFunction(knots=(), values=(), initial_value=1.0)
+        all_censored = km_fit(make_sample([(1.0, 0), (2.0, 0)]))
         with pytest.raises(SurvmrlError, match="empty curve"):
-            export_curve_csv(flat)
+            export_curve_csv(all_censored)
 
     def test_deterministic_bytes(self):
         assert export_curve_csv(km_fit(SAMPLE)) == export_curve_csv(km_fit(SAMPLE))
