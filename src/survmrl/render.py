@@ -15,7 +15,6 @@ import math
 import re
 from dataclasses import dataclass
 from typing import Iterator
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -96,15 +95,16 @@ _NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff
 
 def _text(text: str) -> str:
     """``text`` as SVG character data: ``&<>`` escaped, and each character
-    XML forbids written out as its Python escape (U+0001 as ``\\x01``)."""
-    return escape(_NOT_XML_CHAR.sub(lambda m: repr(m.group())[1:-1], text))
+    XML forbids written out as its Python escape (U+0001 as ``\\x01``).
+    The replaces run in ``xml.sax.saxutils.escape``'s order, ``&`` first."""
+    text = _NOT_XML_CHAR.sub(lambda m: repr(m.group())[1:-1], text)
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    span = hi - lo
-    if span <= 0:
+    raw = (hi - lo) / target
+    if raw <= 0:  # an empty range, or one so narrow that the division underflows
         return [lo]
-    raw = span / target
     power = math.floor(math.log10(raw))
     base = raw / 10**power
     for nice in (1.0, 2.0, 2.5, 5.0, 10.0):

@@ -643,3 +643,17 @@ def test_ratio_a_few_ulps_from_one_ends(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     minidom.parse(str(tmp_path / "r.svg"))
+
+
+def test_cold_start_imports_no_network_or_xml_stack():
+    # Every launch pays for what ``import survmrl.cli`` pulls in; xml.sax alone
+    # used to bring urllib, http, ssl, socket and email along with it.
+    unwanted = ["xml.sax", "urllib.request", "http.client", "email", "ssl", "socket"]
+    code = (
+        "import sys, survmrl.cli; survmrl.cli.build_parser(); "
+        f"print(','.join(m for m in {unwanted!r} if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(survmrl.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""

@@ -170,6 +170,13 @@ class TestRenderSvg:
         assert "a\\x01b < c" in texts and "t\\x1f" in texts and "s\tok" in texts
         assert "g\\x00\\ufffe" in texts
 
+    def test_subnormal_y_range_draws_one_tick(self):
+        # the y span is 1e-323, so span / 6 underflows to 0 and log10 had no argument
+        spec = PlotSpec("t", "x", "y", (PlotSeries("a", grid=(1.0,), values=(5e-324,)),), reference_line=0.0)
+        root = ET.fromstring(render_plot_svg(spec))
+        ticks = [node.text for node in root.iter() if node.tag.endswith("text") and node.get("text-anchor") == "end"]
+        assert ticks == ["-4.94066e-324"]
+
 
 class TestExportCsv:
     def test_km_curve_rows_are_knots(self):
@@ -238,7 +245,9 @@ class TestExportCsv:
 times = st.integers(0, 4000).map(lambda k: k / 40.0) | st.floats(0.0, 100.0, allow_subnormal=False)
 levels = st.integers(-3000, 3000).map(lambda k: k / 1000.0) | st.floats(-5.0, 5.0, allow_subnormal=False)
 with_odd = levels | st.sampled_from([math.nan, math.inf, -math.inf])
-labels = st.sampled_from(["", "A", "a<b", "x\x01y"])
+# Labels that exercise each escape: the markup characters, an escape written
+# out already, a CDATA end, quotes, a control character and a lone surrogate.
+labels = st.sampled_from(["", "A", "a<b", "&", ">", "a&amp;b", "]]>", '"q"', "x\x01y", "\ud800"])
 
 
 @st.composite
