@@ -155,9 +155,10 @@ def load_dataset(source: str | bytes | os.PathLike) -> dict[str, SurvivalSample]
     for row_number, row in rows:
         time_text = row[idx["time"]].strip()
         status_text = row[idx["status"]].strip()
-        # float() reads the digit separator in "1_5" as 15.0; a CSV number has none.
+        # float() reads the digit separator in "1_5" as 15.0 and the fullwidth
+        # digits "１５" as 15.0; a CSV number has neither.
         try:
-            if "_" in time_text:
+            if "_" in time_text or not time_text.isascii():
                 raise ValueError
             time = float(time_text)
         except ValueError:
@@ -165,7 +166,7 @@ def load_dataset(source: str | bytes | os.PathLike) -> dict[str, SurvivalSample]
         if not math.isfinite(time) or time < 0.0:
             raise ParseError(row_number, f"time must be finite and >= 0, got {time_text!r}")
         try:
-            if "_" in status_text:
+            if "_" in status_text or not status_text.isascii():
                 raise ValueError
             status_value = float(status_text)
         except ValueError:

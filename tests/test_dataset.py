@@ -124,6 +124,27 @@ def test_underscores_in_group_labels_stay_allowed():
     assert set(load_dataset(b"time,status,group\n1,1,arm_1\n")) == {"arm_1"}
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("１５,1,A", "row 2: time is not numeric: '１５'"),
+        ("٣,١,A", "row 2: time is not numeric: '٣'"),
+        ("3,١,A", "row 2: status is not numeric: '١'"),
+    ],
+)
+def test_non_ascii_digits_are_row_errors(row, message):
+    # float() alone would read fullwidth "１５" as 15.0 and Arabic-Indic "٣,١" as 3.0, 1
+    with pytest.raises(ParseError) as info:
+        load_dataset(("time,status,group\n1,1,A\n" + row + "\n").encode("utf-8"))
+    assert str(info.value) == message
+
+
+def test_non_ascii_group_labels_stay_allowed():
+    samples = load_dataset("time,status,group\n1,1,Gruppe Ä\n2,0,组\n".encode("utf-8"))
+    assert set(samples) == {"Gruppe Ä", "组"}
+    assert samples["组"].times.tolist() == [2.0]
+
+
 def test_non_utf8_is_schema_error():
     with pytest.raises(SchemaError, match="UTF-8"):
         load_dataset(b"time,status\n\xff\xfe,1\n")
