@@ -206,12 +206,15 @@ def bootstrap_proportion_cis(
         raise EstimationError(f"invalid bootstrap quantiles {quantiles!r}")
     columns = [v.scores for v in vectors]
     n = len(ids)
-    means = [np.empty(n_replicates) for _ in columns]
+    sums = np.empty((len(columns), n_replicates))
     for b in range(n_replicates):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
         idx = rng.integers(0, n, size=n)
-        for out, values in zip(means, columns):
-            out[b] = values[idx].mean()  # a 1-D gather per vector: a (k, n) gather's row means differ in bits
+        for k, values in enumerate(columns):
+            # One 1-D gather and sum per vector: a (k, n) gather's row sums
+            # differ in bits. ndarray.mean is this sum / n, divided below.
+            sums[k, b] = np.add.reduce(values.take(idx))
+    means = sums / n
     return tuple(
         BootstrapCi(
             estimate=float(values.mean()),
