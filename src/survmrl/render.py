@@ -96,7 +96,7 @@ _NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff
 def _text(text: str) -> str:
     """``text`` as SVG character data: ``&<>`` escaped, and each character
     XML forbids written out as its Python escape (U+0001 as ``\\x01``).
-    The replaces run in ``xml.sax.saxutils.escape``'s order, ``&`` first."""
+    ``&`` goes first, so the other escapes are not escaped again."""
     text = _NOT_XML_CHAR.sub(lambda m: repr(m.group())[1:-1], text)
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 

@@ -171,7 +171,7 @@ class TestRenderSvg:
         assert "g\\x00\\ufffe" in texts
 
     def test_subnormal_y_range_draws_one_tick(self):
-        # the y span is 1e-323, so span / 6 underflows to 0 and log10 had no argument
+        # the y span is 1e-323, so span / 6 underflows to 0, where log10 would raise
         spec = PlotSpec("t", "x", "y", (PlotSeries("a", grid=(1.0,), values=(5e-324,)),), reference_line=0.0)
         root = ET.fromstring(render_plot_svg(spec))
         ticks = [node.text for node in root.iter() if node.tag.endswith("text") and node.get("text-anchor") == "end"]
