@@ -256,7 +256,10 @@ def load_paired_survey(source: str | bytes | os.PathLike) -> PairedSurvey:
         participant = row[idx["participant"]].strip()
         if not participant:
             raise ParseError(row_number, "participant id is empty")
-        key = (participant, row[idx["item"]].strip())
+        item = row[idx["item"]].strip()
+        if not item:
+            raise ParseError(row_number, "item label is empty")
+        key = (participant, item)
         first = first_rows.setdefault(key, row_number)
         if first != row_number:
             raise ParseError(row_number, f"duplicate (participant, item) {key!r}, first given on row {first}")

@@ -39,6 +39,8 @@ def load_paired_survey(source) -> SimpleNamespace:
         if not participant:
             raise ParseError(row_number, "participant id is empty")
         item = row[idx["item"]].strip()
+        if not item:
+            raise ParseError(row_number, "item label is empty")
         seen = item_rows.get(participant)
         if seen is None:
             seen = item_rows[participant] = {}

@@ -293,6 +293,12 @@ class TestLoadPairedSurvey:
         survey = load_paired_survey(b"participant,item,pre,post\np1,i1,0,1\np2,i1,1,0\np1,i2,1,1\n")
         assert survey.n_items == 3
 
+    @pytest.mark.parametrize("row", [b"p1,,0,1", b"p1, ,1,1", b'p1,"\t",1,1'])
+    def test_empty_item_label_is_row_error(self, row):
+        with pytest.raises(ParseError) as info:
+            load_paired_survey(b"participant,item,pre,post\np1,i1,0,1\n" + row + b"\n")
+        assert str(info.value) == "row 2: item label is empty"
+
     def test_row_numbers_count_blank_lines(self):
         with pytest.raises(ParseError, match="^row 4: pre must be 0 or 1"):
             load_paired_survey(b"participant,item,pre,post\np1,i1,1,1\n\n\np1,i2,2,1\n")
@@ -330,7 +336,7 @@ class TestLoadPairedSurvey:
 # Ids that differ only by a trailing NUL, by case or by padding (which the
 # loader strips), unicode ids, and items that collide the same ways.
 IDS = ["p1", "p1\x00", "P1", " p1", "p1 ", "p2", "p10", "é", "e\u0301", "参加者", "\x00", "a,b", 'q"t']
-ITEMS = ["i1", "i2", "i3", "I1", " i1", "i1\x00", ""]
+ITEMS = ["i1", "i2", "i3", "I1", " i1", "i1\x00"]
 BAD_OUTCOMES = ["2", "", " 1", "1.0", "x"]
 HEADERS = ["participant,item,pre,post"] * 8 + ["post,pre,item,participant", "who,item,pre,post"]
 
@@ -339,15 +345,18 @@ HEADERS = ["participant,item,pre,post"] * 8 + ["post,pre,item,participant", "who
 def survey_csvs(draw) -> bytes:
     """A header, then (participant, item) rows with ragged items per
     participant and the odd blank line, in drawn order. One survey in
-    five repeats a pair (also as a case or padding variant that the
-    loader's strip makes equal), one in five holds bad 0/1 tokens."""
+    six repeats a pair (also as a case or padding variant that the
+    loader's strip makes equal), one in six has an empty or blank item
+    label, one in six holds bad 0/1 tokens."""
     header = draw(st.sampled_from(HEADERS))
-    flaw = draw(st.sampled_from(["none", "none", "none", "repeat", "token"]))
+    flaw = draw(st.sampled_from(["none", "none", "none", "repeat", "empty", "token"]))
     pair = st.tuples(st.sampled_from(IDS), st.sampled_from(ITEMS))
     keys = draw(st.lists(pair, max_size=40, unique_by=lambda k: (k[0].strip(), k[1].strip())))
     if keys and flaw == "repeat":
         participant, item = draw(st.sampled_from(keys))
         keys.insert(draw(st.integers(0, len(keys))), (draw(st.sampled_from([participant, f" {participant}"])), item))
+    if flaw == "empty":
+        keys.insert(draw(st.integers(0, len(keys))), (draw(st.sampled_from(IDS)), draw(st.sampled_from(["", " ", "\t"]))))
     outcome = st.sampled_from(["0", "1"] * 8 + (BAD_OUTCOMES if flaw == "token" else []))
     out = io.StringIO()
     out.write(header + "\n")
