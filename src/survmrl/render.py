@@ -167,6 +167,8 @@ def render_plot_svg(spec: PlotSpec) -> bytes:
     if not math.isfinite(x_hi):
         raise SurvmrlError(f"cannot plot: time {data_x_max!r} is too large for the x axis")
     y_lo, y_hi = _y_bounds(spec)
+    if not math.isfinite(y_hi - y_lo):
+        raise SurvmrlError(f"cannot plot: y range {y_lo!r} to {y_hi!r} is too wide for the y axis")
 
     plot_w = spec.width - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = spec.height - _MARGIN_TOP - _MARGIN_BOTTOM

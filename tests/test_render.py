@@ -141,6 +141,12 @@ class TestRenderSvg:
         with pytest.raises(SurvmrlError, match="envelope grid mismatch"):
             render_plot_svg(spec)
 
+    @pytest.mark.parametrize("value, reference_line", [(1e308, 0.0), (1.75e308, None)])
+    def test_overflowing_y_range_rejected(self, value, reference_line):
+        spec = PlotSpec("t", "x", "y", (PlotSeries("a", grid=(1.0,), values=(value,)),), reference_line=reference_line)
+        with pytest.raises(SurvmrlError, match="^cannot plot: y range .* is too wide for the y axis$"):
+            render_plot_svg(spec)
+
     def test_survival_axis_pinned_to_unit_interval(self):
         svg = render_plot_svg(km_spec()).decode()
         assert ">1<" in svg and ">0<" in svg
