@@ -18,7 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from survmrl.dataset import read_csv
+from dataset_reference import read_csv
 from survmrl.errors import EstimationError, ParseError, SchemaError
 from survmrl.studystats import EXACT_WILCOXON_LIMIT, BootstrapCi, WilcoxonResult, _exact_two_sided_p
 
