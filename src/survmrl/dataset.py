@@ -11,15 +11,17 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 import os
 from dataclasses import dataclass, fields
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import ParseError, SchemaError
 
 DEFAULT_GROUP = "all"
+_CHUNK_ROWS = 4096  # data rows per chunk of read_csv
 
 
 def freeze_columns(obj, **dtypes) -> None:
@@ -95,16 +97,21 @@ def _decode(source: str | bytes | os.PathLike) -> str:
         raise SchemaError(f"input is not valid UTF-8: {exc}") from None
 
 
-def read_csv(source: str | bytes | os.PathLike) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
-    """Decode a CSV path or bytes into its stripped header and numbered data rows.
+def read_csv(
+    source: str | bytes | os.PathLike,
+) -> tuple[list[str], Iterator[tuple[list[int], list[list[str]]]]]:
+    """Decode a CSV path or bytes into its stripped header and chunks of numbered data rows.
 
-    Blank lines are skipped but counted: data row k sits k lines below
-    the header. A bare carriage return ends a line, as in any CSV
-    dialect. Rows are checked for the header's field count as they are
-    consumed, so a caller validates the header before any row error can
-    surface. An input without a header is an empty dataset; a row the csv
-    module cannot split is a ParseError, a header it cannot split a
-    SchemaError.
+    Each chunk is a pair: the row numbers and the rows, at most
+    ``_CHUNK_ROWS`` of them. Blank lines are skipped but counted: data row
+    k sits k lines below the header. A bare carriage return ends a line,
+    as in any CSV dialect. Rows are checked for the header's field count
+    as they are consumed, so a caller validates the header before any row
+    error can surface; on a row of the wrong width, or one the csv module
+    cannot split (a ParseError), the rows before it are yielded first, so
+    that a caller checking them raises their errors first. An input
+    without a header is an empty dataset, a header the csv module cannot
+    split a SchemaError.
     """
     reader = csv.reader(io.StringIO(_decode(source), newline=""))
     try:
@@ -114,20 +121,102 @@ def read_csv(source: str | bytes | os.PathLike) -> tuple[list[str], Iterator[tup
     if header is None:
         raise SchemaError("empty dataset")
     header_line = reader.line_num
+    width = len(header)
 
-    def rows():
+    def chunks():
+        lines: list[int] = []
+        rows: list[list[str]] = []
+        error = None
         try:
             for row in reader:
-                if not row:
-                    continue
-                row_number = reader.line_num - header_line
-                if len(row) != len(header):
-                    raise ParseError(row_number, f"expected {len(header)} fields, got {len(row)}")
-                yield row_number, row
+                if len(row) != width:
+                    if not row:
+                        continue
+                    error = ParseError(reader.line_num - header_line, f"expected {width} fields, got {len(row)}")
+                    break
+                lines.append(reader.line_num)
+                rows.append(row)
+                if len(rows) == _CHUNK_ROWS:
+                    yield [line - header_line for line in lines], rows
+                    lines, rows = [], []
         except csv.Error as exc:
-            raise ParseError(reader.line_num - header_line, f"malformed CSV: {exc}") from None
+            error = ParseError(reader.line_num - header_line, f"malformed CSV: {exc}")
+        if rows:
+            yield [line - header_line for line in lines], rows
+        if error is not None:
+            raise error
 
-    return [h.strip() for h in header], rows()
+    return [h.strip() for h in header], chunks()
+
+
+def _survival_row(row_number: int, time_text: str, status_text: str, group_text: str) -> tuple[float, int, str]:
+    """The row rules: a data row's time, status and group label, or the ParseError of its first fault."""
+    time_text = time_text.strip()
+    status_text = status_text.strip()
+    # float() reads the digit separator in "1_5" as 15.0 and the fullwidth
+    # digits "１５" as 15.0; a CSV number has neither.
+    try:
+        if "_" in time_text or not time_text.isascii():
+            raise ValueError
+        time = float(time_text)
+    except ValueError:
+        raise ParseError(row_number, f"time is not numeric: {time_text!r}") from None
+    if not math.isfinite(time) or time < 0.0:
+        raise ParseError(row_number, f"time must be finite and >= 0, got {time_text!r}")
+    try:
+        if "_" in status_text or not status_text.isascii():
+            raise ValueError
+        status_value = float(status_text)
+    except ValueError:
+        raise ParseError(row_number, f"status is not numeric: {status_text!r}") from None
+    if status_value not in (0.0, 1.0):
+        raise ParseError(row_number, f"status must be 0 or 1, got {status_text!r}")
+    group = group_text.strip()
+    if not group:
+        raise ParseError(row_number, "group label is empty")
+    return time, int(status_value), group
+
+
+def _survival_columns(time_texts: list[str], status_texts: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
+    """A chunk's times and statuses (int8) when every text passes the
+    whole-column checks, else None.
+
+    float() strips less than str.strip() and rejects what it does not
+    strip, so a value it reads unstripped is the row rules' value.
+    """
+    text = "".join(time_texts) + "".join(status_texts)
+    if "_" in text or not text.isascii():
+        return None
+    try:
+        times = np.fromiter(map(float, time_texts), np.float64, len(time_texts))
+        statuses = np.fromiter(map(float, status_texts), np.float64, len(status_texts))
+    except ValueError:
+        return None
+    if not (times.min() >= 0.0 and times.max() < math.inf and np.all((statuses == 0.0) | (statuses == 1.0))):
+        return None
+    return times, statuses.astype(np.int8)
+
+
+def strip_labels(texts: list[str], label_of_text: dict[str, str]) -> list[str] | None:
+    """Each text stripped, or None if one strips to nothing.
+
+    ``label_of_text`` caches the stripped text, so each distinct text is
+    stripped once.
+    """
+    for text in dict.fromkeys(texts):
+        if text not in label_of_text:
+            label = text.strip()
+            if not label:
+                return None
+            label_of_text[text] = label
+    return list(map(label_of_text.__getitem__, texts))
+
+
+def label_codes(labels: Sequence[str], codes: dict[str, int]) -> np.ndarray:
+    """Each label's code in ``codes``, adding new labels in order of first appearance."""
+    for label in dict.fromkeys(labels):
+        codes.setdefault(label, len(codes))
+    return np.fromiter(map(codes.__getitem__, labels), np.intp, len(labels))
 
 
 def load_dataset(source: str | bytes | os.PathLike) -> dict[str, SurvivalSample]:
@@ -138,7 +227,7 @@ def load_dataset(source: str | bytes | os.PathLike) -> dict[str, SurvivalSample]
     a schema error. Blank lines are skipped; any malformed row raises a
     ParseError naming its 1-based data row number (see read_csv).
     """
-    header, rows = read_csv(source)
+    header, chunks = read_csv(source)
     unknown = [h for h in header if h not in ("time", "status", "group")]
     if unknown:
         raise SchemaError(f"unknown column(s): {', '.join(map(repr, unknown))}")
@@ -148,38 +237,33 @@ def load_dataset(source: str | bytes | os.PathLike) -> dict[str, SurvivalSample]
         if required not in header:
             raise SchemaError(f"missing required column: {required}")
 
-    idx = {name: header.index(name) for name in header}
-    has_group = "group" in idx
+    time_of = operator.itemgetter(header.index("time"))
+    status_of = operator.itemgetter(header.index("status"))
+    group_of = operator.itemgetter(header.index("group")) if "group" in header else None
 
-    grouped: dict[str, tuple[list[float], list[int]]] = {}
-    for row_number, row in rows:
-        time_text = row[idx["time"]].strip()
-        status_text = row[idx["status"]].strip()
-        # float() reads the digit separator in "1_5" as 15.0 and the fullwidth
-        # digits "１５" as 15.0; a CSV number has neither.
-        try:
-            if "_" in time_text or not time_text.isascii():
-                raise ValueError
-            time = float(time_text)
-        except ValueError:
-            raise ParseError(row_number, f"time is not numeric: {time_text!r}") from None
-        if not math.isfinite(time) or time < 0.0:
-            raise ParseError(row_number, f"time must be finite and >= 0, got {time_text!r}")
-        try:
-            if "_" in status_text or not status_text.isascii():
-                raise ValueError
-            status_value = float(status_text)
-        except ValueError:
-            raise ParseError(row_number, f"status is not numeric: {status_text!r}") from None
-        if status_value not in (0.0, 1.0):
-            raise ParseError(row_number, f"status must be 0 or 1, got {status_text!r}")
-        group = row[idx["group"]].strip() if has_group else DEFAULT_GROUP
-        if not group:
-            raise ParseError(row_number, "group label is empty")
-        times, statuses = grouped.setdefault(group, ([], []))
-        times.append(time)
-        statuses.append(int(status_value))
+    codes: dict[str, int] = {}  # group label -> code, in order of first row
+    label_of_text: dict[str, str] = {}
+    parts: list[list[tuple[np.ndarray, np.ndarray]]] = []  # per code: (times, statuses) pieces in row order
+    for row_numbers, rows in chunks:
+        time_texts = list(map(time_of, rows))
+        status_texts = list(map(status_of, rows))
+        group_texts = list(map(group_of, rows)) if group_of else [DEFAULT_GROUP] * len(rows)
+        columns = _survival_columns(time_texts, status_texts)
+        labels = None if columns is None else strip_labels(group_texts, label_of_text)
+        if labels is None:
+            # A check failed: the row rules raise the chunk's first error, or
+            # on a false alarm give the same values.
+            times, statuses, labels = zip(*map(_survival_row, row_numbers, time_texts, status_texts, group_texts))
+            columns = np.array(times), np.array(statuses, dtype=np.int8)
+        group_codes = label_codes(labels, codes)
+        parts += [[] for _ in range(len(codes) - len(parts))]
+        order = np.argsort(group_codes, kind="stable")
+        group_codes, times, statuses = group_codes[order], columns[0][order], columns[1][order]
+        starts = np.flatnonzero(np.diff(group_codes, prepend=-1))
+        pieces = zip(np.split(times, starts[1:]), np.split(statuses, starts[1:]))
+        for code, piece in zip(group_codes[starts].tolist(), pieces):
+            parts[code].append(piece)
 
-    if not grouped:
+    if not codes:
         raise SchemaError("empty dataset")
-    return {label: SurvivalSample(*columns) for label, columns in grouped.items()}
+    return {label: SurvivalSample(*map(np.concatenate, zip(*parts[code]))) for label, code in codes.items()}

@@ -14,14 +14,16 @@ replicate's draw.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .dataset import fields_equal, freeze_columns, read_csv
+from .dataset import fields_equal, freeze_columns, label_codes, read_csv, strip_labels
 from .errors import EstimationError, ParseError, SchemaError
 
 EXACT_WILCOXON_LIMIT = 25
@@ -238,45 +240,89 @@ class PairedSurvey:
     n_items: int
 
 
+def _survey_row(
+    row_number: int,
+    participant_text: str,
+    item_text: str,
+    pre_text: str,
+    post_text: str,
+    first_rows: dict[tuple[str, str], int],
+) -> tuple[str, int, int]:
+    """The row rules: a survey row's participant id, pre and post outcomes,
+    or the ParseError of its first fault.
+
+    ``first_rows`` maps each (participant, item) pair given so far to its
+    row number; the row's pair is added to it.
+    """
+    participant = participant_text.strip()
+    if not participant:
+        raise ParseError(row_number, "participant id is empty")
+    item = item_text.strip()
+    if not item:
+        raise ParseError(row_number, "item label is empty")
+    key = (participant, item)
+    first = first_rows.setdefault(key, row_number)
+    if first != row_number:
+        raise ParseError(row_number, f"duplicate (participant, item) {key!r}, first given on row {first}")
+    outcomes = []
+    for col, text_value in (("pre", pre_text.strip()), ("post", post_text.strip())):
+        if text_value not in ("0", "1"):
+            raise ParseError(row_number, f"{col} must be 0 or 1, got {text_value!r}")
+        outcomes.append(int(text_value))
+    return participant, *outcomes
+
+
+_OUTCOMES = {"0": 0, "1": 1}
+
+
 def load_paired_survey(source: str | bytes | os.PathLike) -> PairedSurvey:
     """Parse a `participant,item,pre,post` CSV path or bytes of paired binary outcomes.
 
     Each (participant, item) pair may appear once; a repeat is a row error.
     """
-    header, rows = read_csv(source)
+    header, chunks = read_csv(source)
     expected = ["participant", "item", "pre", "post"]
     if sorted(header) != sorted(expected):
         raise SchemaError(f"expected columns {','.join(expected)}, got {', '.join(map(repr, header))}")
-    idx = {name: header.index(name) for name in expected}
+    getters = [operator.itemgetter(header.index(name)) for name in expected]
 
-    participants: list[str] = []
-    outcomes: list[int] = []  # pre, post of each row in turn
+    label_of_text: dict[str, str] = {}
+    code_of: dict[str, int] = {}  # participant id -> code, in order of first row
     first_rows: dict[tuple[str, str], int] = {}  # (participant, item) -> row number
-    for row_number, row in rows:
-        participant = row[idx["participant"]].strip()
-        if not participant:
-            raise ParseError(row_number, "participant id is empty")
-        item = row[idx["item"]].strip()
-        if not item:
-            raise ParseError(row_number, "item label is empty")
-        key = (participant, item)
-        first = first_rows.setdefault(key, row_number)
-        if first != row_number:
-            raise ParseError(row_number, f"duplicate (participant, item) {key!r}, first given on row {first}")
-        for col in ("pre", "post"):
-            text_value = row[idx[col]].strip()
-            if text_value not in ("0", "1"):
-                raise ParseError(row_number, f"{col} must be 0 or 1, got {text_value!r}")
-            outcomes.append(int(text_value))
-        participants.append(participant)
-    if not participants:
+    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # per chunk: participant codes, pre, post
+    for row_numbers, rows in chunks:
+        participant_texts, item_texts, pre_texts, post_texts = (list(map(get, rows)) for get in getters)
+        participants = strip_labels(participant_texts, label_of_text)
+        items = None if participants is None else strip_labels(item_texts, label_of_text)
+        keys = None if items is None else list(zip(participants, items))
+        if (
+            keys is not None
+            and len(dict.fromkeys(keys)) == len(keys)
+            and first_rows.keys().isdisjoint(keys)
+            and _OUTCOMES.keys() >= {*pre_texts, *post_texts}
+        ):
+            first_rows.update(zip(keys, row_numbers))
+            pre = np.fromiter(map(_OUTCOMES.__getitem__, pre_texts), np.int8, len(rows))
+            post = np.fromiter(map(_OUTCOMES.__getitem__, post_texts), np.int8, len(rows))
+        else:
+            # A check failed: the row rules raise the chunk's first error, or
+            # on a false alarm give the same values.
+            participants, pre, post = zip(*map(
+                _survey_row, row_numbers, participant_texts, item_texts, pre_texts, post_texts,
+                itertools.repeat(first_rows),
+            ))
+            pre, post = np.array(pre, dtype=np.int8), np.array(post, dtype=np.int8)
+        parts.append((label_codes(participants, code_of), pre, post))
+    if not code_of:
         raise SchemaError("empty dataset")
 
     # Item sums are exact integers, so each mean is one correctly rounded quotient.
-    ids = tuple(sorted(set(participants)))
+    ids = tuple(sorted(code_of))
     index = {p: k for k, p in enumerate(ids)}
-    who = np.fromiter(map(index.__getitem__, participants), dtype=np.intp, count=len(participants))
-    pre, post = np.array(outcomes, dtype=float).reshape(-1, 2).T
+    position = np.fromiter(map(index.__getitem__, code_of), np.intp, len(ids))  # code -> index in ids
+    codes, pre, post = (np.concatenate(column) for column in zip(*parts))
+    who = position[codes]
+    pre, post = pre.astype(float), post.astype(float)
     n_answered = np.bincount(who)
     return PairedSurvey(
         pre=ScoreVector(ids=ids, scores=np.bincount(who, weights=pre) / n_answered),
@@ -286,5 +332,5 @@ def load_paired_survey(source: str | bytes | os.PathLike) -> PairedSurvey:
             c=int(np.count_nonzero(pre < post)),
             n_concordant=int(np.count_nonzero(pre == post)),
         ),
-        n_items=len(participants),
+        n_items=who.size,
     )

@@ -1,11 +1,17 @@
+import csv
+import io
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import dataset_reference as reference
 
 from survmrl import (
     ParseError,
     SchemaError,
     SurvivalSample,
+    dataset,
     load_dataset,
 )
 
@@ -78,6 +84,31 @@ def test_rows_the_csv_module_cannot_split_are_errors():
         load_dataset(b"time,status,group\n1,1,A\n2,0," + huge + b"\n")
     with pytest.raises(SchemaError, match="malformed CSV header"):
         load_dataset(b"time,status," + huge + b"\n1,1,A\n")
+
+
+@pytest.mark.parametrize("later_row", [b"2,0," + b"x" * 200_000, b"2,0", b"2,0,A,extra"])
+def test_a_bad_value_before_a_split_error_wins(later_row):
+    # the rows before the split error reach the loader first, from the same chunk
+    with pytest.raises(ParseError) as info:
+        load_dataset(b"time,status,group\n1,1,A\nx,1,A\n3,0,A\n" + later_row + b"\n")
+    assert str(info.value) == "row 2: time is not numeric: 'x'"
+
+
+@pytest.mark.parametrize(
+    "bad_row, message",
+    [
+        (b"x,1,A", "row 9000: time is not numeric: 'x'"),
+        (b"1,2,A", "row 9000: status must be 0 or 1, got '2'"),
+        (b"1,1, ", "row 9000: group label is empty"),
+        (b"1,1", "row 9000: expected 3 fields, got 2"),
+    ],
+)
+def test_row_errors_past_the_first_chunks(bad_row, message):
+    rows = [b"%d,%d,%s" % (k, k % 2, b"AB"[k % 2 : k % 2 + 1]) for k in range(1, 10_001)]
+    rows[8999] = bad_row
+    with pytest.raises(ParseError) as info:
+        load_dataset(b"time,status,group\n" + b"\n".join(rows) + b"\n")
+    assert str(info.value) == message
 
 
 def test_group_column_optional_defaults_to_all():
@@ -206,3 +237,72 @@ def test_samples_sorted_with_events_first_at_ties(data):
                 assert s_a >= s_b
         assert sample.max_time == pairs[-1][0]
 
+
+
+# Row values the loader reads as they are, values it reads after stripping
+# (float() itself rejects the \x1c-\x1f and non-ASCII padding), and values
+# that are row errors.
+GOOD_TIMES = ["0", "1", "2.5", "0.0001", "1e3", "+2", ".5", "-0", "7", "12.25", "1e-400"]
+PADDED_TIMES = [" 3 ", "\x1c4\x1f", "\t5", "5\u2003", "\xa06"]
+BAD_TIMES = ["inf", "nan", "-inf", "1e400", "-1", "1_5", "１５", "٣", "", "x", "1 5"]
+GOOD_STATUSES = ["0", "1"]
+PADDED_STATUSES = [" 1", "1.0", "0.0", "\x1d0", "-0", "1e0", "0\u2003"]
+BAD_STATUSES = ["2", "0.5", "nan", "1_0", "١", "", "inf", "x"]
+GOOD_GROUPS = ["A", "B", "grp_1", "組", "a,b", 'q"t', "line\nbreak", "C\r\nD"]
+PADDED_GROUPS = [" A", "A ", "\x1eB", "\tB\u2003"]
+BAD_GROUPS = ["", " ", "\x1f"]
+HEADERS = [["time", "status", "group"]] * 6 + [["status", "group", "time"], ["time", "status"]]
+FIELD_LIMIT = 40  # csv.field_size_limit during the test, so a split error costs a short field
+LINE_ENDS = ["\n", "\r\n", "\r"]
+
+
+@st.composite
+def survival_csvs(draw) -> bytes:
+    """A header, then rows with mixed line ends, the odd blank line and
+    quoted multi-line labels. One input in six has padded values, one in
+    six bad values, one in six a row of the wrong width, one in six a
+    field too long for the csv module (after a bad value, at times)."""
+    header = draw(st.sampled_from(HEADERS))
+    flaw = draw(st.sampled_from(["none", "none", "padded", "value", "width", "split"]))
+    padded, bad = flaw == "padded", flaw in ("value", "split")
+    fields = {
+        "time": st.sampled_from(GOOD_TIMES * 4 + PADDED_TIMES * 4 * padded + BAD_TIMES * bad),
+        "status": st.sampled_from(GOOD_STATUSES * 12 + PADDED_STATUSES * 2 * padded + BAD_STATUSES * bad),
+        "group": st.sampled_from(GOOD_GROUPS * 3 + PADDED_GROUPS * 3 * padded + BAD_GROUPS * bad),
+    }
+    rows = draw(st.lists(st.tuples(*(fields[name] for name in header)).map(list), min_size=1, max_size=30))
+    if rows and flaw == "width":
+        row = draw(st.sampled_from(rows))
+        row[:] = row[: draw(st.integers(0, len(row) - 1))] if draw(st.booleans()) else row + ["1"]
+    if rows and flaw == "split":
+        draw(st.sampled_from(rows))[-1] = "y" * (FIELD_LIMIT + 1)
+    out = io.StringIO()
+    out.write(",".join(header) + draw(st.sampled_from(LINE_ENDS)))
+    for row in rows:
+        csv.writer(out, lineterminator=draw(st.sampled_from(LINE_ENDS))).writerow(row)
+        if draw(st.integers(0, 10)) == 0:
+            out.write(draw(st.sampled_from(LINE_ENDS)))
+    return out.getvalue().encode("utf-8")
+
+
+def _loaded(load, text):
+    try:
+        samples = load(text)
+    except Exception as exc:  # both loaders must fail alike
+        return type(exc), str(exc)
+    return [(label, s.times.dtype, s.times.tobytes(), s.statuses.dtype, s.statuses.tobytes())
+            for label, s in samples.items()]
+
+
+@settings(
+    max_examples=400, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(text=survival_csvs(), chunk_rows=st.sampled_from([1, 2, 3, 5]))
+def test_loader_matches_the_per_row_reference(monkeypatch, text, chunk_rows):
+    # chunks of a few rows, so the drawn rows cross chunk boundaries
+    monkeypatch.setattr(dataset, "_CHUNK_ROWS", chunk_rows)
+    limit = csv.field_size_limit(FIELD_LIMIT)
+    try:
+        assert _loaded(load_dataset, text) == _loaded(reference.load_dataset, text)
+    finally:
+        csv.field_size_limit(limit)

@@ -5,13 +5,14 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from scipy import stats as scipy_stats
 
 import studystats_reference as reference
 
 from survmrl import (
     EstimationError,
+    dataset,
     PairedBinary,
     ScoreVector,
     bootstrap_proportion_ci,
@@ -338,6 +339,7 @@ class TestLoadPairedSurvey:
 IDS = ["p1", "p1\x00", "P1", " p1", "p1 ", "p2", "p10", "é", "e\u0301", "参加者", "\x00", "a,b", 'q"t']
 ITEMS = ["i1", "i2", "i3", "I1", " i1", "i1\x00"]
 BAD_OUTCOMES = ["2", "", " 1", "1.0", "x"]
+PADDED_OUTCOMES = [" 1", "0 ", "\t1", "\x1c0"]  # the loader strips these
 HEADERS = ["participant,item,pre,post"] * 8 + ["post,pre,item,participant", "who,item,pre,post"]
 
 
@@ -347,9 +349,9 @@ def survey_csvs(draw) -> bytes:
     participant and the odd blank line, in drawn order. One survey in
     six repeats a pair (also as a case or padding variant that the
     loader's strip makes equal), one in six has an empty or blank item
-    label, one in six holds bad 0/1 tokens."""
+    label, one in six holds bad 0/1 tokens, one in six padded ones."""
     header = draw(st.sampled_from(HEADERS))
-    flaw = draw(st.sampled_from(["none", "none", "none", "repeat", "empty", "token"]))
+    flaw = draw(st.sampled_from(["none", "none", "repeat", "empty", "token", "padded"]))
     pair = st.tuples(st.sampled_from(IDS), st.sampled_from(ITEMS))
     keys = draw(st.lists(pair, max_size=40, unique_by=lambda k: (k[0].strip(), k[1].strip())))
     if keys and flaw == "repeat":
@@ -357,7 +359,9 @@ def survey_csvs(draw) -> bytes:
         keys.insert(draw(st.integers(0, len(keys))), (draw(st.sampled_from([participant, f" {participant}"])), item))
     if flaw == "empty":
         keys.insert(draw(st.integers(0, len(keys))), (draw(st.sampled_from(IDS)), draw(st.sampled_from(["", " ", "\t"]))))
-    outcome = st.sampled_from(["0", "1"] * 8 + (BAD_OUTCOMES if flaw == "token" else []))
+    outcome = st.sampled_from(
+        ["0", "1"] * 8 + BAD_OUTCOMES * (flaw == "token") + PADDED_OUTCOMES * (flaw == "padded")
+    )
     out = io.StringIO()
     out.write(header + "\n")
     writer = csv.writer(out, lineterminator="\n")
@@ -372,9 +376,13 @@ def _bits(values) -> bytes:
     return np.asarray(values, dtype=np.float64).tobytes()
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(survey_csvs())
-def test_survey_loader_matches_the_reference(text):
+@settings(
+    max_examples=300, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(text=survey_csvs(), chunk_rows=st.sampled_from([1, 2, 3, 5]))
+def test_survey_loader_matches_the_reference(monkeypatch, text, chunk_rows):
+    # chunks of a few rows, so the drawn rows cross chunk boundaries
+    monkeypatch.setattr(dataset, "_CHUNK_ROWS", chunk_rows)
     try:
         expected = reference.load_paired_survey(text)
     except Exception as exc:
