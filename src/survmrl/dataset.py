@@ -255,10 +255,11 @@ def load_dataset(source: str | bytes | os.PathLike) -> dict[str, SurvivalSample]
             # on a false alarm give the same values.
             times, statuses, labels = zip(*map(_survival_row, row_numbers, time_texts, status_texts, group_texts))
             columns = np.array(times), np.array(statuses, dtype=np.int8)
+        times, statuses = columns
         group_codes = label_codes(labels, codes)
         parts += [[] for _ in range(len(codes) - len(parts))]
         order = np.argsort(group_codes, kind="stable")
-        group_codes, times, statuses = group_codes[order], columns[0][order], columns[1][order]
+        group_codes, times, statuses = group_codes[order], times[order], statuses[order]
         starts = np.flatnonzero(np.diff(group_codes, prepend=-1))
         pieces = zip(np.split(times, starts[1:]), np.split(statuses, starts[1:]))
         for code, piece in zip(group_codes[starts].tolist(), pieces):
