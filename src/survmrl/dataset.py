@@ -86,15 +86,21 @@ class SurvivalSample:
         return float(self.times[-1])
 
 
-def _decode(source: str | bytes | os.PathLike) -> str:
-    """The UTF-8 text of ``source``: raw bytes, or the bytes of the file at a path."""
+def _text_stream(source: str | bytes | os.PathLike) -> io.TextIOWrapper:
+    """The UTF-8 text of ``source`` as a stream: raw bytes, or the bytes of the file at a path.
+
+    The whole input is checked first, so invalid UTF-8 anywhere is an error
+    before any row is read. The stream decodes the bytes a block at a time,
+    so the text is never held whole.
+    """
     if not isinstance(source, bytes):
         with open(source, "rb") as fh:
             source = fh.read()
     try:
-        return source.decode("utf-8")
+        source.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"input is not valid UTF-8: {exc}") from None
+    return io.TextIOWrapper(io.BytesIO(source), encoding="utf-8", newline="")
 
 
 def read_csv(
@@ -111,9 +117,10 @@ def read_csv(
     cannot split (a ParseError), the rows before it are yielded first, so
     that a caller checking them raises their errors first. An input
     without a header is an empty dataset, a header the csv module cannot
-    split a SchemaError.
+    split a SchemaError. A caller that drops a chunk before asking for the
+    next holds one chunk of rows at a time.
     """
-    reader = csv.reader(io.StringIO(_decode(source), newline=""))
+    reader = csv.reader(_text_stream(source))
     try:
         header = next((row for row in reader if row), None)
     except csv.Error as exc:
@@ -124,7 +131,7 @@ def read_csv(
     width = len(header)
 
     def chunks():
-        lines: list[int] = []
+        numbers: list[int] = []
         rows: list[list[str]] = []
         error = None
         try:
@@ -134,15 +141,15 @@ def read_csv(
                         continue
                     error = ParseError(reader.line_num - header_line, f"expected {width} fields, got {len(row)}")
                     break
-                lines.append(reader.line_num)
+                numbers.append(reader.line_num - header_line)
                 rows.append(row)
                 if len(rows) == _CHUNK_ROWS:
-                    yield [line - header_line for line in lines], rows
-                    lines, rows = [], []
+                    yield numbers, rows
+                    numbers, rows = [], []
         except csv.Error as exc:
             error = ParseError(reader.line_num - header_line, f"malformed CSV: {exc}")
         if rows:
-            yield [line - header_line for line in lines], rows
+            yield numbers, rows
         if error is not None:
             raise error
 
@@ -241,21 +248,27 @@ def load_dataset(source: str | bytes | os.PathLike) -> dict[str, SurvivalSample]
     status_of = operator.itemgetter(header.index("status"))
     group_of = operator.itemgetter(header.index("group")) if "group" in header else None
 
-    codes: dict[str, int] = {}  # group label -> code, in order of first row
     label_of_text: dict[str, str] = {}
-    parts: list[list[tuple[np.ndarray, np.ndarray]]] = []  # per code: (times, statuses) pieces in row order
-    for row_numbers, rows in chunks:
+
+    def columns(chunk: tuple[list[int], list[list[str]]]) -> tuple[np.ndarray, np.ndarray, Sequence[str]]:
+        """A chunk's times, statuses (int8) and group labels."""
+        row_numbers, rows = chunk
         time_texts = list(map(time_of, rows))
         status_texts = list(map(status_of, rows))
         group_texts = list(map(group_of, rows)) if group_of else [DEFAULT_GROUP] * len(rows)
-        columns = _survival_columns(time_texts, status_texts)
-        labels = None if columns is None else strip_labels(group_texts, label_of_text)
+        parsed = _survival_columns(time_texts, status_texts)
+        labels = None if parsed is None else strip_labels(group_texts, label_of_text)
         if labels is None:
             # A check failed: the row rules raise the chunk's first error, or
             # on a false alarm give the same values.
             times, statuses, labels = zip(*map(_survival_row, row_numbers, time_texts, status_texts, group_texts))
-            columns = np.array(times), np.array(statuses, dtype=np.int8)
-        times, statuses = columns
+            parsed = np.array(times), np.array(statuses, dtype=np.int8)
+        return parsed[0], parsed[1], labels
+
+    codes: dict[str, int] = {}  # group label -> code, in order of first row
+    parts: list[list[tuple[np.ndarray, np.ndarray]]] = []  # per code: (times, statuses) pieces in row order
+    # map() drops each chunk of rows before the next is read.
+    for times, statuses, labels in map(columns, chunks):
         group_codes = label_codes(labels, codes)
         parts += [[] for _ in range(len(codes) - len(parts))]
         order = np.argsort(group_codes, kind="stable")

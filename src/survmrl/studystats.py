@@ -287,10 +287,11 @@ def load_paired_survey(source: str | bytes | os.PathLike) -> PairedSurvey:
     getters = [operator.itemgetter(header.index(name)) for name in expected]
 
     label_of_text: dict[str, str] = {}
-    code_of: dict[str, int] = {}  # participant id -> code, in order of first row
     first_rows: dict[tuple[str, str], int] = {}  # (participant, item) -> row number
-    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # per chunk: participant codes, pre, post
-    for row_numbers, rows in chunks:
+
+    def columns(chunk: tuple[list[int], list[list[str]]]) -> tuple[Sequence[str], np.ndarray, np.ndarray]:
+        """A chunk's participant ids and pre and post outcomes (int8); adds its pairs to ``first_rows``."""
+        row_numbers, rows = chunk
         participant_texts, item_texts, pre_texts, post_texts = (list(map(get, rows)) for get in getters)
         participants = strip_labels(participant_texts, label_of_text)
         items = None if participants is None else strip_labels(item_texts, label_of_text)
@@ -304,15 +305,18 @@ def load_paired_survey(source: str | bytes | os.PathLike) -> PairedSurvey:
             first_rows.update(zip(keys, row_numbers))
             pre = np.fromiter(map(_OUTCOMES.__getitem__, pre_texts), np.int8, len(rows))
             post = np.fromiter(map(_OUTCOMES.__getitem__, post_texts), np.int8, len(rows))
-        else:
-            # A check failed: the row rules raise the chunk's first error, or
-            # on a false alarm give the same values.
-            participants, pre, post = zip(*map(
-                _survey_row, row_numbers, participant_texts, item_texts, pre_texts, post_texts,
-                itertools.repeat(first_rows),
-            ))
-            pre, post = np.array(pre, dtype=np.int8), np.array(post, dtype=np.int8)
-        parts.append((label_codes(participants, code_of), pre, post))
+            return participants, pre, post
+        # A check failed: the row rules raise the chunk's first error, or on
+        # a false alarm give the same values.
+        participants, pre, post = zip(*map(
+            _survey_row, row_numbers, participant_texts, item_texts, pre_texts, post_texts,
+            itertools.repeat(first_rows),
+        ))
+        return participants, np.array(pre, dtype=np.int8), np.array(post, dtype=np.int8)
+
+    code_of: dict[str, int] = {}  # participant id -> code, in order of first row
+    # map() drops each chunk of rows before the next is read.
+    parts = [(label_codes(participants, code_of), pre, post) for participants, pre, post in map(columns, chunks)]
     if not code_of:
         raise SchemaError("empty dataset")
 

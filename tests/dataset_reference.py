@@ -1,7 +1,8 @@
 """The per-row CSV reader and survival loader as they were before the
 columnar decode, kept as a reference for ``survmrl.dataset``.
 
-``read_csv`` yields one numbered row at a time, and ``load_dataset``
+``read_csv`` decodes the whole input into one string, reads it through
+``io.StringIO`` and yields one numbered row at a time; ``load_dataset``
 parses, checks and appends each row's time and status to per-group
 lists before building the samples.
 """
@@ -12,8 +13,18 @@ import csv
 import io
 import math
 
-from survmrl.dataset import DEFAULT_GROUP, SurvivalSample, _decode
+from survmrl.dataset import DEFAULT_GROUP, SurvivalSample
 from survmrl.errors import ParseError, SchemaError
+
+
+def _decode(source) -> str:
+    if not isinstance(source, bytes):
+        with open(source, "rb") as fh:
+            source = fh.read()
+    try:
+        return source.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"input is not valid UTF-8: {exc}") from None
 
 
 def read_csv(source):

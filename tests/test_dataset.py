@@ -111,6 +111,22 @@ def test_row_errors_past_the_first_chunks(bad_row, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("line_end", ["\r\n", "\r"])
+@pytest.mark.parametrize("pad", range(10))
+def test_line_ends_and_characters_across_decode_blocks(line_end, pad):
+    # rows of 8 or 9 bytes after a pad row put every byte of a row, of its
+    # 3-byte label and of its line end on the 8192-byte boundary of the
+    # text stream's decode blocks for some pad
+    rows = ["2,0,x" + "x" * pad] + ["1,1,組"] * 1000 + ["1,1,"]
+    text = line_end.join(["time,status,group", *rows, ""]).encode("utf-8")
+    with pytest.raises(ParseError) as info:
+        load_dataset(text)
+    assert str(info.value) == "row 1002: group label is empty"
+    samples = load_dataset(text[: -len(b"1,1," + line_end.encode())])
+    assert samples == reference.load_dataset(text[: -len(b"1,1," + line_end.encode())])
+    assert samples["組"].n == 1000
+
+
 def test_group_column_optional_defaults_to_all():
     samples = load_dataset(b"time,status\n1,1\n2,0\n")
     assert set(samples) == {"all"}
