@@ -358,7 +358,8 @@ def survey_csvs(draw) -> bytes:
         participant, item = draw(st.sampled_from(keys))
         keys.insert(draw(st.integers(0, len(keys))), (draw(st.sampled_from([participant, f" {participant}"])), item))
     if flaw == "empty":
-        keys.insert(draw(st.integers(0, len(keys))), (draw(st.sampled_from(IDS)), draw(st.sampled_from(["", " ", "\t"]))))
+        blank = draw(st.sampled_from(["", " ", "\t"]))
+        keys.insert(draw(st.integers(0, len(keys))), (draw(st.sampled_from(IDS)), blank))
     outcome = st.sampled_from(
         ["0", "1"] * 8 + BAD_OUTCOMES * (flaw == "token") + PADDED_OUTCOMES * (flaw == "padded")
     )
@@ -379,7 +380,7 @@ def _bits(values) -> bytes:
 @settings(
     max_examples=300, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
-@given(text=survey_csvs(), chunk_rows=st.sampled_from([1, 2, 3, 5]))
+@given(text=survey_csvs(), chunk_rows=st.sampled_from([1, 2, 3, 5, 64]))
 def test_survey_loader_matches_the_reference(monkeypatch, text, chunk_rows):
     # chunks of a few rows, so the drawn rows cross chunk boundaries
     monkeypatch.setattr(dataset, "_CHUNK_ROWS", chunk_rows)
