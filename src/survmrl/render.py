@@ -14,7 +14,6 @@ import io
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -68,11 +67,6 @@ class PlotSpec:
 
 
 _fmt = "{:.6g}".format  # one coordinate or tick value as written
-
-
-def _fmts(xs: np.ndarray) -> Iterator[str]:
-    """``_fmt`` of each element, made as it is consumed."""
-    return map(_fmt, xs.tolist())
 
 
 def _line(x1: str, y1: str, x2: str, y2: str, stroke: str, width: str, extra: str = "") -> str:
@@ -182,7 +176,7 @@ def render_plot_svg(spec: PlotSpec) -> bytes:
 
     def points(ts: np.ndarray, vs: np.ndarray) -> list[str]:
         shown = np.isfinite(vs)
-        return [f"{x},{y}" for x, y in zip(_fmts(px(ts[shown])), _fmts(py(vs[shown])))]
+        return list(map("{:.6g},{:.6g}".format, px(ts[shown]).tolist(), py(vs[shown]).tolist()))
 
     out = io.StringIO()
     out.write('<?xml version="1.0" encoding="UTF-8"?>\n')
@@ -229,15 +223,19 @@ def render_plot_svg(spec: PlotSpec) -> bytes:
         if series.step is not None:
             f = series.step
             d = [f"M{_fmt(px(0.0))},{_fmt(py(f.initial_value))}"]
-            d += [f"H{x} V{y}" for x, y in zip(_fmts(px(f.knots)), _fmts(py(f.values)))]
+            d += map("H{:.6g} V{:.6g}".format, px(f.knots).tolist(), py(f.values).tolist())
             d.append(f"H{_fmt(px(data_x_max))}")
             out.write(
                 f'<path d="{" ".join(d)}" fill="none" stroke="{color}" '
                 f'stroke-width="1.5"/>\n'
             )
-            y = py(step_eval(f, series.censor_times))
-            ticks = zip(_fmts(px(series.censor_times)), _fmts(y - 4), _fmts(y + 4))
-            out.writelines(_line(x, lo, x, hi, color, "1.2") for x, lo, hi in ticks)
+            # Each distinct tick once, in first-occurrence order: tied censor
+            # times, and distinct ones that land on one pixel, draw one line.
+            first = np.unique(series.censor_times, return_index=True)[1]
+            times = series.censor_times[np.sort(first)]
+            y = py(step_eval(f, times))
+            tick = _line("{0:.6g}", "{1:.6g}", "{0:.6g}", "{2:.6g}", color, "1.2").format
+            out.writelines(dict.fromkeys(map(tick, px(times).tolist(), (y - 4).tolist(), (y + 4).tolist())))
         else:
             line = points(series.grid, series.values)
             if line:

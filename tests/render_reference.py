@@ -5,8 +5,9 @@ It walks every point through the ``px``/``py`` closures and finds each
 censor tick's height with a ``bisect``, on a tuple view of the spec:
 ``as_tuples`` copies a ``PlotSpec`` into plain objects whose columns are
 tuples of Python floats, as the curve classes held them. Its y range
-has the renderer's later fix: without a reference line the top is at
-least 0, so an all-negative series stays inside the frame.
+has the renderer's later fixes: without a reference line the top is at
+least 0, so an all-negative series stays inside the frame, and a series
+writes each distinct censor tick once, where it first occurs.
 """
 
 from __future__ import annotations
@@ -235,13 +236,17 @@ def render_plot_svg(spec) -> bytes:
                 f'<path d="{" ".join(d)}" fill="none" stroke="{color}" '
                 f'stroke-width="1.5"/>\n'
             )
+            drawn = set()  # a tick already written in this series is not written again
             for t in series.censor_times:
                 y = py(step_eval(f, t))
-                out.write(
+                tick = (
                     f'<line x1="{_fmt(px(t))}" y1="{_fmt(y - 4)}" '
                     f'x2="{_fmt(px(t))}" y2="{_fmt(y + 4)}" '
                     f'stroke="{color}" stroke-width="1.2"/>\n'
                 )
+                if tick not in drawn:
+                    drawn.add(tick)
+                    out.write(tick)
         else:
             points = [
                 f"{_fmt(px(t))},{_fmt(py(v))}"

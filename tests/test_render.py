@@ -4,6 +4,7 @@ import io
 import math
 import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +25,10 @@ from survmrl import (
     permutation_envelope,
     survival_difference,
 )
-from survmrl.render import _MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP, _MARGIN_BOTTOM
+from survmrl.cli import run_cli
+from survmrl.render import PALETTE, _MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP, _MARGIN_BOTTOM
+
+TAIL_TIES = Path(__file__).resolve().parent.parent / "sample_data" / "tail_ties.csv"
 
 
 def make_sample(pairs):
@@ -182,6 +186,49 @@ class TestRenderSvg:
         root = ET.fromstring(render_plot_svg(spec))
         ticks = [node.text for node in root.iter() if node.tag.endswith("text") and node.get("text-anchor") == "end"]
         assert ticks == ["-4.94066e-324"]
+
+
+def censor_ticks(svg: bytes) -> list[ET.Element]:
+    """The censor-tick ``<line>`` elements, in document order."""
+    return [node for node in ET.fromstring(svg).iter() if node.tag.endswith("line") and node.get("stroke-width") == "1.2"]
+
+
+def step_spec(*censor_lists):
+    """One series per list of censor times, all on the same step function."""
+    step = StepFunction([1.0, 6.0], [0.8, 0.4], 1.0)
+    series = tuple(PlotSeries(f"g{k}", step=step, censor_times=times) for k, times in enumerate(censor_lists))
+    return PlotSpec("km", "t", "S", series)
+
+
+class TestDistinctCensorTicks:
+    def test_tied_censor_times_draw_one_tick_each(self):
+        ticks = censor_ticks(render_plot_svg(step_spec([2.0, 2.0, 2.0, 7.0, 7.0])))
+        assert len(ticks) == 2
+
+    def test_times_on_one_pixel_draw_one_tick(self):
+        # 1e-9 apart on a 7.35-wide axis: the same x to 6 significant digits, on one step
+        svg = render_plot_svg(step_spec([3.0, 3.0 + 1e-9]))
+        assert len(censor_ticks(svg)) == 1
+
+    def test_same_times_in_two_series_draw_in_each_colour(self):
+        ticks = censor_ticks(render_plot_svg(step_spec([2.0, 2.0, 7.0], [7.0, 2.0])))
+        colours = [node.get("stroke") for node in ticks]
+        assert colours == [PALETTE[0]] * 2 + [PALETTE[1]] * 2
+
+    def test_ticks_keep_first_occurrence_order(self):
+        times = [4.0, 2.0, 4.0, 3.0, 2.0]
+        ticks = censor_ticks(render_plot_svg(step_spec(times)))
+        xs = [float(node.get("x1")) for node in ticks]
+        assert len(xs) == 3 and xs[0] > xs[2] > xs[1]
+
+    def test_tail_ties_km_svg_repeats_no_line(self, tmp_path):
+        times = np.loadtxt(TAIL_TIES, delimiter=",", skiprows=1, usecols=(0, 1))
+        censored = times[times[:, 1] == 0, 0]
+        assert np.unique(censored).size < censored.size  # the input does tie censor times
+        out = tmp_path / "km.svg"
+        assert run_cli(["km", "--input", str(TAIL_TIES), "--out", str(out)]) == 0
+        lines = [line for line in out.read_text().splitlines() if line.startswith("<line")]
+        assert len(lines) == len(set(lines))
 
 
 class TestExportCsv:
