@@ -271,6 +271,10 @@ def _comparison_spec(title, y_label, groups, curve, reference, envelope=None) ->
 def _run_km(args: argparse.Namespace, outputs: _StagedOutputs) -> str:
     samples, groups = _load(args, exactly_two=False)
     curves = {g: km_fit(samples[g]) for g in groups}
+    if args.out_csv:
+        for g in groups:
+            if not curves[g].event_times.size:
+                raise SurvmrlError(f"group {g!r} has no events, so its Kaplan-Meier CSV has no rows")
     series = tuple(
         render.PlotSeries(
             label=g,

@@ -111,6 +111,17 @@ class TestExitCodes:
         assert code == 1
         assert "empty dataset" in capsys.readouterr().err
 
+    def test_km_csv_of_group_without_events_names_the_group(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("time,status,group\n1,0,A\n2,0,A\n3,1,B\n4,0,B\n")
+        out = tmp_path / "km.csv"
+        code = run_cli(["km", "--input", str(data), "--out", str(tmp_path / "km.svg"), "--out-csv", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "group 'A' has no events, so its Kaplan-Meier CSV has no rows\n"
+        assert sorted(tmp_path.iterdir()) == [data]
+
     def test_non_utf8_survey_is_one_line_data_error(self, tmp_path, capsys):
         survey = tmp_path / "latin1.csv"
         survey.write_bytes("participant,item,pre,post\nJosé,i1,1,0\n".encode("latin-1"))
