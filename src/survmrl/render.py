@@ -4,8 +4,8 @@ Output bytes are a pure function of the inputs: coordinates are written
 with fixed 6-significant-digit formatting, colors come from a fixed
 palette, and nothing (timestamps, ids) varies between runs. Step curves
 are drawn as horizontal-then-vertical segments so right-continuity is
-visible; censor marks are short vertical ticks on the curve; envelopes
-are a shaded polygon behind the series.
+visible; censor marks are short vertical ticks on the curve, each
+distinct tick drawn once; envelopes are a shaded polygon behind the series.
 """
 
 from __future__ import annotations
