@@ -26,7 +26,7 @@ from pathlib import Path
 
 from . import compare, mrl, render, studystats
 from .dataset import SurvivalSample, load_dataset
-from .errors import SurvmrlError
+from .errors import EstimationError, SurvmrlError
 from .km import km_fit
 
 _BANNER = "survmrl"
@@ -188,13 +188,19 @@ def _threshold_summary(args: argparse.Namespace) -> str:
 
 
 def _fit_mrls(args, samples, groups, grid=None) -> dict[str, mrl.MrlCurve]:
-    """Hybrid MRL per group, in ``groups`` order."""
+    """Hybrid MRL per group, in ``groups`` order; a failed fit names its group."""
     config = mrl.ThresholdConfig(
         quantile=args.threshold_quantile,
         explicit_value=args.threshold,
         min_exceedances=args.min_exceedances,
     )
-    return {g: mrl.fit_hybrid_mrl(samples[g], config, grid=grid) for g in groups}
+    curves = {}
+    for g in groups:
+        try:
+            curves[g] = mrl.fit_hybrid_mrl(samples[g], config, grid=grid)
+        except EstimationError as exc:
+            raise EstimationError(f"group {g!r}: {exc}") from None
+    return curves
 
 
 class _StagedOutputs:

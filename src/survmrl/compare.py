@@ -64,12 +64,17 @@ class Envelope:
         freeze_columns(self, grid=float, lower=float, upper=float, defined_counts=np.int64)
 
 
-def _grid(curve_a: KmCurve, curve_b: KmCurve, grid) -> np.ndarray:
-    """``grid`` sorted, or both curves' event times up to the shorter follow-up."""
+def _grid(grid, curve_a: KmCurve | None = None, curve_b: KmCurve | None = None) -> np.ndarray:
+    """``grid`` sorted, or both curves' event times up to the shorter
+    follow-up; an empty window is an error for every comparison."""
     if grid is not None:
-        return sorted_grid(grid)
-    merged = np.union1d(curve_a.event_times, curve_b.event_times)
-    return merged[merged <= min(_follow_up(curve_a), _follow_up(curve_b))]
+        grid_arr = sorted_grid(grid)
+    else:
+        merged = np.union1d(curve_a.event_times, curve_b.event_times)
+        grid_arr = merged[merged <= min(_follow_up(curve_a), _follow_up(curve_b))]
+    if grid_arr.size == 0:
+        raise EstimationError("no common follow-up window")
+    return grid_arr
 
 
 def _follow_up(curve: KmCurve) -> float:
@@ -82,9 +87,7 @@ def survival_difference(
     grid: tuple[float, ...] | list[float] | None = None,
 ) -> ComparisonCurve:
     """Pointwise S_A - S_B on the union of event times within the common window."""
-    grid_arr = _grid(curve_a, curve_b, grid)
-    if grid_arr.size == 0:
-        raise EstimationError("no common follow-up window")
+    grid_arr = _grid(grid, curve_a, curve_b)
     values = step_eval(curve_a.survival, grid_arr) - step_eval(curve_b.survival, grid_arr)
     return ComparisonCurve(grid=grid_arr, values=values)
 
@@ -95,7 +98,7 @@ def survival_ratio(
     grid: tuple[float, ...] | list[float] | None = None,
 ) -> ComparisonCurve:
     """Pointwise S_A / S_B, restricted to times where S_B is positive."""
-    grid_arr = _grid(curve_a, curve_b, grid)
+    grid_arr = _grid(grid, curve_a, curve_b)
     s_b = step_eval(curve_b.survival, grid_arr)
     keep = s_b > 0.0
     grid_arr = grid_arr[keep]
@@ -226,9 +229,7 @@ def permutation_envelope(
         base = survival_difference if kind == "surv_diff" else survival_ratio
         grid_arr = base(km_fit(sample_a), km_fit(sample_b)).grid
     else:
-        grid_arr = sorted_grid(grid)
-    if grid_arr.size == 0:
-        raise EstimationError("no common follow-up window")
+        grid_arr = _grid(grid)
 
     pool = _pool(sample_a, sample_b, grid_arr)
     replicates = np.empty((n_permutations, grid_arr.size))

@@ -81,10 +81,6 @@ class SurvivalSample:
     def n(self) -> int:
         return self.times.size
 
-    @property
-    def max_time(self) -> float:
-        return float(self.times[-1])
-
 
 def _text_stream(source: str | bytes | os.PathLike) -> io.TextIOWrapper:
     """The UTF-8 text of ``source`` as a stream: raw bytes, or the bytes of the file at a path.

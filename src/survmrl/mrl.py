@@ -93,12 +93,6 @@ def select_threshold(sample: SurvivalSample, config: ThresholdConfig) -> float:
     return u
 
 
-def tail_exceedances(sample: SurvivalSample, u: float) -> tuple[np.ndarray, np.ndarray]:
-    """Excesses above u and their censoring flags (censored ones enter the fit too)."""
-    above = sample.times > u
-    return sample.times[above] - u, sample.statuses[above]
-
-
 def _components(survival: StepFunction, t: np.ndarray, u: float, tail_mean: float):
     """KM and tail parts of the hybrid MRL at every point of ``t``."""
     s_t = step_eval(survival, t)
@@ -123,7 +117,8 @@ def fit_hybrid_mrl(
     curve is not extrapolated past u) and always closed with u.
     """
     u = select_threshold(sample, config)
-    gpd = fit_gpd(*tail_exceedances(sample, u), threshold=u)
+    above = sample.times > u  # censored excesses enter the fit too
+    gpd = fit_gpd(sample.times[above] - u, sample.statuses[above], threshold=u)
     tail_mean = gpd_mrl_at_threshold(gpd)
     curve = km_fit(sample)
 

@@ -56,17 +56,28 @@ class PlotSpec:
     x_label: str
     y_label: str
     series: tuple[PlotSeries, ...]
-    width: int = 720
-    height: int = 480
     envelope: Envelope | None = None
     reference_line: float | None = None
 
-    def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("width and height must be positive")
-
 
 _fmt = "{:.6g}".format  # one coordinate or tick value as written
+
+# Every plot is drawn on one 720x480 canvas, so its size, the document's
+# opening and the plot frame are fixed text.
+_WIDTH, _HEIGHT = 720, 480
+_PLOT_W = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+_PLOT_H = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
+_PROLOGUE = (
+    '<?xml version="1.0" encoding="UTF-8"?>\n'
+    f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{_WIDTH}" height="{_HEIGHT}" '
+    f'viewBox="0 0 {_WIDTH} {_HEIGHT}">\n'
+    f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>\n'
+)
+_FRAME = (
+    f'<rect x="{_fmt(_MARGIN_LEFT)}" y="{_fmt(_MARGIN_TOP)}" width="{_fmt(_PLOT_W)}" height="{_fmt(_PLOT_H)}" '
+    'fill="none" stroke="black" stroke-width="1"/>\n'
+)
+_TICK_TARGET = 6  # about this many ticks per axis
 
 
 def _line(x1: str, y1: str, x2: str, y2: str, stroke: str, width: str, extra: str = "") -> str:
@@ -95,8 +106,8 @@ def _text(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    raw = (hi - lo) / target
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    raw = (hi - lo) / _TICK_TARGET
     if raw <= 0:  # an empty range, or one so narrow that the division underflows
         return [lo]
     power = math.floor(math.log10(raw))
@@ -164,28 +175,19 @@ def render_plot_svg(spec: PlotSpec) -> bytes:
     if not math.isfinite(y_hi - y_lo):
         raise SurvmrlError(f"cannot plot: y range {y_lo!r} to {y_hi!r} is too wide for the y axis")
 
-    plot_w = spec.width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = spec.height - _MARGIN_TOP - _MARGIN_BOTTOM
-
     # Floats or arrays: an element gets the IEEE operations a float would.
     def px(x):
-        return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
+        return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * _PLOT_W
 
     def py(y):
-        return _MARGIN_TOP + (y_hi - y) / (y_hi - y_lo) * plot_h
+        return _MARGIN_TOP + (y_hi - y) / (y_hi - y_lo) * _PLOT_H
 
     def points(ts: np.ndarray, vs: np.ndarray) -> list[str]:
         shown = np.isfinite(vs)
         return list(map("{:.6g},{:.6g}".format, px(ts[shown]).tolist(), py(vs[shown]).tolist()))
 
     out = io.StringIO()
-    out.write('<?xml version="1.0" encoding="UTF-8"?>\n')
-    out.write(
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{spec.width}" height="{spec.height}" '
-        f'viewBox="0 0 {spec.width} {spec.height}">\n'
-    )
-    out.write(f'<rect width="{spec.width}" height="{spec.height}" fill="white"/>\n')
+    out.write(_PROLOGUE)
 
     # Envelope band behind everything else.
     if spec.envelope is not None:
@@ -198,12 +200,8 @@ def render_plot_svg(spec: PlotSpec) -> bytes:
             )
 
     # Frame and ticks.
-    out.write(
-        f'<rect x="{_fmt(_MARGIN_LEFT)}" y="{_fmt(_MARGIN_TOP)}" '
-        f'width="{_fmt(plot_w)}" height="{_fmt(plot_h)}" '
-        f'fill="none" stroke="black" stroke-width="1"/>\n'
-    )
-    bottom = _MARGIN_TOP + plot_h
+    out.write(_FRAME)
+    bottom = _MARGIN_TOP + _PLOT_H
     for t in _nice_ticks(x_lo, x_hi):
         x = px(t)
         out.write(_line(_fmt(x), _fmt(bottom), _fmt(x), _fmt(bottom + 5), "black", "1"))
@@ -216,7 +214,7 @@ def render_plot_svg(spec: PlotSpec) -> bytes:
     if spec.reference_line is not None and y_lo <= spec.reference_line <= y_hi:
         y = _fmt(py(spec.reference_line))
         dash = ' stroke-dasharray="5,4"'
-        out.write(_line(_fmt(_MARGIN_LEFT), y, _fmt(_MARGIN_LEFT + plot_w), y, "#555555", "1", dash))
+        out.write(_line(_fmt(_MARGIN_LEFT), y, _fmt(_MARGIN_LEFT + _PLOT_W), y, "#555555", "1", dash))
 
     for index, series in enumerate(spec.series):
         color = PALETTE[index % len(PALETTE)]
@@ -244,14 +242,14 @@ def render_plot_svg(spec: PlotSpec) -> bytes:
                     f'stroke="{color}" stroke-width="1.5"/>\n'
                 )
 
-    out.write(_label(_fmt(spec.width / 2), "20", 14, "middle", _text(spec.title)))
-    center_x, center_y = _fmt(_MARGIN_LEFT + plot_w / 2), _fmt(_MARGIN_TOP + plot_h / 2)
-    out.write(_label(center_x, _fmt(spec.height - 10), 12, "middle", _text(spec.x_label)))
+    out.write(_label(_fmt(_WIDTH / 2), "20", 14, "middle", _text(spec.title)))
+    center_x, center_y = _fmt(_MARGIN_LEFT + _PLOT_W / 2), _fmt(_MARGIN_TOP + _PLOT_H / 2)
+    out.write(_label(center_x, _fmt(_HEIGHT - 10), 12, "middle", _text(spec.x_label)))
     rotate = f' transform="rotate(-90 16 {center_y})"'
     out.write(_label("16", center_y, 12, "middle", _text(spec.y_label), rotate))
 
     if any(s.label for s in spec.series):
-        legend_x = _MARGIN_LEFT + plot_w - 150
+        legend_x = _MARGIN_LEFT + _PLOT_W - 150
         for index, series in enumerate(spec.series):
             y = _MARGIN_TOP + 14 + 16 * index
             color = PALETTE[index % len(PALETTE)]

@@ -7,7 +7,8 @@ censor tick's height with a ``bisect``, on a tuple view of the spec:
 tuples of Python floats, as the curve classes held them. Its y range
 has the renderer's later fixes: without a reference line the top is at
 least 0, so an all-negative series stays inside the frame, and a series
-writes each distinct censor tick once, where it first occurs.
+writes each distinct censor tick once, where it first occurs. Every plot
+is drawn on the renderer's fixed 720x480 canvas.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ def as_tuples(spec):
         envelope = SimpleNamespace(grid=_floats(e.grid), lower=_floats(e.lower), upper=_floats(e.upper))
     return SimpleNamespace(
         title=spec.title, x_label=spec.x_label, y_label=spec.y_label,
-        series=tuple(series(s) for s in spec.series), width=spec.width, height=spec.height,
+        series=tuple(series(s) for s in spec.series),
         envelope=envelope, reference_line=spec.reference_line,
     )
 
@@ -65,6 +66,7 @@ _MARGIN_LEFT = 62.0
 _MARGIN_RIGHT = 18.0
 _MARGIN_TOP = 34.0
 _MARGIN_BOTTOM = 48.0
+_WIDTH, _HEIGHT = 720, 480  # the one canvas every plot uses
 
 
 def _fmt(x: float) -> str:
@@ -154,8 +156,8 @@ def render_plot_svg(spec) -> bytes:
     x_lo, x_hi = 0.0, (data_x_max if data_x_max > 0 else 1.0) * 1.05
     y_lo, y_hi = _y_bounds(spec)
 
-    plot_w = spec.width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = spec.height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def px(x: float) -> float:
         return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -167,10 +169,10 @@ def render_plot_svg(spec) -> bytes:
     out.write('<?xml version="1.0" encoding="UTF-8"?>\n')
     out.write(
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{spec.width}" height="{spec.height}" '
-        f'viewBox="0 0 {spec.width} {spec.height}">\n'
+        f'width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">\n'
     )
-    out.write(f'<rect width="{spec.width}" height="{spec.height}" fill="white"/>\n')
+    out.write(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>\n')
 
     # Envelope band behind everything else.
     if spec.envelope is not None:
@@ -260,11 +262,11 @@ def render_plot_svg(spec) -> bytes:
                 )
 
     out.write(
-        f'<text x="{_fmt(spec.width / 2)}" y="20" font-size="14" text-anchor="middle" '
+        f'<text x="{_fmt(_WIDTH / 2)}" y="20" font-size="14" text-anchor="middle" '
         f'font-family="sans-serif">{_text(spec.title)}</text>\n'
     )
     out.write(
-        f'<text x="{_fmt(_MARGIN_LEFT + plot_w / 2)}" y="{_fmt(spec.height - 10)}" '
+        f'<text x="{_fmt(_MARGIN_LEFT + plot_w / 2)}" y="{_fmt(_HEIGHT - 10)}" '
         f'font-size="12" text-anchor="middle" font-family="sans-serif">'
         f"{_text(spec.x_label)}</text>\n"
     )

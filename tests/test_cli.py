@@ -12,6 +12,10 @@ import survmrl
 from survmrl.cli import run_cli
 
 
+# Group A has no events and its follow-up ends at 2, before B's only event at 3.
+NO_COMMON_WINDOW_CSV = "time,status,group\n1,0,A\n2,0,A\n3,1,B\n4,0,B\n"
+
+
 @pytest.fixture()
 def survival_csv(tmp_path):
     rng = np.random.default_rng(7)
@@ -113,13 +117,36 @@ class TestExitCodes:
 
     def test_km_csv_of_group_without_events_names_the_group(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
-        data.write_text("time,status,group\n1,0,A\n2,0,A\n3,1,B\n4,0,B\n")
+        data.write_text(NO_COMMON_WINDOW_CSV)
         out = tmp_path / "km.csv"
         code = run_cli(["km", "--input", str(data), "--out", str(tmp_path / "km.svg"), "--out-csv", str(out)])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
         assert captured.err == "group 'A' has no events, so its Kaplan-Meier CSV has no rows\n"
+        assert sorted(tmp_path.iterdir()) == [data]
+
+    @pytest.mark.parametrize("command, flag, name", [("mrl", "--out-csv", "m.csv"), ("mrl-diff", "--out", "m.svg")])
+    def test_mrl_fit_error_names_the_group(self, command, flag, name, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text(NO_COMMON_WINDOW_CSV)
+        code = run_cli([command, "--input", str(data), flag, str(tmp_path / name)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "group 'A': no events for quantile threshold\n"
+        assert sorted(tmp_path.iterdir()) == [data]
+
+    @pytest.mark.parametrize("permutations", [["--permutations", "0"], ["--permutations", "10", "--seed", "1"]])
+    @pytest.mark.parametrize("command", ["diff", "ratio"])
+    def test_no_common_window_is_one_line_data_error(self, command, permutations, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text(NO_COMMON_WINDOW_CSV)
+        code = run_cli([command, "--input", str(data), *permutations, "--out", str(tmp_path / "c.svg")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "no common follow-up window\n"
         assert sorted(tmp_path.iterdir()) == [data]
 
     def test_non_utf8_survey_is_one_line_data_error(self, tmp_path, capsys):

@@ -81,6 +81,9 @@ def assert_matches_reference(a, b, kind, n_permutations, seed, grid, band_quanti
 
 SAMPLE_A = make_sample([(2, 1), (3, 0), (4, 1), (5, 1)])
 SAMPLE_B = make_sample([(1, 1), (2, 1), (3, 1)])
+# A's follow-up ends at 2, before B's only event at 3: no common window.
+NO_OVERLAP_A = make_sample([(1, 0), (2, 0)])
+NO_OVERLAP_B = make_sample([(3, 1), (4, 0)])
 
 
 class TestSurvivalDifference:
@@ -142,6 +145,10 @@ class TestSurvivalRatio:
         alive = km_fit(make_sample([(9, 1), (9, 1)]))
         with pytest.raises(EstimationError, match="ratio undefined"):
             survival_ratio(alive, dead_early, grid=(2.0, 3.0))
+
+    def test_empty_window_is_error(self):
+        with pytest.raises(EstimationError, match="^no common follow-up window$"):
+            survival_ratio(km_fit(NO_OVERLAP_A), km_fit(NO_OVERLAP_B))
 
     def test_reciprocity(self):
         a, b = exponential_sample(3), exponential_sample(4)
@@ -213,6 +220,11 @@ class TestPermutationEnvelope:
         with pytest.raises(EstimationError, match="no envelope defined"):
             permutation_envelope(a, b, "mrl_diff", n_permutations=10, seed=1)
 
+    @pytest.mark.parametrize("kind", ["surv_diff", "surv_ratio"])
+    def test_default_grid_in_empty_window_is_error(self, kind):
+        with pytest.raises(EstimationError, match="^no common follow-up window$"):
+            permutation_envelope(NO_OVERLAP_A, NO_OVERLAP_B, kind, n_permutations=10, seed=1)
+
     def test_same_seed_bitwise_identical(self):
         a, b = exponential_sample(2), exponential_sample(3)
         one = permutation_envelope(a, b, "surv_diff", n_permutations=100, seed=9)
@@ -277,7 +289,7 @@ class TestPermutationEnvelope:
         rng = np.random.default_rng(13)
         a = SurvivalSample(np.round(rng.exponential(1.0, 300), 2), np.ones(300, dtype=int))
         b = SurvivalSample(np.round(rng.exponential(1.5, 250), 2), rng.random(250) < 0.7)
-        grid = np.linspace(0.0, 1.2 * max(a.max_time, b.max_time), 700)
+        grid = np.linspace(0.0, 1.2 * max(a.times[-1], b.times[-1]), 700)
         env = assert_matches_reference(a, b, kind, 40, 17, grid, (0.05, 0.9))
         if kind == "surv_ratio":
             assert env.defined_counts[-1] < 40 and len(set(env.defined_counts)) > 3

@@ -36,7 +36,7 @@ def test_four_row_sample_parses_sorted():
     assert set(samples) == {"A"}
     sample = samples["A"]
     assert sample.n == 4
-    assert sample.max_time == 5.0
+    assert sample.times[-1] == 5.0
     assert sample.times.tolist() == [2.0, 3.0, 4.0, 5.0]
 
 
@@ -208,7 +208,7 @@ def test_sample_columns_are_sorted_read_only_copies():
     assert sample.statuses.tolist() == [1, 0, 1]
     assert sample.times.dtype == np.float64 and sample.statuses.dtype == np.int64
     times[0] = 0.0
-    assert sample.max_time == 3.0
+    assert sample.times[-1] == 3.0
     with pytest.raises(ValueError):
         sample.times[0] = 2.0
     assert sample == SurvivalSample([1.0, 3.0, 1.0], [0, 1, 1])
@@ -249,7 +249,7 @@ def test_samples_sorted_with_events_first_at_ties(data):
             assert t_a <= t_b
             if t_a == t_b:
                 assert s_a >= s_b
-        assert sample.max_time == pairs[-1][0]
+        assert sample.times[-1] == pairs[-1][0]
 
 
 # Row values the loader reads as they are, values it reads after stripping

@@ -26,7 +26,7 @@ from survmrl import (
     survival_difference,
 )
 from survmrl.cli import run_cli
-from survmrl.render import PALETTE, _MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP, _MARGIN_BOTTOM
+from survmrl.render import PALETTE, _HEIGHT, _MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP, _MARGIN_BOTTOM, _WIDTH
 
 TAIL_TIES = Path(__file__).resolve().parent.parent / "sample_data" / "tail_ties.csv"
 
@@ -88,8 +88,8 @@ class TestRenderSvg:
         x_lo, x_hi = 0.0, 4.0 * 1.05
         spread = max(abs(v) for v in values)
         y_lo, y_hi = -1.05 * spread, 1.05 * spread
-        plot_w = spec.width - _MARGIN_LEFT - _MARGIN_RIGHT
-        plot_h = spec.height - _MARGIN_TOP - _MARGIN_BOTTOM
+        plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+        plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
         for (t, v), token in zip(zip(grid, values), points):
             x_px, y_px = (float(p) for p in token.split(","))
             t_back = x_lo + (x_px - _MARGIN_LEFT) / plot_w * (x_hi - x_lo)
@@ -107,8 +107,8 @@ class TestRenderSvg:
         assert len(points) == len(values)
         for token in points:
             x_px, y_px = (float(p) for p in token.split(","))
-            assert _MARGIN_LEFT <= x_px <= spec.width - _MARGIN_RIGHT
-            assert _MARGIN_TOP <= y_px <= spec.height - _MARGIN_BOTTOM
+            assert _MARGIN_LEFT <= x_px <= _WIDTH - _MARGIN_RIGHT
+            assert _MARGIN_TOP <= y_px <= _HEIGHT - _MARGIN_BOTTOM
 
     def test_envelope_polygon_behind_curve(self):
         a = make_sample([(float(t), 1) for t in range(1, 40)])
@@ -346,14 +346,11 @@ def plot_specs(draw):
             kind="surv_diff",
             defined_counts=[0] * len(grid),
         )
-    width, height = draw(st.sampled_from([(720, 480), (300, 200)]))
     return PlotSpec(
         title=draw(labels),
         x_label="t",
         y_label="y",
         series=tuple(series),
-        width=width,
-        height=height,
         envelope=envelope,
         reference_line=draw(st.none() | levels | st.sampled_from([50.0, -50.0])),
     )
