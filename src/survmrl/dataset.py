@@ -8,11 +8,13 @@ sorted ascending by time with events ordered before censorings at ties.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
 import operator
 import os
+import re
 from dataclasses import dataclass, fields
 from typing import Iterator, Sequence
 
@@ -21,7 +23,12 @@ import numpy as np
 from .errors import ParseError, SchemaError
 
 DEFAULT_GROUP = "all"
-_CHUNK_ROWS = 4096  # data rows per chunk of read_csv
+_BLOCK_BYTES = 32 * 1024  # input bytes per block, so per chunk, of read_csv
+# Every byte but the comma, the line ends and NUL: the bytes that csv reads
+# as they are in a field of quote-free text.
+_MARK_BYTES = bytes(sorted(set(range(256)) - set(b",\n\r\0")))
+# The blank lines before a quote-free header, the header and its line end.
+_HEADER_LINE = re.compile(rb"[\r\n]*([^\r\n]*)(?:\r\n|\r|\n)?")
 
 
 def freeze_columns(obj, **dtypes) -> None:
@@ -82,74 +89,141 @@ class SurvivalSample:
         return self.times.size
 
 
-def _text_stream(source: str | bytes | os.PathLike) -> io.TextIOWrapper:
-    """The UTF-8 text of ``source`` as a stream: raw bytes, or the bytes of the file at a path.
+def _input_bytes(source: str | bytes | os.PathLike) -> tuple[bytes, int]:
+    """The bytes of ``source`` (raw bytes, or the file at a path) and the
+    offset of its text, past a leading UTF-8 byte-order mark.
 
     The whole input is checked first, so invalid UTF-8 anywhere is an error
-    before any row is read. The stream decodes the bytes a block at a time,
-    so the text is never held whole.
+    before any row is read.
     """
     if not isinstance(source, bytes):
         with open(source, "rb") as fh:
             source = fh.read()
-    try:
-        source.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"input is not valid UTF-8: {exc}") from None
-    return io.TextIOWrapper(io.BytesIO(source), encoding="utf-8", newline="")
+    if not source.isascii():
+        try:
+            source.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"input is not valid UTF-8: {exc}") from None
+    return source, len(codecs.BOM_UTF8) if source.startswith(codecs.BOM_UTF8) else 0
 
 
 def read_csv(
     source: str | bytes | os.PathLike,
-) -> tuple[list[str], Iterator[tuple[list[int], list[list[str]]]]]:
-    """Decode a CSV path or bytes into its stripped header and chunks of numbered data rows.
+) -> tuple[list[str], Iterator[tuple[Sequence[int], list[list[str]]]]]:
+    """Decode a CSV path or bytes into its stripped header and chunks of numbered data columns.
 
-    Each chunk is a pair: the row numbers and the rows, at most
-    ``_CHUNK_ROWS`` of them. Blank lines are skipped but counted: data row
-    k sits k lines below the header. A bare carriage return ends a line,
-    as in any CSV dialect. Rows are checked for the header's field count
-    as they are consumed, so a caller validates the header before any row
-    error can surface; on a row of the wrong width, or one the csv module
-    cannot split (a ParseError), the rows before it are yielded first, so
-    that a caller checking them raises their errors first. An input
-    without a header is an empty dataset, a header the csv module cannot
-    split a SchemaError. A caller that drops a chunk before asking for the
-    next holds one chunk of rows at a time.
+    Each chunk is a pair: the data row numbers (a range for a split block),
+    and one list of field texts per header column, from about
+    ``_BLOCK_BYTES`` of input. Blank lines are
+    skipped but counted: data row k sits k lines below the header. A bare
+    carriage return ends a line, as in any CSV dialect. Rows are checked
+    for the header's field count as they are consumed, so a caller
+    validates the header before any row error can surface; on a row of the
+    wrong width, or one the csv module cannot split (a ParseError), the
+    rows before it are yielded first, so that a caller checking them raises
+    their errors first. An input without a header is an empty dataset, a
+    header the csv module cannot split a SchemaError. A caller that drops a
+    chunk before asking for the next holds one chunk at a time.
+
+    Input with no ``"`` is split a block of whole lines at a time (see
+    ``_split_chunks``), with no list per row; input with a ``"`` goes
+    through one csv.reader, and its rows are transposed into columns.
     """
-    reader = csv.reader(_text_stream(source))
+    data, start = _input_bytes(source)
+    quoted = b'"' in data
+    if quoted:
+        stream = io.BytesIO(data)
+        stream.seek(start)
+        reader = csv.reader(io.TextIOWrapper(stream, encoding="utf-8", newline=""))
+    else:
+        header_line = _HEADER_LINE.match(data, start)
+        reader = csv.reader([header_line[1].decode()])
     try:
         header = next((row for row in reader if row), None)
     except csv.Error as exc:
         raise SchemaError(f"malformed CSV header: {exc}") from None
     if header is None:
         raise SchemaError("empty dataset")
-    header_line = reader.line_num
-    width = len(header)
+    if quoted:
+        chunks = _reader_chunks(reader, -reader.line_num, len(header))
+    else:
+        chunks = _split_chunks(data, header_line.end(), len(header))
+    return [h.strip() for h in header], chunks
 
-    def chunks():
-        numbers: list[int] = []
-        rows: list[list[str]] = []
-        error = None
-        try:
-            for row in reader:
-                if len(row) != width:
-                    if not row:
-                        continue
-                    error = ParseError(reader.line_num - header_line, f"expected {width} fields, got {len(row)}")
-                    break
-                numbers.append(reader.line_num - header_line)
-                rows.append(row)
-                if len(rows) == _CHUNK_ROWS:
-                    yield numbers, rows
-                    numbers, rows = [], []
-        except csv.Error as exc:
-            error = ParseError(reader.line_num - header_line, f"malformed CSV: {exc}")
-        if rows:
-            yield numbers, rows
-        if error is not None:
-            raise error
 
-    return [h.strip() for h in header], chunks()
+def _reader_chunks(reader, offset: int, width: int) -> Iterator[tuple[list[int], list[list[str]]]]:
+    """Chunks of the rows left in csv ``reader``, each row numbered
+    ``reader.line_num + offset``, as ``read_csv`` yields them.
+
+    This per-row loop, which numbers, checks and keeps a list per row, is
+    what ``_split_chunks`` replaces on the blocks it can split.
+    """
+    chunk_rows = max(1, _BLOCK_BYTES // 8)  # a block's worth of 8-byte rows
+    numbers: list[int] = []
+    rows: list[list[str]] = []
+    error = None
+    try:
+        for row in reader:
+            if len(row) != width:
+                if not row:
+                    continue
+                error = ParseError(reader.line_num + offset, f"expected {width} fields, got {len(row)}")
+                break
+            numbers.append(reader.line_num + offset)
+            rows.append(row)
+            if len(rows) == chunk_rows:
+                yield numbers, _columns(rows, width)
+                numbers, rows = [], []
+    except csv.Error as exc:
+        error = ParseError(reader.line_num + offset, f"malformed CSV: {exc}")
+    if rows:
+        yield numbers, _columns(rows, width)
+    if error is not None:
+        raise error
+
+
+def _columns(rows: list[list[str]], width: int) -> list[list[str]]:
+    """The columns of ``rows``, each of ``width`` fields."""
+    return [list(map(operator.itemgetter(k), rows)) for k in range(width)]
+
+
+def _split_chunks(data: bytes, pos: int, width: int) -> Iterator[tuple[Sequence[int], list[list[str]]]]:
+    """Chunks of the quote-free ``data`` past ``pos``, the first line below
+    the header, as ``read_csv`` yields them.
+
+    The data is cut after a newline into blocks of at least ``_BLOCK_BYTES``
+    (UTF-8 never has a newline byte inside a character), and each block is
+    decoded alone. A block whose lines all hold ``width`` fields split at
+    each comma and all end alike, in a newline or in a carriage return and
+    a newline, with no other carriage return, no NUL, no blank line and no
+    field past csv.field_size_limit(), is read as csv would read it by
+    str.split; its columns are slices of that field list. Any other block
+    goes through csv.reader on its own, under the same line numbers.
+    """
+    limit = csv.field_size_limit()
+    commas = b"," * (width - 1)
+    line = 0  # lines below the header before the block
+    while pos < len(data):
+        end = data.find(b"\n", pos + _BLOCK_BYTES - 1) + 1 or len(data)
+        block = data[pos:end] if data[end - 1] == ord("\n") else data[pos:end] + b"\n"
+        pos = end
+        text = block.decode("utf-8")
+        n_lines = block.count(b"\n")
+        line_end = b"\r\n" if block.endswith(b"\r\n") else b"\n"
+        fields = None
+        blank = block.startswith(line_end) or line_end * 2 in block
+        # _MARK_BYTES leaves the commas and line end of each good line
+        if not blank and block.translate(None, _MARK_BYTES) == (commas + line_end) * n_lines:
+            fields = text[: -len(line_end)].replace(line_end.decode(), ",").split(",")
+            if len(block) > limit and max(map(len, fields)) > limit:
+                fields = None
+        if fields is None:
+            reader = csv.reader(io.StringIO(text, newline=""))
+            yield from _reader_chunks(reader, line, width)
+            line += reader.line_num
+        else:
+            yield range(line + 1, line + 1 + n_lines), [fields[k::width] for k in range(width)]
+            line += n_lines
 
 
 def _survival_row(row_number: int, time_text: str, status_text: str, group_text: str) -> tuple[float, int, str]:
@@ -240,18 +314,16 @@ def load_dataset(source: str | bytes | os.PathLike) -> dict[str, SurvivalSample]
         if required not in header:
             raise SchemaError(f"missing required column: {required}")
 
-    time_of = operator.itemgetter(header.index("time"))
-    status_of = operator.itemgetter(header.index("status"))
-    group_of = operator.itemgetter(header.index("group")) if "group" in header else None
+    time_at, status_at = header.index("time"), header.index("status")
+    group_at = header.index("group") if "group" in header else None
 
     label_of_text: dict[str, str] = {}
 
-    def columns(chunk: tuple[list[int], list[list[str]]]) -> tuple[np.ndarray, np.ndarray, Sequence[str]]:
+    def columns(chunk: tuple[Sequence[int], list[list[str]]]) -> tuple[np.ndarray, np.ndarray, Sequence[str]]:
         """A chunk's times, statuses (int8) and group labels."""
-        row_numbers, rows = chunk
-        time_texts = list(map(time_of, rows))
-        status_texts = list(map(status_of, rows))
-        group_texts = list(map(group_of, rows)) if group_of else [DEFAULT_GROUP] * len(rows)
+        row_numbers, texts = chunk
+        time_texts, status_texts = texts[time_at], texts[status_at]
+        group_texts = texts[group_at] if group_at is not None else [DEFAULT_GROUP] * len(time_texts)
         parsed = _survival_columns(time_texts, status_texts)
         labels = None if parsed is None else strip_labels(group_texts, label_of_text)
         if labels is None:
@@ -263,7 +335,7 @@ def load_dataset(source: str | bytes | os.PathLike) -> dict[str, SurvivalSample]
 
     codes: dict[str, int] = {}  # group label -> code, in order of first row
     parts: list[list[tuple[np.ndarray, np.ndarray]]] = []  # per code: (times, statuses) pieces in row order
-    # map() drops each chunk of rows before the next is read.
+    # map() drops each chunk before the next is read.
     for times, statuses, labels in map(columns, chunks):
         group_codes = label_codes(labels, codes)
         parts += [[] for _ in range(len(codes) - len(parts))]

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -240,19 +239,32 @@ class PairedSurvey:
     n_items: int
 
 
+@dataclass
+class _PairRows:
+    """The (participant, item) pairs read so far, kept as integers so that
+    no per-row tuple is built.
+
+    A pair's key is its participant code shifted 32 bits left, or-ed with
+    its item code; each code numbers labels in order of first row.
+    """
+
+    participant_codes: dict[str, int] = field(default_factory=dict)
+    item_codes: dict[str, int] = field(default_factory=dict)
+    first_rows: dict[int, int] = field(default_factory=dict)  # pair key -> row number
+
+
 def _survey_row(
     row_number: int,
     participant_text: str,
     item_text: str,
     pre_text: str,
     post_text: str,
-    first_rows: dict[tuple[str, str], int],
-) -> tuple[str, int, int]:
-    """The row rules: a survey row's participant id, pre and post outcomes,
-    or the ParseError of its first fault.
+    pairs: _PairRows,
+) -> tuple[int, int, int]:
+    """The row rules: a survey row's participant code, pre and post
+    outcomes, or the ParseError of its first fault.
 
-    ``first_rows`` maps each (participant, item) pair given so far to its
-    row number; the row's pair is added to it.
+    The row's (participant, item) pair is added to ``pairs``.
     """
     participant = participant_text.strip()
     if not participant:
@@ -260,16 +272,18 @@ def _survey_row(
     item = item_text.strip()
     if not item:
         raise ParseError(row_number, "item label is empty")
-    key = (participant, item)
-    first = first_rows.setdefault(key, row_number)
+    code = pairs.participant_codes.setdefault(participant, len(pairs.participant_codes))
+    item_code = pairs.item_codes.setdefault(item, len(pairs.item_codes))
+    first = pairs.first_rows.setdefault(code << 32 | item_code, row_number)
     if first != row_number:
+        key = (participant, item)
         raise ParseError(row_number, f"duplicate (participant, item) {key!r}, first given on row {first}")
     outcomes = []
     for col, text_value in (("pre", pre_text.strip()), ("post", post_text.strip())):
         if text_value not in ("0", "1"):
             raise ParseError(row_number, f"{col} must be 0 or 1, got {text_value!r}")
         outcomes.append(int(text_value))
-    return participant, *outcomes
+    return code, *outcomes
 
 
 _OUTCOMES = {"0": 0, "1": 1}
@@ -284,39 +298,35 @@ def load_paired_survey(source: str | bytes | os.PathLike) -> PairedSurvey:
     expected = ["participant", "item", "pre", "post"]
     if sorted(header) != sorted(expected):
         raise SchemaError(f"expected columns {','.join(expected)}, got {', '.join(map(repr, header))}")
-    getters = [operator.itemgetter(header.index(name)) for name in expected]
+    positions = [header.index(name) for name in expected]
 
     label_of_text: dict[str, str] = {}
-    first_rows: dict[tuple[str, str], int] = {}  # (participant, item) -> row number
+    pairs = _PairRows()
 
-    def columns(chunk: tuple[list[int], list[list[str]]]) -> tuple[Sequence[str], np.ndarray, np.ndarray]:
-        """A chunk's participant ids and pre and post outcomes (int8); adds its pairs to ``first_rows``."""
-        row_numbers, rows = chunk
-        participant_texts, item_texts, pre_texts, post_texts = (list(map(get, rows)) for get in getters)
+    def columns(chunk: tuple[Sequence[int], list[list[str]]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A chunk's participant codes and pre and post outcomes (int8); adds its pairs to ``pairs``."""
+        row_numbers, texts = chunk
+        participant_texts, item_texts, pre_texts, post_texts = (texts[k] for k in positions)
         participants = strip_labels(participant_texts, label_of_text)
         items = None if participants is None else strip_labels(item_texts, label_of_text)
-        keys = None if items is None else list(zip(participants, items))
-        if (
-            keys is not None
-            and len(dict.fromkeys(keys)) == len(keys)
-            and first_rows.keys().isdisjoint(keys)
-            and _OUTCOMES.keys() >= {*pre_texts, *post_texts}
-        ):
-            first_rows.update(zip(keys, row_numbers))
-            pre = np.fromiter(map(_OUTCOMES.__getitem__, pre_texts), np.int8, len(rows))
-            post = np.fromiter(map(_OUTCOMES.__getitem__, post_texts), np.int8, len(rows))
-            return participants, pre, post
+        if items is not None and _OUTCOMES.keys() >= {*pre_texts, *post_texts}:
+            codes = label_codes(participants, pairs.participant_codes)
+            keys = (codes.astype(np.int64) << 32 | label_codes(items, pairs.item_codes)).tolist()
+            if len(set(keys)) == len(keys) and pairs.first_rows.keys().isdisjoint(keys):
+                pairs.first_rows.update(zip(keys, row_numbers))
+                pre = np.fromiter(map(_OUTCOMES.__getitem__, pre_texts), np.int8, len(keys))
+                post = np.fromiter(map(_OUTCOMES.__getitem__, post_texts), np.int8, len(keys))
+                return codes, pre, post
         # A check failed: the row rules raise the chunk's first error, or on
         # a false alarm give the same values.
-        participants, pre, post = zip(*map(
-            _survey_row, row_numbers, participant_texts, item_texts, pre_texts, post_texts,
-            itertools.repeat(first_rows),
+        codes, pre, post = zip(*map(
+            _survey_row, row_numbers, participant_texts, item_texts, pre_texts, post_texts, itertools.repeat(pairs)
         ))
-        return participants, np.array(pre, dtype=np.int8), np.array(post, dtype=np.int8)
+        return np.array(codes, dtype=np.intp), np.array(pre, dtype=np.int8), np.array(post, dtype=np.int8)
 
-    code_of: dict[str, int] = {}  # participant id -> code, in order of first row
-    # map() drops each chunk of rows before the next is read.
-    parts = [(label_codes(participants, code_of), pre, post) for participants, pre, post in map(columns, chunks)]
+    # map() drops each chunk before the next is read.
+    parts = list(map(columns, chunks))
+    code_of = pairs.participant_codes  # participant id -> code, in order of first row
     if not code_of:
         raise SchemaError("empty dataset")
 
