@@ -299,6 +299,21 @@ class TestOutputs:
         header = out_csv.read_text().splitlines()[0]
         assert header == "metric,value,lower,upper"
 
+    @pytest.mark.parametrize("fixture, command", [("survival_csv", "km"), ("survey_csv", "stats")])
+    def test_a_leading_byte_order_mark_is_ignored(self, fixture, command, request, tmp_path, capsys):
+        # "CSV UTF-8" files saved by spreadsheets start with the bytes EF BB BF
+        source = request.getfixturevalue(fixture)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+        outputs = []
+        for path in (source, marked):
+            out = tmp_path / path.stem
+            out.mkdir()
+            assert run_cli([command, "--input", str(path), "--out-csv", str(out / "out.csv")]) == 0
+            summary = capsys.readouterr().out.replace(str(path), "INPUT")
+            outputs.append((summary, {p.name: p.read_bytes() for p in out.iterdir()}))
+        assert outputs[0] == outputs[1] and outputs[0][1]
+
     def test_stats_value_column_does_not_depend_on_bootstrap(self, tmp_path):
         # survey_ragged.csv's means differ in the last bit between a
         # left-to-right sum and numpy's pairwise mean.

@@ -1,4 +1,6 @@
+import codecs
 import csv
+import gc
 import io
 
 import numpy as np
@@ -13,6 +15,7 @@ from survmrl import (
     SurvivalSample,
     dataset,
     load_dataset,
+    load_paired_survey,
 )
 
 
@@ -111,13 +114,17 @@ def test_row_errors_past_the_first_chunks(bad_row, message):
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("line_end", ["\r\n", "\r"])
+@pytest.mark.parametrize("quote", ["", '"'])
+@pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"])
 @pytest.mark.parametrize("pad", range(10))
-def test_line_ends_and_characters_across_decode_blocks(line_end, pad):
+def test_line_ends_and_characters_across_decode_blocks(monkeypatch, quote, line_end, pad):
     # rows of 8 or 9 bytes after a pad row put every byte of a row, of its
     # 3-byte label and of its line end on the 8192-byte boundary of the
-    # text stream's decode blocks for some pad
-    text = line_end.join(["time,status,group", "2,0,x" + "x" * pad, *["1,1,組"] * 1000, ""])
+    # text stream's decode blocks for some pad, when a quote sends the
+    # input through the csv module; quote-free input is cut into blocks of
+    # whole lines, here 64 bytes or more
+    monkeypatch.setattr(dataset, "_BLOCK_BYTES", 64)
+    text = line_end.join(["time,status,group", f"2,0,{quote}x{'x' * pad}{quote}", *["1,1,組"] * 1000, ""])
     samples = load_dataset(text.encode())
     assert samples == reference.load_dataset(text.encode()) and samples["組"].n == 1000
     with pytest.raises(ParseError) as info:
@@ -262,26 +269,35 @@ GOOD_STATUSES = ["0", "1"]
 PADDED_STATUSES = [" 1", "1.0", "0.0", "\x1d0", "-0", "1e0", "0\u2003"]
 BAD_STATUSES = ["2", "0.5", "nan", "1_0", "١", "", "inf", "x"]
 GOOD_GROUPS = ["A", "B", "grp_1", "組", "a,b", 'q"t', "line\nbreak", "C\r\nD"]
+QUOTE_FREE_GROUPS = ["A", "B", "grp_1", "組", "n\x00l"]  # a NUL is a csv error on Python 3.10
 PADDED_GROUPS = [" A", "A ", "\x1eB", "\tB\u2003"]
 BAD_GROUPS = ["", " ", "\x1f"]
 HEADERS = [["time", "status", "group"]] * 6 + [["status", "group", "time"], ["time", "status"]]
 FIELD_LIMIT = 40  # csv.field_size_limit during the test, so a split error costs a short field
 LINE_ENDS = ["\n", "\r\n", "\r"]
+BLOCK_BYTES = [1, 7, 16, 64]  # dataset._BLOCK_BYTES during the test, so blocks cut inside rows and labels
 
 
 @st.composite
-def survival_csvs(draw) -> bytes:
-    """A header, then rows with mixed line ends, the odd blank line and
-    quoted multi-line labels. One input in six has padded values, one in
-    six bad values, one in six a row of the wrong width, one in six a
-    field too long for the csv module (after a bad value, at times)."""
+def survival_csvs(draw, quoted: bool) -> bytes:
+    """A header, then rows with the odd blank line. One input in six has
+    padded values, one in six bad values, one in six a row of the wrong
+    width, one in six a field too long for the csv module (after a bad
+    value, at times).
+
+    Quoted inputs are written by the csv module, with mixed line ends and
+    labels it must quote, some of them multi-line. Quote-free inputs join
+    each row's fields with commas and have more blank lines; one in three
+    ends every line with a newline, one in three with a carriage return
+    and a newline, and one in four lacks the final line end."""
     header = draw(st.sampled_from(HEADERS))
     flaw = draw(st.sampled_from(["none", "none", "padded", "value", "width", "split"]))
     padded, bad = flaw == "padded", flaw in ("value", "split")
+    groups = GOOD_GROUPS if quoted else QUOTE_FREE_GROUPS
     fields = {
         "time": st.sampled_from(GOOD_TIMES * 4 + PADDED_TIMES * 4 * padded + BAD_TIMES * bad),
         "status": st.sampled_from(GOOD_STATUSES * 12 + PADDED_STATUSES * 2 * padded + BAD_STATUSES * bad),
-        "group": st.sampled_from(GOOD_GROUPS * 3 + PADDED_GROUPS * 3 * padded + BAD_GROUPS * bad),
+        "group": st.sampled_from(groups * 3 + PADDED_GROUPS * 3 * padded + BAD_GROUPS * bad),
     }
     rows = draw(st.lists(st.tuples(*(fields[name] for name in header)).map(list), min_size=1, max_size=30))
     if rows and flaw == "width":
@@ -289,13 +305,25 @@ def survival_csvs(draw) -> bytes:
         row[:] = row[: draw(st.integers(0, len(row) - 1))] if draw(st.booleans()) else row + ["1"]
     if rows and flaw == "split":
         draw(st.sampled_from(rows))[-1] = "y" * (FIELD_LIMIT + 1)
+    line_ends = LINE_ENDS if quoted else draw(st.sampled_from([["\n"], ["\r\n"], LINE_ENDS]))
     out = io.StringIO()
-    out.write(",".join(header) + draw(st.sampled_from(LINE_ENDS)))
+    out.write(",".join(header) + draw(st.sampled_from(line_ends)))
     for row in rows:
-        csv.writer(out, lineterminator=draw(st.sampled_from(LINE_ENDS))).writerow(row)
-        if draw(st.integers(0, 10)) == 0:
-            out.write(draw(st.sampled_from(LINE_ENDS)))
-    return out.getvalue().encode("utf-8")
+        line_end = draw(st.sampled_from(line_ends))
+        if quoted:
+            csv.writer(out, lineterminator=line_end).writerow(row)
+        else:
+            out.write(",".join(row) + line_end)
+        if draw(st.integers(0, 10 if quoted else 4)) == 0:
+            out.write(draw(st.sampled_from(line_ends)))
+    text = out.getvalue()
+    if not quoted and draw(st.integers(0, 3)) == 0:
+        text = text.rstrip("\r\n")
+    return text.encode("utf-8")
+
+
+# Both arms: quoted input takes the csv module's path, quote-free input the split path.
+SURVIVAL_CSVS = st.one_of(survival_csvs(quoted=True), survival_csvs(quoted=False))
 
 
 def _loaded(load, text):
@@ -310,10 +338,10 @@ def _loaded(load, text):
 @settings(
     max_examples=400, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
-@given(text=survival_csvs(), chunk_rows=st.sampled_from([1, 2, 3, 5, 64]))
-def test_loader_matches_the_per_row_reference(monkeypatch, text, chunk_rows):
-    # chunks of a few rows, so the drawn rows cross chunk boundaries
-    monkeypatch.setattr(dataset, "_CHUNK_ROWS", chunk_rows)
+@given(text=SURVIVAL_CSVS, block_bytes=st.sampled_from(BLOCK_BYTES))
+def test_loader_matches_the_per_row_reference(monkeypatch, text, block_bytes):
+    # blocks of a few bytes, so the drawn rows cross block and chunk boundaries
+    monkeypatch.setattr(dataset, "_BLOCK_BYTES", block_bytes)
     limit = csv.field_size_limit(FIELD_LIMIT)
     try:
         assert _loaded(load_dataset, text) == _loaded(reference.load_dataset, text)
@@ -326,7 +354,12 @@ def _numbered_rows(text, chunked):
         header, rows = (dataset if chunked else reference).read_csv(text)
         out = [header]
         for item in rows:
-            out += zip(*item) if chunked else [tuple(item)]
+            if chunked:
+                numbers, columns = item
+                assert len(columns) == len(header) and all(len(column) == len(numbers) for column in columns)
+                out += zip(numbers, map(list, zip(*columns)))
+            else:
+                out.append(tuple(item))
     except Exception as exc:  # both readers must fail alike, after the same rows
         out.append((type(exc), str(exc)))
     return out
@@ -335,11 +368,87 @@ def _numbered_rows(text, chunked):
 @settings(
     max_examples=200, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
-@given(text=survival_csvs(), chunk_rows=st.sampled_from([1, 2, 3, 5, 64]))
-def test_reader_matches_the_per_row_reference(monkeypatch, text, chunk_rows):
-    monkeypatch.setattr(dataset, "_CHUNK_ROWS", chunk_rows)
+@given(text=SURVIVAL_CSVS, block_bytes=st.sampled_from(BLOCK_BYTES))
+def test_reader_matches_the_per_row_reference(monkeypatch, text, block_bytes):
+    monkeypatch.setattr(dataset, "_BLOCK_BYTES", block_bytes)
     limit = csv.field_size_limit(FIELD_LIMIT)
     try:
         assert _numbered_rows(text, chunked=True) == _numbered_rows(text, chunked=False)
     finally:
         csv.field_size_limit(limit)
+
+
+# Lines that csv does not split as str.split does, a line end unlike the
+# others, and a last line with no line end; each goes at the first and at
+# the last line of a block.
+EDGE_LINES = {
+    "blank": "{end}",
+    "bare-cr": "3,1,B\r4,0,A{end}",
+    "other-line-end": "3,1,B{other}",
+    "nul": "3,1,n\x00l{end}",
+    "too-long": "3,1," + "y" * (FIELD_LIMIT + 1) + "{end}",
+    "wrong-width": "3,1{end}",
+    "no-final-newline": "3,1,B",
+}
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n"])
+@pytest.mark.parametrize("edge", ["first", "last"])
+@pytest.mark.parametrize("line", EDGE_LINES.values(), ids=EDGE_LINES)
+def test_lines_csv_reads_apart_at_block_edges(monkeypatch, line, edge, line_end):
+    line = line.format(end=line_end, other="\r\n" if line_end == "\n" else "\n")
+    head = f"1,1,A{line_end}2,0,B{line_end}" * 3
+    tail = f"5,1,A{line_end}6,0,B{line_end}" * 6 if line.endswith("\n") else ""  # so a block follows the edge line's
+    # a block ends at the first newline at or past _BLOCK_BYTES - 1 bytes into it
+    monkeypatch.setattr(dataset, "_BLOCK_BYTES", len((head + line * (edge == "last")).encode()))
+    limit = csv.field_size_limit(FIELD_LIMIT)
+    try:
+        text = "time,status,group" + line_end + head + line + tail
+        for text in (text, text + "x,1,A" + line_end) if tail else (text,):  # and with a row error past the edge
+            assert _numbered_rows(text.encode(), chunked=True) == _numbered_rows(text.encode(), chunked=False)
+            assert _loaded(load_dataset, text.encode()) == _loaded(reference.load_dataset, text.encode())
+    finally:
+        csv.field_size_limit(limit)
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n"])
+def test_quote_free_rows_skip_the_csv_row_loop(monkeypatch, line_end):
+    def row_loop(*args):
+        raise AssertionError("the csv.reader row loop ran")
+
+    monkeypatch.setattr(dataset, "_reader_chunks", row_loop)
+    monkeypatch.setattr(dataset, "_BLOCK_BYTES", 8)
+    samples = load_dataset(line_end.join(["time,status,group", "1,1,A", "2,0,組", "3,1,A", ""]).encode())
+    assert samples["A"].times.tolist() == [1.0, 3.0] and samples["組"].n == 1
+
+
+@pytest.mark.parametrize("label", [b"A", b'"A"'])
+def test_a_leading_byte_order_mark_is_ignored(label):
+    # "CSV UTF-8" files saved by spreadsheets start with EF BB BF
+    text = b"time,status,group\n1,1," + label + b"\n2,0,A\n"
+    assert load_dataset(codecs.BOM_UTF8 + text) == load_dataset(text)
+    with pytest.raises(SchemaError) as info:  # past the start, the mark is text
+        load_dataset(b"\n" + codecs.BOM_UTF8 + text)
+    assert str(info.value) == "unknown column(s): '\\ufefftime'"
+
+
+def _collections(load, text) -> tuple[int, ...]:
+    """The cyclic garbage collections of each generation that ``load(text)`` runs."""
+    gc.collect()
+    before = [stats["collections"] for stats in gc.get_stats()]
+    load(text)
+    return tuple(stats["collections"] - b for stats, b in zip(gc.get_stats(), before))
+
+
+def test_quote_free_loads_build_no_list_per_row():
+    # a list or tuple per row would run a generation-0 collection every
+    # 700 rows, and a full one now and then
+    survival = "time,status,group\n" + "".join(
+        f"{k * 0.0137:.4f},{k % 3 % 2},{'AB'[k % 2]}\n" for k in range(100_000)
+    )
+    survey = "participant,item,pre,post\n" + "".join(
+        f"p{p:04d},i{i},{(p + i) % 2},{p * i % 2}\n" for p in range(2000) for i in range(8)
+    )
+    for load, text in ((load_dataset, survival.encode()), (load_paired_survey, survey.encode())):
+        gen0, _, gen2 = _collections(load, text)
+        assert gen0 <= 3 and gen2 == 0

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import io
 import itertools
@@ -281,6 +282,12 @@ class TestLoadPairedSurvey:
             "expected columns participant,item,pre,post, got 'parti\\ncipant', 'item', 'pre', 'post'"
         )
 
+    @pytest.mark.parametrize("item", [b"i1", b'"i1"'])
+    def test_a_leading_byte_order_mark_is_ignored(self, item):
+        text = b"participant,item,pre,post\np1," + item + b",0,1\np2,i1,1,1\n"
+        survey = load_paired_survey(codecs.BOM_UTF8 + text)
+        assert survey.pre.ids == ("p1", "p2") and survey == load_paired_survey(text)
+
     def test_row_errors(self):
         with pytest.raises(ParseError, match="row 1"):
             load_paired_survey(b"participant,item,pre,post\np1,i1,2,1\n")
@@ -337,6 +344,7 @@ class TestLoadPairedSurvey:
 # Ids that differ only by a trailing NUL, by case or by padding (which the
 # loader strips), unicode ids, and items that collide the same ways.
 IDS = ["p1", "p1\x00", "P1", " p1", "p1 ", "p2", "p10", "é", "e\u0301", "参加者", "\x00", "a,b", 'q"t']
+QUOTE_FREE_IDS = [i for i in IDS if "," not in i and '"' not in i]
 ITEMS = ["i1", "i2", "i3", "I1", " i1", "i1\x00"]
 BAD_OUTCOMES = ["2", "", " 1", "1.0", "x"]
 PADDED_OUTCOMES = [" 1", "0 ", "\t1", "\x1c0"]  # the loader strips these
@@ -344,22 +352,25 @@ HEADERS = ["participant,item,pre,post"] * 8 + ["post,pre,item,participant", "who
 
 
 @st.composite
-def survey_csvs(draw) -> bytes:
+def survey_csvs(draw, quoted: bool) -> bytes:
     """A header, then (participant, item) rows with ragged items per
     participant and the odd blank line, in drawn order. One survey in
     six repeats a pair (also as a case or padding variant that the
     loader's strip makes equal), one in six has an empty or blank item
-    label, one in six holds bad 0/1 tokens, one in six padded ones."""
+    label, one in six holds bad 0/1 tokens, one in six padded ones.
+    Quoted surveys are written by the csv module, with ids it must
+    quote; quote-free ones join each row's fields with commas."""
     header = draw(st.sampled_from(HEADERS))
     flaw = draw(st.sampled_from(["none", "none", "repeat", "empty", "token", "padded"]))
-    pair = st.tuples(st.sampled_from(IDS), st.sampled_from(ITEMS))
+    ids = IDS if quoted else QUOTE_FREE_IDS
+    pair = st.tuples(st.sampled_from(ids), st.sampled_from(ITEMS))
     keys = draw(st.lists(pair, max_size=40, unique_by=lambda k: (k[0].strip(), k[1].strip())))
     if keys and flaw == "repeat":
         participant, item = draw(st.sampled_from(keys))
         keys.insert(draw(st.integers(0, len(keys))), (draw(st.sampled_from([participant, f" {participant}"])), item))
     if flaw == "empty":
         blank = draw(st.sampled_from(["", " ", "\t"]))
-        keys.insert(draw(st.integers(0, len(keys))), (draw(st.sampled_from(IDS)), blank))
+        keys.insert(draw(st.integers(0, len(keys))), (draw(st.sampled_from(ids)), blank))
     outcome = st.sampled_from(
         ["0", "1"] * 8 + BAD_OUTCOMES * (flaw == "token") + PADDED_OUTCOMES * (flaw == "padded")
     )
@@ -367,7 +378,11 @@ def survey_csvs(draw) -> bytes:
     out.write(header + "\n")
     writer = csv.writer(out, lineterminator="\n")
     for participant, item in keys:
-        writer.writerow([participant, item, draw(outcome), draw(outcome)])
+        row = [participant, item, draw(outcome), draw(outcome)]
+        if quoted:
+            writer.writerow(row)
+        else:
+            out.write(",".join(row) + "\n")
         if draw(st.integers(0, 20)) == 0:
             out.write("\n")
     return out.getvalue().encode("utf-8")
@@ -380,10 +395,13 @@ def _bits(values) -> bytes:
 @settings(
     max_examples=300, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
-@given(text=survey_csvs(), chunk_rows=st.sampled_from([1, 2, 3, 5, 64]))
-def test_survey_loader_matches_the_reference(monkeypatch, text, chunk_rows):
-    # chunks of a few rows, so the drawn rows cross chunk boundaries
-    monkeypatch.setattr(dataset, "_CHUNK_ROWS", chunk_rows)
+@given(
+    text=st.one_of(survey_csvs(quoted=True), survey_csvs(quoted=False)),
+    block_bytes=st.sampled_from([1, 7, 16, 64]),
+)
+def test_survey_loader_matches_the_reference(monkeypatch, text, block_bytes):
+    # blocks of a few bytes, so the drawn rows cross block and chunk boundaries
+    monkeypatch.setattr(dataset, "_BLOCK_BYTES", block_bytes)
     try:
         expected = reference.load_paired_survey(text)
     except Exception as exc:
