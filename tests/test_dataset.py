@@ -114,22 +114,22 @@ def test_row_errors_past_the_first_chunks(bad_row, message):
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("quote", ["", '"'])
-@pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("line_end", ["\r\n", "\r", "\n"])
 @pytest.mark.parametrize("pad", range(10))
-def test_line_ends_and_characters_across_decode_blocks(monkeypatch, quote, line_end, pad):
+def test_line_ends_and_characters_across_decode_blocks(monkeypatch, line_end, pad):
     # rows of 8 or 9 bytes after a pad row put every byte of a row, of its
     # 3-byte label and of its line end on the 8192-byte boundary of the
     # text stream's decode blocks for some pad, when a quote sends the
     # input through the csv module; quote-free input is cut into blocks of
     # whole lines, here 64 bytes or more
     monkeypatch.setattr(dataset, "_BLOCK_BYTES", 64)
-    text = line_end.join(["time,status,group", f"2,0,{quote}x{'x' * pad}{quote}", *["1,1,組"] * 1000, ""])
-    samples = load_dataset(text.encode())
-    assert samples == reference.load_dataset(text.encode()) and samples["組"].n == 1000
-    with pytest.raises(ParseError) as info:
-        load_dataset((text + "1,1," + line_end).encode())
-    assert str(info.value) == "row 1002: group label is empty"
+    for quote in ("", '"'):
+        text = line_end.join(["time,status,group", f"2,0,{quote}x{'x' * pad}{quote}", *["1,1,組"] * 1000, ""])
+        samples = load_dataset(text.encode())
+        assert samples == reference.load_dataset(text.encode()) and samples["組"].n == 1000
+        with pytest.raises(ParseError) as info:
+            load_dataset((text + "1,1," + line_end).encode())
+        assert str(info.value) == "row 1002: group label is empty"
 
 
 def test_group_column_optional_defaults_to_all():
