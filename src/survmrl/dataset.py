@@ -23,10 +23,10 @@ import numpy as np
 from .errors import ParseError, SchemaError
 
 DEFAULT_GROUP = "all"
-_BLOCK_BYTES = 32 * 1024  # input bytes per block, so per chunk, of read_csv
+_BLOCK_BYTES = 16 * 1024  # input bytes per block, so per chunk, of read_csv
 # Every byte but the comma, the line ends and NUL: the bytes that csv reads
 # as they are in a field of quote-free text.
-_MARK_BYTES = bytes(sorted(set(range(256)) - set(b",\n\r\0")))
+_PLAIN_BYTES = bytes(sorted(set(range(256)) - set(b",\n\r\0")))
 # The blank lines before a quote-free header, the header and its line end.
 _HEADER_LINE = re.compile(rb"[\r\n]*([^\r\n]*)(?:\r\n|\r|\n)?")
 
@@ -212,8 +212,8 @@ def _split_chunks(data: bytes, pos: int, width: int) -> Iterator[tuple[Sequence[
         line_end = b"\r\n" if block.endswith(b"\r\n") else b"\n"
         fields = None
         blank = block.startswith(line_end) or line_end * 2 in block
-        # _MARK_BYTES leaves the commas and line end of each good line
-        if not blank and block.translate(None, _MARK_BYTES) == (commas + line_end) * n_lines:
+        # without its plain bytes, a block that splits is each line's commas and line end
+        if not blank and block.translate(None, _PLAIN_BYTES) == (commas + line_end) * n_lines:
             fields = text[: -len(line_end)].replace(line_end.decode(), ",").split(",")
             if len(block) > limit and max(map(len, fields)) > limit:
                 fields = None
