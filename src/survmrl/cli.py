@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import math
 import os
 import sys
@@ -426,8 +427,19 @@ def _run_stats(args: argparse.Namespace, outputs: _StagedOutputs) -> str:
     return "\n".join(summary)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process.
+
+    Building a parser leaves cyclic garbage (argparse's help-formatter
+    sections) that only the cyclic collector frees, so a process that runs
+    many commands would hold it, run after run, until a full collection.
+    """
+    return build_parser()
+
+
 def run_cli(argv: list[str]) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if getattr(args, "permutations", 0) > 0 and args.seed is None:

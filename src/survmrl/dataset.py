@@ -183,7 +183,7 @@ def _reader_chunks(reader, offset: int, width: int) -> Iterator[tuple[list[int],
 
 
 def _columns(rows: list[list[str]], width: int) -> list[list[str]]:
-    """The columns of ``rows``, each of ``width`` fields."""
+    """The ``width`` columns of ``rows``, as lists."""
     return [list(map(operator.itemgetter(k), rows)) for k in range(width)]
 
 

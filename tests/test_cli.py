@@ -1,3 +1,4 @@
+import gc
 import os
 import resource
 import subprocess
@@ -710,3 +711,18 @@ def test_cold_start_imports_no_network_or_xml_stack():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+@pytest.mark.parametrize("fixture, command", [("survival_csv", "km"), ("survey_csv", "stats")])
+def test_a_run_leaves_no_cyclic_garbage(fixture, command, request, tmp_path, capsys):
+    # A process that runs many commands (a test session, a benchmark worker)
+    # would hold such garbage until the collector's next full pass.
+    args = [command, "--input", str(request.getfixturevalue(fixture)), "--out-csv", str(tmp_path / "out.csv")]
+    assert run_cli(args) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert run_cli(args) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -275,7 +275,7 @@ BAD_GROUPS = ["", " ", "\x1f"]
 HEADERS = [["time", "status", "group"]] * 6 + [["status", "group", "time"], ["time", "status"]]
 FIELD_LIMIT = 40  # csv.field_size_limit during the test, so a split error costs a short field
 LINE_ENDS = ["\n", "\r\n", "\r"]
-BLOCK_BYTES = [1, 7, 16, 64]  # dataset._BLOCK_BYTES during the test, so blocks cut inside rows and labels
+BLOCK_BYTES = [1, 7, 16, 64]  # dataset._BLOCK_BYTES during the test: most blocks hold a line or two
 
 
 @st.composite
