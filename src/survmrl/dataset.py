@@ -29,6 +29,8 @@ _BLOCK_BYTES = 16 * 1024  # input bytes per block, so per chunk, of read_csv
 _PLAIN_BYTES = bytes(sorted(set(range(256)) - set(b",\n\r\0")))
 # The blank lines before a quote-free header, the header and its line end.
 _HEADER_LINE = re.compile(rb"[\r\n]*([^\r\n]*)(?:\r\n|\r|\n)?")
+# A line end as csv reads it, so that a cut after one never splits a line.
+_LINE_END = re.compile(rb"\r\n?|\n")
 
 
 def freeze_columns(obj, **dtypes) -> None:
@@ -191,30 +193,31 @@ def _split_chunks(data: bytes, pos: int, width: int) -> Iterator[tuple[Sequence[
     """Chunks of the quote-free ``data`` past ``pos``, the first line below
     the header, as ``read_csv`` yields them.
 
-    The data is cut after a newline into blocks of at least ``_BLOCK_BYTES``
-    (UTF-8 never has a newline byte inside a character), and each block is
+    The data is cut after a line end into blocks of at least
+    ``_BLOCK_BYTES`` (UTF-8 never has a line end byte inside a character,
+    and a carriage return and newline pair stays whole), and each block is
     decoded alone. A block whose lines all hold ``width`` fields split at
-    each comma and all end alike, in a newline or in a carriage return and
-    a newline, with no other carriage return, no NUL, no blank line and no
-    field past csv.field_size_limit(), is read as csv would read it by
-    str.split; its columns are slices of that field list. Any other block
-    goes through csv.reader on its own, under the same line numbers.
+    each comma and end in a newline, with no carriage return, no NUL, no
+    blank line and no field past csv.field_size_limit(), is read as csv
+    would read it by str.split; its columns are slices of that field list.
+    Any other block goes through csv.reader on its own, under the same
+    line numbers.
     """
     limit = csv.field_size_limit()
-    commas = b"," * (width - 1)
+    line_shape = b"," * (width - 1) + b"\n"
     line = 0  # lines below the header before the block
     while pos < len(data):
-        end = data.find(b"\n", pos + _BLOCK_BYTES - 1) + 1 or len(data)
-        block = data[pos:end] if data[end - 1] == ord("\n") else data[pos:end] + b"\n"
+        cut = _LINE_END.search(data, pos + _BLOCK_BYTES - 1)
+        end = cut.end() if cut else len(data)
+        block = data[pos:end] if data[end - 1] in b"\r\n" else data[pos:end] + b"\n"
         pos = end
         text = block.decode("utf-8")
         n_lines = block.count(b"\n")
-        line_end = b"\r\n" if block.endswith(b"\r\n") else b"\n"
         fields = None
-        blank = block.startswith(line_end) or line_end * 2 in block
-        # without its plain bytes, a block that splits is each line's commas and line end
-        if not blank and block.translate(None, _PLAIN_BYTES) == (commas + line_end) * n_lines:
-            fields = text[: -len(line_end)].replace(line_end.decode(), ",").split(",")
+        blank = block.startswith(b"\n") or b"\n\n" in block
+        # without its plain bytes, a block that splits is each line's commas and newline
+        if not blank and block.translate(None, _PLAIN_BYTES) == line_shape * n_lines:
+            fields = text[:-1].replace("\n", ",").split(",")
             if len(block) > limit and max(map(len, fields)) > limit:
                 fields = None
         if fields is None:

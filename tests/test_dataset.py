@@ -2,6 +2,7 @@ import codecs
 import csv
 import gc
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -287,9 +288,9 @@ def survival_csvs(draw, quoted: bool) -> bytes:
 
     Quoted inputs are written by the csv module, with mixed line ends and
     labels it must quote, some of them multi-line. Quote-free inputs join
-    each row's fields with commas and have more blank lines; one in three
-    ends every line with a newline, one in three with a carriage return
-    and a newline, and one in four lacks the final line end."""
+    each row's fields with commas and have more blank lines; one in two
+    ends every line with a newline, the other mixes line ends, and one in
+    four lacks the final line end."""
     header = draw(st.sampled_from(HEADERS))
     flaw = draw(st.sampled_from(["none", "none", "padded", "value", "width", "split"]))
     padded, bad = flaw == "padded", flaw in ("value", "split")
@@ -305,7 +306,7 @@ def survival_csvs(draw, quoted: bool) -> bytes:
         row[:] = row[: draw(st.integers(0, len(row) - 1))] if draw(st.booleans()) else row + ["1"]
     if rows and flaw == "split":
         draw(st.sampled_from(rows))[-1] = "y" * (FIELD_LIMIT + 1)
-    line_ends = LINE_ENDS if quoted else draw(st.sampled_from([["\n"], ["\r\n"], LINE_ENDS]))
+    line_ends = LINE_ENDS if quoted else draw(st.sampled_from([["\n"], LINE_ENDS]))
     out = io.StringIO()
     out.write(",".join(header) + draw(st.sampled_from(line_ends)))
     for row in rows:
@@ -378,47 +379,43 @@ def test_reader_matches_the_per_row_reference(monkeypatch, text, block_bytes):
         csv.field_size_limit(limit)
 
 
-# Lines that csv does not split as str.split does, a line end unlike the
-# others, and a last line with no line end; each goes at the first and at
-# the last line of a block.
+# Lines that csv does not split as str.split does, and a last line with no
+# line end; each goes at the first and at the last line of a block.
 EDGE_LINES = {
-    "blank": "{end}",
-    "bare-cr": "3,1,B\r4,0,A{end}",
-    "other-line-end": "3,1,B{other}",
-    "nul": "3,1,n\x00l{end}",
-    "too-long": "3,1," + "y" * (FIELD_LIMIT + 1) + "{end}",
-    "wrong-width": "3,1{end}",
+    "blank": "\n",
+    "bare-cr": "3,1,B\r4,0,A\n",
+    "crlf": "3,1,B\r\n",
+    "nul": "3,1,n\x00l\n",
+    "too-long": "3,1," + "y" * (FIELD_LIMIT + 1) + "\n",
+    "wrong-width": "3,1\n",
     "no-final-newline": "3,1,B",
 }
 
 
-@pytest.mark.parametrize("line_end", ["\n", "\r\n"])
 @pytest.mark.parametrize("edge", ["first", "last"])
 @pytest.mark.parametrize("line", EDGE_LINES.values(), ids=EDGE_LINES)
-def test_lines_csv_reads_apart_at_block_edges(monkeypatch, line, edge, line_end):
-    line = line.format(end=line_end, other="\r\n" if line_end == "\n" else "\n")
-    head = f"1,1,A{line_end}2,0,B{line_end}" * 3
-    tail = f"5,1,A{line_end}6,0,B{line_end}" * 6 if line.endswith("\n") else ""  # so a block follows the edge line's
-    # a block ends at the first newline at or past _BLOCK_BYTES - 1 bytes into it
+def test_lines_csv_reads_apart_at_block_edges(monkeypatch, line, edge):
+    head = "1,1,A\n2,0,B\n" * 3
+    tail = "5,1,A\n6,0,B\n" * 6 if line.endswith("\n") else ""  # so a block follows the edge line's
+    # a block ends at the first line end at or past _BLOCK_BYTES - 1 bytes into it
     monkeypatch.setattr(dataset, "_BLOCK_BYTES", len((head + line * (edge == "last")).encode()))
     limit = csv.field_size_limit(FIELD_LIMIT)
     try:
-        text = "time,status,group" + line_end + head + line + tail
-        for text in (text, text + "x,1,A" + line_end) if tail else (text,):  # and with a row error past the edge
+        text = "time,status,group\n" + head + line + tail
+        for text in (text, text + "x,1,A\n") if tail else (text,):  # and with a row error past the edge
             assert _numbered_rows(text.encode(), chunked=True) == _numbered_rows(text.encode(), chunked=False)
             assert _loaded(load_dataset, text.encode()) == _loaded(reference.load_dataset, text.encode())
     finally:
         csv.field_size_limit(limit)
 
 
-@pytest.mark.parametrize("line_end", ["\n", "\r\n"])
-def test_quote_free_rows_skip_the_csv_row_loop(monkeypatch, line_end):
+def test_quote_free_rows_skip_the_csv_row_loop(monkeypatch):
     def row_loop(*args):
         raise AssertionError("the csv.reader row loop ran")
 
     monkeypatch.setattr(dataset, "_reader_chunks", row_loop)
     monkeypatch.setattr(dataset, "_BLOCK_BYTES", 8)
-    samples = load_dataset(line_end.join(["time,status,group", "1,1,A", "2,0,組", "3,1,A", ""]).encode())
+    samples = load_dataset("time,status,group\n1,1,A\n2,0,組\n3,1,A\n".encode())
     assert samples["A"].times.tolist() == [1.0, 3.0] and samples["組"].n == 1
 
 
@@ -452,3 +449,24 @@ def test_quote_free_loads_build_no_list_per_row():
     for load, text in ((load_dataset, survival.encode()), (load_paired_survey, survey.encode())):
         gen0, _, gen2 = _collections(load, text)
         assert gen0 <= 3 and gen2 == 0
+
+
+def _peak_bytes(load, text) -> int:
+    """The most memory that ``load(text)`` holds at once, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        load(text)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("line_end", ["\r", "\r\n"])
+def test_input_without_newlines_is_read_a_block_at_a_time(line_end):
+    # a block ends at any line end: were it cut at newlines only, a file of
+    # bare carriage returns would be one block, decoded and read whole
+    rows = "".join(f"{k * 0.0137:.4f},{k % 3 % 2},{'AB'[k % 2]}\n" for k in range(30_000))
+    newline = ("time,status,group\n" + rows).encode()
+    other = newline.replace(b"\n", line_end.encode())
+    assert load_dataset(other) == load_dataset(newline)
+    assert _peak_bytes(load_dataset, other) < 1.25 * _peak_bytes(load_dataset, newline)
