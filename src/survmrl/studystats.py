@@ -14,10 +14,10 @@ replicate's draw.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -239,32 +239,23 @@ class PairedSurvey:
     n_items: int
 
 
-@dataclass
-class _PairRows:
-    """The (participant, item) pairs read so far, kept as integers so that
-    no per-row tuple is built.
-
-    A pair's key is its participant code shifted 32 bits left, or-ed with
-    its item code; each code numbers labels in order of first row.
-    """
-
-    participant_codes: dict[str, int] = field(default_factory=dict)
-    item_codes: dict[str, int] = field(default_factory=dict)
-    first_rows: dict[int, int] = field(default_factory=dict)  # pair key -> row number
-
-
 def _survey_row(
+    participant_codes: dict[str, int],
+    item_codes: dict[str, int],
+    first_rows: dict[int, int],
     row_number: int,
     participant_text: str,
     item_text: str,
     pre_text: str,
     post_text: str,
-    pairs: _PairRows,
 ) -> tuple[int, int, int]:
     """The row rules: a survey row's participant code, pre and post
     outcomes, or the ParseError of its first fault.
 
-    The row's (participant, item) pair is added to ``pairs``.
+    The codes number participant ids and item labels in order of first
+    row. ``first_rows`` maps the key of each (participant, item) pair
+    given so far, its participant code shifted 32 bits left or-ed with its
+    item code, to its row number; the row's codes and pair are added.
     """
     participant = participant_text.strip()
     if not participant:
@@ -272,9 +263,9 @@ def _survey_row(
     item = item_text.strip()
     if not item:
         raise ParseError(row_number, "item label is empty")
-    code = pairs.participant_codes.setdefault(participant, len(pairs.participant_codes))
-    item_code = pairs.item_codes.setdefault(item, len(pairs.item_codes))
-    first = pairs.first_rows.setdefault(code << 32 | item_code, row_number)
+    code = participant_codes.setdefault(participant, len(participant_codes))
+    item_code = item_codes.setdefault(item, len(item_codes))
+    first = first_rows.setdefault(code << 32 | item_code, row_number)
     if first != row_number:
         key = (participant, item)
         raise ParseError(row_number, f"duplicate (participant, item) {key!r}, first given on row {first}")
@@ -301,32 +292,32 @@ def load_paired_survey(source: str | bytes | os.PathLike) -> PairedSurvey:
     positions = [header.index(name) for name in expected]
 
     label_of_text: dict[str, str] = {}
-    pairs = _PairRows()
+    code_of: dict[str, int] = {}  # participant id -> code, in order of first row
+    item_codes: dict[str, int] = {}  # item label -> code, in order of first row
+    first_rows: dict[int, int] = {}  # pair key (see _survey_row) -> row number
 
     def columns(chunk: tuple[Sequence[int], list[list[str]]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """A chunk's participant codes and pre and post outcomes (int8); adds its pairs to ``pairs``."""
+        """A chunk's participant codes and pre and post outcomes (int8); adds its codes and pairs."""
         row_numbers, texts = chunk
         participant_texts, item_texts, pre_texts, post_texts = (texts[k] for k in positions)
         participants = strip_labels(participant_texts, label_of_text)
         items = None if participants is None else strip_labels(item_texts, label_of_text)
         if items is not None and _OUTCOMES.keys() >= {*pre_texts, *post_texts}:
-            codes = label_codes(participants, pairs.participant_codes)
-            keys = (codes.astype(np.int64) << 32 | label_codes(items, pairs.item_codes)).tolist()
-            if len(set(keys)) == len(keys) and pairs.first_rows.keys().isdisjoint(keys):
-                pairs.first_rows.update(zip(keys, row_numbers))
+            codes = label_codes(participants, code_of)
+            keys = (codes.astype(np.int64) << 32 | label_codes(items, item_codes)).tolist()
+            if len(set(keys)) == len(keys) and first_rows.keys().isdisjoint(keys):
+                first_rows.update(zip(keys, row_numbers))
                 pre = np.fromiter(map(_OUTCOMES.__getitem__, pre_texts), np.int8, len(keys))
                 post = np.fromiter(map(_OUTCOMES.__getitem__, post_texts), np.int8, len(keys))
                 return codes, pre, post
         # A check failed: the row rules raise the chunk's first error, or on
         # a false alarm give the same values.
-        codes, pre, post = zip(*map(
-            _survey_row, row_numbers, participant_texts, item_texts, pre_texts, post_texts, itertools.repeat(pairs)
-        ))
+        row_rules = functools.partial(_survey_row, code_of, item_codes, first_rows)
+        codes, pre, post = zip(*map(row_rules, row_numbers, participant_texts, item_texts, pre_texts, post_texts))
         return np.array(codes, dtype=np.intp), np.array(pre, dtype=np.int8), np.array(post, dtype=np.int8)
 
     # map() drops each chunk before the next is read.
     parts = list(map(columns, chunks))
-    code_of = pairs.participant_codes  # participant id -> code, in order of first row
     if not code_of:
         raise SchemaError("empty dataset")
 
