@@ -1,4 +1,3 @@
-import gc
 import os
 import resource
 import subprocess
@@ -10,6 +9,7 @@ import numpy as np
 import pytest
 
 import survmrl
+from survmrl import cli
 from survmrl.cli import run_cli
 
 
@@ -713,16 +713,17 @@ def test_cold_start_imports_no_network_or_xml_stack():
     assert proc.stdout.strip() == ""
 
 
-@pytest.mark.parametrize("fixture, command", [("survival_csv", "km"), ("survey_csv", "stats")])
-def test_a_run_leaves_no_cyclic_garbage(fixture, command, request, tmp_path, capsys):
-    # A process that runs many commands (a test session, a benchmark worker)
-    # would hold such garbage until the collector's next full pass.
-    args = [command, "--input", str(request.getfixturevalue(fixture)), "--out-csv", str(tmp_path / "out.csv")]
-    assert run_cli(args) == 0
-    gc.collect()
-    gc.disable()
+def test_the_parser_is_built_once_per_process(monkeypatch, survival_csv, survey_csv, tmp_path):
+    # Each parser leaves cyclic garbage (argparse's help-formatter sections),
+    # which a process that runs many commands would hold until a full
+    # collection.
+    builds = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+    cli._parser.cache_clear()
     try:
-        assert run_cli(args) == 0
-        assert gc.collect() == 0
+        for command, source in [("km", survival_csv), ("stats", survey_csv)] * 2:
+            assert run_cli([command, "--input", str(source), "--out-csv", str(tmp_path / "out.csv")]) == 0
     finally:
-        gc.enable()
+        cli._parser.cache_clear()
+    assert len(builds) == 1
