@@ -186,7 +186,9 @@ def render_plot_svg(spec: PlotSpec) -> bytes:
         shown = np.isfinite(vs)
         return list(map("{:.6g},{:.6g}".format, px(ts[shown]).tolist(), py(vs[shown]).tolist()))
 
-    out = io.StringIO()
+    # Text is encoded as it is written, and getvalue() hands back the byte
+    # buffer itself, so the document is never held twice.
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")
     out.write(_PROLOGUE)
 
     # Envelope band behind everything else.
@@ -220,13 +222,10 @@ def render_plot_svg(spec: PlotSpec) -> bytes:
         color = PALETTE[index % len(PALETTE)]
         if series.step is not None:
             f = series.step
-            d = [f"M{_fmt(px(0.0))},{_fmt(py(f.initial_value))}"]
-            d += map("H{:.6g} V{:.6g}".format, px(f.knots).tolist(), py(f.values).tolist())
-            d.append(f"H{_fmt(px(data_x_max))}")
-            out.write(
-                f'<path d="{" ".join(d)}" fill="none" stroke="{color}" '
-                f'stroke-width="1.5"/>\n'
-            )
+            # No list of the path's segments outlives the join.
+            segments = map("H{:.6g} V{:.6g}".format, px(f.knots).tolist(), py(f.values).tolist())
+            d = " ".join([f"M{_fmt(px(0.0))},{_fmt(py(f.initial_value))}", *segments, f"H{_fmt(px(data_x_max))}"])
+            out.write(f'<path d="{d}" fill="none" stroke="{color}" stroke-width="1.5"/>\n')
             # Each distinct tick once, in first-occurrence order: tied censor
             # times, and distinct ones that land on one pixel, draw one line.
             first = np.unique(series.censor_times, return_index=True)[1]
@@ -257,7 +256,8 @@ def render_plot_svg(spec: PlotSpec) -> bytes:
             out.write(_label(_fmt(legend_x + 28), _fmt(y + 4), 11, "", _text(series.label)))
 
     out.write("</svg>\n")
-    return out.getvalue().encode("utf-8")
+    out.flush()
+    return out.buffer.getvalue()
 
 
 def export_curve_csv(curve: KmCurve | MrlCurve | ComparisonCurve, envelope: Envelope | None = None) -> bytes:

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import math
 import re
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -420,3 +421,20 @@ def test_curve_columns_are_copied():
     assert np.array_equal(f.knots, [1.0, 2.0]) and np.array_equal(f.values, [0.25, 0.5])
     with pytest.raises(ValueError):
         f.knots[0] = 0.0
+
+
+def test_the_document_is_held_once():
+    # six step series, each with its own censor ticks: a buffer copied to a
+    # str and then encoded held the whole document three times at its end
+    knots = np.arange(1, 2001) * 0.5
+    step = StepFunction(knots=knots, values=np.linspace(1.0, 0.0, 2001)[1:], initial_value=1.0)
+    series = tuple(PlotSeries(str(k), step=step, censor_times=knots + 0.25 + k * 0.1) for k in range(6))
+    spec = PlotSpec("t", "x", "y", series)
+    tracemalloc.start()
+    try:
+        svg = render_plot_svg(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert svg == reference.render_plot_svg(reference.as_tuples(spec))
+    assert peak < 2 * len(svg)
