@@ -462,7 +462,7 @@ def _peak_bytes(load, text) -> int:
 
 
 @pytest.mark.parametrize("line_end", ["\r", "\r\n"])
-def test_input_without_newlines_is_read_a_block_at_a_time(line_end):
+def test_carriage_return_input_is_read_a_block_at_a_time(line_end):
     # a block ends at any line end: were it cut at newlines only, a file of
     # bare carriage returns would be one block, decoded and read whole
     rows = "".join(f"{k * 0.0137:.4f},{k % 3 % 2},{'AB'[k % 2]}\n" for k in range(30_000))
