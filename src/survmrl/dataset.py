@@ -24,11 +24,9 @@ from .errors import ParseError, SchemaError
 
 DEFAULT_GROUP = "all"
 _BLOCK_BYTES = 16 * 1024  # input bytes per block, so per chunk, of read_csv
-# Every byte but the comma, the line ends and NUL: the bytes that csv reads
-# as they are in a field of quote-free text.
-_PLAIN_BYTES = bytes(sorted(set(range(256)) - set(b",\n\r\0")))
-# The blank lines before a quote-free header, the header and its line end.
-_HEADER_LINE = re.compile(rb"[\r\n]*([^\r\n]*)(?:\r\n|\r|\n)?")
+# Every byte but the comma, the line ends, the quote and NUL: the bytes
+# that csv reads as they are in a field.
+_PLAIN_BYTES = bytes(sorted(set(range(256)) - set(b',\n\r"\0')))
 # A line end as csv reads it, so that a cut after one never splits a line.
 _LINE_END = re.compile(rb"\r\n?|\n")
 
@@ -127,38 +125,40 @@ def read_csv(
     header the csv module cannot split a SchemaError. A caller that drops a
     chunk before asking for the next holds one chunk at a time.
 
-    Input with no ``"`` is split a block of whole lines at a time (see
-    ``_split_chunks``), with no list per row; input with a ``"`` goes
-    through one csv.reader, and its rows are transposed into columns.
+    The header is read by csv.reader, so a quoted name may hold a comma or
+    a line break; the data starts past as many line ends as that reader
+    consumed. It is split a block of lines at a time, with no list per
+    row, while its blocks are plain, and read by one csv.reader from the
+    first block that is not (see ``_split_chunks``).
     """
-    data, start = _input_bytes(source)
-    quoted = b'"' in data
-    if quoted:
-        stream = io.BytesIO(data)
-        stream.seek(start)
-        reader = csv.reader(io.TextIOWrapper(stream, encoding="utf-8", newline=""))
-    else:
-        header_line = _HEADER_LINE.match(data, start)
-        reader = csv.reader([header_line[1].decode()])
+    data, pos = _input_bytes(source)
+    reader = csv.reader(_text_lines(data, pos))
     try:
         header = next((row for row in reader if row), None)
     except csv.Error as exc:
         raise SchemaError(f"malformed CSV header: {exc}") from None
     if header is None:
         raise SchemaError("empty dataset")
-    if quoted:
-        chunks = _reader_chunks(reader, -reader.line_num, len(header))
-    else:
-        chunks = _split_chunks(data, header_line.end(), len(header))
-    return [h.strip() for h in header], chunks
+    for _ in range(reader.line_num):
+        line_end = _LINE_END.search(data, pos)
+        pos = line_end.end() if line_end else len(data)
+    return [h.strip() for h in header], _split_chunks(data, pos, len(header))
+
+
+def _text_lines(data: bytes, pos: int) -> io.TextIOWrapper:
+    """The UTF-8 text of ``data`` from byte ``pos`` on, a stream of lines with their line ends as csv reads them."""
+    stream = io.BytesIO(data)
+    stream.seek(pos)
+    return io.TextIOWrapper(stream, encoding="utf-8", newline="")
 
 
 def _reader_chunks(reader, offset: int, width: int) -> Iterator[tuple[list[int], list[list[str]]]]:
     """Chunks of the rows left in csv ``reader``, each row numbered
     ``reader.line_num + offset``, as ``read_csv`` yields them.
 
-    This per-row loop, which numbers, checks and keeps a list per row, is
-    what ``_split_chunks`` replaces on the blocks it can split.
+    This per-row loop, which numbers, checks and keeps a list per row,
+    reads the input from the first block that ``_split_chunks`` cannot
+    split to the end.
     """
     chunk_rows = max(1, _BLOCK_BYTES // 8)  # a block's worth of 8-byte rows
     numbers: list[int] = []
@@ -190,18 +190,18 @@ def _columns(rows: list[list[str]], width: int) -> list[list[str]]:
 
 
 def _split_chunks(data: bytes, pos: int, width: int) -> Iterator[tuple[Sequence[int], list[list[str]]]]:
-    """Chunks of the quote-free ``data`` past ``pos``, the first line below
-    the header, as ``read_csv`` yields them.
+    """Chunks of ``data`` past ``pos``, the first line below the header,
+    as ``read_csv`` yields them.
 
     The data is cut after a line end into blocks of at least
     ``_BLOCK_BYTES`` (UTF-8 never has a line end byte inside a character,
-    and a carriage return and newline pair stays whole), and each block is
-    decoded alone. A block whose lines all hold ``width`` fields split at
-    each comma and end in a newline, with no carriage return, no NUL, no
-    blank line and no field past csv.field_size_limit(), is read as csv
-    would read it by str.split; its columns are slices of that field list.
-    Any other block goes through csv.reader on its own, under the same
-    line numbers.
+    and a carriage return and newline pair stays whole). While each block
+    is plain, that is its lines all hold ``width`` fields split at each
+    comma and end in a newline, with no quote, no carriage return, no
+    blank line and no field past csv.field_size_limit(), it is read as csv
+    would read it by str.split, and its columns are slices of that field
+    list. From the first block that is not plain to the end, the data goes
+    through one csv.reader (``_reader_chunks``) under the same line numbers.
     """
     limit = csv.field_size_limit()
     line_shape = b"," * (width - 1) + b"\n"
@@ -210,23 +210,20 @@ def _split_chunks(data: bytes, pos: int, width: int) -> Iterator[tuple[Sequence[
         cut = _LINE_END.search(data, pos + _BLOCK_BYTES - 1)
         end = cut.end() if cut else len(data)
         block = data[pos:end] if data[end - 1] in b"\r\n" else data[pos:end] + b"\n"
-        pos = end
-        text = block.decode("utf-8")
         n_lines = block.count(b"\n")
         fields = None
         blank = block.startswith(b"\n") or b"\n\n" in block
-        # without its plain bytes, a block that splits is each line's commas and newline
+        # without its plain bytes, a plain block is each line's commas and newline
         if not blank and block.translate(None, _PLAIN_BYTES) == line_shape * n_lines:
-            fields = text[:-1].replace("\n", ",").split(",")
+            fields = block.decode("utf-8")[:-1].replace("\n", ",").split(",")
             if len(block) > limit and max(map(len, fields)) > limit:
                 fields = None
         if fields is None:
-            reader = csv.reader(io.StringIO(text, newline=""))
-            yield from _reader_chunks(reader, line, width)
-            line += reader.line_num
-        else:
-            yield range(line + 1, line + 1 + n_lines), [fields[k::width] for k in range(width)]
-            line += n_lines
+            yield from _reader_chunks(csv.reader(_text_lines(data, pos)), line, width)
+            return
+        yield range(line + 1, line + 1 + n_lines), [fields[k::width] for k in range(width)]
+        pos = end
+        line += n_lines
 
 
 def _survival_row(row_number: int, time_text: str, status_text: str, group_text: str) -> tuple[float, int, str]:
