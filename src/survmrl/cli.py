@@ -257,7 +257,7 @@ def _write_plot(args, outputs: _StagedOutputs, spec: render.PlotSpec, csv_curves
             path = base
             if len(csv_curves) > 1:
                 name = f"{base.stem}.{group}{base.suffix}"
-                if "\0" in name or Path(name).name != name:
+                if Path(name).name != name:
                     raise SurvmrlError(f"group label {group!r} cannot be used in an output file name")
                 path = base.with_name(name)
             outputs.write(path, render.export_curve_csv(curve, envelope=envelope))

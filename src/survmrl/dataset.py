@@ -1,8 +1,8 @@
 """Ingest right-censored survival data from CSV into typed, grouped samples.
 
-Input schema: UTF-8 CSV with a header row and columns ``time`` (decimal,
->= 0), ``status`` (1 = event observed, 0 = right-censored) and an optional
-``group`` label. Rows are partitioned by group and each group's sample is
+Input schema: UTF-8 CSV with no NUL byte, a header row and columns
+``time`` (decimal, >= 0), ``status`` (1 = event observed, 0 =
+right-censored) and an optional ``group`` label. Rows are partitioned by group and each group's sample is
 sorted ascending by time with events ordered before censorings at ties.
 """
 
@@ -24,9 +24,9 @@ from .errors import ParseError, SchemaError
 
 DEFAULT_GROUP = "all"
 _BLOCK_BYTES = 16 * 1024  # input bytes per block, so per chunk, of read_csv
-# Every byte but the comma, the line ends, the quote and NUL: the bytes
-# that csv reads as they are in a field.
-_PLAIN_BYTES = bytes(sorted(set(range(256)) - set(b',\n\r"\0')))
+# Every byte but the comma, the line ends and the quote: the bytes that
+# csv reads as they are in a field.
+_PLAIN_BYTES = bytes(sorted(set(range(256)) - set(b',\n\r"')))
 # A line end as csv reads it, so that a cut after one never splits a line.
 _LINE_END = re.compile(rb"\r\n?|\n")
 
@@ -93,8 +93,8 @@ def _input_bytes(source: str | bytes | os.PathLike) -> tuple[bytes, int]:
     """The bytes of ``source`` (raw bytes, or the file at a path) and the
     offset of its text, past a leading UTF-8 byte-order mark.
 
-    The whole input is checked first, so invalid UTF-8 anywhere is an error
-    before any row is read.
+    The whole input is checked first, so invalid UTF-8 or a NUL byte
+    anywhere is an error before any row is read.
     """
     if not isinstance(source, bytes):
         with open(source, "rb") as fh:
@@ -104,6 +104,8 @@ def _input_bytes(source: str | bytes | os.PathLike) -> tuple[bytes, int]:
             source.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise SchemaError(f"input is not valid UTF-8: {exc}") from None
+    if b"\0" in source:
+        raise SchemaError("input holds a NUL byte")
     return source, len(codecs.BOM_UTF8) if source.startswith(codecs.BOM_UTF8) else 0
 
 

@@ -22,9 +22,12 @@ def _decode(source) -> str:
         with open(source, "rb") as fh:
             source = fh.read()
     try:
-        return source.decode("utf-8")
+        text = source.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"input is not valid UTF-8: {exc}") from None
+    if "\0" in text:
+        raise SchemaError("input holds a NUL byte")
+    return text
 
 
 def read_csv(source):

@@ -516,7 +516,9 @@ class TestGroupLabelsInFileNames:
         assert code == 1
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
-        if sys.version_info >= (3, 11):  # older csv modules reject a NUL while reading
+        if "\0" in label:
+            assert captured.err == "input holds a NUL byte\n"
+        else:
             assert captured.err == f"group label {label!r} cannot be used in an output file name\n"
         assert list(out.iterdir()) == []
 

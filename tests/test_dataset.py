@@ -270,7 +270,7 @@ GOOD_STATUSES = ["0", "1"]
 PADDED_STATUSES = [" 1", "1.0", "0.0", "\x1d0", "-0", "1e0", "0\u2003"]
 BAD_STATUSES = ["2", "0.5", "nan", "1_0", "١", "", "inf", "x"]
 GOOD_GROUPS = ["A", "B", "grp_1", "組", "a,b", 'q"t', "line\nbreak", "C\r\nD"]
-QUOTE_FREE_GROUPS = ["A", "B", "grp_1", "組", "n\x00l"]  # a NUL is a csv error on Python 3.10
+QUOTE_FREE_GROUPS = ["A", "B", "grp_1", "組", "n\x00l"]  # a NUL makes the input an error
 PADDED_GROUPS = [" A", "A ", "\x1eB", "\tB\u2003"]
 BAD_GROUPS = ["", " ", "\x1f"]
 HEADERS = [["time", "status", "group"]] * 6 + [["status", "group", "time"], ["time", "status"]]
@@ -351,9 +351,10 @@ def test_loader_matches_the_per_row_reference(monkeypatch, text, block_bytes):
 
 
 def _numbered_rows(text, chunked):
+    out = []
     try:
         header, rows = (dataset if chunked else reference).read_csv(text)
-        out = [header]
+        out.append(header)
         for item in rows:
             if chunked:
                 numbers, columns = item
@@ -405,6 +406,8 @@ def test_lines_csv_reads_apart_at_block_edges(monkeypatch, line, edge):
         for text in (text, text + "x,1,A\n") if tail else (text,):  # and with a row error past the edge
             assert _numbered_rows(text.encode(), chunked=True) == _numbered_rows(text.encode(), chunked=False)
             assert _loaded(load_dataset, text.encode()) == _loaded(reference.load_dataset, text.encode())
+            if "\0" in line:
+                assert _loaded(load_dataset, text.encode()) == (SchemaError, "input holds a NUL byte")
     finally:
         csv.field_size_limit(limit)
 

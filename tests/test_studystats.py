@@ -335,14 +335,14 @@ class TestLoadPairedSurvey:
             assert scores.dtype == np.float64 and scores.flags.writeable is False
         assert all(type(i) is str for i in survey.pre.ids)
 
-    def test_ids_differing_by_a_trailing_nul_stay_apart(self):
-        survey = load_paired_survey(b"participant,item,pre,post\np1\x00,i1,1,1\np1,i1,0,1\n")
-        assert survey.pre.ids == ("p1", "p1\x00")
-        assert np.array_equal(survey.pre.scores, [0.0, 1.0])
+    def test_an_id_with_a_nul_byte_is_rejected(self):
+        with pytest.raises(SchemaError, match="^input holds a NUL byte$"):
+            load_paired_survey(b"participant,item,pre,post\np1\x00,i1,1,1\np1,i1,0,1\n")
 
 
-# Ids that differ only by a trailing NUL, by case or by padding (which the
-# loader strips), unicode ids, and items that collide the same ways.
+# Ids that differ only by a trailing NUL (which makes the input an error),
+# by case or by padding (which the loader strips), unicode ids, and items
+# that collide the same ways.
 IDS = ["p1", "p1\x00", "P1", " p1", "p1 ", "p2", "p10", "é", "e\u0301", "参加者", "\x00", "a,b", 'q"t']
 QUOTE_FREE_IDS = [i for i in IDS if "," not in i and '"' not in i]
 ITEMS = ["i1", "i2", "i3", "I1", " i1", "i1\x00"]
