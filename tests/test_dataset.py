@@ -387,6 +387,7 @@ EDGE_LINES = {
     "bare-cr": "3,1,B\r4,0,A\n",
     "crlf": "3,1,B\r\n",
     "nul": "3,1,n\x00l\n",
+    "quoted-multi-line": '3,1,"B\nC"\n',
     "too-long": "3,1," + "y" * (FIELD_LIMIT + 1) + "\n",
     "wrong-width": "3,1\n",
     "no-final-newline": "3,1,B",
@@ -420,6 +421,44 @@ def test_quote_free_rows_skip_the_csv_row_loop(monkeypatch):
     monkeypatch.setattr(dataset, "_BLOCK_BYTES", 8)
     samples = load_dataset("time,status,group\n1,1,A\n2,0,組\n3,1,A\n".encode())
     assert samples["A"].times.tolist() == [1.0, 3.0] and samples["組"].n == 1
+
+
+def _spy_on_row_loop(monkeypatch) -> list[int]:
+    """The line offset of each ``_reader_chunks`` call from now on."""
+    offsets = []
+    row_loop = dataset._reader_chunks
+
+    def spy(reader, offset, width):
+        offsets.append(offset)
+        return row_loop(reader, offset, width)
+
+    monkeypatch.setattr(dataset, "_reader_chunks", spy)
+    return offsets
+
+
+@pytest.mark.parametrize("line_end", LINE_ENDS, ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize(
+    "header", ["{0}{0}time,status,group{0}", '"time{0}",status,group{0}'], ids=["blank-lines", "quoted-name"]
+)
+def test_data_starts_below_the_header(monkeypatch, header, line_end):
+    # the rows fill several blocks, each split while the data starts at a line
+    monkeypatch.setattr(dataset, "_BLOCK_BYTES", 64)
+    offsets = _spy_on_row_loop(monkeypatch)
+    rows = "".join(f"{k},{k % 2},{'AB'[k % 3 % 2]}\n" for k in range(1, 60))
+    text = (header.format(line_end) + rows).encode()
+    assert _numbered_rows(text, chunked=True) == _numbered_rows(text, chunked=False)
+    assert _loaded(load_dataset, text) == _loaded(reference.load_dataset, text)
+    assert offsets == []
+
+
+def test_the_csv_row_loop_starts_at_the_first_block_with_a_quote(monkeypatch):
+    monkeypatch.setattr(dataset, "_BLOCK_BYTES", 64)
+    offsets = _spy_on_row_loop(monkeypatch)
+    rows = [f"{k:03d},1,A\n" for k in range(1, 41)]  # 8 bytes each, so blocks of 8 lines
+    rows[35] = '036,1,"B"\n'  # in the last block, lines 33 to 40
+    text = ("time,status,group\n" + "".join(rows)).encode()
+    assert _numbered_rows(text, chunked=True) == _numbered_rows(text, chunked=False)
+    assert offsets == [32]
 
 
 @pytest.mark.parametrize("label", [b"A", b'"A"'])
@@ -465,11 +504,13 @@ def _peak_bytes(load, text) -> int:
 
 
 @pytest.mark.parametrize("line_end", ["\r", "\r\n"])
-def test_carriage_return_input_is_read_a_block_at_a_time(line_end):
-    # a block ends at any line end: were it cut at newlines only, a file of
-    # bare carriage returns would be one block, decoded and read whole
+def test_carriage_return_input_streams_through_one_csv_reader(monkeypatch, line_end):
+    # the first block holds a carriage return, so one csv.reader reads the
+    # rest from a text stream, not from the input decoded whole
+    offsets = _spy_on_row_loop(monkeypatch)
     rows = "".join(f"{k * 0.0137:.4f},{k % 3 % 2},{'AB'[k % 2]}\n" for k in range(30_000))
     newline = ("time,status,group\n" + rows).encode()
     other = newline.replace(b"\n", line_end.encode())
     assert load_dataset(other) == load_dataset(newline)
+    assert offsets == [0]
     assert _peak_bytes(load_dataset, other) < 1.25 * _peak_bytes(load_dataset, newline)
