@@ -2,8 +2,9 @@
 
 Input schema: UTF-8 CSV with no NUL byte, a header row and columns
 ``time`` (decimal, >= 0), ``status`` (1 = event observed, 0 =
-right-censored) and an optional ``group`` label. Rows are partitioned by group and each group's sample is
-sorted ascending by time with events ordered before censorings at ties.
+right-censored) and an optional ``group`` label. Rows are partitioned by
+group and each group's sample is sorted ascending by time with events
+ordered before censorings at ties.
 """
 
 from __future__ import annotations
@@ -116,9 +117,9 @@ def read_csv(
 
     Each chunk is a pair: the data row numbers (a range for a split block),
     and one list of field texts per header column, from about
-    ``_BLOCK_BYTES`` of input. Blank lines are
-    skipped but counted: data row k sits k lines below the header. A bare
-    carriage return ends a line, as in any CSV dialect. Rows are checked
+    ``_BLOCK_BYTES`` of input. Blank lines are skipped but counted: data
+    row k sits k lines below the header. A bare carriage return ends a
+    line, as in any CSV dialect. Rows are checked
     for the header's field count as they are consumed, so a caller
     validates the header before any row error can surface; on a row of the
     wrong width, or one the csv module cannot split (a ParseError), the
@@ -159,8 +160,7 @@ def _reader_chunks(reader, offset: int, width: int) -> Iterator[tuple[list[int],
     ``reader.line_num + offset``, as ``read_csv`` yields them.
 
     This per-row loop, which numbers, checks and keeps a list per row,
-    reads the input from the first block that ``_split_chunks`` cannot
-    split to the end.
+    reads on from the first block that ``_split_chunks`` cannot split.
     """
     chunk_rows = max(1, _BLOCK_BYTES // 8)  # a block's worth of 8-byte rows
     numbers: list[int] = []
