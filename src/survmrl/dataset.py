@@ -276,26 +276,19 @@ def _survival_columns(time_texts: list[str], status_texts: list[str]) -> tuple[n
     return times, statuses.astype(np.int8)
 
 
-def strip_labels(texts: list[str], label_of_text: dict[str, str]) -> list[str] | None:
-    """Each text stripped, or None if one strips to nothing.
+def label_codes(texts: Sequence[str], code_of_text: dict[str, int], codes: dict[str, int]) -> np.ndarray | None:
+    """Each text's code, that of its stripped label in ``codes``, or None if a text strips to nothing.
 
-    ``label_of_text`` caches the stripped text, so each distinct text is
-    stripped once.
+    New labels are coded in order of first appearance. ``code_of_text``
+    caches each text's code, so each distinct text is stripped once.
     """
     for text in dict.fromkeys(texts):
-        if text not in label_of_text:
+        if text not in code_of_text:
             label = text.strip()
             if not label:
                 return None
-            label_of_text[text] = label
-    return list(map(label_of_text.__getitem__, texts))
-
-
-def label_codes(labels: Sequence[str], codes: dict[str, int]) -> np.ndarray:
-    """Each label's code in ``codes``, adding new labels in order of first appearance."""
-    for label in dict.fromkeys(labels):
-        codes.setdefault(label, len(codes))
-    return np.fromiter(map(codes.__getitem__, labels), np.intp, len(labels))
+            code_of_text[text] = codes.setdefault(label, len(codes))
+    return np.fromiter(map(code_of_text.__getitem__, texts), np.intp, len(texts))
 
 
 def load_dataset(source: str | bytes | os.PathLike) -> dict[str, SurvivalSample]:
@@ -304,7 +297,8 @@ def load_dataset(source: str | bytes | os.PathLike) -> dict[str, SurvivalSample]
     The header must contain ``time`` and ``status``; ``group`` is optional
     and defaults every row to group "all" when absent. Any other column is
     a schema error. Blank lines are skipped; any malformed row raises a
-    ParseError naming its 1-based data row number (see read_csv).
+    ParseError naming its 1-based data row number (see read_csv). The
+    dict is in order of each group's first row.
     """
     header, chunks = read_csv(source)
     unknown = [h for h in header if h not in ("time", "status", "group")]
@@ -319,35 +313,33 @@ def load_dataset(source: str | bytes | os.PathLike) -> dict[str, SurvivalSample]
     time_at, status_at = header.index("time"), header.index("status")
     group_at = header.index("group") if "group" in header else None
 
-    label_of_text: dict[str, str] = {}
+    code_of_text: dict[str, int] = {}
+    codes: dict[str, int] = {}  # group label -> code, in order of first row
 
-    def columns(chunk: tuple[Sequence[int], list[list[str]]]) -> tuple[np.ndarray, np.ndarray, Sequence[str]]:
-        """A chunk's times, statuses (int8) and group labels."""
+    def columns(chunk: tuple[Sequence[int], list[list[str]]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A chunk's times, statuses (int8) and group codes; adds its labels to ``codes``."""
         row_numbers, texts = chunk
         time_texts, status_texts = texts[time_at], texts[status_at]
         group_texts = texts[group_at] if group_at is not None else [DEFAULT_GROUP] * len(time_texts)
         parsed = _survival_columns(time_texts, status_texts)
-        labels = None if parsed is None else strip_labels(group_texts, label_of_text)
-        if labels is None:
+        group_codes = None if parsed is None else label_codes(group_texts, code_of_text, codes)
+        if group_codes is None:
             # A check failed: the row rules raise the chunk's first error, or
-            # on a false alarm give the same values.
+            # on a false alarm give the same values. A stripped label strips
+            # to itself, so it gets its padded texts' code.
             times, statuses, labels = zip(*map(_survival_row, row_numbers, time_texts, status_texts, group_texts))
             parsed = np.array(times), np.array(statuses, dtype=np.int8)
-        return parsed[0], parsed[1], labels
+            group_codes = label_codes(labels, code_of_text, codes)
+        return parsed[0], parsed[1], group_codes
 
-    codes: dict[str, int] = {}  # group label -> code, in order of first row
-    parts: list[list[tuple[np.ndarray, np.ndarray]]] = []  # per code: (times, statuses) pieces in row order
     # map() drops each chunk before the next is read.
-    for times, statuses, labels in map(columns, chunks):
-        group_codes = label_codes(labels, codes)
-        parts += [[] for _ in range(len(codes) - len(parts))]
-        order = np.argsort(group_codes, kind="stable")
-        group_codes, times, statuses = group_codes[order], times[order], statuses[order]
-        starts = np.flatnonzero(np.diff(group_codes, prepend=-1))
-        pieces = zip(np.split(times, starts[1:]), np.split(statuses, starts[1:]))
-        for code, piece in zip(group_codes[starts].tolist(), pieces):
-            parts[code].append(piece)
-
+    parts = list(map(columns, chunks))
     if not codes:
         raise SchemaError("empty dataset")
-    return {label: SurvivalSample(*map(np.concatenate, zip(*parts[code]))) for label, code in codes.items()}
+    times, statuses, group_codes = map(np.concatenate, zip(*parts))
+    del parts
+    # One stable sort by code keeps each group's rows in row order.
+    order = np.argsort(group_codes, kind="stable")
+    bounds = np.cumsum(np.bincount(group_codes))[:-1]
+    pieces = zip(np.split(times[order], bounds), np.split(statuses[order], bounds))
+    return {label: SurvivalSample(*piece) for label, piece in zip(codes, pieces)}

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import fields_equal, freeze_columns, label_codes, read_csv, strip_labels
+from .dataset import fields_equal, freeze_columns, label_codes, read_csv
 from .errors import EstimationError, ParseError, SchemaError
 
 EXACT_WILCOXON_LIMIT = 25
@@ -291,20 +291,20 @@ def load_paired_survey(source: str | bytes | os.PathLike) -> PairedSurvey:
         raise SchemaError(f"expected columns {','.join(expected)}, got {', '.join(map(repr, header))}")
     positions = [header.index(name) for name in expected]
 
-    label_of_text: dict[str, str] = {}
     code_of: dict[str, int] = {}  # participant id -> code, in order of first row
     item_codes: dict[str, int] = {}  # item label -> code, in order of first row
+    code_of_participant_text: dict[str, int] = {}
+    code_of_item_text: dict[str, int] = {}
     first_rows: dict[int, int] = {}  # pair key (see _survey_row) -> row number
 
     def columns(chunk: tuple[Sequence[int], list[list[str]]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """A chunk's participant codes and pre and post outcomes (int8); adds its codes and pairs."""
         row_numbers, texts = chunk
         participant_texts, item_texts, pre_texts, post_texts = (texts[k] for k in positions)
-        participants = strip_labels(participant_texts, label_of_text)
-        items = None if participants is None else strip_labels(item_texts, label_of_text)
+        codes = label_codes(participant_texts, code_of_participant_text, code_of)
+        items = None if codes is None else label_codes(item_texts, code_of_item_text, item_codes)
         if items is not None and _OUTCOMES.keys() >= {*pre_texts, *post_texts}:
-            codes = label_codes(participants, code_of)
-            keys = (codes.astype(np.int64) << 32 | label_codes(items, item_codes)).tolist()
+            keys = (codes.astype(np.int64) << 32 | items).tolist()
             if len(set(keys)) == len(keys) and first_rows.keys().isdisjoint(keys):
                 first_rows.update(zip(keys, row_numbers))
                 pre = np.fromiter(map(_OUTCOMES.__getitem__, pre_texts), np.int8, len(keys))
