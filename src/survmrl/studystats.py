@@ -236,7 +236,8 @@ class PairedSurvey:
     pre: ScoreVector
     post: ScoreVector
     transitions: PairedBinary
-    n_items: int
+    n_items: int  # distinct item labels
+    n_pairs: int  # answered (participant, item) pairs
 
 
 def _survey_row(
@@ -337,5 +338,6 @@ def load_paired_survey(source: str | bytes | os.PathLike) -> PairedSurvey:
             c=int(np.count_nonzero(pre < post)),
             n_concordant=int(np.count_nonzero(pre == post)),
         ),
-        n_items=who.size,
+        n_items=len(item_codes),
+        n_pairs=who.size,
     )

@@ -69,6 +69,7 @@ def load_paired_survey(source) -> SimpleNamespace:
         raise SchemaError("empty dataset")
 
     ids = tuple(sorted(pre_by_participant))
+    items = {item for seen in item_rows.values() for item in seen}
     return SimpleNamespace(
         ids=ids,
         pre_scores=tuple(float(np.mean(pre_by_participant[i])) for i in ids),
@@ -76,7 +77,8 @@ def load_paired_survey(source) -> SimpleNamespace:
         b=b,
         c=c,
         n_concordant=concordant,
-        n_items=sum(len(v) for v in pre_by_participant.values()),
+        n_items=len(items),
+        n_pairs=sum(len(v) for v in pre_by_participant.values()),
     )
 
 

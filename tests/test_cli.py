@@ -300,6 +300,13 @@ class TestOutputs:
         header = out_csv.read_text().splitlines()[0]
         assert header == "metric,value,lower,upper"
 
+    def test_stats_summary_counts_participants_items_and_pairs(self, tmp_path, capsys):
+        # sample_data/survey.csv: 32 participants, each answering the same 4 items
+        survey = Path(__file__).resolve().parent.parent / "sample_data" / "survey.csv"
+        assert run_cli(["stats", "--input", str(survey), "--out-csv", str(tmp_path / "stats.csv")]) == 0
+        first_line = capsys.readouterr().out.splitlines()[0]
+        assert first_line == f"stats input={survey} participants=32 items=4 pairs=128 bootstrap=0"
+
     @pytest.mark.parametrize("fixture, command", [("survival_csv", "km"), ("survey_csv", "stats")])
     def test_a_leading_byte_order_mark_is_ignored(self, fixture, command, request, tmp_path, capsys):
         # "CSV UTF-8" files saved by spreadsheets start with the bytes EF BB BF

@@ -263,7 +263,8 @@ class TestLoadPairedSurvey:
         assert survey.pre.ids == ("p1", "p2", "p3")
         assert np.array_equal(survey.pre.scores, [0.5, 0.0, 1.0])
         assert np.array_equal(survey.post.scores, [1.0, 0.5, 0.5])
-        assert survey.n_items == 6
+        assert survey.n_pairs == 6
+        assert survey.n_items == 2
 
     def test_transition_counts(self):
         survey = load_paired_survey(SURVEY)
@@ -299,7 +300,8 @@ class TestLoadPairedSurvey:
             load_paired_survey(b"participant,item,pre,post\np1,i1,0,1\np1,i2,1,1\np1,i1,1,0\n")
         # the same item for another participant, or another item, is fine
         survey = load_paired_survey(b"participant,item,pre,post\np1,i1,0,1\np2,i1,1,0\np1,i2,1,1\n")
-        assert survey.n_items == 3
+        assert survey.n_pairs == 3
+        assert survey.n_items == 2
 
     @pytest.mark.parametrize("row", [b"p1,,0,1", b"p1, ,1,1", b'p1,"\t",1,1'])
     def test_empty_item_label_is_row_error(self, row):
@@ -414,8 +416,8 @@ def test_survey_loader_matches_the_reference(monkeypatch, text, block_bytes):
     assert all(type(i) is str for i in survey.pre.ids)
     assert _bits(survey.pre.scores) == _bits(expected.pre_scores)
     assert _bits(survey.post.scores) == _bits(expected.post_scores)
-    counts = (survey.transitions.b, survey.transitions.c, survey.transitions.n_concordant, survey.n_items)
-    assert counts == (expected.b, expected.c, expected.n_concordant, expected.n_items)
+    counts = (survey.transitions.b, survey.transitions.c, survey.transitions.n_concordant, survey.n_items, survey.n_pairs)
+    assert counts == (expected.b, expected.c, expected.n_concordant, expected.n_items, expected.n_pairs)
     assert all(type(v) is int for v in counts)
     differences = [b - a for a, b in zip(expected.pre_scores, expected.post_scores)]
     if any(differences):
