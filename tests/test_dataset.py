@@ -423,6 +423,32 @@ def test_quote_free_rows_skip_the_csv_row_loop(monkeypatch):
     assert samples["A"].times.tolist() == [1.0, 3.0] and samples["組"].n == 1
 
 
+@pytest.mark.parametrize(
+    "rows, ruled",
+    [
+        (["1,1,B", "\u20032,1, A", "3,0,A\t"], [2]),
+        (["1,1,A", "2,0, B", "\u20033,1,B\t", "4,0,B"], [3]),
+    ],
+    ids=["row-rules-first", "whole-columns-first"],
+)
+def test_labels_keep_their_codes_between_the_row_rules_and_the_whole_columns(monkeypatch, rows, ruled):
+    # one row per chunk; the whole-column checks reject a time led by
+    # U+2003, which the row rules strip, so its chunk is a false alarm whose
+    # stripped label must share a code with the group's padded texts
+    monkeypatch.setattr(dataset, "_BLOCK_BYTES", 1)
+    row_numbers = []
+    row_rules = dataset._survival_row
+
+    def spy(row_number, *texts):
+        row_numbers.append(row_number)
+        return row_rules(row_number, *texts)
+
+    monkeypatch.setattr(dataset, "_survival_row", spy)
+    text = ("time,status,group\n" + "".join(row + "\n" for row in rows)).encode()
+    assert _loaded(load_dataset, text) == _loaded(reference.load_dataset, text)
+    assert row_numbers == ruled
+
+
 def _spy_on_row_loop(monkeypatch) -> list[int]:
     """The line offset of each ``_reader_chunks`` call from now on."""
     offsets = []

@@ -14,6 +14,7 @@ import studystats_reference as reference
 from survmrl import (
     EstimationError,
     dataset,
+    studystats,
     PairedBinary,
     ScoreVector,
     bootstrap_proportion_ci,
@@ -416,7 +417,9 @@ def test_survey_loader_matches_the_reference(monkeypatch, text, block_bytes):
     assert all(type(i) is str for i in survey.pre.ids)
     assert _bits(survey.pre.scores) == _bits(expected.pre_scores)
     assert _bits(survey.post.scores) == _bits(expected.post_scores)
-    counts = (survey.transitions.b, survey.transitions.c, survey.transitions.n_concordant, survey.n_items, survey.n_pairs)
+    counts = (
+        survey.transitions.b, survey.transitions.c, survey.transitions.n_concordant, survey.n_items, survey.n_pairs
+    )
     assert counts == (expected.b, expected.c, expected.n_concordant, expected.n_items, expected.n_pairs)
     assert all(type(v) is int for v in counts)
     differences = [b - a for a, b in zip(expected.pre_scores, expected.post_scores)]
@@ -424,6 +427,36 @@ def test_survey_loader_matches_the_reference(monkeypatch, text, block_bytes):
         assert repr(wilcoxon_signed_rank(survey.pre, survey.post)) == repr(
             reference.wilcoxon_from_differences(differences)
         )
+
+
+@pytest.mark.parametrize(
+    "rows, ruled",
+    [
+        (["p1,i1, 1,0", "p1 ,i2,1,1", "p2,i1\t,0,1"], [1]),
+        (["p2 ,i2,0,1", "p1,i1,1,1", "p2,\u2003i1,1, 0", "p1\t,i2,0,0"], [3]),
+    ],
+    ids=["row-rules-first", "whole-columns-first"],
+)
+def test_labels_keep_their_codes_between_the_row_rules_and_the_whole_columns(monkeypatch, rows, ruled):
+    # one row per chunk; a padded outcome sends its chunk through the row
+    # rules, whose stripped labels must share codes with the padded texts
+    monkeypatch.setattr(dataset, "_BLOCK_BYTES", 1)
+    row_numbers = []
+    row_rules = studystats._survey_row
+
+    def spy(*args):
+        row_numbers.append(args[3])
+        return row_rules(*args)
+
+    monkeypatch.setattr(studystats, "_survey_row", spy)
+    text = ("participant,item,pre,post\n" + "".join(row + "\n" for row in rows)).encode()
+    survey = load_paired_survey(text)
+    expected = reference.load_paired_survey(text)
+    assert row_numbers == ruled
+    assert survey.pre.ids == survey.post.ids == expected.ids
+    assert _bits(survey.pre.scores) == _bits(expected.pre_scores)
+    assert _bits(survey.post.scores) == _bits(expected.post_scores)
+    assert (survey.n_items, survey.n_pairs) == (expected.n_items, expected.n_pairs) == (2, len(rows))
 
 
 DIFFERENCES = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 1 / 3, -1 / 3, 0.25, -0.25, 2.0, -2.0, 5e-324, -1e300]
