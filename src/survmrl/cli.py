@@ -418,8 +418,8 @@ def _run_stats(args: argparse.Namespace, outputs: _StagedOutputs) -> str:
         lines += [",".join(row) for row in rows]
         outputs.write(args.out_csv, ("\n".join(lines) + "\n").encode("utf-8"))
     summary = [
-        f"stats input={_shown(args.input)} participants={survey.pre.n} items={survey.n_items} pairs={survey.n_pairs} "
-        f"{bootstrap_part}"
+        f"stats input={_shown(args.input)} participants={survey.pre.n} items={survey.n_items} "
+        f"pairs={survey.n_pairs} {bootstrap_part}"
     ]
     for metric, value, lower, upper in rows:
         tail = f" [{lower}, {upper}]" if lower else ""
