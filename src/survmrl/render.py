@@ -6,6 +6,13 @@ palette, and nothing (timestamps, ids) varies between runs. Step curves
 are drawn as horizontal-then-vertical segments so right-continuity is
 visible; censor marks are short vertical ticks on the curve, each
 distinct tick drawn once; envelopes are a shaded polygon behind the series.
+
+The document is written as UTF-8 bytes into one ``io.BytesIO``. The
+coordinates of a path, polyline, polygon or tick list are formatted a
+block of rows at a time by one bytes ``%`` call (``_rows``); ``%.6g``
+writes the same digits as ``{:.6g}``. Other text is formatted as ``str``
+and encoded once per part. User text never passes through a ``%``
+template.
 """
 
 from __future__ import annotations
@@ -61,6 +68,9 @@ class PlotSpec:
 
 
 _fmt = "{:.6g}".format  # one coordinate or tick value as written
+# Rows per bytes-% call of _rows: one call per block, not per point, and
+# never a whole series' text at once, which raised the peak memory.
+_BLOCK_ROWS = 1024
 
 # Every plot is drawn on one 720x480 canvas, so its size, the document's
 # opening and the plot frame are fixed text.
@@ -72,12 +82,23 @@ _PROLOGUE = (
     f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{_WIDTH}" height="{_HEIGHT}" '
     f'viewBox="0 0 {_WIDTH} {_HEIGHT}">\n'
     f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>\n'
-)
+).encode("utf-8")
 _FRAME = (
     f'<rect x="{_fmt(_MARGIN_LEFT)}" y="{_fmt(_MARGIN_TOP)}" width="{_fmt(_PLOT_W)}" height="{_fmt(_PLOT_H)}" '
     'fill="none" stroke="black" stroke-width="1"/>\n'
-)
+).encode("utf-8")
 _TICK_TARGET = 6  # about this many ticks per axis
+
+
+def _rows(template: bytes, *columns: np.ndarray):
+    """``template`` filled from each row of the columns, one bytes ``%``
+    call per block of at most ``_BLOCK_ROWS`` rows. ``%.6g`` and
+    ``{:.6g}`` write a float through the same routine, so the digits match
+    ``_fmt``'s."""
+    table = np.column_stack(columns)
+    for start in range(0, len(table), _BLOCK_ROWS):
+        block = table[start : start + _BLOCK_ROWS]
+        yield (template * len(block)) % tuple(block.ravel().tolist())
 
 
 def _line(x1: str, y1: str, x2: str, y2: str, stroke: str, width: str, extra: str = "") -> str:
@@ -182,13 +203,17 @@ def render_plot_svg(spec: PlotSpec) -> bytes:
     def py(y):
         return _MARGIN_TOP + (y_hi - y) / (y_hi - y_lo) * _PLOT_H
 
-    def points(ts: np.ndarray, vs: np.ndarray) -> list[str]:
+    def points(ts: np.ndarray, vs: np.ndarray) -> bytes:
+        """``x,y `` for each point with a finite value."""
         shown = np.isfinite(vs)
-        return list(map("{:.6g},{:.6g}".format, px(ts[shown]).tolist(), py(vs[shown]).tolist()))
+        return b"".join(_rows(b"%.6g,%.6g ", px(ts[shown]), py(vs[shown])))
 
-    # Text is encoded as it is written, and getvalue() hands back the byte
-    # buffer itself, so the document is never held twice.
-    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")
+    # getvalue() hands back the buffer itself, so the document is held once.
+    out = io.BytesIO()
+
+    def write(text: str) -> None:
+        out.write(text.encode("utf-8"))
+
     out.write(_PROLOGUE)
 
     # Envelope band behind everything else.
@@ -196,68 +221,69 @@ def render_plot_svg(spec: PlotSpec) -> bytes:
         env = spec.envelope
         band = points(env.grid, env.upper) + points(env.grid[::-1], env.lower[::-1])
         if band:
-            out.write(
-                f'<polygon points="{" ".join(band)}" fill="#c6dbef" '
-                f'stroke="none" opacity="0.7"/>\n'
-            )
+            out.write(b'<polygon points="%s" fill="#c6dbef" stroke="none" opacity="0.7"/>\n' % band[:-1])
 
     # Frame and ticks.
     out.write(_FRAME)
     bottom = _MARGIN_TOP + _PLOT_H
     for t in _nice_ticks(x_lo, x_hi):
         x = px(t)
-        out.write(_line(_fmt(x), _fmt(bottom), _fmt(x), _fmt(bottom + 5), "black", "1"))
-        out.write(_label(_fmt(x), _fmt(bottom + 18), 11, "middle", _fmt(t)))
+        write(_line(_fmt(x), _fmt(bottom), _fmt(x), _fmt(bottom + 5), "black", "1"))
+        write(_label(_fmt(x), _fmt(bottom + 18), 11, "middle", _fmt(t)))
     for t in _nice_ticks(y_lo, y_hi):
         y = py(t)
-        out.write(_line(_fmt(_MARGIN_LEFT - 5), _fmt(y), _fmt(_MARGIN_LEFT), _fmt(y), "black", "1"))
-        out.write(_label(_fmt(_MARGIN_LEFT - 8), _fmt(y + 4), 11, "end", _fmt(t)))
+        write(_line(_fmt(_MARGIN_LEFT - 5), _fmt(y), _fmt(_MARGIN_LEFT), _fmt(y), "black", "1"))
+        write(_label(_fmt(_MARGIN_LEFT - 8), _fmt(y + 4), 11, "end", _fmt(t)))
 
     if spec.reference_line is not None and y_lo <= spec.reference_line <= y_hi:
         y = _fmt(py(spec.reference_line))
         dash = ' stroke-dasharray="5,4"'
-        out.write(_line(_fmt(_MARGIN_LEFT), y, _fmt(_MARGIN_LEFT + _PLOT_W), y, "#555555", "1", dash))
+        write(_line(_fmt(_MARGIN_LEFT), y, _fmt(_MARGIN_LEFT + _PLOT_W), y, "#555555", "1", dash))
 
     for index, series in enumerate(spec.series):
         color = PALETTE[index % len(PALETTE)]
         if series.step is not None:
             f = series.step
-            # No list of the path's segments outlives the join.
-            segments = map("H{:.6g} V{:.6g}".format, px(f.knots).tolist(), py(f.values).tolist())
-            d = " ".join([f"M{_fmt(px(0.0))},{_fmt(py(f.initial_value))}", *segments, f"H{_fmt(px(data_x_max))}"])
-            out.write(f'<path d="{d}" fill="none" stroke="{color}" stroke-width="1.5"/>\n')
+            write(f'<path d="M{_fmt(px(0.0))},{_fmt(py(f.initial_value))} ')
+            out.writelines(_rows(b"H%.6g V%.6g ", px(f.knots), py(f.values)))
+            write(f'H{_fmt(px(data_x_max))}" fill="none" stroke="{color}" stroke-width="1.5"/>\n')
             # Each distinct tick once, in first-occurrence order: tied censor
             # times, and distinct ones that land on one pixel, draw one line.
+            # One dict spans the blocks, and update() leaves a key where it
+            # first went in. splitlines() cuts only at \n and \r, and a tick
+            # line holds neither before its end.
             first = np.unique(series.censor_times, return_index=True)[1]
             times = series.censor_times[np.sort(first)]
-            y = py(step_eval(f, times))
-            tick = _line("{0:.6g}", "{1:.6g}", "{0:.6g}", "{2:.6g}", color, "1.2").format
-            out.writelines(dict.fromkeys(map(tick, px(times).tolist(), (y - 4).tolist(), (y + 4).tolist())))
+            x, y = px(times), py(step_eval(f, times))
+            tick = _line("%.6g", "%.6g", "%.6g", "%.6g", color, "1.2").encode("utf-8")
+            seen: dict[bytes, None] = {}
+            for block in _rows(tick, x, y - 4, x, y + 4):
+                seen.update(dict.fromkeys(block.splitlines(keepends=True)))
+            out.writelines(seen)
         else:
             line = points(series.grid, series.values)
             if line:
                 out.write(
-                    f'<polyline points="{" ".join(line)}" fill="none" '
-                    f'stroke="{color}" stroke-width="1.5"/>\n'
+                    b'<polyline points="%s" fill="none" stroke="%s" stroke-width="1.5"/>\n'
+                    % (line[:-1], color.encode("utf-8"))
                 )
 
-    out.write(_label(_fmt(_WIDTH / 2), "20", 14, "middle", _text(spec.title)))
+    write(_label(_fmt(_WIDTH / 2), "20", 14, "middle", _text(spec.title)))
     center_x, center_y = _fmt(_MARGIN_LEFT + _PLOT_W / 2), _fmt(_MARGIN_TOP + _PLOT_H / 2)
-    out.write(_label(center_x, _fmt(_HEIGHT - 10), 12, "middle", _text(spec.x_label)))
+    write(_label(center_x, _fmt(_HEIGHT - 10), 12, "middle", _text(spec.x_label)))
     rotate = f' transform="rotate(-90 16 {center_y})"'
-    out.write(_label("16", center_y, 12, "middle", _text(spec.y_label), rotate))
+    write(_label("16", center_y, 12, "middle", _text(spec.y_label), rotate))
 
     if any(s.label for s in spec.series):
         legend_x = _MARGIN_LEFT + _PLOT_W - 150
         for index, series in enumerate(spec.series):
             y = _MARGIN_TOP + 14 + 16 * index
             color = PALETTE[index % len(PALETTE)]
-            out.write(_line(_fmt(legend_x), _fmt(y), _fmt(legend_x + 22), _fmt(y), color, "1.5"))
-            out.write(_label(_fmt(legend_x + 28), _fmt(y + 4), 11, "", _text(series.label)))
+            write(_line(_fmt(legend_x), _fmt(y), _fmt(legend_x + 22), _fmt(y), color, "1.5"))
+            write(_label(_fmt(legend_x + 28), _fmt(y + 4), 11, "", _text(series.label)))
 
-    out.write("</svg>\n")
-    out.flush()
-    return out.buffer.getvalue()
+    write("</svg>\n")
+    return out.getvalue()
 
 
 def export_curve_csv(curve: KmCurve | MrlCurve | ComparisonCurve, envelope: Envelope | None = None) -> bytes:
