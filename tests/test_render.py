@@ -6,6 +6,7 @@ import re
 import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from survmrl import (
     permutation_envelope,
     survival_difference,
 )
+from survmrl import render
 from survmrl.cli import run_cli
 from survmrl.render import PALETTE, _HEIGHT, _MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP, _MARGIN_BOTTOM, _WIDTH
 
@@ -300,8 +302,11 @@ times = st.integers(0, 4000).map(lambda k: k / 40.0) | st.floats(0.0, 100.0, all
 levels = st.integers(-3000, 3000).map(lambda k: k / 1000.0) | st.floats(-5.0, 5.0, allow_subnormal=False)
 with_odd = levels | st.sampled_from([math.nan, math.inf, -math.inf])
 # Labels that exercise each escape: the markup characters, an escape written
-# out already, a CDATA end, quotes, a control character and a lone surrogate.
-labels = st.sampled_from(["", "A", "a<b", "&", ">", "a&amp;b", "]]>", '"q"', "x\x01y", "\ud800"])
+# out already, a CDATA end, quotes, a control character and a lone surrogate;
+# and %-format directives, which must reach the SVG as they are.
+labels = st.sampled_from(
+    ["", "A", "a<b", "&", ">", "a&amp;b", "]]>", '"q"', "x\x01y", "\ud800", "100%", "%s", "%(a)s", "%%"]
+)
 
 
 @st.composite
@@ -368,6 +373,70 @@ def _outcome(render, spec):
 @given(plot_specs())
 def test_svg_matches_tuple_reference_bytewise(spec):
     assert _outcome(render_plot_svg, spec) == _outcome(reference.render_plot_svg, reference.as_tuples(spec))
+
+
+@pytest.mark.parametrize("block_rows", [1, 3])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(spec=plot_specs())
+def test_svg_matches_tuple_reference_bytewise_in_small_blocks(block_rows, spec):
+    # blocks of 1 or 3 rows: every drawn spec with a few points crosses block edges
+    with mock.patch.object(render, "_BLOCK_ROWS", block_rows):
+        assert _outcome(render_plot_svg, spec) == _outcome(reference.render_plot_svg, reference.as_tuples(spec))
+
+
+def assert_matches_reference(spec):
+    assert render_plot_svg(spec) == reference.render_plot_svg(reference.as_tuples(spec))
+
+
+class TestBlockEdges:
+    """Series of about one to three blocks of rows, against the reference."""
+
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2049])
+    def test_step_series_with_n_knots(self, n):
+        knots = np.arange(1, n + 1) * 0.5
+        step = StepFunction(knots, np.linspace(1.0, 0.0, n + 1)[1:], 1.0)
+        # a censor tick between each pair of knots, so the tick list has n rows too
+        spec = PlotSpec("km", "t", "S", (PlotSeries("g", step=step, censor_times=knots + 0.25),))
+        assert_matches_reference(spec)
+
+    def test_a_tick_repeated_two_blocks_later_keeps_its_first_place(self):
+        block = render._BLOCK_ROWS
+        times = np.arange(1, 2 * block + 11) * 1.0
+        times[2 * block + 7] = times[5] + 1e-9  # distinct times, one pixel and one level
+        step = StepFunction([0.5], [0.5], 1.0)
+        spec = PlotSpec("km", "t", "S", (PlotSeries("g", step=step, censor_times=times),))
+        assert len(censor_ticks(render_plot_svg(spec))) == times.size - 1
+        assert_matches_reference(spec)
+
+    def test_non_finite_values_at_block_edges(self):
+        block = render._BLOCK_ROWS
+        grid = np.arange(1, 2 * block + 6) * 0.1
+        values = np.sin(grid)
+        lower, upper = values - 0.5, values + 0.5
+        for edge in (block, 2 * block):
+            values[edge - 1 : edge + 2] = (math.nan, math.inf, -math.inf)
+            lower[edge - 2 : edge + 1] = (-math.inf, math.nan, math.nan)
+            upper[edge : edge + 3] = (math.inf, math.nan, -math.inf)
+        envelope = Envelope(
+            grid=grid,
+            lower=lower,
+            upper=upper,
+            n_permutations=1,
+            seed=0,
+            band_quantiles=(0.025, 0.975),
+            kind="surv_diff",
+            defined_counts=np.zeros(grid.size, dtype=int),
+        )
+        spec = PlotSpec("d", "t", "d", (PlotSeries("d", grid=grid, values=values),), envelope, reference_line=0.0)
+        assert_matches_reference(spec)
+
+    def test_grid_series_with_no_finite_value(self):
+        grid = np.arange(1, render._BLOCK_ROWS + 2) * 1.0
+        values = np.resize([math.nan, math.inf, -math.inf], grid.size)
+        spec = PlotSpec("m", "t", "m", (PlotSeries("m", grid=grid, values=values),))
+        svg = render_plot_svg(spec)
+        assert b"<polyline" not in svg
+        assert_matches_reference(spec)
 
 
 def test_reference_agrees_on_a_fitted_km_plot():
