@@ -265,12 +265,13 @@ def _write_plot(args, outputs: _StagedOutputs, spec: render.PlotSpec, csv_curves
 
 def _comparison_spec(title, y_label, groups, curve, reference, envelope=None) -> render.PlotSpec:
     group_a, group_b = groups
+    lower, upper = ((), ()) if envelope is None else (envelope.lower, envelope.upper)
+    series = render.PlotSeries(f"{group_a}-{group_b}", grid=curve.grid, values=curve.values, lower=lower, upper=upper)
     return render.PlotSpec(
         title=f"{title} ({group_a} vs {group_b})",
         x_label="time",
         y_label=y_label,
-        series=(render.PlotSeries(label=f"{group_a}-{group_b}", grid=curve.grid, values=curve.values),),
-        envelope=envelope,
+        series=(series,),
         reference_line=reference,
     )
 

@@ -5,7 +5,8 @@ with fixed 6-significant-digit formatting, colors come from a fixed
 palette, and nothing (timestamps, ids) varies between runs. Step curves
 are drawn as horizontal-then-vertical segments so right-continuity is
 visible; censor marks are short vertical ticks on the curve, each
-distinct tick drawn once; envelopes are a shaded polygon behind the series.
+distinct tick drawn once. A grid series may carry a band (a lower and an
+upper value per grid point), drawn as a shaded polygon behind the frame.
 
 The document is written as UTF-8 bytes into one ``io.BytesIO``. The
 coordinates of a path, polyline, polygon or tick list are formatted a
@@ -39,22 +40,29 @@ _MARGIN_BOTTOM = 48.0
 
 @dataclass(frozen=True, eq=False)
 class PlotSeries:
-    """One curve: either a step function (with optional censor marks) or
-    grid/values, each a read-only float array."""
+    """One curve in one of two forms: a step function with optional censor
+    marks, or grid/values with an optional band (``lower``/``upper``, one
+    pair per grid point). The columns are read-only float arrays, empty
+    where the form has none."""
 
     label: str
     step: StepFunction | None = None
     grid: np.ndarray = ()
     values: np.ndarray = ()
     censor_times: np.ndarray = ()
+    lower: np.ndarray = ()
+    upper: np.ndarray = ()
 
     __eq__ = fields_equal
 
     def __post_init__(self):
         freeze_columns(self, grid=float, values=float)
+        freeze_columns(self, lower=float, upper=float)
         freeze_columns(self, censor_times=float)
         if self.step is None and not self.grid.size:
             raise ValueError("a series needs either a step function or grid data")
+        if self.lower.size not in (0, self.grid.size):
+            raise ValueError("a band needs one lower and one upper value per grid point")
 
 
 @dataclass(frozen=True)
@@ -63,7 +71,6 @@ class PlotSpec:
     x_label: str
     y_label: str
     series: tuple[PlotSeries, ...]
-    envelope: Envelope | None = None
     reference_line: float | None = None
 
 
@@ -152,16 +159,12 @@ def _series_x_max(spec: PlotSpec) -> float:
     """The largest knot, censor time or last grid point drawn, at least 0."""
     ends = [s.grid[-1:] for s in spec.series]
     ends += [np.append(s.step.knots[-1:], s.censor_times) for s in spec.series if s.step is not None]
-    if spec.envelope is not None:
-        ends.append(spec.envelope.grid[-1:])
     return float(np.concatenate(ends).max(initial=0.0))
 
 
 def _y_bounds(spec: PlotSpec) -> tuple[float, float]:
-    """Every step level and the finite grid and envelope values set the y range."""
-    columns = [s.values for s in spec.series]
-    if spec.envelope is not None:
-        columns += [spec.envelope.lower, spec.envelope.upper]
+    """Every step level and the finite grid and band values set the y range."""
+    columns = [c for s in spec.series for c in (s.values, s.lower, s.upper)]
     levels = [np.append(s.step.initial_value, s.step.values) for s in spec.series if s.step is not None]
     shown = np.concatenate([c[np.isfinite(c)] for c in columns] + levels)
     if spec.reference_line is not None:
@@ -183,10 +186,6 @@ def render_plot_svg(spec: PlotSpec) -> bytes:
     """Render the spec as a standalone SVG 1.1 document (UTF-8 bytes)."""
     if not spec.series:
         raise SurvmrlError("nothing to plot")
-    if spec.envelope is not None:
-        grids = [s.grid for s in spec.series if s.grid.size]
-        if grids and not np.array_equal(spec.envelope.grid, grids[0]):
-            raise SurvmrlError("envelope grid mismatch")
 
     data_x_max = _series_x_max(spec)
     x_lo, x_hi = 0.0, (data_x_max if data_x_max > 0 else 1.0) * 1.05
@@ -216,10 +215,9 @@ def render_plot_svg(spec: PlotSpec) -> bytes:
 
     out.write(_PROLOGUE)
 
-    # Envelope band behind everything else.
-    if spec.envelope is not None:
-        env = spec.envelope
-        band = points(env.grid, env.upper) + points(env.grid[::-1], env.lower[::-1])
+    # Bands behind everything else, in series order.
+    for s in [s for s in spec.series if s.lower.size]:
+        band = points(s.grid, s.upper) + points(s.grid[::-1], s.lower[::-1])
         if band:
             out.write(b'<polygon points="%s" fill="#c6dbef" stroke="none" opacity="0.7"/>\n' % band[:-1])
 

@@ -8,7 +8,9 @@ tuples of Python floats, as the curve classes held them. Its y range
 has the renderer's later fixes: without a reference line the top is at
 least 0, so an all-negative series stays inside the frame, and a series
 writes each distinct censor tick once, where it first occurs. Every plot
-is drawn on the renderer's fixed 720x480 canvas.
+is drawn on the renderer's fixed 720x480 canvas, and a band belongs to
+the grid series it surrounds: each series' band is drawn behind the
+frame, in series order.
 """
 
 from __future__ import annotations
@@ -38,17 +40,12 @@ def as_tuples(spec):
             )
         return SimpleNamespace(
             label=s.label, step=step, grid=_floats(s.grid), values=_floats(s.values),
-            censor_times=_floats(s.censor_times),
+            censor_times=_floats(s.censor_times), lower=_floats(s.lower), upper=_floats(s.upper),
         )
 
-    envelope = None
-    if spec.envelope is not None:
-        e = spec.envelope
-        envelope = SimpleNamespace(grid=_floats(e.grid), lower=_floats(e.lower), upper=_floats(e.upper))
     return SimpleNamespace(
         title=spec.title, x_label=spec.x_label, y_label=spec.y_label,
-        series=tuple(series(s) for s in spec.series),
-        envelope=envelope, reference_line=spec.reference_line,
+        series=tuple(series(s) for s in spec.series), reference_line=spec.reference_line,
     )
 
 
@@ -113,8 +110,6 @@ def _series_x_max(spec) -> float:
                 x_max = max(x_max, max(s.censor_times))
         if s.grid:
             x_max = max(x_max, s.grid[-1])
-    if spec.envelope is not None and spec.envelope.grid:
-        x_max = max(x_max, spec.envelope.grid[-1])
     return x_max
 
 
@@ -124,10 +119,7 @@ def _y_bounds(spec) -> tuple[float, float]:
         if s.step is not None:
             finite.append(s.step.initial_value)
             finite.extend(s.step.values)
-        finite.extend(v for v in s.values if math.isfinite(v))
-    if spec.envelope is not None:
-        finite.extend(v for v in spec.envelope.lower if math.isfinite(v))
-        finite.extend(v for v in spec.envelope.upper if math.isfinite(v))
+        finite.extend(v for v in s.values + s.lower + s.upper if math.isfinite(v))
     if spec.reference_line is not None:
         ref = spec.reference_line
         spread = max((abs(v - ref) for v in finite), default=0.0)
@@ -147,10 +139,6 @@ def render_plot_svg(spec) -> bytes:
     """Render the spec as a standalone SVG 1.1 document (UTF-8 bytes)."""
     if not spec.series:
         raise SurvmrlError("nothing to plot")
-    if spec.envelope is not None:
-        grids = [s.grid for s in spec.series if s.grid]
-        if grids and spec.envelope.grid != grids[0]:
-            raise SurvmrlError("envelope grid mismatch")
 
     data_x_max = _series_x_max(spec)
     x_lo, x_hi = 0.0, (data_x_max if data_x_max > 0 else 1.0) * 1.05
@@ -174,13 +162,13 @@ def render_plot_svg(spec) -> bytes:
     )
     out.write(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>\n')
 
-    # Envelope band behind everything else.
-    if spec.envelope is not None:
+    # Each series' band behind everything else, in series order.
+    for s in spec.series:
         points = []
-        for t, v in zip(spec.envelope.grid, spec.envelope.upper):
+        for t, v in zip(s.grid, s.upper):
             if math.isfinite(v):
                 points.append(f"{_fmt(px(t))},{_fmt(py(v))}")
-        for t, v in zip(reversed(spec.envelope.grid), reversed(spec.envelope.lower)):
+        for t, v in zip(reversed(s.grid), reversed(s.lower)):
             if math.isfinite(v):
                 points.append(f"{_fmt(px(t))},{_fmt(py(v))}")
         if points:

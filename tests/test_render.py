@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 import render_reference as reference
 from survmrl import (
-    Envelope,
     PlotSeries,
     PlotSpec,
     StepFunction,
@@ -120,33 +119,21 @@ class TestRenderSvg:
         env = permutation_envelope(
             a, b, "surv_diff", n_permutations=50, seed=3, grid=curve.grid
         )
-        spec = PlotSpec(
-            title="d",
-            x_label="t",
-            y_label="d",
-            series=(PlotSeries(label="d", grid=curve.grid, values=curve.values),),
-            envelope=env,
-            reference_line=0.0,
-        )
+        series = PlotSeries(label="d", grid=curve.grid, values=curve.values, lower=env.lower, upper=env.upper)
+        spec = PlotSpec(title="d", x_label="t", y_label="d", series=(series,), reference_line=0.0)
         svg = render_plot_svg(spec).decode()
-        assert svg.index("<polygon") < svg.index("<polyline")
+        assert svg.index("<polygon") < svg.index("<rect x=") < svg.index("<polyline")
 
     def test_envelope_grid_mismatch_rejected(self):
+        # an envelope on a shorter grid cannot be the band of the curve's series
         a = make_sample([(float(t), 1) for t in range(1, 40)])
         b = make_sample([(float(t) + 0.5, 1) for t in range(1, 40)])
         curve = survival_difference(km_fit(a), km_fit(b))
         env = permutation_envelope(
             a, b, "surv_diff", n_permutations=20, seed=3, grid=curve.grid[:-2]
         )
-        spec = PlotSpec(
-            title="d",
-            x_label="t",
-            y_label="d",
-            series=(PlotSeries(label="d", grid=curve.grid, values=curve.values),),
-            envelope=env,
-        )
-        with pytest.raises(SurvmrlError, match="envelope grid mismatch"):
-            render_plot_svg(spec)
+        with pytest.raises(ValueError, match="^a band needs one lower and one upper value per grid point$"):
+            PlotSeries(label="d", grid=curve.grid, values=curve.values, lower=env.lower, upper=env.upper)
 
     @pytest.mark.parametrize("value, reference_line", [(1e308, 0.0), (1.75e308, None)])
     def test_overflowing_y_range_rejected(self, value, reference_line):
@@ -317,47 +304,29 @@ def step_series(draw):
     return PlotSeries(draw(labels), step=step, censor_times=censor)
 
 
-def grid_series(draw, grid):
+@st.composite
+def grid_series(draw):
+    """Grid values, and maybe a band whose points may be all NaN."""
+    grid = sorted(draw(st.sets(times, min_size=1, max_size=12)))
     values = draw(st.lists(with_odd, min_size=len(grid), max_size=len(grid)))
-    return PlotSeries(draw(labels), grid=grid, values=values)
+    band = []
+    if draw(st.booleans()):
+        column = st.just((math.nan, math.nan)) | st.tuples(with_odd, with_odd)
+        band = draw(st.lists(column, min_size=len(grid), max_size=len(grid)))
+    lower, upper = [lo for lo, _ in band], [hi for _, hi in band]
+    return PlotSeries(draw(labels), grid=grid, values=values, lower=lower, upper=upper)
 
 
 @st.composite
 def plot_specs(draw):
-    """One to three step or grid series; maybe an envelope on the first
-    grid (or, rarely, another one) with all-NaN columns; maybe a reference
-    line near the data or far outside it."""
-    first_grid = sorted(draw(st.sets(times, min_size=1, max_size=12)))
-    series = []
-    for kind in draw(st.lists(st.sampled_from(["step", "grid"]), min_size=1, max_size=3)):
-        if kind == "step":
-            series.append(draw(step_series()))
-        else:
-            grid = first_grid if not any(s.grid.size for s in series) else sorted(
-                draw(st.sets(times, min_size=1, max_size=12))
-            )
-            series.append(grid_series(draw, grid))
-    envelope = None
-    if draw(st.booleans()):
-        grid = first_grid if draw(st.integers(0, 9)) else sorted(draw(st.sets(times, min_size=1, max_size=12)))
-        column = st.just((math.nan, math.nan)) | st.tuples(with_odd, with_odd)
-        band = draw(st.lists(column, min_size=len(grid), max_size=len(grid)))
-        envelope = Envelope(
-            grid=grid,
-            lower=[lo for lo, _ in band],
-            upper=[hi for _, hi in band],
-            n_permutations=1,
-            seed=0,
-            band_quantiles=(0.025, 0.975),
-            kind="surv_diff",
-            defined_counts=[0] * len(grid),
-        )
+    """One to three step or grid series, any grid series maybe banded;
+    maybe a reference line near the data or far outside it."""
+    series = draw(st.lists(step_series() | grid_series(), min_size=1, max_size=3))
     return PlotSpec(
         title=draw(labels),
         x_label="t",
         y_label="y",
         series=tuple(series),
-        envelope=envelope,
         reference_line=draw(st.none() | levels | st.sampled_from([50.0, -50.0])),
     )
 
@@ -417,17 +386,8 @@ class TestBlockEdges:
             values[edge - 1 : edge + 2] = (math.nan, math.inf, -math.inf)
             lower[edge - 2 : edge + 1] = (-math.inf, math.nan, math.nan)
             upper[edge : edge + 3] = (math.inf, math.nan, -math.inf)
-        envelope = Envelope(
-            grid=grid,
-            lower=lower,
-            upper=upper,
-            n_permutations=1,
-            seed=0,
-            band_quantiles=(0.025, 0.975),
-            kind="surv_diff",
-            defined_counts=np.zeros(grid.size, dtype=int),
-        )
-        spec = PlotSpec("d", "t", "d", (PlotSeries("d", grid=grid, values=values),), envelope, reference_line=0.0)
+        series = PlotSeries("d", grid=grid, values=values, lower=lower, upper=upper)
+        spec = PlotSpec("d", "t", "d", (series,), reference_line=0.0)
         assert_matches_reference(spec)
 
     def test_grid_series_with_no_finite_value(self):
@@ -470,8 +430,11 @@ def test_curve_columns_are_read_only_float64_or_int64_arrays():
             permutation_envelope(a, b, "surv_diff", n_permutations=5, seed=1, grid=comparison.grid),
             {"grid": floats, "lower": floats, "upper": floats, "defined_counts": counts},
         ),
-        (PlotSeries("g", step=km.survival), {"grid": floats, "values": floats, "censor_times": floats}),
-        (PlotSeries("g", grid=(1, 2), values=(3, 4)), {"grid": floats, "values": floats, "censor_times": floats}),
+        (PlotSeries("g", step=km.survival), dict.fromkeys(["grid", "values", "censor_times", "lower", "upper"], floats)),
+        (
+            PlotSeries("g", grid=(1, 2), values=(3, 4), lower=(2, 3), upper=(4, 5)),
+            dict.fromkeys(["grid", "values", "censor_times", "lower", "upper"], floats),
+        ),
     ]
     for curve, expected in cases:
         arrays = {
