@@ -59,8 +59,10 @@ class PlotSeries:
         freeze_columns(self, grid=float, values=float)
         freeze_columns(self, lower=float, upper=float)
         freeze_columns(self, censor_times=float)
-        if self.step is None and not self.grid.size:
-            raise ValueError("a series needs either a step function or grid data")
+        if (self.step is None) == (self.grid.size == 0):
+            raise ValueError("a series needs either a step function or grid data, not both")
+        if self.step is None and self.censor_times.size:
+            raise ValueError("censor marks need a step series")
         if self.lower.size not in (0, self.grid.size):
             raise ValueError("a band needs one lower and one upper value per grid point")
 
@@ -289,7 +291,10 @@ def export_curve_csv(curve: KmCurve | MrlCurve | ComparisonCurve, envelope: Enve
 
     Columns are `t,value`, plus `lower,upper` when an envelope accompanies
     a comparison curve, or `component_km,component_tail` for MRL curves.
+    An envelope with any other curve is an error.
     """
+    if envelope is not None and not isinstance(curve, ComparisonCurve):
+        raise SurvmrlError("an envelope needs a comparison curve")
     if isinstance(curve, MrlCurve):
         header = "t,value,component_km,component_tail"
         columns = (curve.grid, curve.values, curve.km_component, curve.tail_component)

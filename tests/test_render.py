@@ -39,6 +39,7 @@ def make_sample(pairs):
 
 
 SAMPLE = make_sample([(2, 1), (3, 0), (4, 1), (5, 1)])
+STEP = StepFunction([1.0, 6.0], [0.8, 0.4], 1.0)
 
 
 def km_spec():
@@ -135,6 +136,35 @@ class TestRenderSvg:
         with pytest.raises(ValueError, match="^a band needs one lower and one upper value per grid point$"):
             PlotSeries(label="d", grid=curve.grid, values=curve.values, lower=env.lower, upper=env.upper)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({}, "^a series needs either a step function or grid data, not both$"),
+            # the grid part of such a series was never drawn, yet it set the x axis
+            ({"step": STEP, "grid": [50.0], "values": [100.0]}, "^a series needs either a step function or grid data, not both$"),
+            ({"grid": [1.0], "values": [0.5], "censor_times": [0.5]}, "^censor marks need a step series$"),
+            ({"step": STEP, "lower": [0.0], "upper": [1.0]}, "^a band needs one lower and one upper value per grid point$"),
+            ({"grid": [1.0, 2.0], "values": [0.5, 0.4], "lower": [0.0], "upper": [1.0]}, "^a band needs one"),
+            ({"grid": [1.0], "values": [0.5], "lower": [0.0]}, "^lower, upper must be 1-D arrays of one length$"),
+            ({"grid": [1.0, 2.0], "values": [0.5]}, "^grid, values must be 1-D arrays of one length$"),
+        ],
+    )
+    def test_a_series_holds_exactly_one_form(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            PlotSeries("a", **kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"step": STEP},
+            {"step": STEP, "censor_times": [0.5, 7.0]},
+            {"grid": [1.0], "values": [0.5]},
+            {"grid": [1.0, 2.0], "values": [0.5, 0.4], "lower": [0.0, math.nan], "upper": [1.0, 0.9]},
+        ],
+    )
+    def test_each_form_is_accepted(self, kwargs):
+        render_plot_svg(PlotSpec("t", "x", "y", (PlotSeries("a", **kwargs),)))
+
     @pytest.mark.parametrize("value, reference_line", [(1e308, 0.0), (1.75e308, None)])
     def test_overflowing_y_range_rejected(self, value, reference_line):
         spec = PlotSpec("t", "x", "y", (PlotSeries("a", grid=(1.0,), values=(value,)),), reference_line=reference_line)
@@ -185,8 +215,7 @@ def censor_ticks(svg: bytes) -> list[ET.Element]:
 
 def step_spec(*censor_lists):
     """One series per list of censor times, all on the same step function."""
-    step = StepFunction([1.0, 6.0], [0.8, 0.4], 1.0)
-    series = tuple(PlotSeries(f"g{k}", step=step, censor_times=times) for k, times in enumerate(censor_lists))
+    series = tuple(PlotSeries(f"g{k}", step=STEP, censor_times=times) for k, times in enumerate(censor_lists))
     return PlotSpec("km", "t", "S", series)
 
 
@@ -272,6 +301,15 @@ class TestExportCsv:
             a, b, "surv_diff", n_permutations=30, seed=1, grid=curve.grid[:-1]
         )
         with pytest.raises(SurvmrlError, match="envelope grid mismatch"):
+            export_curve_csv(curve, envelope=env)
+
+    @pytest.mark.parametrize("fit", [km_fit, fit_hybrid_mrl])
+    def test_envelope_needs_a_comparison_curve(self, fit):
+        # the envelope used to be dropped without a word for these curves
+        a = make_sample([(float(t), 1) for t in range(1, 200)])
+        b = make_sample([(float(t) + 0.3, 1) for t in range(1, 200)])
+        curve, env = fit(a), permutation_envelope(a, b, "surv_diff", n_permutations=10, seed=1)
+        with pytest.raises(SurvmrlError, match="^an envelope needs a comparison curve$"):
             export_curve_csv(curve, envelope=env)
 
     def test_empty_curve_rejected(self):
