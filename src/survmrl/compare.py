@@ -160,13 +160,12 @@ def _pool(sample_a: SurvivalSample, sample_b: SurvivalSample, grid: np.ndarray) 
 def _relabelled_values(pool: _Pool, kind: str, seed: int, replicate: int) -> np.ndarray:
     """Comparison values for one permutation replicate.
 
-    A pure function of (seed, replicate): the stream is spawned from the
-    master seed with the replicate index as spawn key, and its first
-    ``n_a`` permuted subjects form group A. Group A's counts come from
-    those subjects' bins alone; group B's are the pooled counts minus A's.
+    A pure function of (seed, replicate): the first ``n_a`` subjects of a
+    permutation drawn from ``replicate_rng(seed, replicate)`` form group A.
+    Group A's counts come from those subjects' bins alone; group B's are
+    the pooled counts minus A's.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(replicate,)))
-    in_a = rng.permutation(pool.past.size)[: pool.n_a]
+    in_a = replicate_rng(seed, replicate).permutation(pool.past.size)[: pool.n_a]
     at_risk_a, deaths_a = risk_counts(pool.past[in_a], pool.death_at[in_a], pool.deaths.size)
     s_a = survival_levels(at_risk_a, deaths_a)[pool.at_grid]
     s_b = survival_levels(pool.at_risk - at_risk_a, pool.deaths - deaths_a)[pool.at_grid]
@@ -176,6 +175,14 @@ def _relabelled_values(pool: _Pool, kind: str, seed: int, replicate: int) -> np.
         ratio = s_a / s_b
     ratio[s_b == 0.0] = np.nan
     return ratio
+
+
+def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
+    """The random stream of one resampling replicate: spawned from the
+    master seed with the replicate index as spawn key, so it does not
+    depend on which replicates ran before it. Permutation envelopes and
+    bootstrap intervals both draw from it."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(replicate,)))
 
 
 def _band(

@@ -22,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .compare import replicate_rng
 from .dataset import fields_equal, freeze_columns, label_codes, read_csv
 from .errors import EstimationError, ParseError, SchemaError
 
@@ -191,8 +192,8 @@ def bootstrap_proportion_cis(
     """Percentile bootstrap intervals for the means of score vectors over one set of participants.
 
     Participants are the resampling unit; replicate b draws its indices
-    from a stream derived from (seed, b), so results are reproducible and
-    order-independent. Each replicate draws once and every vector takes
+    from ``compare.replicate_rng(seed, b)``, so results are reproducible
+    and order-independent. Each replicate draws once and every vector takes
     its mean over that draw, so each interval is bitwise the one a
     single-vector call gives.
     """
@@ -209,8 +210,7 @@ def bootstrap_proportion_cis(
     n = len(ids)
     sums = np.empty((len(columns), n_replicates))
     for b in range(n_replicates):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
-        idx = rng.integers(0, n, size=n)
+        idx = replicate_rng(seed, b).integers(0, n, size=n)
         for k, values in enumerate(columns):
             # One 1-D gather and sum per vector: a (k, n) gather's row sums
             # differ in bits. ndarray.mean is this sum / n, divided below.
