@@ -710,8 +710,9 @@ def test_ratio_a_few_ulps_from_one_ends(tmp_path):
 
 def test_cold_start_imports_no_network_or_xml_stack():
     # Every launch pays for what ``import survmrl.cli`` pulls in; xml.sax alone
-    # used to bring urllib, http, ssl, socket and email along with it.
-    unwanted = ["xml.sax", "urllib.request", "http.client", "email", "ssl", "socket"]
+    # used to bring urllib, http, ssl, socket and email along with it. The
+    # runtime is numpy-only: scipy and hypothesis are test oracles.
+    unwanted = ["xml.sax", "urllib.request", "http.client", "email", "ssl", "socket", "scipy", "hypothesis"]
     code = (
         "import sys, survmrl.cli; survmrl.cli.build_parser(); "
         f"print(','.join(m for m in {unwanted!r} if m in sys.modules))"
