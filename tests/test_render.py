@@ -153,18 +153,6 @@ class TestRenderSvg:
         with pytest.raises(ValueError, match=message):
             PlotSeries("a", **kwargs)
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"step": STEP},
-            {"step": STEP, "censor_times": [0.5, 7.0]},
-            {"grid": [1.0], "values": [0.5]},
-            {"grid": [1.0, 2.0], "values": [0.5, 0.4], "lower": [0.0, math.nan], "upper": [1.0, 0.9]},
-        ],
-    )
-    def test_each_form_is_accepted(self, kwargs):
-        render_plot_svg(PlotSpec("t", "x", "y", (PlotSeries("a", **kwargs),)))
-
     @pytest.mark.parametrize("value, reference_line", [(1e308, 0.0), (1.75e308, None)])
     def test_overflowing_y_range_rejected(self, value, reference_line):
         spec = PlotSpec("t", "x", "y", (PlotSeries("a", grid=(1.0,), values=(value,)),), reference_line=reference_line)
