@@ -73,8 +73,14 @@ CASES = {
     "tail_ties_ratio": (TAIL_TIES, ["ratio", "--permutations", "200", "--seed", "9"], True),
     "stats": (SURVEY, ["stats"], False),
     "stats_bootstrap": (SURVEY, ["stats", "--bootstrap", "500", "--seed", "7"], False),
+    "stats_bootstrap_band": (
+        SURVEY, ["stats", "--bootstrap", "500", "--seed", "7", "--band", "0,1"], False
+    ),
     "stats_ragged": (SURVEY_RAGGED, ["stats"], False),
     "stats_ragged_bootstrap": (SURVEY_RAGGED, ["stats", "--bootstrap", "500", "--seed", "7"], False),
+    "stats_ragged_bootstrap_band": (
+        SURVEY_RAGGED, ["stats", "--bootstrap", "500", "--seed", "7", "--band", "0.1,0.9"], False
+    ),
     "stats_small": (SURVEY_SMALL, ["stats"], False),
 }
 
