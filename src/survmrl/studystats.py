@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .compare import replicate_rng
+from .compare import _band, replicate_rng
 from .dataset import fields_equal, freeze_columns, label_codes, read_csv
 from .errors import EstimationError, ParseError, SchemaError
 
@@ -195,7 +195,8 @@ def bootstrap_proportion_cis(
     from ``compare.replicate_rng(seed, b)``, so results are reproducible
     and order-independent. Each replicate draws once and every vector takes
     its mean over that draw, so each interval is bitwise the one a
-    single-vector call gives.
+    single-vector call gives. The interval ends come from the envelope's
+    ``compare._band``, so they are numpy's default quantiles of the means.
     """
     if not vectors:
         raise EstimationError("need at least one score vector")
@@ -215,17 +216,17 @@ def bootstrap_proportion_cis(
             # One 1-D gather and sum per vector: a (k, n) gather's row sums
             # differ in bits. ndarray.mean is this sum / n, divided below.
             sums[k, b] = np.add.reduce(values.take(idx))
-    means = sums / n
+    lower, upper, _ = _band((sums / n).T, quantiles)
     return tuple(
         BootstrapCi(
             estimate=float(values.mean()),
-            lower=float(np.quantile(out, quantiles[0])),
-            upper=float(np.quantile(out, quantiles[1])),
+            lower=float(lo),
+            upper=float(hi),
             n_replicates=n_replicates,
             seed=seed,
             quantiles=(float(quantiles[0]), float(quantiles[1])),
         )
-        for out, values in zip(means, columns)
+        for values, lo, hi in zip(columns, lower, upper)
     )
 
 
