@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,7 +15,8 @@ from survmrl import (
     survival_difference,
     survival_ratio,
 )
-from survmrl.compare import _pool, _relabelled_values
+from survmrl import compare
+from survmrl.compare import _band, _pool, _relabelled_values
 from km_reference import product_limit
 
 
@@ -355,3 +357,78 @@ def test_envelope_matches_reference_bitwise(case):
                 permutation_envelope(case["a"], case["b"], case["kind"], case["n_permutations"], case["seed"])
             return
     assert_matches_reference(**case)
+
+
+def reference_band(replicates, quantiles):
+    """``_band`` as one ``np.quantile`` call per column, over that column's
+    defined values."""
+    defined = np.isfinite(replicates)
+    band = np.full((2, replicates.shape[1]), np.nan)
+    for i in range(replicates.shape[1]):
+        col = replicates[defined[:, i], i]
+        if col.size:
+            band[:, i] = np.quantile(col, quantiles)
+    return band[0], band[1], defined.sum(axis=0)
+
+
+@st.composite
+def band_cases(draw):
+    """A (B x columns) replicate matrix and two quantiles for ``_band``.
+
+    Values are tie-heavy or continuous, with NaN at a drawn rate, and
+    sometimes one all-NaN and one single-defined column. No value is
+    -0.0: a sort, like numpy's partition, treats -0.0 and 0.0 as equal,
+    so which of them a bound takes is not defined in the band or in
+    ``np.quantile``. Envelope replicates and bootstrap means never hold
+    -0.0.
+    """
+    n_replicates, n_columns = draw(st.integers(1, 60)), draw(st.integers(1, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        values = rng.choice(TIES, size=(n_replicates, n_columns))
+    else:
+        values = rng.standard_normal((n_replicates, n_columns)) * draw(st.sampled_from([1e-3, 1.0, 1e6]))
+    values[rng.random(values.shape) < draw(st.sampled_from([0.0, 0.3, 0.9, 1.0]))] = np.nan
+    if draw(st.booleans()):
+        values[:, draw(st.integers(0, n_columns - 1))] = np.nan
+    if draw(st.booleans()):
+        values[1:, draw(st.integers(0, n_columns - 1))] = np.nan
+    bound = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    return values, (draw(bound), draw(bound))
+
+
+@pytest.mark.parametrize("block", [1, 3, 256])
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=band_cases())
+def test_band_matches_np_quantile_bitwise(block, case):
+    replicates, quantiles = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(compare, "_QUANTILE_BLOCK", block)
+        got = _band(replicates, quantiles)
+    for column, expected in zip(got, reference_band(replicates, quantiles)):
+        assert column.tobytes() == expected.tobytes()
+
+
+def test_band_memory_stays_below_a_quarter_of_the_replicates():
+    # the envelope workload's shape: 200 replicates on a 5,547-point grid
+    rng = np.random.default_rng(61)
+    replicates = rng.standard_normal((200, 5547))
+    replicates[rng.random(replicates.shape) < 0.01] = np.nan
+    tracemalloc.start()
+    try:
+        _band(replicates, (0.025, 0.975))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < replicates.nbytes / 4
+
+
+def test_band_of_empty_and_single_value_columns_warns_nothing():
+    replicates = np.array([[np.nan, 2.0, np.nan, 1.0], [np.nan, np.nan, 5.0, 3.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lower, upper, counts = _band(replicates, (0.0, 1.0))
+        _band(replicates, (0.025, 0.975))
+    assert list(counts) == [0, 1, 1, 2]
+    assert np.isnan(lower[0]) and np.isnan(upper[0])
+    assert (lower[1], upper[1], lower[2], upper[2], lower[3], upper[3]) == (2.0, 2.0, 5.0, 5.0, 1.0, 3.0)
