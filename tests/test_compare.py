@@ -34,9 +34,21 @@ def exponential_sample(seed, n=100, mean=2.0, censor_mean=8.0):
     return SurvivalSample(observed, status)
 
 
+def reference_band(replicates, quantiles):
+    """``_band`` as one ``np.quantile`` call per column, over that column's
+    defined values."""
+    defined = np.isfinite(replicates)
+    band = np.full((2, replicates.shape[1]), np.nan)
+    for i in range(replicates.shape[1]):
+        col = replicates[defined[:, i], i]
+        if col.size:
+            band[:, i] = np.quantile(col, quantiles)
+    return band[0], band[1], defined.sum(axis=0)
+
+
 def reference_envelope(sample_a, sample_b, kind, n_permutations, seed, grid, band_quantiles):
-    """The envelope as one product-limit fit per relabelled group and one
-    pair of ``np.quantile`` calls per grid point; returns (lower, upper,
+    """The envelope as one product-limit fit per relabelled group and
+    ``reference_band``'s per-point ``np.quantile``; returns (lower, upper,
     defined_counts). The relabelling envelope must match it bit for bit."""
     times = np.concatenate((sample_a.times, sample_b.times))
     statuses = np.concatenate((sample_a.statuses, sample_b.statuses))
@@ -57,15 +69,7 @@ def reference_envelope(sample_a, sample_b, kind, n_permutations, seed, grid, ban
                 ratio = s_a / s_b
             ratio[s_b == 0.0] = np.nan
             replicates[b] = ratio
-    defined = np.isfinite(replicates)
-    lower = np.full(grid.size, np.nan)
-    upper = np.full(grid.size, np.nan)
-    for i in range(grid.size):
-        col = replicates[defined[:, i], i]
-        if col.size:
-            lower[i] = np.quantile(col, band_quantiles[0])
-            upper[i] = np.quantile(col, band_quantiles[1])
-    return lower, upper, defined.sum(axis=0)
+    return reference_band(replicates, band_quantiles)
 
 
 def assert_matches_reference(a, b, kind, n_permutations, seed, grid, band_quantiles):
@@ -357,18 +361,6 @@ def test_envelope_matches_reference_bitwise(case):
                 permutation_envelope(case["a"], case["b"], case["kind"], case["n_permutations"], case["seed"])
             return
     assert_matches_reference(**case)
-
-
-def reference_band(replicates, quantiles):
-    """``_band`` as one ``np.quantile`` call per column, over that column's
-    defined values."""
-    defined = np.isfinite(replicates)
-    band = np.full((2, replicates.shape[1]), np.nan)
-    for i in range(replicates.shape[1]):
-        col = replicates[defined[:, i], i]
-        if col.size:
-            band[:, i] = np.quantile(col, quantiles)
-    return band[0], band[1], defined.sum(axis=0)
 
 
 @st.composite
