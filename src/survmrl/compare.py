@@ -129,9 +129,10 @@ def mrl_difference(mrl_a: MrlCurve, mrl_b: MrlCurve) -> ComparisonCurve:
 
 # Grid columns per quantile block: each block is copied and sorted as one
 # C-contiguous (_QUANTILE_BLOCK x replicates) array, so the band holds no
-# more. On a 200 x 5,547 envelope, 256 columns were as fast as any larger
-# block and faster than 64, while 1,024 columns raised the band's peak
-# memory from 1.1 to 3.4 MiB and one copy of the whole matrix to 9.5 MiB.
+# more. On a 200 x 5,547 envelope (numpy 2.4, x86-64), 256 columns were
+# as fast as any larger block and faster than 64, while 1,024 columns
+# raised the band's peak memory from 1.1 to 3.4 MiB and one copy of the
+# whole matrix to 9.5 MiB.
 _QUANTILE_BLOCK = 256
 
 
