@@ -26,7 +26,6 @@ from .studystats import (
     McnemarResult,
     PairedBinary,
     PairedSurvey,
-    ScoreVector,
     WilcoxonResult,
     bootstrap_proportion_ci,
     bootstrap_proportion_cis,
@@ -53,7 +52,6 @@ __all__ = [
     "PlotSeries",
     "PlotSpec",
     "SchemaError",
-    "ScoreVector",
     "StepFunction",
     "SurvivalSample",
     "SurvmrlError",

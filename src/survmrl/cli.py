@@ -108,6 +108,17 @@ def _add_threshold_arguments(parser: argparse.ArgumentParser):
     )
 
 
+def _add_resampling_arguments(parser: argparse.ArgumentParser, flag: str, default: int, help: str, band: str):
+    """The replicate count ``flag``, stored as ``replicates``, with ``--seed`` and ``--band``."""
+    name = flag.removeprefix("--")
+    parser.set_defaults(replicates_flag=flag)
+    parser.add_argument(
+        flag, dest="replicates", metavar=name.upper(), type=_nonnegative_int, default=default, help=help
+    )
+    parser.add_argument("--seed", type=_seed_arg, help=f"RNG seed (required when {name} > 0)")
+    parser.add_argument("--band", type=_band_arg, default=(0.025, 0.975), help=f"{band} quantiles lo,hi")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=_BANNER,
@@ -132,14 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(run=_run_survival_comparison)
         _add_io_arguments(p)
         p.add_argument("--groups", type=_groups_arg, help="two groups A,B (default: the file's two)")
-        p.add_argument(
-            "--permutations",
-            type=_nonnegative_int,
-            default=1000,
-            help="envelope replicates (default 1000; 0 disables the envelope)",
+        _add_resampling_arguments(
+            p, "--permutations", 1000, "envelope replicates (default 1000; 0 disables the envelope)", "band"
         )
-        p.add_argument("--seed", type=_seed_arg, help="RNG seed (required when permutations > 0)")
-        p.add_argument("--band", type=_band_arg, default=(0.025, 0.975), help="band quantiles lo,hi")
         p.add_argument("--grid", type=_grid_arg, help="evaluation times (comma list)")
 
     p_md = sub.add_parser("mrl-diff", help="difference of hybrid MRL curves")
@@ -151,14 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats = sub.add_parser("stats", help="paired pre/post survey statistics")
     p_stats.set_defaults(run=_run_stats)
     _add_io_arguments(p_stats, csv_only=True)
-    p_stats.add_argument(
-        "--bootstrap",
-        type=_nonnegative_int,
-        default=0,
-        help="bootstrap replicates for proportion intervals (0 disables)",
+    _add_resampling_arguments(
+        p_stats, "--bootstrap", 0, "bootstrap replicates for proportion intervals (0 disables)", "interval"
     )
-    p_stats.add_argument("--seed", type=_seed_arg, help="RNG seed (required when bootstrap > 0)")
-    p_stats.add_argument("--band", type=_band_arg, default=(0.025, 0.975), help="interval quantiles lo,hi")
     return parser
 
 
@@ -186,6 +187,14 @@ def _threshold_summary(args: argparse.Namespace) -> str:
     if args.threshold is not None:
         return f"threshold={args.threshold!r}"
     return f"threshold_quantile={args.threshold_quantile!r} min_exceedances={args.min_exceedances}"
+
+
+def _resampling_summary(args: argparse.Namespace) -> str:
+    """``permutations=…`` or ``bootstrap=…``, with the seed and band when there are replicates."""
+    name = args.replicates_flag.removeprefix("--")
+    if args.replicates == 0:
+        return f"{name}=0"
+    return f"{name}={args.replicates} seed={args.seed} band={args.band[0]!r},{args.band[1]!r}"
 
 
 def _fit_mrls(args, samples, groups, grid=None) -> dict[str, mrl.MrlCurve]:
@@ -341,26 +350,21 @@ def _run_survival_comparison(args: argparse.Namespace, outputs: _StagedOutputs) 
         build, label, reference = compare.survival_difference, "survival difference", 0.0
     curve = build(curve_a, curve_b, grid=args.grid)
     envelope = None
-    if args.permutations > 0:
+    if args.replicates > 0:
         envelope = compare.permutation_envelope(
             samples[group_a],
             samples[group_b],
             f"surv_{args.command}",
-            n_permutations=args.permutations,
+            n_permutations=args.replicates,
             seed=args.seed,
             grid=curve.grid,
             band_quantiles=args.band,
         )
     spec = _comparison_spec(label, label, groups, curve, reference, envelope)
     _write_plot(args, outputs, spec, {group_a: curve}, envelope)
-    envelope_part = (
-        f"permutations={args.permutations} seed={args.seed} band={args.band[0]!r},{args.band[1]!r}"
-        if envelope is not None
-        else "permutations=0"
-    )
     return (
         f"{args.command} input={_shown(args.input)} groups={_shown(group_a)},{_shown(group_b)} "
-        f"{envelope_part} grid_size={len(curve.grid)}"
+        f"{_resampling_summary(args)} grid_size={len(curve.grid)}"
     )
 
 
@@ -381,7 +385,7 @@ def _run_mrl_diff(args: argparse.Namespace, outputs: _StagedOutputs) -> str:
 
 def _run_stats(args: argparse.Namespace, outputs: _StagedOutputs) -> str:
     survey = studystats.load_paired_survey(args.input)
-    gain = studystats.ScoreVector(ids=survey.pre.ids, scores=survey.post.scores - survey.pre.scores)
+    gain = survey.post - survey.pre
     rows: list[tuple[str, str, str, str]] = []
 
     def add(metric: str, value, lower="", upper=""):
@@ -389,13 +393,13 @@ def _run_stats(args: argparse.Namespace, outputs: _StagedOutputs) -> str:
 
     vectors = (survey.pre, survey.post, gain)
     bounds = [("", "")] * len(vectors)
-    if args.bootstrap > 0:
+    if args.replicates > 0:
         cis = studystats.bootstrap_proportion_cis(
-            vectors, n_replicates=args.bootstrap, seed=args.seed, quantiles=args.band
+            vectors, n_replicates=args.replicates, seed=args.seed, quantiles=args.band
         )
         bounds = [(repr(ci.lower), repr(ci.upper)) for ci in cis]
     for name, vector, (lower, upper) in zip(("pre_accuracy", "post_accuracy", "learning_gain"), vectors, bounds):
-        add(name, repr(float(vector.scores.mean())), lower, upper)
+        add(name, repr(float(vector.mean())), lower, upper)
 
     add("discordant_b", survey.transitions.b)
     add("discordant_c", survey.transitions.c)
@@ -409,18 +413,13 @@ def _run_stats(args: argparse.Namespace, outputs: _StagedOutputs) -> str:
     add("wilcoxon_p", repr(wilcoxon.p_value))
     add("wilcoxon_method", wilcoxon.method)
 
-    bootstrap_part = (
-        f"bootstrap={args.bootstrap} seed={args.seed} band={args.band[0]!r},{args.band[1]!r}"
-        if args.bootstrap > 0
-        else "bootstrap=0"
-    )
     if args.out_csv:
         lines = ["metric,value,lower,upper"]
         lines += [",".join(row) for row in rows]
         outputs.write(args.out_csv, ("\n".join(lines) + "\n").encode("utf-8"))
     summary = [
-        f"stats input={_shown(args.input)} participants={survey.pre.n} items={survey.n_items} "
-        f"pairs={survey.n_pairs} {bootstrap_part}"
+        f"stats input={_shown(args.input)} participants={len(survey.ids)} items={survey.n_items} "
+        f"pairs={survey.n_pairs} {_resampling_summary(args)}"
     ]
     for metric, value, lower, upper in rows:
         tail = f" [{lower}, {upper}]" if lower else ""
@@ -443,10 +442,8 @@ def run_cli(argv: list[str]) -> int:
     parser = _parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "permutations", 0) > 0 and args.seed is None:
-            parser.error("--seed is required when --permutations > 0")
-        if getattr(args, "bootstrap", 0) > 0 and args.seed is None:
-            parser.error("--seed is required when --bootstrap > 0")
+        if getattr(args, "replicates", 0) > 0 and args.seed is None:
+            parser.error(f"--seed is required when {args.replicates_flag} > 0")
         if args.command != "stats" and not (args.out or args.out_csv):
             parser.error("nothing to do: supply --out and/or --out-csv")
     except SystemExit as exc:
@@ -456,8 +453,8 @@ def run_cli(argv: list[str]) -> int:
     try:
         summary = args.run(args, outputs)
         outputs.commit()
-    except (SurvmrlError, OSError) as exc:
-        print(str(exc), file=sys.stderr)
+    except (SurvmrlError, OSError, MemoryError) as exc:
+        print(str(exc) or "out of memory", file=sys.stderr)
         return 1
     finally:
         outputs.discard()

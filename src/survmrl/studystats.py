@@ -9,7 +9,8 @@ and is exact (full sign-assignment distribution) up to 25 nonzero
 differences, switching to a tie-corrected normal approximation above.
 Proportion intervals are percentile bootstrap over participants, seeded
 per replicate; score vectors over the same participants share each
-replicate's draw.
+replicate's draw. Score vectors are plain float arrays, one score per
+participant: two vectors pair by position, as in ``scipy.stats.wilcoxon``.
 """
 
 from __future__ import annotations
@@ -40,29 +41,6 @@ class PairedBinary:
     def __post_init__(self):
         if self.b < 0 or self.c < 0 or self.n_concordant < 0:
             raise ValueError("pair counts must be >= 0")
-
-
-@dataclass(frozen=True, eq=False)
-class ScoreVector:
-    """Per-participant scores: ``ids`` a tuple of str, ``scores`` a read-only float64 array."""
-
-    ids: tuple[str, ...]
-    scores: np.ndarray
-
-    __eq__ = fields_equal
-
-    def __post_init__(self):
-        freeze_columns(self, scores=float)
-        if not self.ids or len(self.ids) != self.scores.size:
-            raise ValueError("need one score per participant id, at least one pair")
-        if len(set(self.ids)) != len(self.ids):
-            raise ValueError("participant ids must be unique")
-        if not np.all(np.isfinite(self.scores)):
-            raise ValueError("scores must be finite")
-
-    @property
-    def n(self) -> int:
-        return len(self.ids)
 
 
 @dataclass(frozen=True)
@@ -141,12 +119,12 @@ def _exact_two_sided_p(doubled_ranks: list[int], doubled_w: int) -> float:
     return min(1.0, 2 * min(at_most, at_least) / n_assignments)
 
 
-def wilcoxon_signed_rank(pre: ScoreVector, post: ScoreVector) -> WilcoxonResult:
-    """Paired signed-rank test of post - pre, matched on participant id."""
-    if set(pre.ids) != set(post.ids):
-        raise EstimationError("pre and post scores cover different participants")
-    position = {i: k for k, i in enumerate(post.ids)}
-    return wilcoxon_from_differences(post.scores[[position[i] for i in pre.ids]] - pre.scores)
+def wilcoxon_signed_rank(pre: np.ndarray, post: np.ndarray) -> WilcoxonResult:
+    """Paired signed-rank test of post - pre, paired by position."""
+    pre, post = np.asarray(pre, dtype=float), np.asarray(post, dtype=float)
+    if pre.shape != post.shape:
+        raise EstimationError(f"pre and post scores differ in shape: {pre.shape} and {post.shape}")
+    return wilcoxon_from_differences(post - pre)
 
 
 def wilcoxon_from_differences(differences: Sequence[float]) -> WilcoxonResult:
@@ -174,7 +152,7 @@ def wilcoxon_from_differences(differences: Sequence[float]) -> WilcoxonResult:
 
 
 def bootstrap_proportion_ci(
-    scores: ScoreVector,
+    scores: np.ndarray,
     n_replicates: int,
     seed: int,
     quantiles: tuple[float, float] = (0.025, 0.975),
@@ -184,31 +162,35 @@ def bootstrap_proportion_ci(
 
 
 def bootstrap_proportion_cis(
-    vectors: Sequence[ScoreVector],
+    vectors: Sequence[np.ndarray],
     n_replicates: int,
     seed: int,
     quantiles: tuple[float, float] = (0.025, 0.975),
 ) -> tuple[BootstrapCi, ...]:
     """Percentile bootstrap intervals for the means of score vectors over one set of participants.
 
-    Participants are the resampling unit; replicate b draws its indices
-    from ``compare.replicate_rng(seed, b)``, so results are reproducible
-    and order-independent. Each replicate draws once and every vector takes
-    its mean over that draw, so each interval is bitwise the one a
-    single-vector call gives. The interval ends come from the envelope's
-    ``compare._band``, so they are numpy's default quantiles of the means.
+    Each vector is a 1-D float array holding participant k's score at
+    position k. Participants are the resampling unit; replicate b draws
+    its indices from ``compare.replicate_rng(seed, b)``, so results are
+    reproducible and order-independent. Each replicate draws once and
+    every vector takes its mean over that draw, so each interval is
+    bitwise the one a single-vector call gives. The interval ends come
+    from the envelope's ``compare._band``, so they are numpy's default
+    quantiles of the means.
     """
-    if not vectors:
+    columns = [np.asarray(v, dtype=float) for v in vectors]
+    if not columns:
         raise EstimationError("need at least one score vector")
-    ids = vectors[0].ids
-    if any(v.ids != ids for v in vectors):
-        raise EstimationError("score vectors cover different participants")
+    n = columns[0].size
+    if n == 0 or any(c.shape != (n,) or not np.isfinite(c).all() for c in columns):
+        raise EstimationError(
+            "score vectors must be 1-D, non-empty, finite and of one length (a different length covers "
+            "different participants)"
+        )
     if n_replicates < 1:
         raise EstimationError("need at least one bootstrap replicate")
     if not (0.0 <= quantiles[0] < quantiles[1] <= 1.0):
         raise EstimationError(f"invalid bootstrap quantiles {quantiles!r}")
-    columns = [v.scores for v in vectors]
-    n = len(ids)
     sums = np.empty((len(columns), n_replicates))
     for b in range(n_replicates):
         idx = replicate_rng(seed, b).integers(0, n, size=n)
@@ -230,15 +212,26 @@ def bootstrap_proportion_cis(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairedSurvey:
-    """Per-participant accuracy scores and pooled transition counts."""
+    """Per-participant accuracy scores and pooled transition counts.
 
-    pre: ScoreVector
-    post: ScoreVector
+    ``ids`` is the sorted tuple of participant ids (str); ``pre`` and
+    ``post`` are read-only float64 arrays holding participant k's mean
+    outcome at position k.
+    """
+
+    ids: tuple[str, ...]
+    pre: np.ndarray
+    post: np.ndarray
     transitions: PairedBinary
     n_items: int  # distinct item labels
     n_pairs: int  # answered (participant, item) pairs
+
+    __eq__ = fields_equal
+
+    def __post_init__(self):
+        freeze_columns(self, pre=float, post=float)
 
 
 def _survey_row(
@@ -332,8 +325,9 @@ def load_paired_survey(source: str | bytes | os.PathLike) -> PairedSurvey:
     pre, post = pre.astype(float), post.astype(float)
     n_answered = np.bincount(who)
     return PairedSurvey(
-        pre=ScoreVector(ids=ids, scores=np.bincount(who, weights=pre) / n_answered),
-        post=ScoreVector(ids=ids, scores=np.bincount(who, weights=post) / n_answered),
+        ids=ids,
+        pre=np.bincount(who, weights=pre) / n_answered,
+        post=np.bincount(who, weights=post) / n_answered,
         transitions=PairedBinary(
             b=int(np.count_nonzero(pre > post)),
             c=int(np.count_nonzero(pre < post)),

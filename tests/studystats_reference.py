@@ -124,8 +124,7 @@ def mcnemar_exact_p(b: int, c: int) -> float:
     return min(1.0, 2 * tail / 2**n)
 
 
-def bootstrap_proportion_ci(scores, n_replicates, seed, quantiles=(0.025, 0.975)) -> BootstrapCi:
-    values = scores.scores
+def bootstrap_proportion_ci(values, n_replicates, seed, quantiles=(0.025, 0.975)) -> BootstrapCi:
     n = len(values)
     means = np.empty(n_replicates)
     for b in range(n_replicates):

@@ -69,19 +69,14 @@ class TestExitCodes:
         )
         assert code == 2
 
-    def test_permutations_require_seed(self, survival_csv, tmp_path):
-        code = run_cli(
-            [
-                "diff",
-                "--input",
-                str(survival_csv),
-                "--groups",
-                "A,B",
-                "--out",
-                str(tmp_path / "d.svg"),
-            ]
-        )
-        assert code == 2
+    def test_permutations_require_seed(self, survival_csv, tmp_path, capsys):
+        # the default --permutations is 1000, so a diff or ratio run without --seed is a flag error
+        for command in ("diff", "ratio"):
+            code = run_cli([command, "--input", str(survival_csv), "--groups", "A,B", "--out", str(tmp_path / "d.svg")])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert captured.err.splitlines()[-1] == "survmrl: error: --seed is required when --permutations > 0"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
 
     def test_permutations_zero_needs_no_seed(self, survival_csv, tmp_path):
         code = run_cli(
@@ -99,8 +94,11 @@ class TestExitCodes:
         )
         assert code == 0
 
-    def test_bootstrap_requires_seed(self, survey_csv):
+    def test_bootstrap_requires_seed(self, survey_csv, capsys):
         assert run_cli(["stats", "--input", str(survey_csv), "--bootstrap", "100"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == "survmrl: error: --seed is required when --bootstrap > 0"
 
     def test_unknown_group_is_data_error(self, survival_csv, tmp_path, capsys):
         code = run_cli(
@@ -458,6 +456,26 @@ class TestNoHalfWrittenOutputs:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "data, flags",
+        [
+            ("survival_csv", ["diff", "--permutations", "100000000000000", "--out", "x.svg", "--out-csv", "x.csv"]),
+            ("survey_csv", ["stats", "--bootstrap", "100000000000000", "--out-csv", "x.csv"]),
+        ],
+        ids=["diff", "stats"],
+    )
+    def test_replicates_beyond_memory_are_one_line_data_error(
+        self, data, flags, request, tmp_path, monkeypatch, capsys
+    ):
+        # the replicate array is larger than the address space, so its allocation fails at once
+        data = request.getfixturevalue(data)
+        monkeypatch.chdir(tmp_path)
+        code = run_cli([*flags, "--input", str(data), "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [data.name]
 
     def test_existing_outputs_replaced_only_on_success(self, survival_csv, tmp_path):
         svg = tmp_path / "km.svg"

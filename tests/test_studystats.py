@@ -16,7 +16,7 @@ from survmrl import (
     dataset,
     studystats,
     PairedBinary,
-    ScoreVector,
+    PairedSurvey,
     bootstrap_proportion_ci,
     bootstrap_proportion_cis,
     load_paired_survey,
@@ -141,12 +141,14 @@ class TestWilcoxon:
         )
         assert result.p_value == pytest.approx(expected.pvalue, rel=1e-9)
 
-    def test_paired_vectors_matched_by_id(self):
-        pre = ScoreVector(ids=("a", "b", "c"), scores=(0.0, 1.0, 0.5))
-        post = ScoreVector(ids=("c", "a", "b"), scores=(1.0, 1.0, 1.0))
-        by_vectors = wilcoxon_signed_rank(pre, post)
+    def test_paired_vectors_paired_by_position(self):
+        by_vectors = wilcoxon_signed_rank(np.array([0.0, 1.0, 0.5]), np.array([1.0, 1.0, 1.0]))
         by_diffs = wilcoxon_from_differences([1.0, 0.0, 0.5])
-        assert by_vectors.p_value == by_diffs.p_value
+        assert repr(by_vectors) == repr(by_diffs)
+
+    def test_paired_vectors_of_different_shapes_rejected(self):
+        with pytest.raises(EstimationError, match=r"^pre and post scores differ in shape: \(2,\) and \(3,\)$"):
+            wilcoxon_signed_rank(np.array([0.0, 1.0]), np.array([1.0, 1.0, 1.0]))
 
     @pytest.mark.parametrize(
         "differences, message",
@@ -174,33 +176,23 @@ class TestWilcoxon:
         assert len(raised) == 1 and isinstance(raised[0], EstimationError)
         assert str(raised[0]) == message
 
-    def test_mismatched_participants_rejected(self):
-        pre = ScoreVector(ids=("a", "b"), scores=(0.0, 1.0))
-        post = ScoreVector(ids=("a", "x"), scores=(1.0, 1.0))
-        with pytest.raises(EstimationError, match="different participants"):
-            wilcoxon_signed_rank(pre, post)
-
 
 class TestBootstrap:
     def test_constant_scores_degenerate_interval(self):
-        scores = ScoreVector(ids=tuple("abcd"), scores=(1.0, 1.0, 1.0, 1.0))
+        scores = np.array([1.0, 1.0, 1.0, 1.0])
         ci = bootstrap_proportion_ci(scores, n_replicates=500, seed=1)
         assert ci.estimate == 1.0
         assert ci.lower == 1.0
         assert ci.upper == 1.0
 
     def test_point_estimate_is_participant_mean(self):
-        scores = ScoreVector(
-            ids=tuple(f"p{i}" for i in range(32)),
-            scores=tuple(1.0 if i < 16 else 0.0 for i in range(32)),
-        )
+        scores = np.array([1.0 if i < 16 else 0.0 for i in range(32)])
         ci = bootstrap_proportion_ci(scores, n_replicates=200, seed=4)
         assert ci.estimate == 0.5
 
     def test_bitwise_match_with_independent_reimplementation(self):
-        scores = ScoreVector(ids=tuple("wxyz"), scores=(1.0, 1.0, 0.0, 0.0))
-        ci = bootstrap_proportion_ci(scores, n_replicates=2000, seed=99)
-        values = np.array(scores.scores)
+        values = np.array([1.0, 1.0, 0.0, 0.0])
+        ci = bootstrap_proportion_ci(values, n_replicates=2000, seed=99)
         means = np.empty(2000)
         for b in range(2000):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=99, spawn_key=(b,)))
@@ -212,35 +204,37 @@ class TestBootstrap:
         rng = np.random.default_rng(11)
         for seed in range(10):
             raw = rng.uniform(0, 1, 25)
-            scores = ScoreVector(
-                ids=tuple(f"p{i}" for i in range(25)), scores=tuple(float(x) for x in raw)
-            )
-            ci = bootstrap_proportion_ci(scores, n_replicates=300, seed=seed)
+            ci = bootstrap_proportion_ci(raw, n_replicates=300, seed=seed)
             assert ci.lower <= ci.estimate <= ci.upper
 
     def test_deterministic_given_seed(self):
-        scores = ScoreVector(ids=tuple("abcde"), scores=(1.0, 0.0, 1.0, 0.0, 1.0))
+        scores = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
         one = bootstrap_proportion_ci(scores, n_replicates=400, seed=5)
         two = bootstrap_proportion_ci(scores, n_replicates=400, seed=5)
         assert one == two
 
     def test_zero_replicates_rejected(self):
-        scores = ScoreVector(ids=("a",), scores=(1.0,))
+        scores = np.array([1.0])
         with pytest.raises(EstimationError):
             bootstrap_proportion_ci(scores, n_replicates=0, seed=1)
 
-    @pytest.mark.parametrize(
-        "other_ids",
-        [("a", "b", "x"), ("b", "a", "c"), ("a", "b"), ("a", "b", "c", "d")],
-        ids=["other-participant", "other-order", "fewer", "more"],
-    )
-    def test_shared_draw_needs_one_participant_tuple(self, other_ids):
-        # The participant is the resampling unit: index k must name the same
-        # participant in every vector that shares a draw.
-        first = ScoreVector(ids=("a", "b", "c"), scores=(1.0, 0.0, 1.0))
-        other = ScoreVector(ids=other_ids, scores=[0.5] * len(other_ids))
+    @pytest.mark.parametrize("n_other", [2, 4], ids=["fewer", "more"])
+    def test_shared_draw_needs_one_participant_tuple(self, n_other):
+        # The participant is the resampling unit: position k must hold the
+        # same participant in every vector that shares a draw.
+        first = np.array([1.0, 0.0, 1.0])
+        other = np.full(n_other, 0.5)
         with pytest.raises(EstimationError, match="different participants"):
             bootstrap_proportion_cis((first, other), n_replicates=10, seed=1)
+
+    @pytest.mark.parametrize(
+        "vectors",
+        [((),), ([1.0, 0.0], []), ([float("nan")],), ([1.0, 0.0], [1.0, float("inf")]), ([[1.0, 0.0]],)],
+        ids=["empty", "empty-second", "nan", "infinite", "two-dimensional"],
+    )
+    def test_shared_draw_rejects_a_bad_vector(self, vectors):
+        with pytest.raises(EstimationError, match="^score vectors must be 1-D, non-empty, finite and of one length"):
+            bootstrap_proportion_cis(vectors, n_replicates=10, seed=1)
 
     def test_shared_draw_needs_a_vector(self):
         with pytest.raises(EstimationError, match="at least one score vector"):
@@ -261,9 +255,9 @@ SURVEY = (
 class TestLoadPairedSurvey:
     def test_per_participant_scores(self):
         survey = load_paired_survey(SURVEY)
-        assert survey.pre.ids == ("p1", "p2", "p3")
-        assert np.array_equal(survey.pre.scores, [0.5, 0.0, 1.0])
-        assert np.array_equal(survey.post.scores, [1.0, 0.5, 0.5])
+        assert survey.ids == ("p1", "p2", "p3")
+        assert np.array_equal(survey.pre, [0.5, 0.0, 1.0])
+        assert np.array_equal(survey.post, [1.0, 0.5, 0.5])
         assert survey.n_pairs == 6
         assert survey.n_items == 2
 
@@ -288,7 +282,7 @@ class TestLoadPairedSurvey:
     def test_a_leading_byte_order_mark_is_ignored(self, item):
         text = b"participant,item,pre,post\np1," + item + b",0,1\np2,i1,1,1\n"
         survey = load_paired_survey(codecs.BOM_UTF8 + text)
-        assert survey.pre.ids == ("p1", "p2") and survey == load_paired_survey(text)
+        assert survey.ids == ("p1", "p2") and survey == load_paired_survey(text)
 
     def test_row_errors(self):
         with pytest.raises(ParseError, match="row 1"):
@@ -318,25 +312,25 @@ class TestLoadPairedSurvey:
         with pytest.raises(SchemaError, match="input is not valid UTF-8"):
             load_paired_survey(b"participant,item,pre,post\n\xff,i1,1,1\n")
 
-    def test_score_vector_invariants(self):
-        with pytest.raises(ValueError):
-            ScoreVector(ids=(), scores=())
-        with pytest.raises(ValueError):
-            ScoreVector(ids=("a", "a"), scores=(1.0, 0.0))
-        with pytest.raises(ValueError):
-            ScoreVector(ids=("a",), scores=(float("nan"),))
-
     def test_scores_are_a_read_only_float64_copy(self):
         given_scores = np.array([1, 0, 1])
-        vector = ScoreVector(ids=("a", "b", "c"), scores=given_scores)
+        survey = PairedSurvey(
+            ids=("a", "b", "c"),
+            pre=given_scores,
+            post=given_scores,
+            transitions=PairedBinary(0, 0, 3),
+            n_items=1,
+            n_pairs=3,
+        )
         given_scores[0] = 0
-        assert vector.scores.dtype == np.float64
-        assert vector.scores.flags.writeable is False
-        assert np.array_equal(vector.scores, [1.0, 0.0, 1.0])
+        for scores in (survey.pre, survey.post):
+            assert scores.dtype == np.float64
+            assert scores.flags.writeable is False
+            assert np.array_equal(scores, [1.0, 0.0, 1.0])
         survey = load_paired_survey(SURVEY)
-        for scores in (survey.pre.scores, survey.post.scores):
+        for scores in (survey.pre, survey.post):
             assert scores.dtype == np.float64 and scores.flags.writeable is False
-        assert all(type(i) is str for i in survey.pre.ids)
+        assert all(type(i) is str for i in survey.ids)
 
     def test_an_id_with_a_nul_byte_is_rejected(self):
         with pytest.raises(SchemaError, match="^input holds a NUL byte$"):
@@ -413,10 +407,10 @@ def test_survey_loader_matches_the_reference(monkeypatch, text, block_bytes):
         assert str(info.value) == str(exc)
         return
     survey = load_paired_survey(text)
-    assert survey.pre.ids == survey.post.ids == expected.ids
-    assert all(type(i) is str for i in survey.pre.ids)
-    assert _bits(survey.pre.scores) == _bits(expected.pre_scores)
-    assert _bits(survey.post.scores) == _bits(expected.post_scores)
+    assert survey.ids == expected.ids
+    assert all(type(i) is str for i in survey.ids)
+    assert _bits(survey.pre) == _bits(expected.pre_scores)
+    assert _bits(survey.post) == _bits(expected.post_scores)
     counts = (
         survey.transitions.b, survey.transitions.c, survey.transitions.n_concordant, survey.n_items, survey.n_pairs
     )
@@ -453,9 +447,9 @@ def test_labels_keep_their_codes_between_the_row_rules_and_the_whole_columns(mon
     survey = load_paired_survey(text)
     expected = reference.load_paired_survey(text)
     assert row_numbers == ruled
-    assert survey.pre.ids == survey.post.ids == expected.ids
-    assert _bits(survey.pre.scores) == _bits(expected.pre_scores)
-    assert _bits(survey.post.scores) == _bits(expected.post_scores)
+    assert survey.ids == expected.ids
+    assert _bits(survey.pre) == _bits(expected.pre_scores)
+    assert _bits(survey.post) == _bits(expected.post_scores)
     assert (survey.n_items, survey.n_pairs) == (expected.n_items, expected.n_pairs) == (2, len(rows))
 
 
@@ -514,12 +508,11 @@ SCORES = [0.0, 1.0, 0.5, 1 / 3, 2 / 3, 0.25, -1.0, -0.5, 1 / 7]
 
 @st.composite
 def shared_draw_cases(draw):
-    """One participant tuple, 1-3 score vectors over it, B, seed and a band.
-    Some tuples pass 128 participants, where numpy's sum turns pairwise."""
+    """1-3 score vectors over n participants, B, seed and a band.
+    Some pass 128 participants, where numpy's sum turns pairwise."""
     n = draw(st.one_of(st.integers(1, 30), st.integers(129, 260)))
-    ids = tuple(f"p{i}" for i in range(n))
     value = st.one_of(st.sampled_from(SCORES), st.floats(-1e6, 1e6, allow_nan=False))
-    vector = st.lists(value, min_size=n, max_size=n).map(lambda v: ScoreVector(ids=ids, scores=v))
+    vector = st.lists(value, min_size=n, max_size=n).map(np.array)
     vectors = draw(st.lists(vector, min_size=1, max_size=3))
     n_replicates = draw(st.integers(1, 60))
     seed = draw(st.integers(0, 2**63))
