@@ -18,12 +18,12 @@ its percentile intervals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .dataset import SurvivalSample, fields_equal, freeze_columns
-from .errors import EstimationError
+from .errors import EstimationError, SurvmrlError
 from .km import KmCurve, event_bins, km_fit, risk_counts, sorted_grid, step_eval, survival_levels
 from .mrl import MrlCurve, evaluate_mrl
 
@@ -163,32 +163,128 @@ def _pool(sample_a: SurvivalSample, sample_b: SurvivalSample, grid: np.ndarray) 
     )
 
 
-def _relabelled_values(pool: _Pool, kind: str, seed: int, replicate: int) -> np.ndarray:
+def _relabelled_values(pool: _Pool, kind: str, rng: np.random.Generator) -> np.ndarray:
     """Comparison values for one permutation replicate.
 
-    A pure function of (seed, replicate): the first ``n_a`` subjects of a
-    permutation drawn from ``replicate_rng(seed, replicate)`` form group A.
-    Group A's counts come from those subjects' bins alone; group B's are
-    the pooled counts minus A's.
+    The first ``n_a`` subjects of a permutation drawn from ``rng``, the
+    replicate's stream from ``replicate_streams``, form group A. Group
+    A's counts come from those subjects' bins alone; group B's are the
+    pooled counts minus A's. A ratio is NaN where B's survival is zero.
     """
-    in_a = replicate_rng(seed, replicate).permutation(pool.past.size)[: pool.n_a]
+    in_a = rng.permutation(pool.past.size)[: pool.n_a]
     at_risk_a, deaths_a = risk_counts(pool.past[in_a], pool.death_at[in_a], pool.deaths.size)
     s_a = survival_levels(at_risk_a, deaths_a)[pool.at_grid]
     s_b = survival_levels(pool.at_risk - at_risk_a, pool.deaths - deaths_a)[pool.at_grid]
     if kind == "surv_diff":
         return s_a - s_b
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = s_a / s_b
-    ratio[s_b == 0.0] = np.nan
-    return ratio
+    return np.divide(s_a, s_b, out=np.full_like(s_a, np.nan), where=s_b != 0.0)
 
 
-def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
-    """The random stream of one resampling replicate: spawned from the
-    master seed with the replicate index as spawn key, so it does not
-    depend on which replicates ran before it. Permutation envelopes and
-    bootstrap intervals both draw from it."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(replicate,)))
+# numpy's SeedSequence hash (O'Neill's seed_seq_fe), which numpy keeps
+# stream-stable. Every constant is an np.uint32 and every operand a uint32
+# array, so legacy and NEP 50 casting give the same wrapping bits and no
+# scalar overflow warning.
+_INIT_A = np.uint32(0x43B0D7E5)
+_MULT_A = np.uint32(0x931E8875)
+_INIT_B = np.uint32(0x8B51F9DD)
+_MULT_B = np.uint32(0x58F38DED)
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_POOL_SIZE = 4
+# PCG64's 128-bit LCG multiplier (O'Neill's PCG_DEFAULT_MULTIPLIER_128).
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK_128 = (1 << 128) - 1
+# Replicates whose stream states are computed in one array pass; each
+# block's first state is checked against numpy's own generator.
+_STREAM_BLOCK = 1024
+
+
+def _pcg_states(seed: int, replicates: range) -> Iterator[dict]:
+    """The PCG64 state of ``default_rng(SeedSequence(seed,
+    spawn_key=(b,)))`` for each b in ``replicates``, in their order.
+
+    The seed's entropy words, zero-padded to the pool size, are hashed
+    into the pool once; each replicate's spawn-key words (two from
+    b = 2**32 on) are mixed in as one array per word. The hash constant
+    ``h`` advances with every ``hashmix`` whatever its input, so it is a
+    single value shared by all replicates.
+    """
+    h = np.array([_INIT_A])
+
+    def hashmix(value):
+        nonlocal h
+        value = value ^ h
+        h = h * _MULT_A
+        value = value * h
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> _XSHIFT)
+
+    seed = int(seed)
+    # The seed's little-endian 32-bit words (0 is one word), each a 1-element array.
+    words = [(seed >> shift) & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = np.array(words + [0] * (_POOL_SIZE - len(words)), dtype=np.uint32)[:, None]
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    keys = np.fromiter(replicates, np.uint64, len(replicates))
+    low = (keys & np.uint64(0xFFFFFFFF)).astype(np.uint32)
+    high = (keys >> np.uint64(32)).astype(np.uint32)
+    for word in (*entropy[_POOL_SIZE:], low):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    if high.any():
+        two_words = high != 0
+        for dst in range(_POOL_SIZE):
+            pool[dst] = np.where(two_words, mix(pool[dst], hashmix(high)), pool[dst])
+
+    # generate_state(4, np.uint64): eight words, paired low word first.
+    h = np.array([_INIT_B])
+    generated = []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ h
+        h = h * _MULT_B
+        value = value * h
+        generated.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
+    w0, w1, w2, w3 = ((generated[i] | (generated[i + 1] << np.uint64(32))).tolist() for i in range(0, 8, 2))
+    # PCG64 seeding: s = w0:w1, inc = (w2:w3 << 1) | 1, state = (inc + s) * mult + inc.
+    for s_high, s_low, i_high, i_low in zip(w0, w1, w2, w3):
+        inc = ((i_high << 65) | (i_low << 1) | 1) & _MASK_128
+        state = ((((s_high << 64) | s_low) + inc) * _PCG_MULT + inc) & _MASK_128
+        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+
+
+def replicate_streams(seed: int, replicates: range) -> Iterator[np.random.Generator]:
+    """The random stream of each resampling replicate in ``replicates``.
+
+    Replicate b's stream is ``default_rng(SeedSequence(seed,
+    spawn_key=(b,)))``: spawned from the master seed with the replicate
+    index as spawn key, so it does not depend on which replicates ran
+    before it. Permutation envelopes and bootstrap intervals both draw
+    from it. The states are computed ``_STREAM_BLOCK`` replicates at a
+    time and set into one PCG64, so each yielded generator stays valid
+    only until the next one is drawn. Each block's first state is
+    checked against numpy's own generator, which also validates
+    ``seed`` as numpy does; a mismatch raises ``SurvmrlError``. ``seed``
+    is a non-negative integer and the indices are below 2**64.
+    """
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    for start in range(0, len(replicates), _STREAM_BLOCK):
+        block = replicates[start : start + _STREAM_BLOCK]
+        expected = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block[0],)))
+        for i, state in enumerate(_pcg_states(seed, block)):
+            if i == 0 and state != expected.bit_generator.state:
+                raise SurvmrlError(
+                    f"replicate stream {block[0]} of seed {seed} differs from numpy {np.__version__}'s SeedSequence"
+                )
+            bit_generator.state = state
+            yield generator
 
 
 def _band(
@@ -265,8 +361,8 @@ def permutation_envelope(
 
     pool = _pool(sample_a, sample_b, grid_arr)
     replicates = np.empty((n_permutations, grid_arr.size))
-    for b in range(n_permutations):
-        replicates[b] = _relabelled_values(pool, kind, seed, b)
+    for b, rng in enumerate(replicate_streams(seed, range(n_permutations))):
+        replicates[b] = _relabelled_values(pool, kind, rng)
     lower, upper, counts = _band(replicates, band_quantiles)
     return Envelope(
         grid=grid_arr,

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .compare import _band, replicate_rng
+from .compare import _band, replicate_streams
 from .dataset import fields_equal, freeze_columns, label_codes, read_csv
 from .errors import EstimationError, ParseError, SchemaError
 
@@ -171,12 +171,13 @@ def bootstrap_proportion_cis(
 
     Each vector is a 1-D float array holding participant k's score at
     position k. Participants are the resampling unit; replicate b draws
-    its indices from ``compare.replicate_rng(seed, b)``, so results are
-    reproducible and order-independent. Each replicate draws once and
-    every vector takes its mean over that draw, so each interval is
-    bitwise the one a single-vector call gives. The interval ends come
-    from the envelope's ``compare._band``, so they are numpy's default
-    quantiles of the means.
+    its indices from its stream in ``compare.replicate_streams(seed,
+    range(n_replicates))``, which is ``default_rng(SeedSequence(seed,
+    spawn_key=(b,)))``, so results are reproducible and order-independent.
+    Each replicate draws once and every vector takes its mean over that
+    draw, so each interval is bitwise the one a single-vector call gives.
+    The interval ends come from the envelope's ``compare._band``, so they
+    are numpy's default quantiles of the means.
     """
     columns = [np.asarray(v, dtype=float) for v in vectors]
     if not columns:
@@ -192,8 +193,8 @@ def bootstrap_proportion_cis(
     if not (0.0 <= quantiles[0] < quantiles[1] <= 1.0):
         raise EstimationError(f"invalid bootstrap quantiles {quantiles!r}")
     sums = np.empty((len(columns), n_replicates))
-    for b in range(n_replicates):
-        idx = replicate_rng(seed, b).integers(0, n, size=n)
+    for b, rng in enumerate(replicate_streams(seed, range(n_replicates))):
+        idx = rng.integers(0, n, size=n)
         for k, values in enumerate(columns):
             # One 1-D gather and sum per vector: a (k, n) gather's row sums
             # differ in bits. ndarray.mean is this sum / n, divided below.

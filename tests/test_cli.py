@@ -477,6 +477,16 @@ class TestNoHalfWrittenOutputs:
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
         assert sorted(p.name for p in tmp_path.iterdir()) == [data.name]
 
+    def test_stream_that_differs_from_numpy_is_one_line_error(self, survey_csv, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(survmrl.compare, "_MIX_MULT_R", np.uint32(0x4973F716))
+        out = tmp_path / "stats.csv"
+        code = run_cli(["stats", "--input", str(survey_csv), "--bootstrap", "10", "--seed", "1", "--out-csv", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert "differs from numpy" in captured.err
+        assert not out.exists()
+
     def test_existing_outputs_replaced_only_on_success(self, survival_csv, tmp_path):
         svg = tmp_path / "km.svg"
         svg.write_bytes(b"old")

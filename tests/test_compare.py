@@ -1,13 +1,15 @@
+import re
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from survmrl import (
     EstimationError,
     SurvivalSample,
+    bootstrap_proportion_cis,
     fit_hybrid_mrl,
     km_fit,
     mrl_difference,
@@ -16,7 +18,7 @@ from survmrl import (
     survival_ratio,
 )
 from survmrl import compare
-from survmrl.compare import _band, _pool, _relabelled_values
+from survmrl.compare import _band, _pool, _relabelled_values, replicate_streams
 from km_reference import product_limit
 
 
@@ -264,7 +266,7 @@ class TestPermutationEnvelope:
         a, b = exponential_sample(8), exponential_sample(9)
         env = permutation_envelope(a, b, "surv_diff", n_permutations=50, seed=11)
         pool = _pool(a, b, np.array(env.grid))
-        rows = [_relabelled_values(pool, "surv_diff", 11, r) for r in reversed(range(50))]
+        rows = [_relabelled_values(pool, "surv_diff", rng) for rng in replicate_streams(11, range(49, -1, -1))]
         stacked = np.stack(rows)
         assert np.quantile(stacked, 0.025, axis=0) == pytest.approx(env.lower, abs=0.0)
         assert np.quantile(stacked, 0.975, axis=0) == pytest.approx(env.upper, abs=0.0)
@@ -424,3 +426,41 @@ def test_band_of_empty_and_single_value_columns_warns_nothing():
     assert list(counts) == [0, 1, 1, 2]
     assert np.isnan(lower[0]) and np.isnan(upper[0])
     assert (lower[1], upper[1], lower[2], upper[2], lower[3], upper[3]) == (2.0, 2.0, 5.0, 5.0, 1.0, 3.0)
+
+
+def numpy_stream(seed, b):
+    """Replicate b's stream as numpy builds it from a SeedSequence."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
+
+
+# 2**127 + 5 fills the 4-word pool; 2**160 + 7 has more entropy words than it.
+@pytest.mark.parametrize("block", [1, 3, 1024])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**64 - 1) | st.sampled_from([0, 2**32, 2**127 + 5, 2**160 + 7]),
+    start=st.integers(0, 20) | st.integers(0, 2**40) | st.integers(2**32 - 20, 2**32 + 20),
+    length=st.integers(0, 12),
+    step=st.sampled_from([1, 2, -1, -5]),
+)
+@example(seed=1, start=2**32 - 2, length=4, step=1)  # spawn keys of one and two words
+@example(seed=2**160 + 7, start=1029, length=1030, step=-1)  # down to 0 across a 1024 block edge
+def test_replicate_streams_match_numpy(block, seed, start, length, step):
+    replicates = range(start, max(start + length * step, -1), step)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(compare, "_STREAM_BLOCK", block)
+        for b, rng in zip(replicates, replicate_streams(seed, replicates), strict=True):
+            expected = numpy_stream(seed, b)
+            assert rng.bit_generator.state == expected.bit_generator.state
+            assert rng.integers(0, 2**40) == expected.integers(0, 2**40)
+            assert np.array_equal(rng.permutation(25), expected.permutation(25))
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**70), 1.5])
+def test_invalid_seed_raises_numpys_own_error(seed):
+    with pytest.raises(Exception) as numpy_error:
+        numpy_stream(seed, 0)
+    same_error = pytest.raises(numpy_error.type, match=f"^{re.escape(str(numpy_error.value))}$")
+    with same_error:
+        bootstrap_proportion_cis((np.ones(4),), n_replicates=10, seed=seed)
+    with same_error:
+        permutation_envelope(SAMPLE_A, SAMPLE_B, "surv_diff", n_permutations=10, seed=seed)

@@ -13,6 +13,8 @@ import studystats_reference as reference
 
 from survmrl import (
     EstimationError,
+    SurvmrlError,
+    compare,
     dataset,
     studystats,
     PairedBinary,
@@ -199,6 +201,11 @@ class TestBootstrap:
             means[b] = values[rng.integers(0, 4, size=4)].mean()
         assert ci.lower == np.quantile(means, 0.025)
         assert ci.upper == np.quantile(means, 0.975)
+
+    def test_stream_that_differs_from_numpy_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(compare, "_MIX_MULT_R", np.uint32(0x4973F716))
+        with pytest.raises(SurvmrlError, match="^replicate stream 0 of seed 1 differs from numpy "):
+            bootstrap_proportion_cis((np.array([1.0, 0.0, 1.0]),), n_replicates=10, seed=1)
 
     def test_estimate_inside_interval_across_seeds(self):
         rng = np.random.default_rng(11)
