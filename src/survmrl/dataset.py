@@ -30,6 +30,8 @@ _BLOCK_BYTES = 16 * 1024  # input bytes per block, so per chunk, of read_csv
 _PLAIN_BYTES = bytes(sorted(set(range(256)) - set(b',\n\r"')))
 # A line end as csv reads it, so that a cut after one never splits a line.
 _LINE_END = re.compile(rb"\r\n?|\n")
+# The byte of each 0/1 digit's value, for zero_one_column.
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
 def freeze_columns(obj, **dtypes) -> None:
@@ -61,6 +63,12 @@ class SurvivalSample:
     censorings (status 0), the standard tie convention for product-limit
     estimation. The constructor copies, validates and sorts its inputs,
     and reads a time of -0.0 as 0.0.
+
+    The sort is one ``np.sort`` of packed uint64 keys, a time's bits
+    shifted left by one with the low bit set for a censoring, and both
+    columns are decoded from the sorted keys. The bits of a finite
+    double >= 0 (not -0.0) ascend with its value, and its sign bit is 0,
+    so the keys sort by time and then events first.
     """
 
     times: np.ndarray
@@ -77,9 +85,9 @@ class SurvivalSample:
             raise ValueError("times must be finite and >= 0")
         if not np.all((statuses == 0) | (statuses == 1)):
             raise ValueError("statuses must be 0 or 1")
-        statuses = statuses.astype(np.int64)
-        order = np.lexsort((-statuses, times))
-        for name, column in (("times", times[order]), ("statuses", statuses[order])):
+        keys = np.sort(times.view(np.uint64) << 1 | (statuses == 0))
+        times, statuses = (keys >> 1).view(np.float64), 1 - (keys & 1).astype(np.int64)
+        for name, column in (("times", times), ("statuses", statuses)):
             column.setflags(write=False)
             object.__setattr__(self, name, column)
 
@@ -256,24 +264,46 @@ def _survival_row(row_number: int, time_text: str, status_text: str, group_text:
     return time, int(status_value), group
 
 
+def zero_one_column(texts: list[str]) -> np.ndarray | None:
+    """The values (int8) of ``texts`` when each is exactly ``"0"`` or ``"1"``, else None.
+
+    The texts are read as bytes from their join with commas. Those bytes
+    alternate a 0/1 digit and a comma, 2n - 1 of them, only when each of
+    the n texts is one digit: a join without separators would also read
+    the texts ``""`` and ``"11"`` as two rows.
+    """
+    joined = ",".join(texts).encode()
+    digits = joined[::2]
+    if len(joined) != 2 * len(texts) - 1 or joined[1::2] != b"," * (len(texts) - 1) or digits.translate(None, b"01"):
+        return None
+    return np.frombuffer(digits.translate(_DIGIT_VALUES), np.int8)
+
+
 def _survival_columns(time_texts: list[str], status_texts: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
     """A chunk's times and statuses (int8) when every text passes the
     whole-column checks, else None.
 
-    float() strips less than str.strip() and rejects what it does not
-    strip, so a value it reads unstripped is the row rules' value.
+    A status column written exactly ``0``/``1`` is read as bytes
+    (``zero_one_column``); any other column goes through float(), as the
+    times do. float() strips less than str.strip() and rejects what it
+    does not strip, so a value it reads unstripped is the row rules' value.
     """
-    text = "".join(time_texts) + "".join(status_texts)
+    statuses = zero_one_column(status_texts)
+    text = "".join(time_texts if statuses is not None else time_texts + status_texts)
     if "_" in text or not text.isascii():
         return None
     try:
         times = np.fromiter(map(float, time_texts), np.float64, len(time_texts))
-        statuses = np.fromiter(map(float, status_texts), np.float64, len(status_texts))
+        if statuses is None:
+            values = np.fromiter(map(float, status_texts), np.float64, len(status_texts))
+            if not np.all((values == 0.0) | (values == 1.0)):
+                return None
+            statuses = values.astype(np.int8)
     except ValueError:
         return None
-    if not (times.min() >= 0.0 and times.max() < math.inf and np.all((statuses == 0.0) | (statuses == 1.0))):
+    if not (times.min() >= 0.0 and times.max() < math.inf):
         return None
-    return times, statuses.astype(np.int8)
+    return times, statuses
 
 
 def label_codes(texts: Sequence[str], code_of_text: dict[str, int], codes: dict[str, int]) -> np.ndarray | None:

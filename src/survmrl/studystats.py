@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .compare import _band, replicate_streams
-from .dataset import fields_equal, freeze_columns, label_codes, read_csv
+from .dataset import fields_equal, freeze_columns, label_codes, read_csv, zero_one_column
 from .errors import EstimationError, ParseError, SchemaError
 
 EXACT_WILCOXON_LIMIT = 25
@@ -273,9 +273,6 @@ def _survey_row(
     return code, *outcomes
 
 
-_OUTCOMES = {"0": 0, "1": 1}
-
-
 def load_paired_survey(source: str | bytes | os.PathLike) -> PairedSurvey:
     """Parse a `participant,item,pre,post` CSV path or bytes of paired binary outcomes.
 
@@ -299,12 +296,12 @@ def load_paired_survey(source: str | bytes | os.PathLike) -> PairedSurvey:
         participant_texts, item_texts, pre_texts, post_texts = (texts[k] for k in positions)
         codes = label_codes(participant_texts, code_of_participant_text, code_of)
         items = None if codes is None else label_codes(item_texts, code_of_item_text, item_codes)
-        if items is not None and _OUTCOMES.keys() >= {*pre_texts, *post_texts}:
+        pre = None if items is None else zero_one_column(pre_texts)
+        post = None if pre is None else zero_one_column(post_texts)
+        if post is not None:
             keys = (codes.astype(np.int64) << 32 | items).tolist()
             if len(set(keys)) == len(keys) and first_rows.keys().isdisjoint(keys):
                 first_rows.update(zip(keys, row_numbers))
-                pre = np.fromiter(map(_OUTCOMES.__getitem__, pre_texts), np.int8, len(keys))
-                post = np.fromiter(map(_OUTCOMES.__getitem__, post_texts), np.int8, len(keys))
                 return codes, pre, post
         # A check failed: the row rules raise the chunk's first error, or on
         # a false alarm give the same values.

@@ -4,7 +4,8 @@ columnar decode, kept as a reference for ``survmrl.dataset``.
 ``read_csv`` decodes the whole input into one string, reads it through
 ``io.StringIO`` and yields one numbered row at a time; ``load_dataset``
 parses, checks and appends each row's time and status to per-group
-lists before building the samples.
+lists before building the samples. ``sample_columns`` is
+``SurvivalSample``'s sort as it was before the packed-key sort.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import csv
 import io
 import math
+
+import numpy as np
 
 from survmrl.dataset import DEFAULT_GROUP, SurvivalSample
 from survmrl.errors import ParseError, SchemaError
@@ -28,6 +31,15 @@ def _decode(source) -> str:
     if "\0" in text:
         raise SchemaError("input holds a NUL byte")
     return text
+
+
+def sample_columns(times, statuses) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted times and statuses (int64) of a sample: one lexsort by
+    time, events first at ties, then a gather of each column."""
+    times = np.asarray(times, dtype=float) + 0.0
+    statuses = np.asarray(statuses).astype(np.int64)
+    order = np.lexsort((-statuses, times))
+    return times[order], statuses[order]
 
 
 def read_csv(source):

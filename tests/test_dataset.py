@@ -228,6 +228,73 @@ def test_sample_requires_observations():
         SurvivalSample((), ())
 
 
+# Both zeros, the smallest subnormal, the smallest normal and the largest double.
+EDGE_TIMES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+
+
+@st.composite
+def sample_inputs(draw) -> tuple[np.ndarray, np.ndarray]:
+    """Times from a small pool, the edge times and a few drawn from all
+    doubles >= 0, so most times are tied, with statuses of mixed dtype."""
+    pool = EDGE_TIMES + draw(st.lists(st.floats(min_value=0.0, allow_infinity=False), min_size=1, max_size=4))
+    times = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60))
+    statuses = draw(st.lists(st.integers(0, 1), min_size=len(times), max_size=len(times)))
+    return np.array(times), np.array(statuses, dtype=draw(st.sampled_from([np.int8, np.int64, np.float64, bool])))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(sample_inputs())
+def test_sample_sort_matches_the_lexsort_reference(columns):
+    sample = SurvivalSample(*columns)
+    times, statuses = reference.sample_columns(*columns)
+    assert sample.times.dtype == times.dtype and sample.times.tobytes() == times.tobytes()
+    assert sample.statuses.dtype == statuses.dtype and sample.statuses.tobytes() == statuses.tobytes()
+
+
+@pytest.mark.parametrize(
+    "texts, values",
+    [
+        (["0", "1", "1", "0"], [0, 1, 1, 0]),
+        (["1"], [1]),
+        (["", "11"], None),  # as many bytes as rows when joined without a separator
+        (["11", ""], None),
+        (["0,1", "", ""], None),  # a quoted field may hold the separator
+        (["0", "1", " 1"], None),
+        (["1.0", "0"], None),
+        (["1", "2"], None),
+        (["/", "0"], None),
+        (["１"], None),
+    ],
+)
+def test_zero_one_column_reads_only_single_digit_texts(texts, values):
+    column = dataset.zero_one_column(texts)
+    if values is None:
+        assert column is None
+    else:
+        assert column.dtype == np.int8 and column.tolist() == values
+
+
+@pytest.mark.parametrize("quote", ["", '"'])
+def test_an_empty_status_is_an_error_when_the_texts_join_to_one_byte_a_row(quote):
+    with pytest.raises(ParseError) as info:
+        load_dataset(f"time,status\n1,{quote}{quote}\n2,{quote}11{quote}\n".encode())
+    assert str(info.value) == "row 1: status is not numeric: ''"
+
+
+def test_mixed_status_spellings_give_the_row_rules_columns():
+    text = b"time,status\n4,1\n3,0\n2,1.0\n1, 1\n2,0\n"
+    samples = load_dataset(text)
+    assert samples == reference.load_dataset(text)
+    assert samples["all"].times.tolist() == [1.0, 2.0, 2.0, 3.0, 4.0]
+    assert samples["all"].statuses.tolist() == [1, 1, 0, 0, 1]
+
+
+def test_an_empty_outcome_is_a_survey_error_when_the_texts_join_to_one_byte_a_row():
+    with pytest.raises(ParseError) as info:
+        load_paired_survey(b"participant,item,pre,post\np1,i1,,0\np2,i1,11,1\n")
+    assert str(info.value) == "row 1: pre must be 0 or 1, got ''"
+
+
 rows = st.lists(
     st.tuples(
         st.floats(min_value=0, max_value=100, allow_nan=False),
