@@ -77,6 +77,19 @@ def write_tail_ties():
     (HERE / "tail_ties.csv").write_text("\n".join(["time,status,group"] + [rows[k] for k in order]) + "\n")
 
 
+def write_many_knots():
+    # 2x4000 rows, about 20% censored: each group's KM curve has more knots
+    # than the plot has columns, so its SVG is drawn from a thinned series
+    rng = np.random.default_rng(20261021)
+    rows = ["time,status,group"]
+    for label, mean in (("A", 2.0), ("B", 3.0)):
+        survival_times = rng.exponential(mean, 4000)
+        censor_times = rng.exponential(mean * 4, 4000)
+        status = (survival_times <= censor_times).astype(int)
+        rows += [f"{x:.4f},{int(s)},{label}" for x, s in zip(np.minimum(survival_times, censor_times), status)]
+    (HERE / "many_knots.csv").write_text("\n".join(rows) + "\n")
+
+
 def write_ratio_zero():
     # tie-heavy, every subject an event: under relabelling the denominator
     # group often loses its last subject before the top of the ratio grid
@@ -93,7 +106,8 @@ if __name__ == "__main__":
     write_survey_ragged()
     write_survey_small()
     write_tail_ties()
+    write_many_knots()
     print("wrote", *(HERE / name for name in (
         "two_groups.csv", "survey.csv", "ratio_zero.csv", "survey_ragged.csv", "survey_small.csv",
-        "tail_ties.csv",
+        "tail_ties.csv", "many_knots.csv",
     )))

@@ -33,6 +33,7 @@ RATIO_ZERO = ROOT / "sample_data" / "ratio_zero.csv"
 SURVEY_RAGGED = ROOT / "sample_data" / "survey_ragged.csv"
 SURVEY_SMALL = ROOT / "sample_data" / "survey_small.csv"
 TAIL_TIES = ROOT / "sample_data" / "tail_ties.csv"
+MANY_KNOTS = ROOT / "sample_data" / "many_knots.csv"
 
 # name -> (input, argv after --input, excluding output flags, write an SVG)
 CASES = {
@@ -71,6 +72,9 @@ CASES = {
     "tail_ties_mrl_diff": (TAIL_TIES, ["mrl-diff"], True),
     "tail_ties_diff": (TAIL_TIES, ["diff", "--permutations", "200", "--seed", "8"], True),
     "tail_ties_ratio": (TAIL_TIES, ["ratio", "--permutations", "200", "--seed", "9"], True),
+    # more knots and grid points than the plot has columns
+    "many_knots_km": (MANY_KNOTS, ["km"], True),
+    "many_knots_diff": (MANY_KNOTS, ["diff", "--permutations", "50", "--seed", "26"], True),
     "stats": (SURVEY, ["stats"], False),
     "stats_bootstrap": (SURVEY, ["stats", "--bootstrap", "500", "--seed", "7"], False),
     "stats_bootstrap_band": (
