@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import render_reference as reference
 from survmrl import (
@@ -28,6 +28,7 @@ from survmrl import (
 )
 from survmrl import render
 from survmrl.cli import run_cli
+from survmrl.km import step_eval
 from survmrl.render import PALETTE, _HEIGHT, _MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP, _MARGIN_BOTTOM, _WIDTH
 
 TAIL_TIES = Path(__file__).resolve().parent.parent / "sample_data" / "tail_ties.csv"
@@ -357,6 +358,20 @@ def plot_specs(draw):
     )
 
 
+def thinned(spec):
+    """``spec`` with each series thinned on the axes of the whole spec, as
+    ``render_plot_svg`` draws it."""
+    _, x_range, y_range = render._axes(spec)
+    return dataclasses.replace(spec, series=tuple(render.thin_series(s, x_range, y_range) for s in spec.series))
+
+
+def reference_svg(spec):
+    """The reference's rendering of the thinned spec. The reference finds
+    the axes from the thinned rows alone, so this also checks that
+    thinning keeps every row that sets an axis."""
+    return reference.render_plot_svg(reference.as_tuples(thinned(spec)))
+
+
 def _outcome(render, spec):
     try:
         return render(spec)
@@ -367,7 +382,7 @@ def _outcome(render, spec):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(plot_specs())
 def test_svg_matches_tuple_reference_bytewise(spec):
-    assert _outcome(render_plot_svg, spec) == _outcome(reference.render_plot_svg, reference.as_tuples(spec))
+    assert _outcome(render_plot_svg, spec) == _outcome(reference_svg, spec)
 
 
 @pytest.mark.parametrize("block_rows", [1, 3])
@@ -376,11 +391,11 @@ def test_svg_matches_tuple_reference_bytewise(spec):
 def test_svg_matches_tuple_reference_bytewise_in_small_blocks(block_rows, spec):
     # blocks of 1 or 3 rows: every drawn spec with a few points crosses block edges
     with mock.patch.object(render, "_BLOCK_ROWS", block_rows):
-        assert _outcome(render_plot_svg, spec) == _outcome(reference.render_plot_svg, reference.as_tuples(spec))
+        assert _outcome(render_plot_svg, spec) == _outcome(reference_svg, spec)
 
 
 def assert_matches_reference(spec):
-    assert render_plot_svg(spec) == reference.render_plot_svg(reference.as_tuples(spec))
+    assert render_plot_svg(spec) == reference_svg(spec)
 
 
 class TestBlockEdges:
@@ -393,15 +408,32 @@ class TestBlockEdges:
         # a censor tick between each pair of knots, so the tick list has n rows too
         spec = PlotSpec("km", "t", "S", (PlotSeries("g", step=step, censor_times=knots + 0.25),))
         assert_matches_reference(spec)
+        kept = thinned(spec).series[0]
+        if n > render._BLOCK_ROWS:
+            assert min(kept.step.knots.size, kept.censor_times.size) > render._BLOCK_ROWS
+        else:  # knots and ticks at least 0.59 px apart: each is kept
+            assert kept.step.knots.size == kept.censor_times.size == n
 
     def test_a_tick_repeated_two_blocks_later_keeps_its_first_place(self):
-        block = render._BLOCK_ROWS
+        # Two ticks either side of a cell edge: thinning keeps both, and
+        # their lines round to one text, which is drawn once, in the first
+        # place. A plot holds too few cells for two blocks of 1024 ticks
+        # on one level, so the blocks are 64 rows here.
+        block = 64
         times = np.arange(1, 2 * block + 11) * 1.0
-        times[2 * block + 7] = times[5] + 1e-9  # distinct times, one pixel and one level
+        x_range = (0.0, 1.05 * times.max())
+        edge = math.floor(render._px(times[5], x_range) / render._COLUMN_PX) * render._COLUMN_PX
+        t_edge = (edge - _MARGIN_LEFT) / render._PLOT_W * x_range[1]
+        times[5], times[2 * block + 7] = t_edge + 1e-9, t_edge - 1e-9
+        first, later = render._px(times[[5, 2 * block + 7]], x_range)
+        assert first // render._COLUMN_PX != later // render._COLUMN_PX and render._fmt(first) == render._fmt(later)
         step = StepFunction([0.5], [0.5], 1.0)
         spec = PlotSpec("km", "t", "S", (PlotSeries("g", step=step, censor_times=times),))
-        assert len(censor_ticks(render_plot_svg(spec))) == times.size - 1
-        assert_matches_reference(spec)
+        with mock.patch.object(render, "_BLOCK_ROWS", block):
+            ticks = censor_ticks(render_plot_svg(spec))
+            assert len(ticks) == times.size - 1 and float(ticks[5].get("x1")) == float(render._fmt(first))
+            assert_matches_reference(spec)
+            assert thinned(spec).series[0].censor_times.size == times.size > 2 * block
 
     def test_non_finite_values_at_block_edges(self):
         block = render._BLOCK_ROWS
@@ -415,6 +447,7 @@ class TestBlockEdges:
         series = PlotSeries("d", grid=grid, values=values, lower=lower, upper=upper)
         spec = PlotSpec("d", "t", "d", (series,), reference_line=0.0)
         assert_matches_reference(spec)
+        assert thinned(spec).series[0].grid.size > 2 * block
 
     def test_grid_series_with_no_finite_value(self):
         grid = np.arange(1, render._BLOCK_ROWS + 2) * 1.0
@@ -423,6 +456,11 @@ class TestBlockEdges:
         svg = render_plot_svg(spec)
         assert b"<polyline" not in svg
         assert_matches_reference(spec)
+        # A row with no finite value draws nothing, so thinning keeps only
+        # the two end rows, which set the x axis; no thinned row is left to
+        # cross a block, and the whole spec draws the same document.
+        assert np.array_equal(thinned(spec).series[0].grid, grid[[0, -1]])
+        assert svg == reference.render_plot_svg(reference.as_tuples(spec))
 
 
 def test_reference_agrees_on_a_fitted_km_plot():
@@ -434,7 +472,7 @@ def test_reference_agrees_on_a_fitted_km_plot():
         y_label="S",
         series=(PlotSeries("g", step=km_fit(sample).survival, censor_times=km_fit(sample).censor_marks),),
     )
-    assert render_plot_svg(spec) == reference.render_plot_svg(reference.as_tuples(spec))
+    assert render_plot_svg(spec) == reference_svg(spec)
 
 
 def test_curve_columns_are_read_only_float64_or_int64_arrays():
@@ -494,5 +532,180 @@ def test_the_document_is_held_once():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert svg == reference.render_plot_svg(reference.as_tuples(spec))
+    assert svg == reference_svg(spec)
     assert peak < 2 * len(svg)
+
+
+# Thinning. Dense times put up to 60 rows in a 0.15-wide cluster, under
+# 5 columns of 0.5 px (the axis is at least 42 wide); a sparse time may
+# stretch the axis. Step levels need not be monotone here.
+cluster = st.integers(0, 600).map(lambda k: 40.0 + k / 4000.0)
+dense_levels = st.integers(-3000, 3000).map(lambda k: k / 1000.0)
+
+
+def dense_knots(draw):
+    n = draw(st.integers(1, 60))
+    knots = sorted(draw(st.lists(cluster, min_size=n, max_size=n, unique=True)))
+    return knots + draw(st.lists(st.integers(41, 100).map(float), max_size=1))
+
+
+@st.composite
+def dense_step_series(draw):
+    knots = dense_knots(draw)
+    step = StepFunction(knots, draw(st.lists(dense_levels, min_size=len(knots), max_size=len(knots))), draw(dense_levels))
+    n = draw(st.integers(0, 60))
+    censor = draw(st.lists(cluster | st.sampled_from(knots), min_size=n, max_size=n))
+    # maybe two late ticks in one cell, the later one setting the x axis
+    censor += draw(st.lists(st.sampled_from([100.0, 100.0001]), max_size=2))
+    return PlotSeries("s", step=step, censor_times=censor)
+
+
+@st.composite
+def dense_grid_series(draw):
+    grid = dense_knots(draw)
+    column = st.lists(dense_levels | st.sampled_from([math.nan, math.inf, -math.inf]), min_size=len(grid), max_size=len(grid))
+    lower, upper = draw(st.one_of(st.just(([], [])), st.tuples(column, column)))
+    return PlotSeries("g", grid=grid, values=draw(column), lower=lower, upper=upper)
+
+
+@st.composite
+def dense_specs(draw):
+    series = draw(st.lists(dense_step_series() | dense_grid_series(), min_size=1, max_size=3))
+    return PlotSpec("t", "x", "y", tuple(series), reference_line=draw(st.none() | dense_levels))
+
+
+def drawable(spec):
+    """The spec, if its axes can be drawn."""
+    try:
+        render._axes(spec)
+    except SurvmrlError:
+        return None
+    return spec
+
+
+def drawn_lines(series, spec):
+    """Each line the series draws, as canvas (x, y) vertex arrays in path order."""
+    x_max, x_range, y_range = render._axes(spec)
+    px, py = (lambda x: render._px(x, x_range)), (lambda y: render._py(y, y_range))
+    if series.step is not None:
+        f = series.step
+        # M(0, initial) H knot V value ... H x_max, as vertices
+        x = np.concatenate(([0.0], np.repeat(f.knots, 2), [x_max]))
+        return [(px(x), py(np.repeat(np.append(f.initial_value, f.values), 2)))]
+    lines = []
+    for column in (series.values, series.lower, series.upper):
+        shown = np.isfinite(column)
+        if shown.any():
+            lines.append((px(series.grid[shown]), py(column[shown])))
+    return lines
+
+
+def column_runs(x, y):
+    """Each run of consecutive vertices in one column: the column, the
+    first and last vertex, and the lowest and highest y."""
+    column = np.floor(x / render._COLUMN_PX)
+    starts = np.flatnonzero(np.concatenate(([True], column[1:] != column[:-1])))
+    ends = np.append(starts[1:], column.size)
+    return [(column[a], x[a], y[a], x[b - 1], y[b - 1], y[a:b].min(), y[a:b].max()) for a, b in zip(starts, ends)]
+
+
+def rows(series):
+    """The series' rows, each as the bytes of its floats (NaN equals NaN)."""
+    if series.step is not None:
+        table = np.column_stack((series.step.knots, series.step.values))
+    else:
+        table = np.column_stack([c for c in (series.grid, series.values, series.lower, series.upper) if c.size])
+    return [row.tobytes() for row in table]
+
+
+def is_subsequence(part, whole):
+    remaining = iter(whole)
+    return all(item in remaining for item in part)
+
+
+class TestThinning:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.one_of(plot_specs(), dense_specs()).map(drawable).filter(bool))
+    # the largest censor time is the second tick of its cell
+    @example(PlotSpec("t", "x", "y", (PlotSeries("s", step=STEP, censor_times=[2.0, 100.0, 100.0001]),)))
+    def test_the_thinned_spec_has_the_same_axes(self, spec):
+        small = thinned(spec)
+        assert render._series_x_max(small) == render._series_x_max(spec)
+        assert render._y_bounds(small) == render._y_bounds(spec)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(dense_specs().map(drawable).filter(bool))
+    def test_each_column_keeps_its_vertical_extent(self, spec):
+        # Runs of vertices in one column match one for one, with the same
+        # first and last vertex (so every segment between columns is drawn
+        # as before) and the same lowest and highest point.
+        for full, small in zip(spec.series, thinned(spec).series):
+            for (x, y), (x_kept, y_kept) in zip(drawn_lines(full, spec), drawn_lines(small, spec), strict=True):
+                assert column_runs(x_kept, y_kept) == column_runs(x, y)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(dense_specs().map(drawable).filter(bool))
+    def test_kept_rows_are_original_rows_in_order(self, spec):
+        for full, small in zip(spec.series, thinned(spec).series):
+            assert is_subsequence(rows(small), rows(full))
+            assert is_subsequence(small.censor_times.tolist(), full.censor_times.tolist())
+            if full.step is not None:
+                assert set(small.step.values.tolist()) <= set(full.step.values.tolist())
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(dense_specs().map(drawable).filter(bool))
+    def test_ticks_keep_the_first_of_each_cell_and_the_last_time(self, spec):
+        _, x_range, y_range = render._axes(spec)
+
+        def cells(series):
+            x = render._px(series.censor_times, x_range)
+            y = render._py(step_eval(series.step, series.censor_times), y_range)
+            return [(math.floor(a / render._COLUMN_PX), math.floor(b / render._COLUMN_PX)) for a, b in zip(x, y)]
+
+        for full, small in zip(spec.series, thinned(spec).series):
+            if full.step is None or not full.censor_times.size:
+                continue
+            # each kept tick stands where it stood on the whole curve
+            levels = step_eval(small.step, small.censor_times)
+            assert np.array_equal(levels, step_eval(full.step, small.censor_times))
+            first = list(dict.fromkeys(cells(full)))
+            assert list(dict.fromkeys(cells(small))) == first
+            assert small.censor_times.size <= len(first) + 1
+            assert small.censor_times.max() == full.censor_times.max()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(dense_specs().map(drawable).filter(bool))
+    def test_thinning_twice_changes_nothing(self, spec):
+        once = thinned(spec)
+        assert thinned(once) == once
+
+    def test_a_monotone_step_keeps_the_first_and_last_knot_of_each_column(self):
+        # 1000 knots on about 220 columns: a tick at 100 sets the x axis
+        knots = np.linspace(1.0, 10.0, 1000)
+        step = StepFunction(knots, np.linspace(1.0, 0.0, 1001)[1:], 1.0)
+        spec = PlotSpec("km", "t", "S", (PlotSeries("g", step=step, censor_times=[100.0]),))
+        kept = thinned(spec).series[0].step.knots
+        columns = np.floor(render._px(knots, render._axes(spec)[1]) / render._COLUMN_PX)
+        first = np.concatenate(([True], columns[1:] != columns[:-1]))
+        last = np.append(first[1:], True)
+        assert np.array_equal(kept, knots[first | last])
+
+
+def km_plot(n, seed):
+    """A two-group KM spec on n seeded exponential rows per group, about 1/3 censored, and its curves."""
+    rng = np.random.default_rng(seed)
+    curves = []
+    for mean in (1.0, 1.5):
+        event, censor = rng.exponential(mean, n), rng.exponential(2 * mean, n)
+        curves.append(km_fit(SurvivalSample(np.minimum(event, censor), (event <= censor).astype(np.int64))))
+    series = tuple(PlotSeries(g, step=c.survival, censor_times=c.censor_marks) for g, c in zip("AB", curves))
+    return PlotSpec("km", "t", "S", series), curves
+
+
+def test_km_svg_size_stays_bounded_as_the_rows_grow():
+    small, _ = km_plot(10_000, seed=26)
+    large, curves = km_plot(100_000, seed=27)
+    assert len(render_plot_svg(large)) <= 1.5 * len(render_plot_svg(small))
+    for curve in curves:
+        # the CSV keeps every knot
+        assert export_curve_csv(curve).count(b"\n") == 1 + curve.survival.knots.size > 50_000
