@@ -198,6 +198,11 @@ _MASK_128 = (1 << 128) - 1
 # Replicates whose stream states are computed in one array pass; each
 # block's first state is checked against numpy's own generator.
 _STREAM_BLOCK = 1024
+# Indices per bootstrap draw block: max(1, _DRAW_BLOCK // n) replicates
+# are drawn as one (rows, n) array, so a block's raw words, indices and
+# gathered scores stay near 1 MiB at any n (32 rows at n = 2,000).
+_DRAW_BLOCK = 1 << 16
+_SHIFT_32 = np.uint64(32)
 
 
 def _pcg_states(seed: int, replicates: range) -> Iterator[dict]:
@@ -285,6 +290,55 @@ def replicate_streams(seed: int, replicates: range) -> Iterator[np.random.Genera
                 )
             bit_generator.state = state
             yield generator
+
+
+def _numpy_draw(seed: int, b: int, n: int) -> np.ndarray:
+    """Replicate b's bootstrap indices as numpy's own ``Generator.integers`` draws them."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,))).integers(0, n, size=n)
+
+
+def bootstrap_indices(seed: int, replicates: range, n: int) -> Iterator[np.ndarray]:
+    """Each replicate's n bootstrap indices, a block of replicates at a time.
+
+    Yields int64 arrays of shape (rows, n), one row per replicate in
+    ``replicates`` order. Row b is bitwise ``default_rng(SeedSequence(seed,
+    spawn_key=(b,))).integers(0, n, size=n)``. Each row takes (n + 1) // 2
+    raw words from replicate b's stream (``replicate_streams``) and splits
+    each into two 32-bit draws, low word first, as PCG64's ``next_uint32``
+    does; numpy's bounded rule (Lemire 2019) maps draw u to ``(u * n) >>
+    32``, and rejects it where ``(u * n) mod 2**32 < (2**32 - n) % n``. A
+    row holding a rejected draw is drawn again by numpy itself, so no part
+    of numpy's rejection loop is ported. The first row of each call is
+    checked against numpy's draw; a mismatch raises ``SurvmrlError``.
+    ``n`` is between 1 and 2**32.
+    """
+    if not 1 <= n <= 2**32:
+        raise ValueError(f"bootstrap draws need 1 <= n <= 2**32, got {n}")
+    rows = max(1, _DRAW_BLOCK // n)
+    n_words = (n + 1) // 2
+    threshold = (2**32 - n) % n
+    # Little-endian words, so their 32-bit view puts each low half first.
+    words = np.empty((rows, n_words), "<u8")
+    streams = replicate_streams(seed, replicates)
+    for start in range(0, len(replicates), rows):
+        block = replicates[start : start + rows]
+        for row, rng in zip(words[: len(block)], streams):
+            row[:] = rng.bit_generator.random_raw(n_words)
+        draws = words[: len(block)].view("<u4")[:, :n]
+        redraw = ()
+        if threshold:
+            # A draw's product mod 2**32 is its product in wrapping uint32 arithmetic.
+            redraw = np.flatnonzero((draws * np.uint32(n) < threshold).any(axis=1))
+        idx = np.multiply(draws, np.uint64(n), dtype=np.uint64)
+        idx >>= _SHIFT_32
+        idx = idx.view(np.int64)
+        for i in redraw:
+            idx[i] = _numpy_draw(seed, block[i], n)
+        if start == 0 and not np.array_equal(idx[0], _numpy_draw(seed, block[0], n)):
+            raise SurvmrlError(
+                f"bootstrap draw {block[0]} of seed {seed} differs from numpy {np.__version__}'s Generator.integers"
+            )
+        yield idx
 
 
 def _band(

@@ -9,7 +9,10 @@ and is exact (full sign-assignment distribution) up to 25 nonzero
 differences, switching to a tie-corrected normal approximation above.
 Proportion intervals are percentile bootstrap over participants, seeded
 per replicate; score vectors over the same participants share each
-replicate's draw. Score vectors are plain float arrays, one score per
+replicate's draw. The draws come a block of replicates at a time from
+``compare.bootstrap_indices``, bitwise numpy's ``Generator.integers``
+on each replicate's stream, and each vector is gathered and summed once
+per block. Score vectors are plain float arrays, one score per
 participant: two vectors pair by position, as in ``scipy.stats.wilcoxon``.
 """
 
@@ -23,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .compare import _band, replicate_streams
+from .compare import _band, bootstrap_indices
 from .dataset import fields_equal, freeze_columns, label_codes, read_csv, zero_one_column
 from .errors import EstimationError, ParseError, SchemaError
 
@@ -170,10 +173,10 @@ def bootstrap_proportion_cis(
     """Percentile bootstrap intervals for the means of score vectors over one set of participants.
 
     Each vector is a 1-D float array holding participant k's score at
-    position k. Participants are the resampling unit; replicate b draws
-    its indices from its stream in ``compare.replicate_streams(seed,
-    range(n_replicates))``, which is ``default_rng(SeedSequence(seed,
-    spawn_key=(b,)))``, so results are reproducible and order-independent.
+    position k. Participants are the resampling unit; replicate b's
+    indices are ``default_rng(SeedSequence(seed, spawn_key=(b,))).integers(0,
+    n, size=n)``, drawn by ``compare.bootstrap_indices``, so results are
+    reproducible and order-independent.
     Each replicate draws once and every vector takes its mean over that
     draw, so each interval is bitwise the one a single-vector call gives.
     The interval ends come from the envelope's ``compare._band``, so they
@@ -193,12 +196,15 @@ def bootstrap_proportion_cis(
     if not (0.0 <= quantiles[0] < quantiles[1] <= 1.0):
         raise EstimationError(f"invalid bootstrap quantiles {quantiles!r}")
     sums = np.empty((len(columns), n_replicates))
-    for b, rng in enumerate(replicate_streams(seed, range(n_replicates))):
-        idx = rng.integers(0, n, size=n)
+    start = 0
+    for rows in bootstrap_indices(seed, range(n_replicates), n):
+        stop = start + len(rows)
         for k, values in enumerate(columns):
-            # One 1-D gather and sum per vector: a (k, n) gather's row sums
-            # differ in bits. ndarray.mean is this sum / n, divided below.
-            sums[k, b] = np.add.reduce(values.take(idx))
+            # Each row of a C-contiguous (rows, n) gather sums pairwise as
+            # its own 1-D array does; a (k, n) gather of the vectors at one
+            # row's indices would not. ndarray.mean is this sum / n.
+            np.add.reduce(values.take(rows), axis=1, out=sums[k, start:stop])
+        start = stop
     lower, upper, _ = _band((sums / n).T, quantiles)
     return tuple(
         BootstrapCi(

@@ -487,6 +487,16 @@ class TestNoHalfWrittenOutputs:
         assert "differs from numpy" in captured.err
         assert not out.exists()
 
+    def test_bootstrap_draw_that_differs_from_numpy_is_one_line_error(self, survey_csv, tmp_path, monkeypatch, capsys):
+        numpy_row = survmrl.compare._numpy_draw
+        monkeypatch.setattr(survmrl.compare, "_numpy_draw", lambda seed, b, n: (numpy_row(seed, b, n) + 1) % n)
+        out = tmp_path / "stats.csv"
+        code = run_cli(["stats", "--input", str(survey_csv), "--bootstrap", "10", "--seed", "1", "--out-csv", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"bootstrap draw 0 of seed 1 differs from numpy {np.__version__}'s Generator.integers\n"
+        assert not out.exists()
+
     def test_existing_outputs_replaced_only_on_success(self, survival_csv, tmp_path):
         svg = tmp_path / "km.svg"
         svg.write_bytes(b"old")

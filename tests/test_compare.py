@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from survmrl import (
     EstimationError,
     SurvivalSample,
+    SurvmrlError,
     bootstrap_proportion_cis,
     fit_hybrid_mrl,
     km_fit,
@@ -18,7 +19,7 @@ from survmrl import (
     survival_ratio,
 )
 from survmrl import compare
-from survmrl.compare import _band, _pool, _relabelled_values, replicate_streams
+from survmrl.compare import _band, _pool, _relabelled_values, bootstrap_indices, replicate_streams
 from km_reference import product_limit
 
 
@@ -453,6 +454,62 @@ def test_replicate_streams_match_numpy(block, seed, start, length, step):
             assert rng.bit_generator.state == expected.bit_generator.state
             assert rng.integers(0, 2**40) == expected.integers(0, 2**40)
             assert np.array_equal(rng.permutation(25), expected.permutation(25))
+
+
+def numpy_draw(seed, b, n):
+    """Replicate b's bootstrap indices as numpy draws them."""
+    return numpy_stream(seed, b).integers(0, n, size=n)
+
+
+def drawn_rows(seed, replicates, n):
+    """The rows ``bootstrap_indices`` yields, as one (len(replicates), n) array."""
+    blocks = list(bootstrap_indices(seed, replicates, n))
+    assert all(block.dtype == np.int64 and block.shape[1:] == (n,) for block in blocks)
+    return np.concatenate(blocks) if blocks else np.empty((0, n), np.int64)
+
+
+# block_rows=None keeps the module's draw block; otherwise a block holds
+# that many rows. Starts from 990 to 1030 straddle the 1,024-replicate
+# stream block.
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    n=st.integers(1, 300) | st.sampled_from([2**k for k in range(10)]) | st.integers(0, 150).map(lambda k: 2 * k + 1),
+    start=st.integers(0, 40) | st.integers(990, 1030) | st.integers(0, 2**40),
+    length=st.integers(0, 70),
+    block_rows=st.none() | st.integers(1, 40),
+)
+@example(seed=1, n=2000, start=1000, length=70, block_rows=None)  # 32-row blocks across the stream block edge
+@example(seed=3, n=1, start=0, length=5, block_rows=2)  # numpy draws nothing for n = 1
+def test_bootstrap_indices_match_numpy(seed, n, start, length, block_rows):
+    replicates = range(start, start + length)
+    with pytest.MonkeyPatch.context() as patch:
+        if block_rows is not None:
+            patch.setattr(compare, "_DRAW_BLOCK", block_rows * n)
+        rows = drawn_rows(seed, replicates, n)
+    assert len(rows) == length
+    for b, row in zip(replicates, rows):
+        assert np.array_equal(row, numpy_draw(seed, b, n))
+
+
+def test_bootstrap_indices_redraw_rejected_rows_with_numpy(monkeypatch):
+    # At n = 100,003, 11 of seed 1's first 20 rows hold a draw that numpy's
+    # bounded rule rejects; numpy draws each such row again.
+    n = 100_003
+    redraws = []
+    numpy_row = compare._numpy_draw
+    monkeypatch.setattr(compare, "_numpy_draw", lambda seed, b, n: redraws.append(b) or numpy_row(seed, b, n))
+    rows = drawn_rows(1, range(20), n)
+    assert len(set(redraws)) == 11 and len(redraws) == 12  # and the first row's check
+    for b, row in enumerate(rows):
+        assert np.array_equal(row, numpy_draw(1, b, n))
+
+
+def test_bootstrap_draw_that_differs_from_numpy_is_a_one_line_error(monkeypatch):
+    numpy_row = compare._numpy_draw
+    monkeypatch.setattr(compare, "_numpy_draw", lambda seed, b, n: (numpy_row(seed, b, n) + 1) % n)
+    with pytest.raises(SurvmrlError, match=r"^bootstrap draw 3 of seed 1 differs from numpy \S+'s Generator\.integers$"):
+        list(bootstrap_indices(1, range(3, 10), 50))
 
 
 @pytest.mark.parametrize("seed", [-1, -(2**70), 1.5])

@@ -516,12 +516,19 @@ SCORES = [0.0, 1.0, 0.5, 1 / 3, 2 / 3, 0.25, -1.0, -0.5, 1 / 7]
 @st.composite
 def shared_draw_cases(draw):
     """1-3 score vectors over n participants, B, seed and a band.
-    Some pass 128 participants, where numpy's sum turns pairwise."""
-    n = draw(st.one_of(st.integers(1, 30), st.integers(129, 260)))
-    value = st.one_of(st.sampled_from(SCORES), st.floats(-1e6, 1e6, allow_nan=False))
-    vector = st.lists(value, min_size=n, max_size=n).map(np.array)
+    Some pass 128 participants, where numpy's sum turns pairwise. At 2,000
+    and 2,049 participants a draw block holds 32 and 31 replicates, and B
+    takes values on either side of one and two blocks."""
+    n = draw(st.one_of(st.integers(1, 30), st.integers(129, 260), st.sampled_from([2000, 2049])))
+    assert n < 2000 or compare._DRAW_BLOCK // n in (31, 32)
+    if n < 2000:
+        value = st.one_of(st.sampled_from(SCORES), st.floats(-1e6, 1e6, allow_nan=False))
+        vector = st.lists(value, min_size=n, max_size=n).map(np.array)
+    else:
+        # too long to draw value by value: scores from a drawn numpy seed
+        vector = st.integers(0, 2**32 - 1).map(lambda s: np.random.default_rng(s).choice(SCORES, n))
     vectors = draw(st.lists(vector, min_size=1, max_size=3))
-    n_replicates = draw(st.integers(1, 60))
+    n_replicates = draw(st.integers(1, 60) | st.sampled_from([31, 32, 33, 63, 64, 65]))
     seed = draw(st.integers(0, 2**63))
     band = draw(st.sampled_from([(0.025, 0.975), (0.0, 1.0), (0.1, 0.9), (0.5, 0.75)]))
     return vectors, n_replicates, seed, band
@@ -535,3 +542,17 @@ def test_shared_draw_bootstrap_matches_separate_draws_bitwise(case):
     separate = tuple(reference.bootstrap_proportion_ci(v, n_replicates, seed, band) for v in vectors)
     assert repr(shared) == repr(separate)
     assert repr(bootstrap_proportion_ci(vectors[0], n_replicates, seed, band)) == repr(separate[0])
+
+
+# Around 128 (where numpy's sum turns pairwise) and 8,192 (numpy's
+# buffer size), and the 100,003 participants of the redraw case.
+@pytest.mark.parametrize("n", [1, 2, 7, 127, 128, 129, 2000, 8191, 8192, 8193, 20001, 100003])
+def test_block_row_sums_match_one_dimensional_sums_bitwise(n):
+    """The bootstrap sums a (rows, n) gather along axis 1; each row's sum
+    must be bitwise the 1-D sum of that row."""
+    rng = np.random.default_rng(n)
+    for values in (rng.choice(SCORES, n), rng.normal(0.0, 1e3, n) * 10.0 ** rng.integers(-8, 8, n)):
+        for rows in itertools.islice(compare.bootstrap_indices(5, range(40), n), 3):
+            sums = np.add.reduce(values.take(rows), axis=1)
+            one_d = np.array([np.add.reduce(values.take(row)) for row in rows])
+            assert sums.tobytes() == one_d.tobytes()
