@@ -28,7 +28,8 @@ class StepFunction:
 
     ``initial_value`` holds on [0, knots[0]); the value at each knot is
     the post-jump value. A knotless instance is the constant function.
-    ``knots`` and ``values`` are read-only float arrays.
+    ``knots`` and ``values`` are read-only float arrays; knots are finite,
+    >= 0 and strictly increasing, and every level is finite.
     """
 
     knots: np.ndarray
@@ -39,8 +40,12 @@ class StepFunction:
 
     def __post_init__(self):
         freeze_columns(self, knots=float, values=float)
-        if not (np.all(np.isfinite(self.knots) & (self.knots >= 0.0)) and np.all(np.diff(self.knots) > 0.0)):
-            raise ValueError("knots must be finite, >= 0 and strictly increasing")
+        if not (
+            np.all(np.isfinite(self.knots) & (self.knots >= 0.0))
+            and np.all(np.diff(self.knots) > 0.0)
+            and np.all(np.isfinite(np.append(self.values, self.initial_value)))
+        ):
+            raise ValueError("knots must be finite, >= 0 and strictly increasing, and values finite")
 
 
 @dataclass(frozen=True, eq=False)

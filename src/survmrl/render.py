@@ -50,7 +50,7 @@ class PlotSeries:
     """One curve in one of two forms: a step function with optional censor
     marks, or grid/values with an optional band (``lower``/``upper``, one
     pair per grid point). The columns are read-only float arrays, empty
-    where the form has none."""
+    where the form has none; a grid is finite and strictly increasing."""
 
     label: str
     step: StepFunction | None = None
@@ -72,6 +72,8 @@ class PlotSeries:
             raise ValueError("censor marks need a step series")
         if self.lower.size not in (0, self.grid.size):
             raise ValueError("a band needs one lower and one upper value per grid point")
+        if not (np.isfinite(self.grid).all() and (np.diff(self.grid) > 0.0).all()):
+            raise ValueError("a grid must be finite and strictly increasing")
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import math
 from bisect import bisect_right
 
 import numpy as np
@@ -120,6 +121,24 @@ def test_km_fit_matches_the_reference_bitwise(sample):
     for column, reference in zip(got, expected):
         assert column.dtype == reference.dtype
         assert column.tobytes() == reference.tobytes()
+
+
+class TestStepFunction:
+    @pytest.mark.parametrize(
+        "knots, values, initial_value",
+        [
+            # a NaN level was written into the SVG path data as "Vnan"
+            ([1.0, 2.0], [math.nan, 0.2], 1.0),
+            ([1.0, 2.0], [0.5, -math.inf], 1.0),
+            ([1.0], [0.5], math.nan),
+            ([], [], math.inf),
+            ([2.0, 1.0], [0.5, 0.2], 1.0),
+            ([-1.0], [0.5], 1.0),
+        ],
+    )
+    def test_nonfinite_level_or_bad_knot_rejected(self, knots, values, initial_value):
+        with pytest.raises(ValueError, match="^knots must be finite, >= 0 and strictly increasing, and values finite$"):
+            StepFunction(knots, values, initial_value)
 
 
 class TestStepEval:

@@ -148,6 +148,11 @@ class TestRenderSvg:
             ({"grid": [1.0, 2.0], "values": [0.5, 0.4], "lower": [0.0], "upper": [1.0]}, "^a band needs one"),
             ({"grid": [1.0], "values": [0.5], "lower": [0.0]}, "^lower, upper must be 1-D arrays of one length$"),
             ({"grid": [1.0, 2.0], "values": [0.5]}, "^grid, values must be 1-D arrays of one length$"),
+            # a descending grid drew its first point at x = 3109.62 on the 720-px canvas
+            ({"grid": [5.0, 1.0], "values": [0.5, 0.2]}, "^a grid must be finite and strictly increasing$"),
+            ({"grid": [1.0, 1.0], "values": [0.5, 0.2]}, "^a grid must be finite and strictly increasing$"),
+            ({"grid": [1.0, math.inf], "values": [0.5, 0.2]}, "^a grid must be finite and strictly increasing$"),
+            ({"grid": [math.nan], "values": [0.5]}, "^a grid must be finite and strictly increasing$"),
         ],
     )
     def test_a_series_holds_exactly_one_form(self, kwargs, message):
