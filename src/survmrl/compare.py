@@ -12,7 +12,8 @@ binned against the pooled event times once; a replicate only counts its
 group A's subjects per bin. The band sorts a block of grid columns at a
 time, as rows, and interpolates numpy's default ("linear") quantile
 straight off the sorted rows; ``_band`` also gives the survey bootstrap
-its percentile intervals.
+its percentile intervals, and ``bootstrap_indices`` draws its resampling
+indices from the same replicate streams, a block of replicates at a time.
 """
 
 from __future__ import annotations
