@@ -13,7 +13,11 @@ the axes come from every row, and each series is then thinned
 (``thin_series``) to the rows that draw its pixels in columns
 ``_COLUMN_PX`` (0.5 px) wide, so its size stops growing with the rows
 once they outnumber the columns. The CSV export keeps every row at full
-precision.
+precision: each value is Python's ``repr``, the shortest decimal that
+reads back to the same double. One vectorised writer (``csv_bytes``)
+computes those digits exactly with numpy, a block of rows at a time,
+and calls ``repr`` per value only outside its domain (NaN, ±inf, the
+exponent form and exact ties).
 
 The document is written as UTF-8 bytes into one ``io.BytesIO``. The
 coordinates of a path, polyline, polygon or tick list are formatted a
@@ -417,6 +421,8 @@ def export_curve_csv(curve: KmCurve | MrlCurve | ComparisonCurve, envelope: Enve
         header, columns = "t,value", (curve.survival.knots, curve.survival.values)
     if columns[0].size == 0:
         raise SurvmrlError("empty curve")
-    # repr of Python floats: numpy 2 writes np.float64(1.0) as 'np.float64(1.0)'.
-    rows = zip(*(map(repr, column.tolist()) for column in columns))
-    return "\n".join([header, *map(",".join, rows), ""]).encode("utf-8")
+    # Imported here: a command that writes no CSV (every `stats` run, a plot
+    # written only as SVG) neither loads the writer nor builds its tables.
+    from ._float_text import csv_bytes
+
+    return csv_bytes(header, columns)

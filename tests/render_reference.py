@@ -22,7 +22,9 @@ from bisect import bisect_right
 from types import SimpleNamespace
 from xml.sax.saxutils import escape
 
-from survmrl import SurvmrlError
+import numpy as np
+
+from survmrl import ComparisonCurve, MrlCurve, SurvmrlError
 from survmrl.errors import EstimationError
 
 
@@ -281,3 +283,24 @@ def render_plot_svg(spec) -> bytes:
 
     out.write("</svg>\n")
     return out.getvalue().encode("utf-8")
+
+
+def export_curve_csv(curve, envelope=None) -> bytes:
+    if envelope is not None and not isinstance(curve, ComparisonCurve):
+        raise SurvmrlError("an envelope needs a comparison curve")
+    if isinstance(curve, MrlCurve):
+        header = "t,value,component_km,component_tail"
+        columns = (curve.grid, curve.values, curve.km_component, curve.tail_component)
+    elif isinstance(curve, ComparisonCurve):
+        header, columns = "t,value", (curve.grid, curve.values)
+        if envelope is not None:
+            if not np.array_equal(envelope.grid, curve.grid):
+                raise SurvmrlError("envelope grid mismatch")
+            header, columns = "t,value,lower,upper", columns + (envelope.lower, envelope.upper)
+    else:
+        header, columns = "t,value", (curve.survival.knots, curve.survival.values)
+    if columns[0].size == 0:
+        raise SurvmrlError("empty curve")
+    # repr of Python floats: numpy 2 writes np.float64(1.0) as 'np.float64(1.0)'.
+    rows = zip(*(map(repr, column.tolist()) for column in columns))
+    return "\n".join([header, *map(",".join, rows), ""]).encode("utf-8")
