@@ -14,6 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import render_reference as reference
 from survmrl import (
+    ComparisonCurve,
+    Envelope,
     PlotSeries,
     PlotSpec,
     StepFunction,
@@ -23,15 +25,17 @@ from survmrl import (
     render_plot_svg,
     fit_hybrid_mrl,
     km_fit,
+    load_dataset,
     permutation_envelope,
     survival_difference,
 )
-from survmrl import render
+from survmrl import _float_text, render
 from survmrl.cli import run_cli
 from survmrl.km import step_eval
 from survmrl.render import PALETTE, _HEIGHT, _MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP, _MARGIN_BOTTOM, _WIDTH
 
 TAIL_TIES = Path(__file__).resolve().parent.parent / "sample_data" / "tail_ties.csv"
+RATIO_ZERO = TAIL_TIES.with_name("ratio_zero.csv")
 
 
 def make_sample(pairs):
@@ -265,16 +269,18 @@ class TestExportCsv:
         assert seen == len(curve.grid)
 
     def test_round_trip_full_precision(self):
-        rng = np.random.default_rng(1)
-        sample = make_sample(
-            [(float(t), int(s)) for t, s in zip(rng.exponential(2, 60), rng.integers(0, 2, 60))]
-        )
-        curve = km_fit(sample)
-        reader = csv.reader(io.StringIO(export_curve_csv(curve).decode()))
-        next(reader)
-        parsed = [(float(t), float(v)) for t, v in reader]
-        assert np.array_equal([t for t, _ in parsed], curve.survival.knots)
-        assert np.array_equal([v for _, v in parsed], curve.survival.values)
+        # every field of each CSV parses back to the same double, bit for bit; NaN to NaN
+        curves = csv_curves()
+        assert np.isnan(curves["ratio"][1].lower).any()
+        for curve, envelope, columns in curves.values():
+            reader = csv.reader(io.StringIO(export_curve_csv(curve, envelope=envelope).decode()))
+            next(reader)
+            parsed = np.array([[float(field) for field in row] for row in reader])
+            assert parsed.shape == (columns[0].size, len(columns))
+            for field, column in zip(parsed.T, columns):
+                nan = np.isnan(column)
+                assert np.array_equal(np.isnan(field), nan)
+                assert np.array_equal(field[~nan].view(np.uint64), column[~nan].view(np.uint64))
 
     def test_comparison_with_envelope_columns(self):
         a = make_sample([(float(t), 1) for t in range(1, 30)])
@@ -313,6 +319,132 @@ class TestExportCsv:
 
     def test_deterministic_bytes(self):
         assert export_curve_csv(km_fit(SAMPLE)) == export_curve_csv(km_fit(SAMPLE))
+
+
+def csv_curves():
+    """A KM curve, an MRL curve, and a difference and a ratio curve with
+    their envelopes, each with the columns its CSV writes."""
+    rng = np.random.default_rng(1)
+    km = km_fit(make_sample([(float(t), int(s)) for t, s in zip(rng.exponential(2, 60), rng.integers(0, 2, 60))]))
+    mrl = fit_hybrid_mrl(make_sample([(float(t), 1) for t in np.random.default_rng(0).exponential(2.0, 300)]))
+    ties = load_dataset(TAIL_TIES)
+    diff = survival_difference(km_fit(ties["A"]), km_fit(ties["B"]))
+    diff_env = permutation_envelope(ties["A"], ties["B"], "surv_diff", n_permutations=50, seed=1, grid=diff.grid)
+    # On a grid past both groups' follow-up every permuted denominator
+    # reaches zero, so the ratio band is NaN from t = 6, as is the ratio.
+    zero = load_dataset(RATIO_ZERO)
+    grid = np.arange(1.0, 10.0)
+    s_a, s_b = (step_eval(km_fit(zero[g]).survival, grid) for g in "AB")
+    ratio = ComparisonCurve(grid, np.divide(s_a, s_b, out=np.full_like(s_a, np.nan), where=s_b != 0.0))
+    ratio_env = permutation_envelope(zero["A"], zero["B"], "surv_ratio", n_permutations=300, seed=2, grid=grid)
+    return {
+        "km": (km, None, (km.survival.knots, km.survival.values)),
+        "mrl": (mrl, None, (mrl.grid, mrl.values, mrl.km_component, mrl.tail_component)),
+        "diff": (diff, diff_env, (diff.grid, diff.values, diff_env.lower, diff_env.upper)),
+        "ratio": (ratio, ratio_env, (ratio.grid, ratio.values, ratio_env.lower, ratio_env.upper)),
+    }
+
+
+def envelope_on(grid, lower, upper):
+    return Envelope(grid, lower, upper, 10, 1, (0.025, 0.975), "surv_diff", np.zeros(len(grid), np.int64))
+
+
+def csv_outcome(export, curve, envelope=None):
+    try:
+        return export(curve, envelope=envelope)
+    except Exception as exc:  # both writers must fail alike
+        return type(exc), str(exc)
+
+
+@st.composite
+def float_curves(draw):
+    """A comparison curve of one to 40 rows of any floats (NaN, +-inf,
+    +-0.0, subnormals, the largest doubles), maybe with an envelope."""
+    n = draw(st.integers(1, 40))
+    column = st.lists(st.floats(), min_size=n, max_size=n)
+    if not draw(st.booleans()):
+        return ComparisonCurve(draw(column), draw(column)), None
+    # a NaN grid point would only fail the envelope's grid check
+    grid = draw(st.lists(st.floats(allow_nan=False), min_size=n, max_size=n))
+    return ComparisonCurve(grid, draw(column)), envelope_on(grid, draw(column), draw(column))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(float_curves())
+@example((ComparisonCurve([0.0, -0.0, 5e-324, 1e-4, 1e14, 1e16], [math.nan, math.inf, -math.inf, 1.0, 0.1, 1e308]), None))
+@example((ComparisonCurve([9.999999999999999e13, 12345678901231.25], [0.5, 1e-05]), None))
+def test_csv_matches_repr_reference(curve_envelope):
+    curve, envelope = curve_envelope
+    assert csv_outcome(export_curve_csv, curve, envelope) == csv_outcome(reference.export_curve_csv, curve, envelope)
+
+
+def bulk_values(rng, m=100_000):
+    """About 1.3 million doubles over the classes the CSV writer treats
+    apart, both signs. Random bit patterns (NaN, inf, subnormals and the
+    exponent form); magnitudes log-uniform over all doubles and over the
+    fixed-notation range; decimals of one to eight digits and their
+    neighbouring doubles; decimals of 15 and 16 digits; integers; values
+    with 14 integer digits, whose 17-digit rounding is often an exact tie;
+    and powers of two."""
+    sign = lambda size: rng.choice([-1.0, 1.0], size)
+    decimal = lambda digits, lo, hi: np.array(
+        [float(f"{d}e{e}") for d, e in zip(digits.tolist(), rng.integers(lo, hi, len(digits)).tolist())]
+    )
+    short = decimal(rng.integers(1, 10 ** rng.integers(1, 9, m)), -12, 12)
+    return np.concatenate(
+        [
+            rng.integers(0, 2**64, 4 * m, dtype=np.uint64).view(np.float64),
+            sign(m) * 10.0 ** rng.uniform(-320, 308, m),
+            sign(2 * m) * 10.0 ** rng.uniform(-4, 14, 2 * m),
+            short * sign(m),
+            np.nextafter(short, np.inf),
+            np.nextafter(short, -np.inf),
+            decimal(rng.integers(10**14, 10**15, m // 2), -19, 0) * sign(m // 2),
+            decimal(rng.integers(10**15, 10**16, m // 2), -20, -1) * sign(m // 2),
+            rng.integers(-(10**15), 10**15, m // 2).astype(np.float64),
+            rng.integers(-10000, 10000, m // 2).astype(np.float64),
+            -rng.uniform(1e13, 1e14, m // 2),
+            np.ldexp(sign(m // 2), rng.integers(-40, 60, m // 2)),
+            np.ldexp([[1.0], [-1.0]], np.arange(-13, 47)).ravel(),  # every power of two in [1e-4, 1e14)
+        ]
+    )
+
+
+def test_csv_matches_repr_reference_in_bulk():
+    values = bulk_values(np.random.default_rng(28))
+    assert values.size >= 1_000_000
+    # every class that goes through repr one value at a time occurs: non-finite,
+    # exponent form and near-ties; so do significands that are a power of two,
+    # whose rounding interval is lopsided
+    finite = np.isfinite(values)
+    magnitude = np.abs(values)
+    fixed = finite & (magnitude >= 1e-4) & (magnitude < 1e14)
+    _, _, ok = _float_text._shortest_digits(values)
+    assert (~finite).sum() >= 100
+    assert (finite & (magnitude > 0.0) & ~fixed).sum() >= 100
+    assert (fixed & ~ok).sum() >= 100
+    assert (fixed & ((values.view(np.uint64) & np.uint64(2**52 - 1)) == 0)).sum() >= 100
+    half = values.size // 2
+    curve = ComparisonCurve(values[:half], values[half : 2 * half])
+    assert export_curve_csv(curve) == reference.export_curve_csv(curve)
+
+
+BLOCK = _float_text._BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 1])
+def test_csv_block_edges(n):
+    # a value for repr (1e300, NaN, inf, 2**-1074) at and next to each block edge
+    rng = np.random.default_rng(n)
+    columns = [rng.exponential(1.0, n) * rng.choice([-1.0, 1.0], n) for _ in range(4)]
+    for j, column in enumerate(columns):
+        edges = np.arange(0, n + 1, BLOCK)
+        column[np.clip(np.concatenate([edges - 1, edges]) + j, 0, n - 1)] = [1e300, math.nan, math.inf, 5e-324][j]
+    curve = ComparisonCurve(columns[0], columns[1])
+    envelope = envelope_on(curve.grid, columns[2], columns[3])
+    data = export_curve_csv(curve, envelope=envelope)
+    assert data.count(b"\n") == n + 1
+    assert data == reference.export_curve_csv(curve, envelope=envelope)
 
 
 # Times on a 1/40 grid or anywhere in [0, 100]; levels on a 1/1000 grid or
