@@ -1,12 +1,13 @@
 """Command-line entry point.
 
-Subcommands: ``km``, ``mrl``, ``diff``, ``ratio``, ``mrl-diff``, ``stats``.
-Each run reads one CSV, writes SVG and/or CSV outputs, and prints a
-one-line summary carrying every setting that affects the output, so a run
-can be reproduced from its log line. Any request for resampling
-(permutation envelopes, bootstrap intervals) requires an explicit seed.
-Outputs are staged beside their targets and moved into place only once
-every one of them is written, so a failed run leaves none behind.
+Subcommands: ``km``, ``mrl``, ``diff``, ``ratio``, ``mrl-diff``,
+``stats``. Each run reads one CSV, writes SVG and/or CSV outputs, and
+prints a one-line summary carrying every setting that affects the output,
+so a run can be reproduced from its log line. One step, ``_plot``, draws
+and writes every curve. Any request for resampling (permutation envelopes,
+bootstrap intervals) requires an explicit seed. Outputs are staged beside
+their targets and moved into place only once every one of them is written,
+so a failed run leaves none behind.
 
 Exit codes: 0 success, 1 data or estimation error (message on stderr),
 2 flag errors (usage on stderr). A run whose stdout is closed before the
@@ -17,6 +18,7 @@ prints one stderr line and exits 1.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import errno
 import functools
 import math
@@ -28,7 +30,7 @@ from pathlib import Path
 from . import compare, mrl, render, studystats
 from .dataset import SurvivalSample, load_dataset
 from .errors import EstimationError, SurvmrlError
-from .km import km_fit
+from .km import KmCurve, km_fit
 
 _BANNER = "survmrl"
 
@@ -255,34 +257,33 @@ class _StagedOutputs:
         self._staged.clear()
 
 
-def _write_plot(args, outputs: _StagedOutputs, spec: render.PlotSpec, csv_curves: dict, envelope=None):
-    """The SVG goes to --out; each curve's CSV to --out-csv, named
-    ``<stem>.<group><suffix>`` when there are several curves."""
+def _series(label: str, curve: KmCurve | mrl.MrlCurve | compare.ComparisonCurve) -> render.PlotSeries:
+    """A KM curve as a step series with its censor marks; an MRL curve, or
+    a comparison curve with its band, as a grid series."""
+    if isinstance(curve, KmCurve):
+        return render.PlotSeries(label, step=curve.survival, censor_times=curve.censor_marks)
+    if isinstance(curve, mrl.MrlCurve):
+        return render.PlotSeries(label, grid=curve.grid, values=curve.values)
+    return render.PlotSeries(label, grid=curve.grid, values=curve.values, lower=curve.lower, upper=curve.upper)
+
+
+def _plot(args, outputs: _StagedOutputs, title: str, y_label: str, curves: dict, reference: float | None = None):
+    """The plot of ``curves``, keyed by series label, to --out; each curve's
+    CSV to --out-csv, named ``<stem>.<label><suffix>`` when there are several."""
     if args.out:
+        series = tuple(_series(label, curve) for label, curve in curves.items())
+        spec = render.PlotSpec(title, y_label, series, reference_line=reference)
         outputs.write(args.out, render.render_plot_svg(spec))
     if args.out_csv:
         base = Path(args.out_csv)
-        for group, curve in csv_curves.items():
+        for label, curve in curves.items():
             path = base
-            if len(csv_curves) > 1:
-                name = f"{base.stem}.{group}{base.suffix}"
+            if len(curves) > 1:
+                name = f"{base.stem}.{label}{base.suffix}"
                 if Path(name).name != name:
-                    raise SurvmrlError(f"group label {group!r} cannot be used in an output file name")
+                    raise SurvmrlError(f"group label {label!r} cannot be used in an output file name")
                 path = base.with_name(name)
-            outputs.write(path, render.export_curve_csv(curve, envelope=envelope))
-
-
-def _comparison_spec(title, y_label, groups, curve, reference, envelope=None) -> render.PlotSpec:
-    group_a, group_b = groups
-    lower, upper = ((), ()) if envelope is None else (envelope.lower, envelope.upper)
-    series = render.PlotSeries(f"{group_a}-{group_b}", grid=curve.grid, values=curve.values, lower=lower, upper=upper)
-    return render.PlotSpec(
-        title=f"{title} ({group_a} vs {group_b})",
-        x_label="time",
-        y_label=y_label,
-        series=(series,),
-        reference_line=reference,
-    )
+            outputs.write(path, render.export_curve_csv(curve))
 
 
 def _run_km(args: argparse.Namespace, outputs: _StagedOutputs) -> str:
@@ -292,21 +293,7 @@ def _run_km(args: argparse.Namespace, outputs: _StagedOutputs) -> str:
         for g in groups:
             if not curves[g].event_times.size:
                 raise SurvmrlError(f"group {g!r} has no events, so its Kaplan-Meier CSV has no rows")
-    series = tuple(
-        render.PlotSeries(
-            label=g,
-            step=curves[g].survival,
-            censor_times=curves[g].censor_marks,
-        )
-        for g in groups
-    )
-    spec = render.PlotSpec(
-        title="Kaplan-Meier survival",
-        x_label="time",
-        y_label="survival probability",
-        series=series,
-    )
-    _write_plot(args, outputs, spec, curves)
+    _plot(args, outputs, "Kaplan-Meier survival", "survival probability", curves)
     parts = [
         f"{_shown(g)}: n={samples[g].n} events={curves[g].deaths.sum()} knots={len(curves[g].event_times)}"
         for g in groups
@@ -317,17 +304,7 @@ def _run_km(args: argparse.Namespace, outputs: _StagedOutputs) -> str:
 def _run_mrl(args: argparse.Namespace, outputs: _StagedOutputs) -> str:
     samples, groups = _load(args, exactly_two=False)
     curves = _fit_mrls(args, samples, groups, grid=args.grid)
-    series = tuple(
-        render.PlotSeries(label=g, grid=curves[g].grid, values=curves[g].values)
-        for g in groups
-    )
-    spec = render.PlotSpec(
-        title="Mean residual life",
-        x_label="time",
-        y_label="mean residual life",
-        series=series,
-    )
-    _write_plot(args, outputs, spec, curves)
+    _plot(args, outputs, "Mean residual life", "mean residual life", curves)
     parts = [
         f"{_shown(g)}: u={c.threshold!r} shape={c.gpd.shape:.6g} scale={c.gpd.scale:.6g} "
         f"converged={c.gpd.converged} m={c.gpd.n_exceedances} grid_size={len(c.grid)}"
@@ -349,7 +326,6 @@ def _run_survival_comparison(args: argparse.Namespace, outputs: _StagedOutputs) 
     else:
         build, label, reference = compare.survival_difference, "survival difference", 0.0
     curve = build(curve_a, curve_b, grid=args.grid)
-    envelope = None
     if args.replicates > 0:
         envelope = compare.permutation_envelope(
             samples[group_a],
@@ -360,8 +336,9 @@ def _run_survival_comparison(args: argparse.Namespace, outputs: _StagedOutputs) 
             grid=curve.grid,
             band_quantiles=args.band,
         )
-    spec = _comparison_spec(label, label, groups, curve, reference, envelope)
-    _write_plot(args, outputs, spec, {group_a: curve}, envelope)
+        curve = dataclasses.replace(curve, lower=envelope.lower, upper=envelope.upper)
+    title = f"{label} ({group_a} vs {group_b})"
+    _plot(args, outputs, title, label, {f"{group_a}-{group_b}": curve}, reference)
     return (
         f"{args.command} input={_shown(args.input)} groups={_shown(group_a)},{_shown(group_b)} "
         f"{_resampling_summary(args)} grid_size={len(curve.grid)}"
@@ -373,8 +350,8 @@ def _run_mrl_diff(args: argparse.Namespace, outputs: _StagedOutputs) -> str:
     group_a, group_b = groups
     mrl_a, mrl_b = _fit_mrls(args, samples, groups).values()
     curve = compare.mrl_difference(mrl_a, mrl_b)
-    spec = _comparison_spec("MRL difference", "difference in mean residual life", groups, curve, 0.0)
-    _write_plot(args, outputs, spec, {group_a: curve})
+    title = f"MRL difference ({group_a} vs {group_b})"
+    _plot(args, outputs, title, "difference in mean residual life", {f"{group_a}-{group_b}": curve}, 0.0)
     return (
         f"mrl-diff input={_shown(args.input)} groups={_shown(group_a)},{_shown(group_b)} "
         f"{_threshold_summary(args)} u_a={mrl_a.threshold!r} u_b={mrl_b.threshold!r} "

@@ -31,15 +31,21 @@ from .mrl import MrlCurve, evaluate_mrl
 
 @dataclass(frozen=True, eq=False)
 class ComparisonCurve:
-    """Comparison values on a grid, both read-only float arrays."""
+    """Comparison values on a grid and maybe a band, one ``lower``/``upper``
+    pair per grid point: read-only float arrays, the band empty if none."""
 
     grid: np.ndarray
     values: np.ndarray
+    lower: np.ndarray = ()
+    upper: np.ndarray = ()
 
     __eq__ = fields_equal
 
     def __post_init__(self):
         freeze_columns(self, grid=float, values=float)
+        freeze_columns(self, lower=float, upper=float)
+        if self.lower.size not in (0, self.grid.size):
+            raise ValueError("a band needs one lower and one upper value per grid point")
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,11 +13,11 @@ the axes come from every row, and each series is then thinned
 (``thin_series``) to the rows that draw its pixels in columns
 ``_COLUMN_PX`` (0.5 px) wide, so its size stops growing with the rows
 once they outnumber the columns. The CSV export keeps every row at full
-precision: each value is Python's ``repr``, the shortest decimal that
-reads back to the same double. One vectorised writer (``csv_bytes``)
-computes those digits exactly with numpy, a block of rows at a time,
-and calls ``repr`` per value only outside its domain (NaN, ±inf, the
-exponent form and exact ties).
+precision, a comparison curve's band too: each value is Python's
+``repr``, the shortest decimal that reads back to the same double. One
+vectorised writer (``csv_bytes``) computes those digits exactly with
+numpy, a block of rows at a time, and calls ``repr`` per value only
+outside its domain (NaN, ±inf, the exponent form and exact ties).
 
 The document is written as UTF-8 bytes into one ``io.BytesIO``. The
 coordinates of a path, polyline, polygon or tick list are formatted a
@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .compare import ComparisonCurve, Envelope
+from .compare import ComparisonCurve
 from .dataset import fields_equal, freeze_columns
 from .errors import SurvmrlError
 from .km import KmCurve, StepFunction, step_eval
@@ -47,6 +47,7 @@ _MARGIN_LEFT = 62.0
 _MARGIN_RIGHT = 18.0
 _MARGIN_TOP = 34.0
 _MARGIN_BOTTOM = 48.0
+_X_LABEL = "time"  # every plot's x axis
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +84,6 @@ class PlotSeries:
 @dataclass(frozen=True)
 class PlotSpec:
     title: str
-    x_label: str
     y_label: str
     series: tuple[PlotSeries, ...]
     reference_line: float | None = None
@@ -383,7 +383,7 @@ def render_plot_svg(spec: PlotSpec) -> bytes:
 
     write(_label(_fmt(_WIDTH / 2), "20", 14, "middle", _text(spec.title)))
     center_x, center_y = _fmt(_MARGIN_LEFT + _PLOT_W / 2), _fmt(_MARGIN_TOP + _PLOT_H / 2)
-    write(_label(center_x, _fmt(_HEIGHT - 10), 12, "middle", _text(spec.x_label)))
+    write(_label(center_x, _fmt(_HEIGHT - 10), 12, "middle", _text(_X_LABEL)))
     rotate = f' transform="rotate(-90 16 {center_y})"'
     write(_label("16", center_y, 12, "middle", _text(spec.y_label), rotate))
 
@@ -399,24 +399,19 @@ def render_plot_svg(spec: PlotSpec) -> bytes:
     return out.getvalue()
 
 
-def export_curve_csv(curve: KmCurve | MrlCurve | ComparisonCurve, envelope: Envelope | None = None) -> bytes:
+def export_curve_csv(curve: KmCurve | MrlCurve | ComparisonCurve) -> bytes:
     """Serialize a curve as CSV, full precision, one row per grid point.
 
-    Columns are `t,value`, plus `lower,upper` when an envelope accompanies
-    a comparison curve, or `component_km,component_tail` for MRL curves.
-    An envelope with any other curve is an error.
+    Columns are `t,value`, plus `lower,upper` for a comparison curve with
+    a band, or `component_km,component_tail` for MRL curves.
     """
-    if envelope is not None and not isinstance(curve, ComparisonCurve):
-        raise SurvmrlError("an envelope needs a comparison curve")
     if isinstance(curve, MrlCurve):
         header = "t,value,component_km,component_tail"
         columns = (curve.grid, curve.values, curve.km_component, curve.tail_component)
     elif isinstance(curve, ComparisonCurve):
         header, columns = "t,value", (curve.grid, curve.values)
-        if envelope is not None:
-            if not np.array_equal(envelope.grid, curve.grid):
-                raise SurvmrlError("envelope grid mismatch")
-            header, columns = "t,value,lower,upper", columns + (envelope.lower, envelope.upper)
+        if curve.lower.size:
+            header, columns = "t,value,lower,upper", columns + (curve.lower, curve.upper)
     else:
         header, columns = "t,value", (curve.survival.knots, curve.survival.values)
     if columns[0].size == 0:

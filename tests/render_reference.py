@@ -8,9 +8,9 @@ tuples of Python floats, as the curve classes held them. Its y range
 has the renderer's later fixes: without a reference line the top is at
 least 0, so an all-negative series stays inside the frame, and a series
 writes each distinct censor tick once, where it first occurs. Every plot
-is drawn on the renderer's fixed 720x480 canvas, and a band belongs to
-the grid series it surrounds: each series' band is drawn behind the
-frame, in series order.
+is drawn on the renderer's fixed 720x480 canvas, with its x axis
+labelled ``_X_LABEL``, and a band belongs to the grid series it
+surrounds: each series' band is drawn behind the frame, in series order.
 """
 
 from __future__ import annotations
@@ -22,10 +22,9 @@ from bisect import bisect_right
 from types import SimpleNamespace
 from xml.sax.saxutils import escape
 
-import numpy as np
-
 from survmrl import ComparisonCurve, MrlCurve, SurvmrlError
 from survmrl.errors import EstimationError
+from survmrl.render import _X_LABEL
 
 
 def _floats(column) -> tuple[float, ...]:
@@ -46,7 +45,7 @@ def as_tuples(spec):
         )
 
     return SimpleNamespace(
-        title=spec.title, x_label=spec.x_label, y_label=spec.y_label,
+        title=spec.title, y_label=spec.y_label,
         series=tuple(series(s) for s in spec.series), reference_line=spec.reference_line,
     )
 
@@ -258,7 +257,7 @@ def render_plot_svg(spec) -> bytes:
     out.write(
         f'<text x="{_fmt(_MARGIN_LEFT + plot_w / 2)}" y="{_fmt(_HEIGHT - 10)}" '
         f'font-size="12" text-anchor="middle" font-family="sans-serif">'
-        f"{_text(spec.x_label)}</text>\n"
+        f"{_text(_X_LABEL)}</text>\n"
     )
     out.write(
         f'<text x="16" y="{_fmt(_MARGIN_TOP + plot_h / 2)}" font-size="12" '
@@ -285,18 +284,14 @@ def render_plot_svg(spec) -> bytes:
     return out.getvalue().encode("utf-8")
 
 
-def export_curve_csv(curve, envelope=None) -> bytes:
-    if envelope is not None and not isinstance(curve, ComparisonCurve):
-        raise SurvmrlError("an envelope needs a comparison curve")
+def export_curve_csv(curve) -> bytes:
     if isinstance(curve, MrlCurve):
         header = "t,value,component_km,component_tail"
         columns = (curve.grid, curve.values, curve.km_component, curve.tail_component)
     elif isinstance(curve, ComparisonCurve):
         header, columns = "t,value", (curve.grid, curve.values)
-        if envelope is not None:
-            if not np.array_equal(envelope.grid, curve.grid):
-                raise SurvmrlError("envelope grid mismatch")
-            header, columns = "t,value,lower,upper", columns + (envelope.lower, envelope.upper)
+        if curve.lower.size:
+            header, columns = "t,value,lower,upper", columns + (curve.lower, curve.upper)
     else:
         header, columns = "t,value", (curve.survival.knots, curve.survival.values)
     if columns[0].size == 0:

@@ -7,6 +7,7 @@ calibrated at runtime.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 import xml.etree.ElementTree as ET
 from concurrent.futures import ProcessPoolExecutor
@@ -200,8 +201,11 @@ def test_criterion_06_envelope_null_coverage_and_determinism():
     env1 = permutation_envelope(a, b, "surv_diff", n_permutations=300, seed=5)
     env2 = permutation_envelope(a, b, "surv_diff", n_permutations=300, seed=5)
     curve = survival_difference(km_fit(a), km_fit(b))
-    identical = env1 == env2 and export_curve_csv(curve, envelope=env1) == export_curve_csv(
-        curve, envelope=env2
+    banded = [dataclasses.replace(curve, lower=env.lower, upper=env.upper) for env in (env1, env2)]
+    identical = (
+        env1 == env2
+        and np.array_equal(env1.grid, curve.grid)
+        and export_curve_csv(banded[0]) == export_curve_csv(banded[1])
     )
     elapsed = time.perf_counter() - start
     ok = mean_inside >= 0.90 and identical and elapsed < 30.0

@@ -51,7 +51,6 @@ def km_spec():
     curve = km_fit(SAMPLE)
     return PlotSpec(
         title="survival",
-        x_label="time",
         y_label="S(t)",
         series=(PlotSeries(label="g", step=curve.survival, censor_times=curve.censor_marks),),
     )
@@ -60,7 +59,7 @@ def km_spec():
 class TestRenderSvg:
     def test_empty_series_rejected(self):
         with pytest.raises(SurvmrlError, match="nothing to plot"):
-            render_plot_svg(PlotSpec(title="t", x_label="x", y_label="y", series=()))
+            render_plot_svg(PlotSpec(title="t", y_label="y", series=()))
 
     def test_three_knot_step_has_three_vertical_jumps(self):
         svg = render_plot_svg(km_spec()).decode()
@@ -85,7 +84,6 @@ class TestRenderSvg:
         values = (0.4, -0.2, 0.1, 0.3)
         spec = PlotSpec(
             title="diff",
-            x_label="t",
             y_label="d",
             series=(PlotSeries(label="curve", grid=grid, values=values),),
             reference_line=0.0,
@@ -109,7 +107,7 @@ class TestRenderSvg:
     @pytest.mark.parametrize("values", [(-1.05, -1.0), (-3.0, -0.5, -2.0), (-1e-9, -2e-9)])
     def test_all_negative_series_stays_inside_the_frame(self, values):
         grid = tuple(float(k) for k in range(1, len(values) + 1))
-        spec = PlotSpec(title="t", x_label="x", y_label="y", series=(PlotSeries("s", grid=grid, values=values),))
+        spec = PlotSpec(title="t", y_label="y", series=(PlotSeries("s", grid=grid, values=values),))
         svg = render_plot_svg(spec).decode()
         points = re.search(r'<polyline points="([^"]+)"', svg).group(1).split()
         assert len(points) == len(values)
@@ -126,7 +124,7 @@ class TestRenderSvg:
             a, b, "surv_diff", n_permutations=50, seed=3, grid=curve.grid
         )
         series = PlotSeries(label="d", grid=curve.grid, values=curve.values, lower=env.lower, upper=env.upper)
-        spec = PlotSpec(title="d", x_label="t", y_label="d", series=(series,), reference_line=0.0)
+        spec = PlotSpec(title="d", y_label="d", series=(series,), reference_line=0.0)
         svg = render_plot_svg(spec).decode()
         assert svg.index("<polygon") < svg.index("<rect x=") < svg.index("<polyline")
 
@@ -165,7 +163,7 @@ class TestRenderSvg:
 
     @pytest.mark.parametrize("value, reference_line", [(1e308, 0.0), (1.75e308, None)])
     def test_overflowing_y_range_rejected(self, value, reference_line):
-        spec = PlotSpec("t", "x", "y", (PlotSeries("a", grid=(1.0,), values=(value,)),), reference_line=reference_line)
+        spec = PlotSpec("t", "y", (PlotSeries("a", grid=(1.0,), values=(value,)),), reference_line=reference_line)
         with pytest.raises(SurvmrlError, match="^cannot plot: y range .* is too wide for the y axis$"):
             render_plot_svg(spec)
 
@@ -177,7 +175,6 @@ class TestRenderSvg:
         curve = km_fit(SAMPLE)
         spec = PlotSpec(
             title="a < b & c",
-            x_label="t",
             y_label="s",
             series=(PlotSeries(label="g", step=curve.survival),),
         )
@@ -189,18 +186,17 @@ class TestRenderSvg:
         curve = km_fit(SAMPLE)
         spec = PlotSpec(
             title="a\x01b < c",
-            x_label="t\x1f",
-            y_label="s\tok",
+            y_label="s\tok\x1f",
             series=(PlotSeries(label="g\x00\ufffe", step=curve.survival),),
         )
         root = ET.fromstring(render_plot_svg(spec))
         texts = [node.text for node in root.iter() if node.tag.endswith("text")]
-        assert "a\\x01b < c" in texts and "t\\x1f" in texts and "s\tok" in texts
+        assert "a\\x01b < c" in texts and "s\tok\\x1f" in texts
         assert "g\\x00\\ufffe" in texts
 
     def test_subnormal_y_range_draws_one_tick(self):
         # the y span is 1e-323, so span / 6 underflows to 0, where log10 would raise
-        spec = PlotSpec("t", "x", "y", (PlotSeries("a", grid=(1.0,), values=(5e-324,)),), reference_line=0.0)
+        spec = PlotSpec("t", "y", (PlotSeries("a", grid=(1.0,), values=(5e-324,)),), reference_line=0.0)
         root = ET.fromstring(render_plot_svg(spec))
         ticks = [node.text for node in root.iter() if node.tag.endswith("text") and node.get("text-anchor") == "end"]
         assert ticks == ["-4.94066e-324"]
@@ -214,7 +210,7 @@ def censor_ticks(svg: bytes) -> list[ET.Element]:
 def step_spec(*censor_lists):
     """One series per list of censor times, all on the same step function."""
     series = tuple(PlotSeries(f"g{k}", step=STEP, censor_times=times) for k, times in enumerate(censor_lists))
-    return PlotSpec("km", "t", "S", series)
+    return PlotSpec("km", "S", series)
 
 
 class TestDistinctCensorTicks:
@@ -271,9 +267,9 @@ class TestExportCsv:
     def test_round_trip_full_precision(self):
         # every field of each CSV parses back to the same double, bit for bit; NaN to NaN
         curves = csv_curves()
-        assert np.isnan(curves["ratio"][1].lower).any()
-        for curve, envelope, columns in curves.values():
-            reader = csv.reader(io.StringIO(export_curve_csv(curve, envelope=envelope).decode()))
+        assert np.isnan(curves["ratio"][0].lower).any()
+        for curve, columns in curves.values():
+            reader = csv.reader(io.StringIO(export_curve_csv(curve).decode()))
             next(reader)
             parsed = np.array([[float(field) for field in row] for row in reader])
             assert parsed.shape == (columns[0].size, len(columns))
@@ -289,28 +285,20 @@ class TestExportCsv:
         env = permutation_envelope(
             a, b, "surv_diff", n_permutations=30, seed=1, grid=curve.grid
         )
-        data = export_curve_csv(curve, envelope=env).decode()
+        data = export_curve_csv(dataclasses.replace(curve, lower=env.lower, upper=env.upper)).decode()
         header = data.split("\n", 1)[0]
         assert header == "t,value,lower,upper"
 
     def test_envelope_grid_mismatch_rejected(self):
+        # a comparison curve holds its band, so a band of the wrong length is refused when it is attached
         a = make_sample([(float(t), 1) for t in range(1, 30)])
         b = make_sample([(float(t) + 0.3, 1) for t in range(1, 30)])
         curve = survival_difference(km_fit(a), km_fit(b))
         env = permutation_envelope(
             a, b, "surv_diff", n_permutations=30, seed=1, grid=curve.grid[:-1]
         )
-        with pytest.raises(SurvmrlError, match="envelope grid mismatch"):
-            export_curve_csv(curve, envelope=env)
-
-    @pytest.mark.parametrize("fit", [km_fit, fit_hybrid_mrl])
-    def test_envelope_needs_a_comparison_curve(self, fit):
-        # the envelope used to be dropped without a word for these curves
-        a = make_sample([(float(t), 1) for t in range(1, 200)])
-        b = make_sample([(float(t) + 0.3, 1) for t in range(1, 200)])
-        curve, env = fit(a), permutation_envelope(a, b, "surv_diff", n_permutations=10, seed=1)
-        with pytest.raises(SurvmrlError, match="^an envelope needs a comparison curve$"):
-            export_curve_csv(curve, envelope=env)
+        with pytest.raises(ValueError, match="^a band needs one lower and one upper value per grid point$"):
+            dataclasses.replace(curve, lower=env.lower, upper=env.upper)
 
     def test_empty_curve_rejected(self):
         all_censored = km_fit(make_sample([(1.0, 0), (2.0, 0)]))
@@ -323,13 +311,14 @@ class TestExportCsv:
 
 def csv_curves():
     """A KM curve, an MRL curve, and a difference and a ratio curve with
-    their envelopes, each with the columns its CSV writes."""
+    their envelopes as bands, each with the columns its CSV writes."""
     rng = np.random.default_rng(1)
     km = km_fit(make_sample([(float(t), int(s)) for t, s in zip(rng.exponential(2, 60), rng.integers(0, 2, 60))]))
     mrl = fit_hybrid_mrl(make_sample([(float(t), 1) for t in np.random.default_rng(0).exponential(2.0, 300)]))
     ties = load_dataset(TAIL_TIES)
     diff = survival_difference(km_fit(ties["A"]), km_fit(ties["B"]))
     diff_env = permutation_envelope(ties["A"], ties["B"], "surv_diff", n_permutations=50, seed=1, grid=diff.grid)
+    diff = dataclasses.replace(diff, lower=diff_env.lower, upper=diff_env.upper)
     # On a grid past both groups' follow-up every permuted denominator
     # reaches zero, so the ratio band is NaN from t = 6, as is the ratio.
     zero = load_dataset(RATIO_ZERO)
@@ -337,21 +326,18 @@ def csv_curves():
     s_a, s_b = (step_eval(km_fit(zero[g]).survival, grid) for g in "AB")
     ratio = ComparisonCurve(grid, np.divide(s_a, s_b, out=np.full_like(s_a, np.nan), where=s_b != 0.0))
     ratio_env = permutation_envelope(zero["A"], zero["B"], "surv_ratio", n_permutations=300, seed=2, grid=grid)
+    ratio = dataclasses.replace(ratio, lower=ratio_env.lower, upper=ratio_env.upper)
     return {
-        "km": (km, None, (km.survival.knots, km.survival.values)),
-        "mrl": (mrl, None, (mrl.grid, mrl.values, mrl.km_component, mrl.tail_component)),
-        "diff": (diff, diff_env, (diff.grid, diff.values, diff_env.lower, diff_env.upper)),
-        "ratio": (ratio, ratio_env, (ratio.grid, ratio.values, ratio_env.lower, ratio_env.upper)),
+        "km": (km, (km.survival.knots, km.survival.values)),
+        "mrl": (mrl, (mrl.grid, mrl.values, mrl.km_component, mrl.tail_component)),
+        "diff": (diff, (diff.grid, diff.values, diff_env.lower, diff_env.upper)),
+        "ratio": (ratio, (ratio.grid, ratio.values, ratio_env.lower, ratio_env.upper)),
     }
 
 
-def envelope_on(grid, lower, upper):
-    return Envelope(grid, lower, upper, 10, 1, (0.025, 0.975), "surv_diff", np.zeros(len(grid), np.int64))
-
-
-def csv_outcome(export, curve, envelope=None):
+def csv_outcome(export, curve):
     try:
-        return export(curve, envelope=envelope)
+        return export(curve)
     except Exception as exc:  # both writers must fail alike
         return type(exc), str(exc)
 
@@ -359,23 +345,20 @@ def csv_outcome(export, curve, envelope=None):
 @st.composite
 def float_curves(draw):
     """A comparison curve of one to 40 rows of any floats (NaN, +-inf,
-    +-0.0, subnormals, the largest doubles), maybe with an envelope."""
+    +-0.0, subnormals, the largest doubles), maybe with a band."""
     n = draw(st.integers(1, 40))
     column = st.lists(st.floats(), min_size=n, max_size=n)
     if not draw(st.booleans()):
-        return ComparisonCurve(draw(column), draw(column)), None
-    # a NaN grid point would only fail the envelope's grid check
-    grid = draw(st.lists(st.floats(allow_nan=False), min_size=n, max_size=n))
-    return ComparisonCurve(grid, draw(column)), envelope_on(grid, draw(column), draw(column))
+        return ComparisonCurve(draw(column), draw(column))
+    return ComparisonCurve(draw(column), draw(column), draw(column), draw(column))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(float_curves())
-@example((ComparisonCurve([0.0, -0.0, 5e-324, 1e-4, 1e14, 1e16], [math.nan, math.inf, -math.inf, 1.0, 0.1, 1e308]), None))
-@example((ComparisonCurve([9.999999999999999e13, 12345678901231.25], [0.5, 1e-05]), None))
-def test_csv_matches_repr_reference(curve_envelope):
-    curve, envelope = curve_envelope
-    assert csv_outcome(export_curve_csv, curve, envelope) == csv_outcome(reference.export_curve_csv, curve, envelope)
+@example(ComparisonCurve([0.0, -0.0, 5e-324, 1e-4, 1e14, 1e16], [math.nan, math.inf, -math.inf, 1.0, 0.1, 1e308]))
+@example(ComparisonCurve([9.999999999999999e13, 12345678901231.25], [0.5, 1e-05]))
+def test_csv_matches_repr_reference(curve):
+    assert csv_outcome(export_curve_csv, curve) == csv_outcome(reference.export_curve_csv, curve)
 
 
 def bulk_values(rng, m=100_000):
@@ -440,11 +423,10 @@ def test_csv_block_edges(n):
     for j, column in enumerate(columns):
         edges = np.arange(0, n + 1, BLOCK)
         column[np.clip(np.concatenate([edges - 1, edges]) + j, 0, n - 1)] = [1e300, math.nan, math.inf, 5e-324][j]
-    curve = ComparisonCurve(columns[0], columns[1])
-    envelope = envelope_on(curve.grid, columns[2], columns[3])
-    data = export_curve_csv(curve, envelope=envelope)
+    curve = ComparisonCurve(*columns)
+    data = export_curve_csv(curve)
     assert data.count(b"\n") == n + 1
-    assert data == reference.export_curve_csv(curve, envelope=envelope)
+    assert data == reference.export_curve_csv(curve)
 
 
 # Times on a 1/40 grid or anywhere in [0, 100]; levels on a 1/1000 grid or
@@ -488,7 +470,6 @@ def plot_specs(draw):
     series = draw(st.lists(step_series() | grid_series(), min_size=1, max_size=3))
     return PlotSpec(
         title=draw(labels),
-        x_label="t",
         y_label="y",
         series=tuple(series),
         reference_line=draw(st.none() | levels | st.sampled_from([50.0, -50.0])),
@@ -543,7 +524,7 @@ class TestBlockEdges:
         knots = np.arange(1, n + 1) * 0.5
         step = StepFunction(knots, np.linspace(1.0, 0.0, n + 1)[1:], 1.0)
         # a censor tick between each pair of knots, so the tick list has n rows too
-        spec = PlotSpec("km", "t", "S", (PlotSeries("g", step=step, censor_times=knots + 0.25),))
+        spec = PlotSpec("km", "S", (PlotSeries("g", step=step, censor_times=knots + 0.25),))
         assert_matches_reference(spec)
         kept = thinned(spec).series[0]
         if n > render._BLOCK_ROWS:
@@ -565,7 +546,7 @@ class TestBlockEdges:
         first, later = render._px(times[[5, 2 * block + 7]], x_range)
         assert first // render._COLUMN_PX != later // render._COLUMN_PX and render._fmt(first) == render._fmt(later)
         step = StepFunction([0.5], [0.5], 1.0)
-        spec = PlotSpec("km", "t", "S", (PlotSeries("g", step=step, censor_times=times),))
+        spec = PlotSpec("km", "S", (PlotSeries("g", step=step, censor_times=times),))
         with mock.patch.object(render, "_BLOCK_ROWS", block):
             ticks = censor_ticks(render_plot_svg(spec))
             assert len(ticks) == times.size - 1 and float(ticks[5].get("x1")) == float(render._fmt(first))
@@ -582,14 +563,14 @@ class TestBlockEdges:
             lower[edge - 2 : edge + 1] = (-math.inf, math.nan, math.nan)
             upper[edge : edge + 3] = (math.inf, math.nan, -math.inf)
         series = PlotSeries("d", grid=grid, values=values, lower=lower, upper=upper)
-        spec = PlotSpec("d", "t", "d", (series,), reference_line=0.0)
+        spec = PlotSpec("d", "d", (series,), reference_line=0.0)
         assert_matches_reference(spec)
         assert thinned(spec).series[0].grid.size > 2 * block
 
     def test_grid_series_with_no_finite_value(self):
         grid = np.arange(1, render._BLOCK_ROWS + 2) * 1.0
         values = np.resize([math.nan, math.inf, -math.inf], grid.size)
-        spec = PlotSpec("m", "t", "m", (PlotSeries("m", grid=grid, values=values),))
+        spec = PlotSpec("m", "m", (PlotSeries("m", grid=grid, values=values),))
         svg = render_plot_svg(spec)
         assert b"<polyline" not in svg
         assert_matches_reference(spec)
@@ -605,7 +586,6 @@ def test_reference_agrees_on_a_fitted_km_plot():
     sample = make_sample(list(zip(rng.exponential(2.0, 400).tolist(), rng.integers(0, 2, 400).tolist())))
     spec = PlotSpec(
         title="km",
-        x_label="t",
         y_label="S",
         series=(PlotSeries("g", step=km_fit(sample).survival, censor_times=km_fit(sample).censor_marks),),
     )
@@ -626,7 +606,7 @@ def test_curve_columns_are_read_only_float64_or_int64_arrays():
             fit_hybrid_mrl(a),
             {"grid": floats, "values": floats, "km_component": floats, "tail_component": floats},
         ),
-        (comparison, {"grid": floats, "values": floats}),
+        (comparison, {"grid": floats, "values": floats, "lower": floats, "upper": floats}),
         (
             permutation_envelope(a, b, "surv_diff", n_permutations=5, seed=1, grid=comparison.grid),
             {"grid": floats, "lower": floats, "upper": floats, "defined_counts": counts},
@@ -662,7 +642,7 @@ def test_the_document_is_held_once():
     knots = np.arange(1, 2001) * 0.5
     step = StepFunction(knots=knots, values=np.linspace(1.0, 0.0, 2001)[1:], initial_value=1.0)
     series = tuple(PlotSeries(str(k), step=step, censor_times=knots + 0.25 + k * 0.1) for k in range(6))
-    spec = PlotSpec("t", "x", "y", series)
+    spec = PlotSpec("t", "y", series)
     tracemalloc.start()
     try:
         svg = render_plot_svg(spec)
@@ -708,7 +688,7 @@ def dense_grid_series(draw):
 @st.composite
 def dense_specs(draw):
     series = draw(st.lists(dense_step_series() | dense_grid_series(), min_size=1, max_size=3))
-    return PlotSpec("t", "x", "y", tuple(series), reference_line=draw(st.none() | dense_levels))
+    return PlotSpec("t", "y", tuple(series), reference_line=draw(st.none() | dense_levels))
 
 
 def drawable(spec):
@@ -764,7 +744,7 @@ class TestThinning:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.one_of(plot_specs(), dense_specs()).map(drawable).filter(bool))
     # the largest censor time is the second tick of its cell
-    @example(PlotSpec("t", "x", "y", (PlotSeries("s", step=STEP, censor_times=[2.0, 100.0, 100.0001]),)))
+    @example(PlotSpec("t", "y", (PlotSeries("s", step=STEP, censor_times=[2.0, 100.0, 100.0001]),)))
     def test_the_thinned_spec_has_the_same_axes(self, spec):
         small = thinned(spec)
         assert render._series_x_max(small) == render._series_x_max(spec)
@@ -820,7 +800,7 @@ class TestThinning:
         # 1000 knots on about 220 columns: a tick at 100 sets the x axis
         knots = np.linspace(1.0, 10.0, 1000)
         step = StepFunction(knots, np.linspace(1.0, 0.0, 1001)[1:], 1.0)
-        spec = PlotSpec("km", "t", "S", (PlotSeries("g", step=step, censor_times=[100.0]),))
+        spec = PlotSpec("km", "S", (PlotSeries("g", step=step, censor_times=[100.0]),))
         kept = thinned(spec).series[0].step.knots
         columns = np.floor(render._px(knots, render._axes(spec)[1]) / render._COLUMN_PX)
         first = np.concatenate(([True], columns[1:] != columns[:-1]))
@@ -836,7 +816,7 @@ def km_plot(n, seed):
         event, censor = rng.exponential(mean, n), rng.exponential(2 * mean, n)
         curves.append(km_fit(SurvivalSample(np.minimum(event, censor), (event <= censor).astype(np.int64))))
     series = tuple(PlotSeries(g, step=c.survival, censor_times=c.censor_marks) for g, c in zip("AB", curves))
-    return PlotSpec("km", "t", "S", series), curves
+    return PlotSpec("km", "S", series), curves
 
 
 def test_km_svg_size_stays_bounded_as_the_rows_grow():
