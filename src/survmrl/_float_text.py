@@ -7,8 +7,8 @@ computes them with numpy a block of ``_BLOCK_ROWS`` rows at a time, not
 one ``repr`` call per value. Its domain is repr's fixed notation: ±0.0
 and finite 1e-4 <= |v| < 1e14, where every power of ten the arithmetic
 needs is an exact double. Every other value (NaN, ±inf, exponent form)
-and every value that lands within 2**-40 of a decision's boundary (the
-exact ties) goes through ``repr`` itself, one at a time.
+and every value whose 15- or 16-digit candidate lands within 2**-40 of
+a decision's boundary goes through ``repr`` itself, one at a time.
 """
 
 from __future__ import annotations
@@ -80,7 +80,8 @@ def _shortest_digits(x: np.ndarray):
     zeros dropped, wherever ``ok`` (the module's domain).
 
     k = 16 - floor(log10 |v|) puts T = |v| * 10**k in [1e16, 1e17), so n
-    starts as T's 17-digit rounding. A decimal closer to T than h, half an
+    starts as T's 17-digit rounding, half-even on an exact tie as repr's
+    last digit is (dtoa.c mode 0). A decimal closer to T than h, half an
     ulp of v at T's scale (an exact double), reads back as v; n always
     does. Of 16 digits, the one nearest T reads back if any does; of 15, at
     most one lies that close. So the 15-digit rounding of T is taken if it
@@ -98,8 +99,7 @@ def _shortest_digits(x: np.ndarray):
     n, e = _scaled(ax, k)
     ok &= (n < 10**17) & ((n > 10**16) | ((n == 10**16) & (e >= 0.0)))
     h = 0.5 * np.spacing(ax) * _POW10.take(k)
-    shortest = n
-    tie = np.abs(e) >= 0.5 - _NEAR
+    shortest, tie = n, False
     for step in (10, 100):  # 16 digits, then 15
         q = n // step
         r = (n - q * step) + e  # T's distance past the candidate below

@@ -17,7 +17,7 @@ precision, a comparison curve's band too: each value is Python's
 ``repr``, the shortest decimal that reads back to the same double. One
 vectorised writer (``csv_bytes``) computes those digits exactly with
 numpy, a block of rows at a time, and calls ``repr`` per value only
-outside its domain (NaN, ±inf, the exponent form and exact ties).
+outside its domain (NaN, ±inf, the exponent form and near-ties).
 
 The document is written as UTF-8 bytes into one ``io.BytesIO``. The
 coordinates of a path, polyline, polygon or tick list are formatted a

@@ -393,8 +393,22 @@ def bulk_values(rng, m=100_000):
     )
 
 
+def exact_ties(rng, m=200_000):
+    """``(values, k)``: doubles v = ±M * 2**-p in [1e-4, 1e14), M odd, whose
+    decimal M * 5**p / 10**p has 18 significant digits ending in 5, so
+    T = |v| * 10**k, k = p - 1, is an exact tie of its 17-digit rounding.
+    Integers of 10 to 14 digits plus a fraction j / 2**p, and the same
+    values scaled down by powers of two, are of this form."""
+    p = rng.integers(4, 22, m)
+    lo, hi = -(-(10**17) // 5**p), (10**18 - 1) // 5**p  # M * 5**p has 18 digits
+    odd = rng.integers(lo // 2, (hi - 1) // 2 + 1) * 2 + 1
+    assert (odd * 5**p % 10 == 5).all() and (odd >= lo).all() and (odd <= hi).all() and (odd < 2**53).all()
+    return np.ldexp(odd.astype(np.float64), -p) * rng.choice([-1.0, 1.0], m), p - 1
+
+
 def test_csv_matches_repr_reference_in_bulk():
-    values = bulk_values(np.random.default_rng(28))
+    rng = np.random.default_rng(28)
+    values = bulk_values(rng)
     assert values.size >= 1_000_000
     # every class that goes through repr one value at a time occurs: non-finite,
     # exponent form and near-ties; so do significands that are a power of two,
@@ -410,6 +424,19 @@ def test_csv_matches_repr_reference_in_bulk():
     half = values.size // 2
     curve = ComparisonCurve(values[:half], values[half : 2 * half])
     assert export_curve_csv(curve) == reference.export_curve_csv(curve)
+
+    # Exact ties: the writer's n is T rounded half-even, as repr's last
+    # digit is, so none of them goes to repr, not even the quarter or so
+    # written with 17 digits, where no shorter decimal reads back.
+    ties, k = exact_ties(rng)
+    assert np.all(np.abs(_float_text._scaled(np.abs(ties), k)[1]) == 0.5)
+    assert _float_text._shortest_digits(ties)[2].all()
+    curve = ComparisonCurve(ties[: ties.size // 2], ties[ties.size // 2 :])
+    with mock.patch.object(_float_text, "repr", create=True, side_effect=AssertionError("repr called")):
+        data = export_curve_csv(curve)
+    assert data == reference.export_curve_csv(curve)
+    digits = [len(text.replace("-", "").replace(".", "").strip("0")) for text in map(repr, ties.tolist())]
+    assert digits.count(17) >= 50_000
 
 
 BLOCK = _float_text._BLOCK_ROWS
