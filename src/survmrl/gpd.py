@@ -88,6 +88,59 @@ def _tail_sample(excess, status) -> tuple[np.ndarray, np.ndarray]:
     return excess, flags.astype(float)
 
 
+class _Profile:
+    """The profile log likelihood of a tail over s = log1p(theta * max x).
+
+    The scan and the search run over s, free of the data's scale:
+    geometric towards theta = -1/max x and theta_hi, linear around 0.
+    """
+
+    def __init__(self, excess: np.ndarray, status: np.ndarray, k: float):
+        self.excess, self.status, self.k = excess, status, k
+        self.top = float(np.max(excess))
+
+    def _at(self, theta: float, total: float, events: float) -> tuple[float, float, float]:
+        """(log likelihood, shape, scale) at theta, from the sums of
+        log1p(theta * x) over all exceedances (total) and over the events."""
+        k = self.k
+        shape = min(max(total / k, -_OPEN_BOUND), _OPEN_BOUND)
+        if shape == 0.0:  # theta == 0: the exponential fit
+            scale = float(np.add.reduce(self.excess)) / k
+            return -k * math.log(scale) - k, 0.0, scale
+        scale = shape / theta
+        return -k * math.log(scale) - total / shape - events, shape, scale
+
+    def __call__(self, s: float) -> tuple[float, float, float]:
+        """(log likelihood, shape, scale) at s."""
+        theta = math.expm1(s) / self.top
+        log_arg = np.log1p(theta * self.excess)
+        return self._at(theta, float(np.add.reduce(log_arg)), float(self.status @ log_arg))
+
+    def scan(self) -> tuple[np.ndarray, list[float]]:
+        """The _SCAN_POINTS points of the coarse scan and the log
+        likelihood at each, evaluated as one (_SCAN_POINTS, m) array.
+
+        Below s_lo the profile rises (its slope in t = theta * max x is at
+        least g / (1 + t) - k / |t|); past theta_hi the shape is clipped, or
+        every shape puts sigma below exp(-50). No maximum lies outside.
+        """
+        g = 1.0 / SHAPE_BOUND - 1.0
+        s_lo = math.log(g / (self.k + g))
+        t_hi = 1.0
+        while self(math.log1p(t_hi))[1] < _OPEN_BOUND and t_hi < self.top * math.exp(_LOG_SCALE_LIMIT):
+            t_hi *= 2.0
+        points = np.linspace(s_lo, math.log1p(t_hi), _SCAN_POINTS)
+        thetas = [math.expm1(s) / self.top for s in points]
+        # Row sums of the array are bitwise the per-point sums; one
+        # rows @ status is not, so each row gets its own dot product.
+        rows = np.array(thetas)[:, None] * self.excess
+        np.log1p(rows, out=rows)
+        totals = np.add.reduce(rows, axis=1).tolist()
+        return points, [
+            self._at(theta, total, float(self.status @ row))[0] for theta, total, row in zip(thetas, totals, rows)
+        ]
+
+
 def gpd_log_likelihood(excess, status, shape: float, scale: float) -> float:
     """Log likelihood of the censored tail sample at (shape, scale).
 
@@ -118,32 +171,8 @@ def fit_gpd(excess, status, threshold: float = 0.0) -> GpdFit:
     if not (0.0 < mean and abs(math.log(mean)) < _LOG_SCALE_LIMIT):
         raise EstimationError(f"mean tail excess {mean!r} outside the fitted scale range {_SCALE_RANGE}")
 
-    # The scan and the search run over s = log1p(theta * max x), free of the
-    # data's scale: geometric towards theta = -1/max x and theta_hi, linear
-    # around 0. Below s_lo the profile rises (its slope in t = theta * max x
-    # is at least g / (1 + t) - k / |t|); past theta_hi the shape is clipped,
-    # or every shape puts sigma below exp(-50). No maximum lies outside.
-    top = float(np.max(excess))
-    g = 1.0 / SHAPE_BOUND - 1.0
-    s_lo = math.log(g / (k + g))
-
-    def profile(s: float) -> tuple[float, float, float]:
-        """(log likelihood, shape, scale) at s."""
-        theta = math.expm1(s) / top
-        log_arg = np.log1p(theta * excess)
-        total = float(np.sum(log_arg))
-        shape = min(max(total / k, -_OPEN_BOUND), _OPEN_BOUND)
-        if shape == 0.0:  # theta == 0: the exponential fit
-            scale = float(np.sum(excess)) / k
-            return -k * math.log(scale) - k, 0.0, scale
-        scale = shape / theta
-        return -k * math.log(scale) - total / shape - float(status @ log_arg), shape, scale
-
-    t_hi = 1.0
-    while profile(math.log1p(t_hi))[1] < _OPEN_BOUND and t_hi < top * math.exp(_LOG_SCALE_LIMIT):
-        t_hi *= 2.0
-    scan = np.linspace(s_lo, math.log1p(t_hi), _SCAN_POINTS)
-    values = [profile(s)[0] for s in scan]
+    profile = _Profile(excess, status, k)
+    scan, values = profile.scan()
     best = max(zip(values, scan))
     # Refine every local maximum of the scan by golden section on its
     # bracket (a, b, c): a small tail's profile can have two near-equal modes.

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from survmrl import (
     EstimationError,
@@ -11,6 +12,9 @@ from survmrl import (
     gpd_log_likelihood,
     gpd_mrl_at_threshold,
 )
+from survmrl.gpd import _Profile, _tail_sample
+
+from test_optimize import LOWER_SHAPE_BOUND, TWO_MODES, _censored_tail
 
 
 def gpd_draw(rng, shape, scale, n):
@@ -191,6 +195,36 @@ class TestFitGpd:
         x = gpd_draw(rng, 2.5, 1.0, 500)
         with pytest.raises(EstimationError, match="infinite-mean tail fit"):
             fit_gpd(x, np.ones(x.size))
+
+
+@st.composite
+def censored_tails(draw):
+    """(excess, status) of a tail ``fit_gpd`` accepts: at least two
+    exceedances, often tied, with all events, random censoring, or one
+    event among censorings."""
+    m = draw(st.integers(2, 300))
+    distinct = draw(st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=m))
+    excess = draw(st.lists(st.sampled_from([0.0, *distinct]), min_size=m, max_size=m))
+    excess[0] = distinct[0]  # the mean excess stays positive
+    status = draw(
+        st.one_of(
+            st.just([1] * m),
+            st.lists(st.integers(0, 1), min_size=m, max_size=m).filter(any),
+            st.integers(0, m - 1).map(lambda i: [int(j == i) for j in range(m)]),
+        )
+    )
+    return excess, status
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tail=censored_tails())
+@example(tail=_censored_tail(*TWO_MODES))
+@example(tail=_censored_tail(*LOWER_SHAPE_BOUND))
+def test_array_scan_matches_the_per_point_profile(tail):
+    excess, status = _tail_sample(*tail)
+    profile = _Profile(excess, status, float(np.sum(status)))
+    points, values = profile.scan()
+    assert np.array_equal(values, [profile(s)[0] for s in points])
 
 
 class TestMrlAtThreshold:
