@@ -13,8 +13,10 @@ For |shape| below a small cutoff both collapse to the exponential limit.
 The fit maximises the profile likelihood over theta = shape / sigma
 (Grimshaw 1993; Coles 2001, section 4.3): at each theta the best shape is
 sum(log1p(theta * t)) / k over k tail events, clipped into (-0.99, 0.99)
-so the tail mean stays finite. A fit on the shape's upper bound, or with
-sigma outside exp(-50)..exp(50), is an error.
+so the tail mean stays finite. A coarse scan, evaluated as one array,
+brackets every local maximum of the profile, and Brent's parabolic search
+refines each. A fit on the shape's upper bound, or with sigma outside
+exp(-50)..exp(50), is an error.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ _LOG_SCALE_LIMIT = 50.0
 _SCALE_RANGE = f"exp(-{_LOG_SCALE_LIMIT:g})..exp({_LOG_SCALE_LIMIT:g})"
 _OPEN_BOUND = math.nextafter(SHAPE_BOUND, 0.0)  # largest |shape| inside the box
 _SCAN_POINTS = 32
-_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section step, 1 - 1/phi
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # Brent's golden-section step, 1 - 1/phi
 _S_TOL = 1e-10
 
 
@@ -141,6 +143,56 @@ class _Profile:
         ]
 
 
+def _brent_max(f, a: float, b: float, c: float, fb: float) -> tuple[float, float]:
+    """(f(x), x) at a local maximum of f in the bracket a <= b <= c, where
+    f(b) = fb, by Brent's method (Brent 1973, *Algorithms for Minimization
+    without Derivatives*, ch. 5), stopped once c - a <= _S_TOL.
+
+    Each step is the vertex of the parabola through the three best points
+    so far, or a golden-section step into the larger part of the bracket
+    when that vertex falls outside it or the steps stop shrinking fast
+    enough. No step is shorter than _S_TOL / 4, so near the maximum the
+    bracket closes in on both sides: Brent's own stop, max(x - a, c - x)
+    <= _S_TOL / 2, comes no earlier than c - a <= _S_TOL.
+    """
+    tol = _S_TOL / 4.0
+    x = w = v = b  # best, second best and previous second best point
+    fx = fw = fv = fb
+    d = e = 0.0  # the last step and the one before it
+    while c - a > _S_TOL:
+        mid = 0.5 * (a + c)
+        golden = True
+        if abs(e) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            # take the vertex only inside the bracket and when it moves less
+            # than half the step before last
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (c - x):
+                e, d, golden = d, p / q, False
+                if x + d - a < 2.0 * tol or c - (x + d) < 2.0 * tol:
+                    d = math.copysign(tol, mid - x)
+        if golden:
+            e = (a if x >= mid else c) - x
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = f(u)
+        if fu >= fx:
+            a, c = (x, c) if u >= x else (a, x)
+            v, w, x, fv, fw, fx = w, x, u, fw, fx, fu
+        else:
+            a, c = (u, c) if u < x else (a, u)
+            if fu >= fw or w == x:
+                v, w, fv, fw = w, u, fw, fu
+            elif fu >= fv or v in (x, w):
+                v, fv = u, fu
+    return fx, x
+
+
 def gpd_log_likelihood(excess, status, shape: float, scale: float) -> float:
     """Log likelihood of the censored tail sample at (shape, scale).
 
@@ -156,8 +208,10 @@ def fit_gpd(excess, status, threshold: float = 0.0) -> GpdFit:
 
     ``excess`` and ``status`` are as for ``gpd_log_likelihood``. A scan of
     theta over (-1/max x, theta_hi], theta_hi doubled from 1/max x until the
-    shape reaches its bound, and a golden-section search find the fit.
-    ``converged`` (the search bracket met its tolerance) is always True.
+    shape reaches its bound, evaluates the profile at all its points in one
+    array; Brent's method refines each local maximum of the scan and the
+    best one is the fit. ``converged`` (the search bracket met its
+    tolerance) is always True.
     """
     excess, status = _tail_sample(excess, status)
     m = excess.size
@@ -174,18 +228,11 @@ def fit_gpd(excess, status, threshold: float = 0.0) -> GpdFit:
     profile = _Profile(excess, status, k)
     scan, values = profile.scan()
     best = max(zip(values, scan))
-    # Refine every local maximum of the scan by golden section on its
+    # Refine every local maximum of the scan by Brent's method on its
     # bracket (a, b, c): a small tail's profile can have two near-equal modes.
     for i in [j for j, v in enumerate(values) if v == max(values[max(j - 1, 0):j + 2])]:
-        a, b, c, fb = scan[max(i - 1, 0)], scan[i], scan[min(i + 1, _SCAN_POINTS - 1)], values[i]
-        while c - a > _S_TOL:
-            x = b + _GOLDEN * (c - b if c - b > b - a else a - b)
-            fx = profile(x)[0]
-            if fx > fb:
-                a, b, c, fb = (b, x, c, fx) if x > b else (a, x, b, fx)
-            else:
-                a, c = (a, x) if x > b else (x, c)
-        best = max(best, (fb, b))
+        a, b, c = scan[max(i - 1, 0)], scan[i], scan[min(i + 1, _SCAN_POINTS - 1)]
+        best = max(best, _brent_max(lambda s: profile(s)[0], a, b, c, values[i]))
     _, shape, scale = profile(best[1])
     # Only the upper bound is fatal: there the constrained optimum is an
     # artifact of the box and the tail mean would be unbounded. A fit

@@ -1,5 +1,6 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,10 +9,14 @@ from hypothesis import example, given, settings, strategies as st
 from survmrl import (
     EstimationError,
     GpdFit,
+    ThresholdConfig,
     fit_gpd,
     gpd_log_likelihood,
     gpd_mrl_at_threshold,
+    load_dataset,
+    select_threshold,
 )
+from survmrl import gpd
 from survmrl.gpd import _Profile, _tail_sample
 
 from test_optimize import LOWER_SHAPE_BOUND, TWO_MODES, _censored_tail
@@ -225,6 +230,25 @@ def test_array_scan_matches_the_per_point_profile(tail):
     profile = _Profile(excess, status, float(np.sum(status)))
     points, values = profile.scan()
     assert np.array_equal(values, [profile(s)[0] for s in points])
+
+
+@pytest.mark.parametrize("name", ["two_groups.csv", "tail_ties.csv"])
+def test_fit_evaluates_at_most_70_profile_points(name, monkeypatch):
+    # 32 scan points, the theta_hi doublings, the search and the two final
+    # evaluations; with golden-section steps a fit took 86-89 points here
+    log1p = np.log1p
+
+    def counting_log1p(x, *args, **kwargs):
+        points.append(len(x) if np.ndim(x) == 2 else 1)
+        return log1p(x, *args, **kwargs)
+
+    monkeypatch.setattr(gpd.np, "log1p", counting_log1p)
+    for sample in load_dataset(Path(__file__).resolve().parent.parent / "sample_data" / name).values():
+        u = select_threshold(sample, ThresholdConfig())
+        above = sample.times > u
+        points = []
+        fit_gpd(sample.times[above] - u, sample.statuses[above], threshold=u)
+        assert 32 < sum(points) <= 70
 
 
 class TestMrlAtThreshold:
