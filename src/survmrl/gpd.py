@@ -152,8 +152,9 @@ def _brent_max(f, a: float, b: float, c: float, fb: float) -> tuple[float, float
     so far, or a golden-section step into the larger part of the bracket
     when that vertex falls outside it or the steps stop shrinking fast
     enough. No step is shorter than _S_TOL / 4, so near the maximum the
-    bracket closes in on both sides: Brent's own stop, max(x - a, c - x)
-    <= _S_TOL / 2, comes no earlier than c - a <= _S_TOL.
+    bracket closes in on both sides, and the loop ends no later than
+    Brent's own stop, max(x - a, c - x) <= _S_TOL / 2, which implies
+    c - a <= _S_TOL.
     """
     tol = _S_TOL / 4.0
     x = w = v = b  # best, second best and previous second best point
