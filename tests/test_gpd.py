@@ -17,7 +17,6 @@ from survmrl import (
     select_threshold,
 )
 from survmrl import gpd
-from survmrl.gpd import _Profile, _tail_sample
 
 from test_optimize import LOWER_SHAPE_BOUND, TWO_MODES, _censored_tail
 
@@ -226,8 +225,8 @@ def censored_tails(draw):
 @example(tail=_censored_tail(*TWO_MODES))
 @example(tail=_censored_tail(*LOWER_SHAPE_BOUND))
 def test_array_scan_matches_the_per_point_profile(tail):
-    excess, status = _tail_sample(*tail)
-    profile = _Profile(excess, status, float(np.sum(status)))
+    excess, status = gpd._tail_sample(*tail)
+    profile = gpd._Profile(excess, status, float(np.sum(status)))
     points, values = profile.scan()
     assert np.array_equal(values, [profile(s)[0] for s in points])
 
@@ -235,8 +234,8 @@ def test_array_scan_matches_the_per_point_profile(tail):
 @pytest.mark.parametrize("name", ["two_groups.csv", "tail_ties.csv"])
 def test_fit_evaluates_at_most_70_profile_points(name, monkeypatch):
     # 32 scan points, the theta_hi doublings, the search and the two final
-    # evaluations; with golden-section steps a fit took 86-89 points here
-    log1p = np.log1p
+    # evaluations; with golden-section steps a fit took 86-88 points here
+    log1p, points = np.log1p, []
 
     def counting_log1p(x, *args, **kwargs):
         points.append(len(x) if np.ndim(x) == 2 else 1)
@@ -246,7 +245,7 @@ def test_fit_evaluates_at_most_70_profile_points(name, monkeypatch):
     for sample in load_dataset(Path(__file__).resolve().parent.parent / "sample_data" / name).values():
         u = select_threshold(sample, ThresholdConfig())
         above = sample.times > u
-        points = []
+        points.clear()
         fit_gpd(sample.times[above] - u, sample.statuses[above], threshold=u)
         assert 32 < sum(points) <= 70
 
