@@ -236,8 +236,9 @@ def _split_chunks(data: bytes, pos: int, width: int) -> Iterator[tuple[Sequence[
         line += n_lines
 
 
-def _survival_row(row_number: int, time_text: str, status_text: str, group_text: str) -> tuple[float, int, str]:
-    """The row rules: a data row's time, status and group label, or the ParseError of its first fault."""
+def _survival_row(row_number: int, time_text: str, status_text: str, group_code: int) -> tuple[float, int]:
+    """The row rules: a data row's time and status, or the ParseError of its
+    first fault; a group code below 0 (``label_codes``) is an empty label."""
     time_text = time_text.strip()
     status_text = status_text.strip()
     # float() reads the digit separator in "1_5" as 15.0 and the fullwidth
@@ -258,10 +259,9 @@ def _survival_row(row_number: int, time_text: str, status_text: str, group_text:
         raise ParseError(row_number, f"status is not numeric: {status_text!r}") from None
     if status_value not in (0.0, 1.0):
         raise ParseError(row_number, f"status must be 0 or 1, got {status_text!r}")
-    group = group_text.strip()
-    if not group:
+    if group_code < 0:
         raise ParseError(row_number, "group label is empty")
-    return time, int(status_value), group
+    return time, int(status_value)
 
 
 def zero_one_column(texts: list[str]) -> np.ndarray | None:
@@ -306,18 +306,16 @@ def _survival_columns(time_texts: list[str], status_texts: list[str]) -> tuple[n
     return times, statuses
 
 
-def label_codes(texts: Sequence[str], code_of_text: dict[str, int], codes: dict[str, int]) -> np.ndarray | None:
-    """Each text's code, that of its stripped label in ``codes``, or None if a text strips to nothing.
+def label_codes(texts: Sequence[str], code_of_text: dict[str, int], codes: dict[str, int]) -> np.ndarray:
+    """Each text's code, that of its stripped label in ``codes``, or -1 for a text that strips to nothing.
 
     New labels are coded in order of first appearance. ``code_of_text``
-    caches each text's code, so each distinct text is stripped once.
+    caches each text's code, -1 included, so each distinct text is stripped once.
     """
     for text in dict.fromkeys(texts):
         if text not in code_of_text:
             label = text.strip()
-            if not label:
-                return None
-            code_of_text[text] = codes.setdefault(label, len(codes))
+            code_of_text[text] = codes.setdefault(label, len(codes)) if label else -1
     return np.fromiter(map(code_of_text.__getitem__, texts), np.intp, len(texts))
 
 
@@ -351,15 +349,13 @@ def load_dataset(source: str | bytes | os.PathLike) -> dict[str, SurvivalSample]
         row_numbers, texts = chunk
         time_texts, status_texts = texts[time_at], texts[status_at]
         group_texts = texts[group_at] if group_at is not None else [DEFAULT_GROUP] * len(time_texts)
+        group_codes = label_codes(group_texts, code_of_text, codes)
         parsed = _survival_columns(time_texts, status_texts)
-        group_codes = None if parsed is None else label_codes(group_texts, code_of_text, codes)
-        if group_codes is None:
+        if parsed is None or (group_codes < 0).any():
             # A check failed: the row rules raise the chunk's first error, or
-            # on a false alarm give the same values. A stripped label strips
-            # to itself, so it gets its padded texts' code.
-            times, statuses, labels = zip(*map(_survival_row, row_numbers, time_texts, status_texts, group_texts))
+            # on a false alarm give the same values.
+            times, statuses = zip(*map(_survival_row, row_numbers, time_texts, status_texts, group_codes.tolist()))
             parsed = np.array(times), np.array(statuses, dtype=np.int8)
-            group_codes = label_codes(labels, code_of_text, codes)
         return parsed[0], parsed[1], group_codes
 
     # map() drops each chunk before the next is read.

@@ -18,7 +18,6 @@ participant: two vectors pair by position, as in ``scipy.stats.wilcoxon``.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from dataclasses import dataclass
@@ -242,47 +241,43 @@ class PairedSurvey:
 
 
 def _survey_row(
-    participant_codes: dict[str, int],
-    item_codes: dict[str, int],
-    first_rows: dict[int, int],
     row_number: int,
+    first: int,
+    code: int,
+    item_code: int,
     participant_text: str,
     item_text: str,
     pre_text: str,
     post_text: str,
-) -> tuple[int, int, int]:
-    """The row rules: a survey row's participant code, pre and post
-    outcomes, or the ParseError of its first fault.
+) -> tuple[int, int]:
+    """The row rules: a survey row's pre and post outcomes, or the ParseError of its first fault.
 
-    The codes number participant ids and item labels in order of first
-    row. ``first_rows`` maps the key of each (participant, item) pair
-    given so far, its participant code shifted 32 bits left or-ed with its
-    item code, to its row number; the row's codes and pair are added.
+    ``code`` and ``item_code`` come from ``label_codes``, below 0 for an empty
+    label; ``first`` is the row that first gave the row's pair, the row itself
+    unless it repeats one.
     """
-    participant = participant_text.strip()
-    if not participant:
+    if code < 0:
         raise ParseError(row_number, "participant id is empty")
-    item = item_text.strip()
-    if not item:
+    if item_code < 0:
         raise ParseError(row_number, "item label is empty")
-    code = participant_codes.setdefault(participant, len(participant_codes))
-    item_code = item_codes.setdefault(item, len(item_codes))
-    first = first_rows.setdefault(code << 32 | item_code, row_number)
     if first != row_number:
-        key = (participant, item)
+        key = (participant_text.strip(), item_text.strip())
         raise ParseError(row_number, f"duplicate (participant, item) {key!r}, first given on row {first}")
-    outcomes = []
-    for col, text_value in (("pre", pre_text.strip()), ("post", post_text.strip())):
+    pre, post = pre_text.strip(), post_text.strip()
+    for col, text_value in (("pre", pre), ("post", post)):
         if text_value not in ("0", "1"):
             raise ParseError(row_number, f"{col} must be 0 or 1, got {text_value!r}")
-        outcomes.append(int(text_value))
-    return code, *outcomes
+    return int(pre), int(post)
 
 
 def load_paired_survey(source: str | bytes | os.PathLike) -> PairedSurvey:
     """Parse a `participant,item,pre,post` CSV path or bytes of paired binary outcomes.
 
     Each (participant, item) pair may appear once; a repeat is a row error.
+    Each chunk's labels are coded (``label_codes``) and its pairs looked up
+    (``first_rows.setdefault``) once, before the whole-column checks or the
+    row rules; a pair with an empty label has a negative key, so never a
+    valid pair's, and its row fails on the empty label first.
     """
     header, chunks = read_csv(source)
     expected = ["participant", "item", "pre", "post"]
@@ -294,26 +289,25 @@ def load_paired_survey(source: str | bytes | os.PathLike) -> PairedSurvey:
     item_codes: dict[str, int] = {}  # item label -> code, in order of first row
     code_of_participant_text: dict[str, int] = {}
     code_of_item_text: dict[str, int] = {}
-    first_rows: dict[int, int] = {}  # pair key (see _survey_row) -> row number
+    first_rows: dict[int, int] = {}  # pair key, participant code << 32 | item code -> its first row
 
     def columns(chunk: tuple[Sequence[int], list[list[str]]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """A chunk's participant codes and pre and post outcomes (int8); adds its codes and pairs."""
         row_numbers, texts = chunk
         participant_texts, item_texts, pre_texts, post_texts = (texts[k] for k in positions)
         codes = label_codes(participant_texts, code_of_participant_text, code_of)
-        items = None if codes is None else label_codes(item_texts, code_of_item_text, item_codes)
-        pre = None if items is None else zero_one_column(pre_texts)
+        items = label_codes(item_texts, code_of_item_text, item_codes)
+        keys = (codes.astype(np.int64) << 32 | items).tolist()
+        firsts = list(map(first_rows.setdefault, keys, row_numbers))
+        pre = zero_one_column(pre_texts)
         post = None if pre is None else zero_one_column(post_texts)
-        if post is not None:
-            keys = (codes.astype(np.int64) << 32 | items).tolist()
-            if len(set(keys)) == len(keys) and first_rows.keys().isdisjoint(keys):
-                first_rows.update(zip(keys, row_numbers))
-                return codes, pre, post
+        if post is not None and not ((codes < 0).any() or (items < 0).any()) and firsts == list(row_numbers):
+            return codes, pre, post
         # A check failed: the row rules raise the chunk's first error, or on
         # a false alarm give the same values.
-        row_rules = functools.partial(_survey_row, code_of, item_codes, first_rows)
-        codes, pre, post = zip(*map(row_rules, row_numbers, participant_texts, item_texts, pre_texts, post_texts))
-        return np.array(codes, dtype=np.intp), np.array(pre, dtype=np.int8), np.array(post, dtype=np.int8)
+        labels = codes.tolist(), items.tolist(), participant_texts, item_texts
+        pre, post = zip(*map(_survey_row, row_numbers, firsts, *labels, pre_texts, post_texts))
+        return codes, np.array(pre, dtype=np.int8), np.array(post, dtype=np.int8)
 
     # map() drops each chunk before the next is read.
     parts = list(map(columns, chunks))

@@ -446,7 +446,7 @@ def test_labels_keep_their_codes_between_the_row_rules_and_the_whole_columns(mon
     row_rules = studystats._survey_row
 
     def spy(*args):
-        row_numbers.append(args[3])
+        row_numbers.append(args[0])
         return row_rules(*args)
 
     monkeypatch.setattr(studystats, "_survey_row", spy)
