@@ -38,6 +38,7 @@ _LOG_SCALE_LIMIT = 50.0
 _SCALE_RANGE = f"exp(-{_LOG_SCALE_LIMIT:g})..exp({_LOG_SCALE_LIMIT:g})"
 _OPEN_BOUND = math.nextafter(SHAPE_BOUND, 0.0)  # largest |shape| inside the box
 _SCAN_POINTS = 32
+_SCAN_ELEMENTS = 1 << 16  # elements (512 KiB of float64) per block of scan rows
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # Brent's golden-section step, 1 - 1/phi
 _S_TOL = 1e-10
 
@@ -120,7 +121,9 @@ class _Profile:
 
     def scan(self) -> tuple[np.ndarray, list[float]]:
         """The _SCAN_POINTS points of the coarse scan and the log
-        likelihood at each, evaluated as one (_SCAN_POINTS, m) array.
+        likelihood at each, evaluated as (rows, m) arrays of about
+        _SCAN_ELEMENTS elements, at least one row, so the memory a scan
+        takes stays bounded however long the tail.
 
         Below s_lo the profile rises (its slope in t = theta * max x is at
         least g / (1 + t) - k / |t|); past theta_hi the shape is clipped, or
@@ -133,14 +136,20 @@ class _Profile:
             t_hi *= 2.0
         points = np.linspace(s_lo, math.log1p(t_hi), _SCAN_POINTS)
         thetas = [math.expm1(s) / self.top for s in points]
-        # Row sums of the array are bitwise the per-point sums; one
-        # rows @ status is not, so each row gets its own dot product.
-        rows = np.array(thetas)[:, None] * self.excess
-        np.log1p(rows, out=rows)
-        totals = np.add.reduce(rows, axis=1).tolist()
-        return points, [
-            self._at(theta, total, float(self.status @ row))[0] for theta, total, row in zip(thetas, totals, rows)
-        ]
+        block = max(1, _SCAN_ELEMENTS // self.excess.size)
+        values = []
+        for start in range(0, _SCAN_POINTS, block):
+            block_thetas = thetas[start : start + block]
+            # Row sums of the array are bitwise the per-point sums; one
+            # rows @ status is not, so each row gets its own dot product.
+            rows = np.array(block_thetas)[:, None] * self.excess
+            np.log1p(rows, out=rows)
+            totals = np.add.reduce(rows, axis=1).tolist()
+            values += [
+                self._at(theta, total, float(self.status @ row))[0]
+                for theta, total, row in zip(block_thetas, totals, rows)
+            ]
+        return points, values
 
 
 def _brent_max(f, a: float, b: float, c: float, fb: float) -> tuple[float, float]:

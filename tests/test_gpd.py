@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -221,14 +222,33 @@ def censored_tails(draw):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(tail=censored_tails())
-@example(tail=_censored_tail(*TWO_MODES))
-@example(tail=_censored_tail(*LOWER_SHAPE_BOUND))
-def test_array_scan_matches_the_per_point_profile(tail):
+@given(tail=censored_tails(), block_rows=st.sampled_from([None, 1, 5]))
+@example(tail=_censored_tail(*TWO_MODES), block_rows=None)
+@example(tail=_censored_tail(*LOWER_SHAPE_BOUND), block_rows=5)
+def test_array_scan_matches_the_per_point_profile(tail, block_rows):
+    # a tail this short is scanned in one block unless the budget is cut to
+    # one row per block, or to five, which leaves a last block of two rows
     excess, status = gpd._tail_sample(*tail)
     profile = gpd._Profile(excess, status, float(np.sum(status)))
-    points, values = profile.scan()
+    with pytest.MonkeyPatch.context() as patch:
+        if block_rows is not None:
+            patch.setattr(gpd, "_SCAN_ELEMENTS", block_rows * excess.size)
+        points, values = profile.scan()
     assert np.array_equal(values, [profile(s)[0] for s in points])
+
+
+def test_a_long_tail_fit_peaks_below_16_mib():
+    # the scan holds one block of rows at a time; as one (32, m) array it
+    # made this fit peak at 50.4 MiB
+    excess = np.random.default_rng(31).pareto(4.0, 200_000)
+    status = np.ones(excess.size)
+    tracemalloc.start()
+    try:
+        fit_gpd(excess, status)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("name", ["two_groups.csv", "tail_ties.csv"])
