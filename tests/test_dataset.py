@@ -274,6 +274,15 @@ def test_zero_one_column_reads_only_single_digit_texts(texts, values):
         assert column.dtype == np.int8 and column.tolist() == values
 
 
+def test_label_codes_give_an_empty_text_minus_one_and_cache_it():
+    code_of_text, codes = {}, {}
+    assert dataset.label_codes(["B", " ", "A", "", "B"], code_of_text, codes).tolist() == [0, -1, 1, -1, 0]
+    # the codes of later chunks continue from the labels, not the texts, so far
+    assert dataset.label_codes(["\tA", "C", " ", "A "], code_of_text, codes).tolist() == [1, 2, -1, 1]
+    assert code_of_text == {"B": 0, " ": -1, "A": 1, "": -1, "\tA": 1, "C": 2, "A ": 1}
+    assert codes == {"B": 0, "A": 1, "C": 2}
+
+
 @pytest.mark.parametrize("quote", ["", '"'])
 def test_an_empty_status_is_an_error_when_the_texts_join_to_one_byte_a_row(quote):
     with pytest.raises(ParseError) as info:

@@ -358,31 +358,46 @@ HEADERS = ["participant,item,pre,post"] * 8 + ["post,pre,item,participant", "who
 @st.composite
 def survey_csvs(draw, quoted: bool) -> bytes:
     """A header, then (participant, item) rows with ragged items per
-    participant and the odd blank line, in drawn order. One survey in
-    six repeats a pair (also as a case or padding variant that the
-    loader's strip makes equal), one in six has an empty or blank item
-    label, one in six holds bad 0/1 tokens, one in six padded ones.
-    Quoted surveys are written by the csv module, with ids it must
-    quote; quote-free ones join each row's fields with commas."""
+    participant and the odd blank line, in drawn order. A survey has up
+    to two of five flaws: a repeated pair (also as a case or padding
+    variant that the loader's strip makes equal), a row whose participant
+    id, item label or both are empty or blank, ids and items that may hold
+    a NUL byte, a bad 0/1 token, and padded tokens. Half the time the bad
+    token sits on the row of another flaw, so the order of the rules
+    within a row shows. Quoted surveys are written by the csv module, with
+    ids it must quote; quote-free ones join each row's fields with commas."""
     header = draw(st.sampled_from(HEADERS))
-    flaw = draw(st.sampled_from(["none", "none", "repeat", "empty", "token", "padded"]))
-    ids = IDS if quoted else QUOTE_FREE_IDS
-    pair = st.tuples(st.sampled_from(ids), st.sampled_from(ITEMS))
+    flaw = st.sampled_from(["none", "repeat", "empty", "nul", "token", "padded"])
+    flaws = {draw(flaw), draw(flaw)}
+    ids = [i for i in (IDS if quoted else QUOTE_FREE_IDS) if "nul" in flaws or "\x00" not in i]
+    items = [i for i in ITEMS if "nul" in flaws or "\x00" not in i]
+    pair = st.tuples(st.sampled_from(ids), st.sampled_from(items))
     keys = draw(st.lists(pair, max_size=40, unique_by=lambda k: (k[0].strip(), k[1].strip())))
-    if keys and flaw == "repeat":
+    flawed = []  # the rows inserted for a flaw
+    if keys and "repeat" in flaws:
         participant, item = draw(st.sampled_from(keys))
-        keys.insert(draw(st.integers(0, len(keys))), (draw(st.sampled_from([participant, f" {participant}"])), item))
-    if flaw == "empty":
-        blank = draw(st.sampled_from(["", " ", "\t"]))
-        keys.insert(draw(st.integers(0, len(keys))), (draw(st.sampled_from(ids)), blank))
-    outcome = st.sampled_from(
-        ["0", "1"] * 8 + BAD_OUTCOMES * (flaw == "token") + PADDED_OUTCOMES * (flaw == "padded")
-    )
+        flawed.append((draw(st.sampled_from([participant, f" {participant}"])), item))
+        keys.insert(draw(st.integers(0, len(keys))), flawed[-1])
+    if "empty" in flaws:
+        blank = st.sampled_from(["", " ", "\t"])
+        empty = st.one_of(
+            st.tuples(st.sampled_from(ids), blank), st.tuples(blank, st.sampled_from(items)), st.tuples(blank, blank)
+        )
+        flawed.append(draw(empty))
+        keys.insert(draw(st.integers(0, len(keys))), flawed[-1])
+    outcome = st.sampled_from(["0", "1"] * 8 + PADDED_OUTCOMES * ("padded" in flaws))
+    rows = [[participant, item, draw(outcome), draw(outcome)] for participant, item in keys]
+    if rows and "token" in flaws:
+        if flawed and draw(st.booleans()):
+            target = draw(st.sampled_from(flawed))
+            at = next(k for k, key in enumerate(keys) if key is target)
+        else:
+            at = draw(st.integers(0, len(rows) - 1))
+        rows[at][draw(st.sampled_from([2, 3]))] = draw(st.sampled_from(BAD_OUTCOMES))
     out = io.StringIO()
     out.write(header + "\n")
     writer = csv.writer(out, lineterminator="\n")
-    for participant, item in keys:
-        row = [participant, item, draw(outcome), draw(outcome)]
+    for row in rows:
         if quoted:
             writer.writerow(row)
         else:
