@@ -218,8 +218,8 @@ def fit_gpd(excess, status, threshold: float = 0.0) -> GpdFit:
 
     ``excess`` and ``status`` are as for ``gpd_log_likelihood``. A scan of
     theta over (-1/max x, theta_hi], theta_hi doubled from 1/max x until the
-    shape reaches its bound, evaluates the profile at all its points in one
-    array; Brent's method refines each local maximum of the scan and the
+    shape reaches its bound, evaluates the profile at its points in row
+    blocks of bounded size; Brent's method refines each local maximum of the scan and the
     best one is the fit. ``converged`` (the search bracket met its
     tolerance) is always True.
     """

@@ -362,9 +362,11 @@ def survey_csvs(draw, quoted: bool) -> bytes:
     to two of five flaws: a repeated pair (also as a case or padding
     variant that the loader's strip makes equal), a row whose participant
     id, item label or both are empty or blank, ids and items that may hold
-    a NUL byte, a bad 0/1 token, and padded tokens. Half the time the bad
-    token sits on the row of another flaw, so the order of the rules
-    within a row shows. Quoted surveys are written by the csv module, with
+    a NUL byte, bad 0/1 tokens, and padded tokens. Bad tokens are drawn
+    for any pre or post cell, so a row may have both bad and several
+    chunks may hold one; on top of that, one bad token is placed, half
+    the time on the row of another flaw, so the order of the rules within
+    a row shows. Quoted surveys are written by the csv module, with
     ids it must quote; quote-free ones join each row's fields with commas."""
     header = draw(st.sampled_from(HEADERS))
     flaw = st.sampled_from(["none", "repeat", "empty", "nul", "token", "padded"])
@@ -385,7 +387,9 @@ def survey_csvs(draw, quoted: bool) -> bytes:
         )
         flawed.append(draw(empty))
         keys.insert(draw(st.integers(0, len(keys))), flawed[-1])
-    outcome = st.sampled_from(["0", "1"] * 8 + PADDED_OUTCOMES * ("padded" in flaws))
+    outcome = st.sampled_from(
+        ["0", "1"] * 8 + BAD_OUTCOMES * ("token" in flaws) + PADDED_OUTCOMES * ("padded" in flaws)
+    )
     rows = [[participant, item, draw(outcome), draw(outcome)] for participant, item in keys]
     if rows and "token" in flaws:
         if flawed and draw(st.booleans()):
