@@ -9,7 +9,6 @@ deterministic SVG plots and CSV exports.
 
 from .compare import (
     ComparisonCurve,
-    Envelope,
     mrl_difference,
     permutation_envelope,
     survival_difference,
@@ -40,7 +39,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BootstrapCi",
     "ComparisonCurve",
-    "Envelope",
     "EstimationError",
     "GpdFit",
     "KmCurve",

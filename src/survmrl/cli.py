@@ -18,7 +18,6 @@ prints one stderr line and exits 1.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import errno
 import functools
 import math
@@ -327,16 +326,15 @@ def _run_survival_comparison(args: argparse.Namespace, outputs: _StagedOutputs) 
         build, label, reference = compare.survival_difference, "survival difference", 0.0
     curve = build(curve_a, curve_b, grid=args.grid)
     if args.replicates > 0:
-        envelope = compare.permutation_envelope(
+        curve = compare.permutation_envelope(
             samples[group_a],
             samples[group_b],
             f"surv_{args.command}",
             n_permutations=args.replicates,
             seed=args.seed,
-            grid=curve.grid,
+            curve=curve,
             band_quantiles=args.band,
         )
-        curve = dataclasses.replace(curve, lower=envelope.lower, upper=envelope.upper)
     title = f"{label} ({group_a} vs {group_b})"
     _plot(args, outputs, title, label, {f"{group_a}-{group_b}": curve}, reference)
     return (

@@ -6,7 +6,8 @@ positive), and the difference of hybrid MRL estimates. Reference bands
 come from relabeling the pooled subjects: each of B replicates permutes
 group membership (sizes preserved), recomputes the comparison on the
 fixed grid, and the band is the pointwise quantile span of the replicate
-values. Replicate b draws from a stream derived from (seed, b), so the
+values; ``permutation_envelope`` returns the comparison curve with that
+band. Replicate b draws from a stream derived from (seed, b), so the
 envelope does not depend on evaluation order. The pooled subjects are
 binned against the pooled event times once; a replicate only counts its
 group A's subjects per bin. The band sorts a block of grid columns at a
@@ -18,7 +19,7 @@ indices from the same replicate streams, a block of replicates at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -32,48 +33,29 @@ from .mrl import MrlCurve, evaluate_mrl
 @dataclass(frozen=True, eq=False)
 class ComparisonCurve:
     """Comparison values on a grid and maybe a band, one ``lower``/``upper``
-    pair per grid point: read-only float arrays, the band empty if none."""
+    pair per grid point: read-only float arrays, the band empty if none.
+    A permutation band also counts, per point, how many of its
+    ``n_permutations`` replicates were finite (``defined_counts``, int64;
+    a ratio's can drop below B where a permuted denominator hits zero)."""
 
     grid: np.ndarray
     values: np.ndarray
     lower: np.ndarray = ()
     upper: np.ndarray = ()
+    defined_counts: np.ndarray = ()
+    n_permutations: int = 0
 
     __eq__ = fields_equal
 
     def __post_init__(self):
         freeze_columns(self, grid=float, values=float)
         freeze_columns(self, lower=float, upper=float)
-        if self.lower.size not in (0, self.grid.size):
+        freeze_columns(self, defined_counts=np.int64)
+        if self.lower.size not in (0, self.grid.size) or self.defined_counts.size not in (0, self.lower.size):
             raise ValueError("a band needs one lower and one upper value per grid point")
 
 
-@dataclass(frozen=True, eq=False)
-class Envelope:
-    """Pointwise reference band from B seeded label permutations.
-
-    The columns are read-only arrays. ``defined_counts[i]`` is how many
-    replicates produced a finite value at grid point i; for ratio
-    envelopes it can drop below B when a permuted denominator curve hits
-    zero early.
-    """
-
-    grid: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    n_permutations: int
-    seed: int
-    band_quantiles: tuple[float, float]
-    kind: str
-    defined_counts: np.ndarray
-
-    __eq__ = fields_equal
-
-    def __post_init__(self):
-        freeze_columns(self, grid=float, lower=float, upper=float, defined_counts=np.int64)
-
-
-def _grid(grid, curve_a: KmCurve | None = None, curve_b: KmCurve | None = None) -> np.ndarray:
+def _grid(grid, curve_a: KmCurve, curve_b: KmCurve) -> np.ndarray:
     """``grid`` sorted, or both curves' event times up to the shorter
     follow-up; an empty window is an error for every comparison."""
     if grid is not None:
@@ -395,15 +377,17 @@ def permutation_envelope(
     kind: str,
     n_permutations: int,
     seed: int,
-    grid: tuple[float, ...] | list[float] | None = None,
+    curve: ComparisonCurve | None = None,
     band_quantiles: tuple[float, float] = (0.025, 0.975),
-) -> Envelope:
-    """Pointwise permutation reference band for a two-group comparison.
+) -> ComparisonCurve:
+    """``curve`` with its pointwise permutation reference band.
 
-    The grid defaults to the one the observed comparison curve uses, so
-    band and curve line up. Ratio replicates whose denominator hits zero
-    at a grid point are excluded from that point's quantiles; the
-    per-point count of defined replicates is reported.
+    The band is computed on ``curve.grid`` as given. Without a curve,
+    the samples' own comparison of ``kind`` is banded: the survival
+    difference or ratio of their KM fits. Ratio replicates whose
+    denominator hits zero at a grid point are excluded from that point's
+    quantiles; the returned curve's ``defined_counts`` reports the
+    per-point count of defined replicates.
     """
     if kind not in ("surv_diff", "surv_ratio"):
         raise EstimationError(f"no envelope defined for kind {kind!r}")
@@ -414,24 +398,13 @@ def permutation_envelope(
     if not (0.0 <= band_quantiles[0] < band_quantiles[1] <= 1.0):
         raise EstimationError(f"invalid band quantiles {band_quantiles!r}")
 
-    if grid is None:
+    if curve is None:
         base = survival_difference if kind == "surv_diff" else survival_ratio
-        grid_arr = base(km_fit(sample_a), km_fit(sample_b)).grid
-    else:
-        grid_arr = _grid(grid)
+        curve = base(km_fit(sample_a), km_fit(sample_b))
 
-    pool = _pool(sample_a, sample_b, grid_arr)
-    replicates = np.empty((n_permutations, grid_arr.size))
+    pool = _pool(sample_a, sample_b, curve.grid)
+    replicates = np.empty((n_permutations, curve.grid.size))
     for b, rng in enumerate(replicate_streams(seed, range(n_permutations))):
         replicates[b] = _relabelled_values(pool, kind, rng)
     lower, upper, counts = _band(replicates, band_quantiles)
-    return Envelope(
-        grid=grid_arr,
-        lower=lower,
-        upper=upper,
-        n_permutations=n_permutations,
-        seed=seed,
-        band_quantiles=(float(band_quantiles[0]), float(band_quantiles[1])),
-        kind=kind,
-        defined_counts=counts,
-    )
+    return replace(curve, lower=lower, upper=upper, defined_counts=counts, n_permutations=n_permutations)

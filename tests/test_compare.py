@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from survmrl import (
+    ComparisonCurve,
     EstimationError,
     SurvivalSample,
     SurvmrlError,
@@ -20,6 +21,7 @@ from survmrl import (
 )
 from survmrl import compare
 from survmrl.compare import _band, _pool, _relabelled_values, bootstrap_indices, replicate_streams
+from survmrl.km import sorted_grid
 from km_reference import product_limit
 
 
@@ -75,9 +77,15 @@ def reference_envelope(sample_a, sample_b, kind, n_permutations, seed, grid, ban
     return reference_band(replicates, band_quantiles)
 
 
-def assert_matches_reference(a, b, kind, n_permutations, seed, grid, band_quantiles):
+def on_grid(grid):
+    """A comparison curve on ``grid``'s distinct points, for an envelope to band."""
+    grid = sorted_grid(grid)
+    return ComparisonCurve(grid=grid, values=np.zeros(grid.size))
+
+
+def assert_matches_reference(a, b, kind, n_permutations, seed, curve, band_quantiles):
     env = permutation_envelope(
-        a, b, kind, n_permutations=n_permutations, seed=seed, grid=grid, band_quantiles=band_quantiles
+        a, b, kind, n_permutations=n_permutations, seed=seed, curve=curve, band_quantiles=band_quantiles
     )
     lower, upper, counts = reference_envelope(
         a, b, kind, n_permutations, seed, np.array(env.grid), band_quantiles
@@ -85,6 +93,9 @@ def assert_matches_reference(a, b, kind, n_permutations, seed, grid, band_quanti
     assert np.array(env.lower).tobytes() == lower.tobytes()
     assert np.array(env.upper).tobytes() == upper.tobytes()
     assert np.array_equal(env.defined_counts, counts)
+    assert env.n_permutations == n_permutations
+    if curve is not None:
+        assert env.grid.tobytes() == curve.grid.tobytes() and env.values.tobytes() == curve.values.tobytes()
     return env
 
 
@@ -279,7 +290,6 @@ class TestPermutationEnvelope:
         env = permutation_envelope(a, b, "surv_ratio", n_permutations=300, seed=2)
         assert env.defined_counts[-1] < 300
         assert min(env.defined_counts) >= 0
-        assert env.kind == "surv_ratio"
 
     def test_observed_curve_mostly_inside_under_null(self):
         a, b = exponential_sample(20), exponential_sample(21)
@@ -299,7 +309,7 @@ class TestPermutationEnvelope:
         a = SurvivalSample(np.round(rng.exponential(1.0, 300), 2), np.ones(300, dtype=int))
         b = SurvivalSample(np.round(rng.exponential(1.5, 250), 2), rng.random(250) < 0.7)
         grid = np.linspace(0.0, 1.2 * max(a.times[-1], b.times[-1]), 700)
-        env = assert_matches_reference(a, b, kind, 40, 17, grid, (0.05, 0.9))
+        env = assert_matches_reference(a, b, kind, 40, 17, on_grid(grid), (0.05, 0.9))
         if kind == "surv_ratio":
             assert env.defined_counts[-1] < 40 and len(set(env.defined_counts)) > 3
 
@@ -311,8 +321,8 @@ class TestPermutationEnvelope:
         grid = (0.0, 1.0, 2.5, 4.0, 5.0, 9.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            diff = permutation_envelope(a, b, "surv_diff", n_permutations=30, seed=4, grid=grid)
-            ratio = permutation_envelope(a, b, "surv_ratio", n_permutations=30, seed=4, grid=grid)
+            diff = permutation_envelope(a, b, "surv_diff", n_permutations=30, seed=4, curve=on_grid(grid))
+            ratio = permutation_envelope(a, b, "surv_ratio", n_permutations=30, seed=4, curve=on_grid(grid))
         assert np.array_equal(diff.defined_counts, [30] * len(grid))
         assert ratio.defined_counts[-1] == 0
         assert np.isnan(ratio.lower[-1]) and np.isnan(ratio.upper[-1])
@@ -325,7 +335,8 @@ TIES = [0.0, 0.5, 1.0, 1.0, 2.0, 3.0, 3.0, 4.5, 7.0]
 @st.composite
 def envelope_cases(draw):
     """Two small samples (tie-heavy or continuous times, sometimes every
-    subject an event), a kind, B, a seed, band quantiles and a grid."""
+    subject an event), a kind, B, a seed, band quantiles and maybe a curve
+    on a drawn grid."""
     time = st.sampled_from(TIES) if draw(st.booleans()) else st.floats(0.0, 10.0)
 
     def sample(n):
@@ -347,7 +358,7 @@ def envelope_cases(draw):
         kind=draw(st.sampled_from(["surv_diff", "surv_ratio"])),
         n_permutations=draw(st.integers(1, 60)),
         seed=draw(st.integers(0, 2**63)),
-        grid=grid,
+        curve=None if grid is None else on_grid(grid),
         band_quantiles=(lo, hi),
     )
 
@@ -355,7 +366,7 @@ def envelope_cases(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(case=envelope_cases())
 def test_envelope_matches_reference_bitwise(case):
-    if case["grid"] is None:
+    if case["curve"] is None:
         base = survival_difference if case["kind"] == "surv_diff" else survival_ratio
         try:
             base(km_fit(case["a"]), km_fit(case["b"]))

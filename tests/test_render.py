@@ -15,7 +15,6 @@ from hypothesis import example, given, settings, strategies as st
 import render_reference as reference
 from survmrl import (
     ComparisonCurve,
-    Envelope,
     PlotSeries,
     PlotSpec,
     StepFunction,
@@ -120,9 +119,7 @@ class TestRenderSvg:
         a = make_sample([(float(t), 1) for t in range(1, 40)])
         b = make_sample([(float(t) + 0.5, 1) for t in range(1, 40)])
         curve = survival_difference(km_fit(a), km_fit(b))
-        env = permutation_envelope(
-            a, b, "surv_diff", n_permutations=50, seed=3, grid=curve.grid
-        )
+        env = permutation_envelope(a, b, "surv_diff", n_permutations=50, seed=3, curve=curve)
         series = PlotSeries(label="d", grid=curve.grid, values=curve.values, lower=env.lower, upper=env.upper)
         spec = PlotSpec(title="d", y_label="d", series=(series,), reference_line=0.0)
         svg = render_plot_svg(spec).decode()
@@ -133,9 +130,8 @@ class TestRenderSvg:
         a = make_sample([(float(t), 1) for t in range(1, 40)])
         b = make_sample([(float(t) + 0.5, 1) for t in range(1, 40)])
         curve = survival_difference(km_fit(a), km_fit(b))
-        env = permutation_envelope(
-            a, b, "surv_diff", n_permutations=20, seed=3, grid=curve.grid[:-2]
-        )
+        shorter = ComparisonCurve(grid=curve.grid[:-2], values=curve.values[:-2])
+        env = permutation_envelope(a, b, "surv_diff", n_permutations=20, seed=3, curve=shorter)
         with pytest.raises(ValueError, match="^a band needs one lower and one upper value per grid point$"):
             PlotSeries(label="d", grid=curve.grid, values=curve.values, lower=env.lower, upper=env.upper)
 
@@ -282,10 +278,8 @@ class TestExportCsv:
         a = make_sample([(float(t), 1) for t in range(1, 30)])
         b = make_sample([(float(t) + 0.3, 1) for t in range(1, 30)])
         curve = survival_difference(km_fit(a), km_fit(b))
-        env = permutation_envelope(
-            a, b, "surv_diff", n_permutations=30, seed=1, grid=curve.grid
-        )
-        data = export_curve_csv(dataclasses.replace(curve, lower=env.lower, upper=env.upper)).decode()
+        banded = permutation_envelope(a, b, "surv_diff", n_permutations=30, seed=1, curve=curve)
+        data = export_curve_csv(banded).decode()
         header = data.split("\n", 1)[0]
         assert header == "t,value,lower,upper"
 
@@ -294,9 +288,8 @@ class TestExportCsv:
         a = make_sample([(float(t), 1) for t in range(1, 30)])
         b = make_sample([(float(t) + 0.3, 1) for t in range(1, 30)])
         curve = survival_difference(km_fit(a), km_fit(b))
-        env = permutation_envelope(
-            a, b, "surv_diff", n_permutations=30, seed=1, grid=curve.grid[:-1]
-        )
+        shorter = ComparisonCurve(grid=curve.grid[:-1], values=curve.values[:-1])
+        env = permutation_envelope(a, b, "surv_diff", n_permutations=30, seed=1, curve=shorter)
         with pytest.raises(ValueError, match="^a band needs one lower and one upper value per grid point$"):
             dataclasses.replace(curve, lower=env.lower, upper=env.upper)
 
@@ -317,21 +310,19 @@ def csv_curves():
     mrl = fit_hybrid_mrl(make_sample([(float(t), 1) for t in np.random.default_rng(0).exponential(2.0, 300)]))
     ties = load_dataset(TAIL_TIES)
     diff = survival_difference(km_fit(ties["A"]), km_fit(ties["B"]))
-    diff_env = permutation_envelope(ties["A"], ties["B"], "surv_diff", n_permutations=50, seed=1, grid=diff.grid)
-    diff = dataclasses.replace(diff, lower=diff_env.lower, upper=diff_env.upper)
+    diff = permutation_envelope(ties["A"], ties["B"], "surv_diff", n_permutations=50, seed=1, curve=diff)
     # On a grid past both groups' follow-up every permuted denominator
     # reaches zero, so the ratio band is NaN from t = 6, as is the ratio.
     zero = load_dataset(RATIO_ZERO)
     grid = np.arange(1.0, 10.0)
     s_a, s_b = (step_eval(km_fit(zero[g]).survival, grid) for g in "AB")
     ratio = ComparisonCurve(grid, np.divide(s_a, s_b, out=np.full_like(s_a, np.nan), where=s_b != 0.0))
-    ratio_env = permutation_envelope(zero["A"], zero["B"], "surv_ratio", n_permutations=300, seed=2, grid=grid)
-    ratio = dataclasses.replace(ratio, lower=ratio_env.lower, upper=ratio_env.upper)
+    ratio = permutation_envelope(zero["A"], zero["B"], "surv_ratio", n_permutations=300, seed=2, curve=ratio)
     return {
         "km": (km, (km.survival.knots, km.survival.values)),
         "mrl": (mrl, (mrl.grid, mrl.values, mrl.km_component, mrl.tail_component)),
-        "diff": (diff, (diff.grid, diff.values, diff_env.lower, diff_env.upper)),
-        "ratio": (ratio, (ratio.grid, ratio.values, ratio_env.lower, ratio_env.upper)),
+        "diff": (diff, (diff.grid, diff.values, diff.lower, diff.upper)),
+        "ratio": (ratio, (ratio.grid, ratio.values, ratio.lower, ratio.upper)),
     }
 
 
@@ -633,10 +624,10 @@ def test_curve_columns_are_read_only_float64_or_int64_arrays():
             fit_hybrid_mrl(a),
             {"grid": floats, "values": floats, "km_component": floats, "tail_component": floats},
         ),
-        (comparison, {"grid": floats, "values": floats, "lower": floats, "upper": floats}),
+        (comparison, {"grid": floats, "values": floats, "lower": floats, "upper": floats, "defined_counts": counts}),
         (
-            permutation_envelope(a, b, "surv_diff", n_permutations=5, seed=1, grid=comparison.grid),
-            {"grid": floats, "lower": floats, "upper": floats, "defined_counts": counts},
+            permutation_envelope(a, b, "surv_diff", n_permutations=5, seed=1, curve=comparison),
+            {"grid": floats, "values": floats, "lower": floats, "upper": floats, "defined_counts": counts},
         ),
         (PlotSeries("g", step=km.survival), dict.fromkeys(["grid", "values", "censor_times", "lower", "upper"], floats)),
         (
