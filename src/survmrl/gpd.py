@@ -13,10 +13,11 @@ For |shape| below a small cutoff both collapse to the exponential limit.
 The fit maximises the profile likelihood over theta = shape / sigma
 (Grimshaw 1993; Coles 2001, section 4.3): at each theta the best shape is
 sum(log1p(theta * t)) / k over k tail events, clipped into (-0.99, 0.99)
-so the tail mean stays finite. A coarse scan, evaluated as one array,
-brackets every local maximum of the profile, and Brent's parabolic search
-refines each. A fit on the shape's upper bound, or with sigma outside
-exp(-50)..exp(50), is an error.
+so the tail mean stays finite. A coarse scan, evaluated in blocks of rows
+of about _SCAN_ELEMENTS elements (at least one row), brackets every local
+maximum of the profile, and Brent's parabolic search refines each. A fit
+on the shape's upper bound, or with sigma outside exp(-50)..exp(50), is
+an error.
 """
 
 from __future__ import annotations

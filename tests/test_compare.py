@@ -235,6 +235,10 @@ class TestPermutationEnvelope:
         with pytest.raises(EstimationError, match="pooled sample too small"):
             permutation_envelope(a, b, "surv_diff", n_permutations=10, seed=1)
 
+    def test_descending_band_quantiles_rejected(self):
+        with pytest.raises(EstimationError, match=r"^invalid band quantiles \(0\.9, 0\.1\)$"):
+            permutation_envelope(SAMPLE_A, SAMPLE_B, "surv_diff", n_permutations=10, seed=1, band_quantiles=(0.9, 0.1))
+
     def test_mrl_diff_kind_rejected(self):
         a, b = exponential_sample(0), exponential_sample(1)
         with pytest.raises(EstimationError, match="no envelope defined"):
@@ -501,6 +505,11 @@ def test_bootstrap_indices_match_numpy(seed, n, start, length, block_rows):
     assert len(rows) == length
     for b, row in zip(replicates, rows):
         assert np.array_equal(row, numpy_draw(seed, b, n))
+
+
+def test_bootstrap_indices_need_at_least_one_participant():
+    with pytest.raises(ValueError, match=r"^bootstrap draws need 1 <= n <= 2\*\*32, got 0$"):
+        next(bootstrap_indices(1, range(2), 0))
 
 
 def test_bootstrap_indices_redraw_rejected_rows_with_numpy(monkeypatch):

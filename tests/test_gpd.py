@@ -237,6 +237,20 @@ def test_array_scan_matches_the_per_point_profile(tail, block_rows):
     assert np.array_equal(values, [profile(s)[0] for s in points])
 
 
+def test_the_profile_at_theta_zero_is_the_exponential_fit():
+    # s = 0 is theta = 0, where the shape is 0 and the profile takes the
+    # exponential limit's branch; either side of it the general formula
+    # must meet that branch
+    x, status, k = [0.4, 1.9, 0.2, 0.7], [1, 0, 1, 1], 3.0
+    profile = gpd._Profile(np.array(x), np.array(status, dtype=float), k)
+    scale = sum(x) / k
+    at_zero = profile(0.0)
+    assert at_zero == (-k * math.log(scale) - k, 0.0, scale)
+    assert at_zero[0] == gpd_log_likelihood(x, status, 0.0, scale)
+    for s in (1e-9, -1e-9):
+        assert abs(profile(s)[0] - at_zero[0]) < 4e-10
+
+
 def test_a_long_tail_fit_peaks_below_16_mib():
     # the scan holds one block of rows at a time; as one (32, m) array it
     # made this fit peak at 50.4 MiB

@@ -6,6 +6,9 @@ from scipy import integrate
 
 from survmrl import (
     EstimationError,
+    GpdFit,
+    MrlCurve,
+    StepFunction,
     SurvivalSample,
     ThresholdConfig,
     evaluate_mrl,
@@ -145,6 +148,20 @@ class TestFitHybridMrl:
         beyond = curve.threshold * 1.5
         with pytest.raises(EstimationError, match=f"^t={re.escape(repr(beyond))} outside"):
             evaluate_mrl(curve, np.array([0.0, beyond, -1.0]))
+
+    def test_evaluate_where_survival_is_zero_rejected(self):
+        # the survival reaches 0 at t = 1, below the threshold 2
+        curve = MrlCurve(
+            grid=[0.0],
+            values=[1.0],
+            km_component=[0.0],
+            tail_component=[1.0],
+            threshold=2.0,
+            gpd=GpdFit(0.0, 1.0, 2.0, 10, 10, 0.0, True),
+            survival=StepFunction([1.0], [0.0], 1.0),
+        )
+        with pytest.raises(EstimationError, match=r"^MRL undefined at t=1\.5: zero survival$"):
+            evaluate_mrl(curve, 1.5)
 
     def test_km_component_bounded_by_window_length(self):
         for seed in range(20):

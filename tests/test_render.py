@@ -197,6 +197,11 @@ class TestRenderSvg:
         ticks = [node.text for node in root.iter() if node.tag.endswith("text") and node.get("text-anchor") == "end"]
         assert ticks == ["-4.94066e-324"]
 
+    def test_a_range_a_few_ulps_wide_draws_one_tick(self):
+        # the tick step, 0.5, is below half an ulp of 1e16 (2.0), so t + step
+        # == t: without its break the tick loop never ends
+        assert render._nice_ticks(1e16, 1e16 + 2.0) == [1e16]
+
 
 def censor_ticks(svg: bytes) -> list[ET.Element]:
     """The censor-tick ``<line>`` elements, in document order."""

@@ -91,6 +91,10 @@ class TestMcnemar:
                 assert p1 == p2
                 assert 0.0 < p1 <= 1.0
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="^pair counts must be >= 0$"):
+            PairedBinary(-1, 0)
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             mcnemar_test(PairedBinary(1, 2), method="bayes")
@@ -242,6 +246,10 @@ class TestBootstrap:
     def test_shared_draw_rejects_a_bad_vector(self, vectors):
         with pytest.raises(EstimationError, match="^score vectors must be 1-D, non-empty, finite and of one length"):
             bootstrap_proportion_cis(vectors, n_replicates=10, seed=1)
+
+    def test_equal_quantiles_rejected(self):
+        with pytest.raises(EstimationError, match=r"^invalid bootstrap quantiles \(0\.5, 0\.5\)$"):
+            bootstrap_proportion_cis((np.ones(4),), n_replicates=10, seed=1, quantiles=(0.5, 0.5))
 
     def test_shared_draw_needs_a_vector(self):
         with pytest.raises(EstimationError, match="at least one score vector"):
