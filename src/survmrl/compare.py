@@ -24,9 +24,9 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .dataset import SurvivalSample, fields_equal, freeze_columns
+from .dataset import SurvivalSample, fields_equal, freeze_columns, order_keys
 from .errors import EstimationError, SurvmrlError
-from .km import KmCurve, event_bins, km_fit, risk_counts, sorted_grid, step_eval, survival_levels
+from .km import KmCurve, check_grid, event_bins, km_fit, risk_counts, sorted_grid, step_eval, survival_levels
 from .mrl import MrlCurve, evaluate_mrl
 
 
@@ -34,6 +34,7 @@ from .mrl import MrlCurve, evaluate_mrl
 class ComparisonCurve:
     """Comparison values on a grid and maybe a band, one ``lower``/``upper``
     pair per grid point: read-only float arrays, the band empty if none.
+    The grid is finite and strictly increasing, as a ``PlotSeries``' is.
     A permutation band also counts, per point, how many of its
     ``n_permutations`` replicates were finite (``defined_counts``, int64;
     a ratio's can drop below B where a permuted denominator hits zero)."""
@@ -53,6 +54,7 @@ class ComparisonCurve:
         freeze_columns(self, defined_counts=np.int64)
         if self.lower.size not in (0, self.grid.size) or self.defined_counts.size not in (0, self.lower.size):
             raise ValueError("a band needs one lower and one upper value per grid point")
+        check_grid(self.grid)
 
 
 def _grid(grid, curve_a: KmCurve, curve_b: KmCurve) -> np.ndarray:
@@ -127,7 +129,8 @@ _QUANTILE_BLOCK = 256
 
 class _Pool(NamedTuple):
     """Both samples' subjects binned once against the pooled event times
-    (see ``km.event_bins``). Relabelling subjects moves them between
+    (see ``km.event_bins``), ``past`` and ``death_at`` in concatenation
+    order, A's subjects first. Relabelling subjects moves them between
     groups but never changes their bins."""
 
     n_a: int
@@ -139,10 +142,18 @@ class _Pool(NamedTuple):
 
 
 def _pool(sample_a: SurvivalSample, sample_b: SurvivalSample, grid: np.ndarray) -> _Pool:
-    event_times, past, death_at = event_bins(
-        np.concatenate((sample_a.times, sample_b.times)),
-        np.concatenate((sample_a.statuses, sample_b.statuses)) == 1,
-    )
+    """The pool of both samples' subjects, binned in one sorted pass.
+
+    The concatenated subjects are sorted once into ``SurvivalSample``
+    order (by ``order_keys``), binned in that order and scattered back,
+    so a replicate's permutation indexes the same subjects as before.
+    """
+    times = np.concatenate((sample_a.times, sample_b.times))
+    died = np.concatenate((sample_a.statuses, sample_b.statuses)) == 1
+    order = np.argsort(order_keys(times, ~died), kind="stable")
+    event_times, *bins = event_bins(times[order], died[order])
+    past, death_at = np.empty((2, times.size), dtype=np.int64)
+    past[order], death_at[order] = bins
     return _Pool(
         sample_a.n,
         past,

@@ -55,6 +55,16 @@ def fields_equal(a, b) -> bool:
     )
 
 
+def order_keys(times: np.ndarray, censored: np.ndarray) -> np.ndarray:
+    """Packed uint64 keys that ascend in ``SurvivalSample`` order: a time's
+    bits shifted left by one, with the low bit set for a censoring.
+
+    The bits of a finite double >= 0 (not -0.0) ascend with its value, and
+    its sign bit is 0, so the keys sort by time and then events first.
+    """
+    return times.view(np.uint64) << 1 | censored
+
+
 @dataclass(frozen=True, eq=False)
 class SurvivalSample:
     """A non-empty group of subjects as sorted, read-only columns.
@@ -64,11 +74,8 @@ class SurvivalSample:
     estimation. The constructor copies, validates and sorts its inputs,
     and reads a time of -0.0 as 0.0.
 
-    The sort is one ``np.sort`` of packed uint64 keys, a time's bits
-    shifted left by one with the low bit set for a censoring, and both
-    columns are decoded from the sorted keys. The bits of a finite
-    double >= 0 (not -0.0) ascend with its value, and its sign bit is 0,
-    so the keys sort by time and then events first.
+    The sort is one ``np.sort`` of ``order_keys``, and both columns are
+    decoded from the sorted keys.
     """
 
     times: np.ndarray
@@ -85,7 +92,7 @@ class SurvivalSample:
             raise ValueError("times must be finite and >= 0")
         if not np.all((statuses == 0) | (statuses == 1)):
             raise ValueError("statuses must be 0 or 1")
-        keys = np.sort(times.view(np.uint64) << 1 | (statuses == 0))
+        keys = np.sort(order_keys(times, statuses == 0))
         times, statuses = (keys >> 1).view(np.float64), 1 - (keys & 1).astype(np.int64)
         for name, column in (("times", times), ("statuses", statuses)):
             column.setflags(write=False)
@@ -306,17 +313,29 @@ def _survival_columns(time_texts: list[str], status_texts: list[str]) -> tuple[n
     return times, statuses
 
 
-def label_codes(texts: Sequence[str], code_of_text: dict[str, int], codes: dict[str, int]) -> np.ndarray:
-    """Each text's code, that of its stripped label in ``codes``, or -1 for a text that strips to nothing.
+class LabelTable(dict):
+    """Each label text seen so far -> its code, and ``labels``: each
+    stripped label -> its code, in order of first appearance.
 
-    New labels are coded in order of first appearance. ``code_of_text``
-    caches each text's code, -1 included, so each distinct text is stripped once.
+    A text not yet in the table is stripped once, on its first lookup
+    (``__missing__``), and cached with its label's code, or -1 for a text
+    that strips to nothing.
     """
-    for text in dict.fromkeys(texts):
-        if text not in code_of_text:
-            label = text.strip()
-            code_of_text[text] = codes.setdefault(label, len(codes)) if label else -1
-    return np.fromiter(map(code_of_text.__getitem__, texts), np.intp, len(texts))
+
+    def __init__(self):
+        super().__init__()
+        self.labels: dict[str, int] = {}
+
+    def __missing__(self, text: str) -> int:
+        label = text.strip()
+        code = self[text] = self.labels.setdefault(label, len(self.labels)) if label else -1
+        return code
+
+
+def label_codes(texts: Sequence[str], table: LabelTable) -> np.ndarray:
+    """Each text's code in ``table`` (-1 for an empty label), coding new labels
+    as they appear: one dict lookup per text."""
+    return np.fromiter(map(table.__getitem__, texts), np.intp, len(texts))
 
 
 def load_dataset(source: str | bytes | os.PathLike) -> dict[str, SurvivalSample]:
@@ -341,15 +360,14 @@ def load_dataset(source: str | bytes | os.PathLike) -> dict[str, SurvivalSample]
     time_at, status_at = header.index("time"), header.index("status")
     group_at = header.index("group") if "group" in header else None
 
-    code_of_text: dict[str, int] = {}
-    codes: dict[str, int] = {}  # group label -> code, in order of first row
+    groups = LabelTable()  # .labels: group label -> code, in order of first row
 
     def columns(chunk: tuple[Sequence[int], list[list[str]]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """A chunk's times, statuses (int8) and group codes; adds its labels to ``codes``."""
+        """A chunk's times, statuses (int8) and group codes; adds its labels to ``groups``."""
         row_numbers, texts = chunk
         time_texts, status_texts = texts[time_at], texts[status_at]
         group_texts = texts[group_at] if group_at is not None else [DEFAULT_GROUP] * len(time_texts)
-        group_codes = label_codes(group_texts, code_of_text, codes)
+        group_codes = label_codes(group_texts, groups)
         parsed = _survival_columns(time_texts, status_texts)
         if parsed is None or (group_codes < 0).any():
             # A check failed: the row rules raise the chunk's first error, or
@@ -360,7 +378,7 @@ def load_dataset(source: str | bytes | os.PathLike) -> dict[str, SurvivalSample]
 
     # map() drops each chunk before the next is read.
     parts = list(map(columns, chunks))
-    if not codes:
+    if not groups.labels:
         raise SchemaError("empty dataset")
     times, statuses, group_codes = map(np.concatenate, zip(*parts))
     del parts
@@ -368,4 +386,4 @@ def load_dataset(source: str | bytes | os.PathLike) -> dict[str, SurvivalSample]
     order = np.argsort(group_codes, kind="stable")
     bounds = np.cumsum(np.bincount(group_codes))[:-1]
     pieces = zip(np.split(times[order], bounds), np.split(statuses[order], bounds))
-    return {label: SurvivalSample(*piece) for label, piece in zip(codes, pieces)}
+    return {label: SurvivalSample(*piece) for label, piece in zip(groups.labels, pieces)}

@@ -7,8 +7,9 @@ before t_(j) and d_j the events at t_(j). Integrals of step functions are
 computed as exact segment sums, never by quadrature.
 
 ``km_fit`` and the permutation envelope share one product-limit kernel:
-``event_bins`` (binning), ``risk_counts`` (n_j and d_j) and
-``survival_levels`` (the running product).
+``event_bins`` (binning, in one pass over subjects in ``SurvivalSample``
+order), ``risk_counts`` (n_j and d_j) and ``survival_levels`` (the
+running product).
 """
 
 from __future__ import annotations
@@ -69,6 +70,12 @@ class KmCurve:
 def sorted_grid(points) -> np.ndarray:
     """The distinct values of ``points`` in ascending order, -0.0 read as 0.0."""
     return np.unique(np.asarray(points, dtype=float) + 0.0)
+
+
+def check_grid(grid: np.ndarray) -> None:
+    """Raise ValueError unless ``grid`` is finite and strictly increasing."""
+    if not (np.isfinite(grid).all() and (np.diff(grid) > 0.0).all()):
+        raise ValueError("a grid must be finite and strictly increasing")
 
 
 def step_eval(f: StepFunction, t):
@@ -136,10 +143,17 @@ def event_bins(times: np.ndarray, died: np.ndarray) -> tuple[np.ndarray, np.ndar
     Subject i is at risk at event time j exactly when ``past[i] > j``
     (``past`` counts the event times at or before its time) and dies there
     when ``death_at[i] == j``; a censored subject's ``death_at`` is the
-    sentinel bin past the last event time. ``times`` need not be sorted.
+    sentinel bin past the last event time. The subjects must be in
+    ``SurvivalSample`` order: ``times`` ascending, events before
+    censorings at equal times. Then a time's first row is an event
+    exactly when the time is an event time, and one pass bins them all.
     """
-    event_times = np.unique(times[died])
-    past = np.searchsorted(event_times, times, side="right")
+    start = np.empty(times.size, dtype=bool)
+    start[:1] = True
+    np.not_equal(times[1:], times[:-1], out=start[1:])
+    new = died & start
+    past = np.cumsum(new, dtype=np.int64)
+    event_times = times[new]
     return event_times, past, np.where(died, past - 1, event_times.size)
 
 

@@ -39,7 +39,7 @@ import numpy as np
 from .compare import ComparisonCurve
 from .dataset import fields_equal, freeze_columns
 from .errors import SurvmrlError
-from .km import KmCurve, StepFunction, step_eval
+from .km import KmCurve, StepFunction, check_grid, step_eval
 from .mrl import MrlCurve
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -77,8 +77,7 @@ class PlotSeries:
             raise ValueError("censor marks need a step series")
         if self.lower.size not in (0, self.grid.size):
             raise ValueError("a band needs one lower and one upper value per grid point")
-        if not (np.isfinite(self.grid).all() and (np.diff(self.grid) > 0.0).all()):
-            raise ValueError("a grid must be finite and strictly increasing")
+        check_grid(self.grid)
 
 
 @dataclass(frozen=True)

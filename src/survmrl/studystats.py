@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .compare import _band, bootstrap_indices
-from .dataset import fields_equal, freeze_columns, label_codes, read_csv, zero_one_column
+from .dataset import LabelTable, fields_equal, freeze_columns, label_codes, read_csv, zero_one_column
 from .errors import EstimationError, ParseError, SchemaError
 
 EXACT_WILCOXON_LIMIT = 25
@@ -274,9 +274,10 @@ def load_paired_survey(source: str | bytes | os.PathLike) -> PairedSurvey:
     """Parse a `participant,item,pre,post` CSV path or bytes of paired binary outcomes.
 
     Each (participant, item) pair may appear once; a repeat is a row error.
-    Each chunk's labels are coded (``label_codes``) and its pairs looked up
-    (``first_rows.setdefault``) once, before the whole-column checks or the
-    row rules; a pair with an empty label has a negative key, so never a
+    Each chunk's labels are coded with one table lookup per text
+    (``label_codes``, one ``LabelTable`` per column) and its pairs looked
+    up (``first_rows.setdefault``) once, before the whole-column checks or
+    the row rules; a pair with an empty label has a negative key, so never a
     valid pair's, and its row fails on the empty label first.
     """
     header, chunks = read_csv(source)
@@ -285,18 +286,16 @@ def load_paired_survey(source: str | bytes | os.PathLike) -> PairedSurvey:
         raise SchemaError(f"expected columns {','.join(expected)}, got {', '.join(map(repr, header))}")
     positions = [header.index(name) for name in expected]
 
-    code_of: dict[str, int] = {}  # participant id -> code, in order of first row
-    item_codes: dict[str, int] = {}  # item label -> code, in order of first row
-    code_of_participant_text: dict[str, int] = {}
-    code_of_item_text: dict[str, int] = {}
+    # Each table's .labels: participant id (item label) -> code, in order of first row.
+    participant_table, item_table = LabelTable(), LabelTable()
     first_rows: dict[int, int] = {}  # pair key, participant code << 32 | item code -> its first row
 
     def columns(chunk: tuple[Sequence[int], list[list[str]]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """A chunk's participant codes and pre and post outcomes (int8); adds its codes and pairs."""
         row_numbers, texts = chunk
         participant_texts, item_texts, pre_texts, post_texts = (texts[k] for k in positions)
-        codes = label_codes(participant_texts, code_of_participant_text, code_of)
-        items = label_codes(item_texts, code_of_item_text, item_codes)
+        codes = label_codes(participant_texts, participant_table)
+        items = label_codes(item_texts, item_table)
         keys = (codes.astype(np.int64) << 32 | items).tolist()
         firsts = list(map(first_rows.setdefault, keys, row_numbers))
         pre = zero_one_column(pre_texts)
@@ -311,6 +310,7 @@ def load_paired_survey(source: str | bytes | os.PathLike) -> PairedSurvey:
 
     # map() drops each chunk before the next is read.
     parts = list(map(columns, chunks))
+    code_of = participant_table.labels
     if not code_of:
         raise SchemaError("empty dataset")
 
@@ -331,6 +331,6 @@ def load_paired_survey(source: str | bytes | os.PathLike) -> PairedSurvey:
             c=int(np.count_nonzero(pre < post)),
             n_concordant=int(np.count_nonzero(pre == post)),
         ),
-        n_items=len(item_codes),
+        n_items=len(item_table.labels),
         n_pairs=who.size,
     )

@@ -1,9 +1,12 @@
-"""The product-limit recursion that ``km.km_fit`` replaced, kept as the
-independent reference for the one kernel in ``km.py``.
+"""The product-limit recursion that ``km.km_fit`` replaced, and the
+binning that ``km.event_bins`` replaced, kept as independent references
+for the one kernel in ``km.py``.
 
-It groups a time-sorted sample with ``np.unique(return_index=True)`` and
-sums deaths per distinct time with ``np.add.reduceat``; it shares no
-binning or counting code with ``km.event_bins`` and ``km.risk_counts``.
+``product_limit`` groups a time-sorted sample with
+``np.unique(return_index=True)`` and sums deaths per distinct time with
+``np.add.reduceat``; it shares no binning or counting code with
+``km.event_bins`` and ``km.risk_counts``. ``event_bins`` bins subjects in
+any order, by ``np.unique`` and a binary search per subject.
 """
 
 import numpy as np
@@ -25,3 +28,13 @@ def product_limit(times: np.ndarray, statuses: np.ndarray):
     at_risk = n - first_index[has_event]
     surv = np.cumprod((at_risk - deaths) / at_risk)
     return event_times, at_risk, deaths, surv
+
+
+def event_bins(times: np.ndarray, died: np.ndarray):
+    """``(event_times, past, death_at)`` as ``km.event_bins`` defines them,
+    for subjects in any order: the distinct event times by ``np.unique``,
+    and each subject's count of event times at or before its time by
+    ``np.searchsorted``."""
+    event_times = np.unique(times[died])
+    past = np.searchsorted(event_times, times, side="right")
+    return event_times, past, np.where(died, past - 1, event_times.size)

@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 import warnings
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from survmrl import (
     ComparisonCurve,
     EstimationError,
+    PlotSeries,
     SurvivalSample,
     SurvmrlError,
     bootstrap_proportion_cis,
@@ -21,8 +23,8 @@ from survmrl import (
 )
 from survmrl import compare
 from survmrl.compare import _band, _pool, _relabelled_values, bootstrap_indices, replicate_streams
-from survmrl.km import sorted_grid
-from km_reference import product_limit
+from survmrl.km import risk_counts, sorted_grid
+from km_reference import event_bins as reference_bins, product_limit
 
 
 def make_sample(pairs):
@@ -104,6 +106,46 @@ SAMPLE_B = make_sample([(1, 1), (2, 1), (3, 1)])
 # A's follow-up ends at 2, before B's only event at 3: no common window.
 NO_OVERLAP_A = make_sample([(1, 0), (2, 0)])
 NO_OVERLAP_B = make_sample([(3, 1), (4, 0)])
+
+
+@pytest.mark.parametrize("grid", [[3.0, 1.0, 1.0, -2.0], [0.0, -0.0], [1.0, math.inf], [math.nan]])
+def test_a_comparison_curve_refuses_the_grids_a_plot_series_refuses(grid):
+    # [3, 1, 1, -2] was once banded and exported in that order
+    values = [0.0] * len(grid)
+    for make in (ComparisonCurve, lambda **kwargs: PlotSeries("a", **kwargs)):
+        with pytest.raises(ValueError, match="^a grid must be finite and strictly increasing$"):
+            make(grid=grid, values=values)
+
+
+@st.composite
+def sample_pairs(draw):
+    """Two samples of 1-30 rows each, with times from a few values (0.0 and
+    -0.0 among them) or continuous, so that ties fall within and across the
+    groups; statuses all events, all censored, or mixed."""
+    time = st.sampled_from([-0.0, 0.0, 5e-324, 1.0, 2.0, 1e300]) if draw(st.booleans()) else st.floats(0.0, 10.0)
+    samples = []
+    for _ in range(2):
+        n = draw(st.integers(1, 30))
+        status = draw(st.sampled_from([st.just(0), st.just(1), st.integers(0, 1)]))
+        pairs = draw(st.lists(st.tuples(time, status), min_size=n, max_size=n))
+        samples.append(make_sample(pairs))
+    return samples
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sample_pairs(), st.lists(st.floats(0.0, 12.0), min_size=1, max_size=5))
+def test_pool_matches_the_unsorted_reference_bitwise(samples, grid):
+    a, b = samples
+    times = np.concatenate((a.times, b.times))
+    event_times, past, death_at = reference_bins(times, np.concatenate((a.statuses, b.statuses)) == 1)
+    at_risk, deaths = risk_counts(past, death_at, event_times.size)
+    grid = sorted_grid(grid)
+    pool = _pool(a, b, grid)
+    assert pool.n_a == a.n
+    expected = (past, death_at, at_risk, deaths, np.searchsorted(event_times, grid, side="right"))
+    for column, reference in zip(pool[1:], expected):
+        assert column.dtype == reference.dtype
+        assert column.tobytes() == reference.tobytes()
 
 
 class TestSurvivalDifference:

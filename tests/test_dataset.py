@@ -275,12 +275,35 @@ def test_zero_one_column_reads_only_single_digit_texts(texts, values):
 
 
 def test_label_codes_give_an_empty_text_minus_one_and_cache_it():
-    code_of_text, codes = {}, {}
-    assert dataset.label_codes(["B", " ", "A", "", "B"], code_of_text, codes).tolist() == [0, -1, 1, -1, 0]
+    table = dataset.LabelTable()
+    assert dataset.label_codes(["B", " ", "A", "", "B"], table).tolist() == [0, -1, 1, -1, 0]
     # the codes of later chunks continue from the labels, not the texts, so far
-    assert dataset.label_codes(["\tA", "C", " ", "A "], code_of_text, codes).tolist() == [1, 2, -1, 1]
-    assert code_of_text == {"B": 0, " ": -1, "A": 1, "": -1, "\tA": 1, "C": 2, "A ": 1}
-    assert codes == {"B": 0, "A": 1, "C": 2}
+    assert dataset.label_codes(["\tA", "C", " ", "A "], table).tolist() == [1, 2, -1, 1]
+    assert table == {"B": 0, " ": -1, "A": 1, "": -1, "\tA": 1, "C": 2, "A ": 1}
+    assert table.labels == {"B": 0, "A": 1, "C": 2}
+
+
+def test_label_codes_code_a_new_text_after_an_empty_one_in_the_same_call():
+    table = dataset.LabelTable()
+    assert dataset.label_codes(["A", "", "  ", "B", " A", "", "C"], table).tolist() == [0, -1, -1, 1, 0, -1, 2]
+    assert table.labels == {"A": 0, "B": 1, "C": 2}
+    # an empty text first seen in a chunk that also codes new labels
+    assert dataset.label_codes([" \t", "D", "B"], table).tolist() == [-1, 3, 1]
+    assert table == {"A": 0, "": -1, "  ": -1, "B": 1, " A": 0, "C": 2, " \t": -1, "D": 3}
+
+
+def test_label_codes_strip_each_distinct_text_once():
+    class Text(str):
+        strips = 0
+
+        def strip(self):
+            Text.strips += 1
+            return str.strip(self)
+
+    texts = [Text(t) for t in ["a", " a", "a", "", " a", ""]]
+    table = dataset.LabelTable()
+    assert dataset.label_codes(texts, table).tolist() == [0, 0, 0, -1, 0, -1]
+    assert Text.strips == 3
 
 
 @pytest.mark.parametrize("quote", ["", '"'])

@@ -3,9 +3,9 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from km_reference import product_limit
+from km_reference import event_bins as reference_bins, product_limit
 from survmrl import (
     EstimationError,
     StepFunction,
@@ -14,6 +14,7 @@ from survmrl import (
     step_eval,
     step_integral,
 )
+from survmrl.km import event_bins
 
 
 def make_sample(pairs):
@@ -118,6 +119,21 @@ def test_km_fit_matches_the_reference_bitwise(sample):
     curve = km_fit(sample)
     expected = product_limit(sample.times, sample.statuses)
     got = (curve.event_times, curve.at_risk, curve.deaths, curve.survival.values)
+    for column, reference in zip(got, expected):
+        assert column.dtype == reference.dtype
+        assert column.tobytes() == reference.tobytes()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(tie_heavy_samples())
+@example(SurvivalSample([0.0], [1]))
+@example(SurvivalSample([0.0], [0]))
+@example(SurvivalSample([2.0, 0.0, 2.0, 1.0], [0, 0, 0, 0]))
+@example(SurvivalSample([-0.0, 0.0, 5e-324, 1e300, 2.0, 2.0, 2.0, 0.0], [0, 1, 0, 1, 0, 1, 1, 0]))
+def test_event_bins_match_the_unsorted_reference_bitwise(sample):
+    died = sample.statuses == 1
+    got = event_bins(sample.times, died)
+    expected = reference_bins(sample.times, died)
     for column, reference in zip(got, expected):
         assert column.dtype == reference.dtype
         assert column.tobytes() == reference.tobytes()

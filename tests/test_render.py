@@ -340,19 +340,22 @@ def csv_outcome(export, curve):
 
 @st.composite
 def float_curves(draw):
-    """A comparison curve of one to 40 rows of any floats (NaN, +-inf,
-    +-0.0, subnormals, the largest doubles), maybe with a band."""
+    """A comparison curve of one to 40 rows, maybe with a band: a grid of
+    distinct finite floats in ascending order (-0.0, subnormals, the largest
+    doubles), and columns of any floats (NaN and +-inf too)."""
     n = draw(st.integers(1, 40))
+    # unique: 0.0 == -0.0, so a grid holds at most one of them
+    grid = sorted(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n, unique=True)))
     column = st.lists(st.floats(), min_size=n, max_size=n)
     if not draw(st.booleans()):
-        return ComparisonCurve(draw(column), draw(column))
-    return ComparisonCurve(draw(column), draw(column), draw(column), draw(column))
+        return ComparisonCurve(grid, draw(column))
+    return ComparisonCurve(grid, draw(column), draw(column), draw(column))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(float_curves())
-@example(ComparisonCurve([0.0, -0.0, 5e-324, 1e-4, 1e14, 1e16], [math.nan, math.inf, -math.inf, 1.0, 0.1, 1e308]))
-@example(ComparisonCurve([9.999999999999999e13, 12345678901231.25], [0.5, 1e-05]))
+@example(ComparisonCurve([-1e16, -0.0, 5e-324, 1e-4, 1e14, 1e16], [math.nan, math.inf, -math.inf, 0.0, 0.1, 1e308]))
+@example(ComparisonCurve([12345678901231.25, 9.999999999999999e13], [1e-05, 0.5]))
 def test_csv_matches_repr_reference(curve):
     assert csv_outcome(export_curve_csv, curve) == csv_outcome(reference.export_curve_csv, curve)
 
@@ -417,8 +420,10 @@ def test_csv_matches_repr_reference_in_bulk():
     assert (finite & (magnitude > 0.0) & ~fixed).sum() >= 100
     assert (fixed & ~ok).sum() >= 100
     assert (fixed & ((values.view(np.uint64) & np.uint64(2**52 - 1)) == 0)).sum() >= 100
-    half = values.size // 2
-    curve = ComparisonCurve(values[:half], values[half : 2 * half])
+    # every value in the value and band columns; the grid a sorted draw of the distinct finite ones
+    rows = values.size // 3
+    grid = np.sort(rng.choice(np.unique(values[finite]), rows, replace=False))
+    curve = ComparisonCurve(grid, values[:rows], values[rows : 2 * rows], values[2 * rows : 3 * rows])
     assert export_curve_csv(curve) == reference.export_curve_csv(curve)
 
     # Exact ties: the writer's n is T rounded half-even, as repr's last
@@ -427,7 +432,8 @@ def test_csv_matches_repr_reference_in_bulk():
     ties, k = exact_ties(rng)
     assert np.all(np.abs(_float_text._scaled(np.abs(ties), k)[1]) == 0.5)
     assert _float_text._shortest_digits(ties)[2].all()
-    curve = ComparisonCurve(ties[: ties.size // 2], ties[ties.size // 2 :])
+    grid = np.unique(ties[: ties.size // 2])
+    curve = ComparisonCurve(grid, ties[ties.size // 2 :][: grid.size])
     with mock.patch.object(_float_text, "repr", create=True, side_effect=AssertionError("repr called")):
         data = export_curve_csv(curve)
     assert data == reference.export_curve_csv(curve)
@@ -440,13 +446,17 @@ BLOCK = _float_text._BLOCK_ROWS
 
 @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 1])
 def test_csv_block_edges(n):
-    # a value for repr (1e300, NaN, inf, 2**-1074) at and next to each block edge
+    # a value for repr (1e300, NaN, inf, 2**-1074) at and next to each block
+    # edge of the value and band columns; an ascending grid can hold one only
+    # at its ends, so its first and last rows are -1e300 and 1e300
     rng = np.random.default_rng(n)
-    columns = [rng.exponential(1.0, n) * rng.choice([-1.0, 1.0], n) for _ in range(4)]
-    for j, column in enumerate(columns):
-        edges = np.arange(0, n + 1, BLOCK)
-        column[np.clip(np.concatenate([edges - 1, edges]) + j, 0, n - 1)] = [1e300, math.nan, math.inf, 5e-324][j]
-    curve = ComparisonCurve(*columns)
+    columns = [rng.exponential(1.0, n) * rng.choice([-1.0, 1.0], n) for _ in range(3)]
+    edges = np.arange(0, n + 1, BLOCK)
+    for j, special in enumerate([1e300, math.nan, math.inf, 5e-324]):
+        columns[j % 3][np.clip(np.concatenate([edges - 1, edges]) + j, 0, n - 1)] = special
+    grid = np.arange(n) + rng.uniform(0.0, 1.0, n)
+    grid[0], grid[-1] = -1e300, 1e300
+    curve = ComparisonCurve(grid, *columns)
     data = export_curve_csv(curve)
     assert data.count(b"\n") == n + 1
     assert data == reference.export_curve_csv(curve)
