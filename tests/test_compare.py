@@ -110,7 +110,7 @@ NO_OVERLAP_B = make_sample([(3, 1), (4, 0)])
 
 @pytest.mark.parametrize("grid", [[3.0, 1.0, 1.0, -2.0], [0.0, -0.0], [1.0, math.inf], [math.nan]])
 def test_a_comparison_curve_refuses_the_grids_a_plot_series_refuses(grid):
-    # [3, 1, 1, -2] was once banded and exported in that order
+    # a band and its CSV rows follow the grid's order, so an unordered grid must not get that far
     values = [0.0] * len(grid)
     for make in (ComparisonCurve, lambda **kwargs: PlotSeries("a", **kwargs)):
         with pytest.raises(ValueError, match="^a grid must be finite and strictly increasing$"):
