@@ -154,30 +154,47 @@ def _pool(sample_a: SurvivalSample, sample_b: SurvivalSample, grid: np.ndarray) 
     event_times, *bins = event_bins(times[order], died[order])
     past, death_at = np.empty((2, times.size), dtype=np.int64)
     past[order], death_at[order] = bins
-    return _Pool(
-        sample_a.n,
-        past,
-        death_at,
-        *risk_counts(past, death_at, event_times.size),
-        np.searchsorted(event_times, grid, side="right"),
-    )
+    at_risk, deaths = np.empty((2, event_times.size), dtype=np.int64)
+    risk_counts(past, death_at, at_risk, deaths)
+    return _Pool(sample_a.n, past, death_at, at_risk, deaths, np.searchsorted(event_times, grid, side="right"))
 
 
-def _relabelled_values(pool: _Pool, kind: str, rng: np.random.Generator) -> np.ndarray:
-    """Comparison values for one permutation replicate.
+def _relabelled_values(pool: _Pool, kind: str, streams: Iterator[np.random.Generator], out: np.ndarray) -> None:
+    """Write each permutation replicate's comparison values into its row of ``out``.
 
-    The first ``n_a`` subjects of a permutation drawn from ``rng``, the
-    replicate's stream from ``replicate_streams``, form group A. Group
-    A's counts come from those subjects' bins alone; group B's are the
-    pooled counts minus A's. A ratio is NaN where B's survival is zero.
+    Row b takes the next stream of ``streams`` (``replicate_streams``):
+    the first ``n_a`` subjects of a permutation drawn from it form group
+    A. Group A's counts come from those subjects' bins alone; group B's
+    are the pooled counts minus A's. A ratio is NaN where B's survival is
+    zero. Both groups' counts and levels live in float64 buffers made
+    once per call. A grid whose ``at_grid`` steps by exactly 1 (every
+    default grid: a prefix of the pooled event times) is read as a slice
+    of the levels, so a replicate allocates only its permutation and its
+    two bincounts; any other grid is gathered through its index array.
     """
-    in_a = rng.permutation(pool.past.size)[: pool.n_a]
-    at_risk_a, deaths_a = risk_counts(pool.past[in_a], pool.death_at[in_a], pool.deaths.size)
-    s_a = survival_levels(at_risk_a, deaths_a)[pool.at_grid]
-    s_b = survival_levels(pool.at_risk - at_risk_a, pool.deaths - deaths_a)[pool.at_grid]
-    if kind == "surv_diff":
-        return s_a - s_b
-    return np.divide(s_a, s_b, out=np.full_like(s_a, np.nan), where=s_b != 0.0)
+    n_times = pool.deaths.size
+    bins = np.stack((pool.past, pool.death_at))
+    bins_a = np.empty((2, pool.n_a), dtype=np.int64)
+    at_risk, deaths = np.empty((2, 2, n_times))
+    pooled_at_risk, pooled_deaths = pool.at_risk.astype(float), pool.deaths.astype(float)
+    levels = np.empty((2, n_times + 1))
+    columns = pool.at_grid
+    if (np.diff(columns) == 1).all():
+        start = columns[0] if columns.size else 0
+        columns = slice(start, start + columns.size)
+    defined = np.empty(out.shape[1], dtype=bool)
+    for row, rng in zip(out, streams):
+        np.take(bins, rng.permutation(pool.past.size)[: pool.n_a], axis=1, out=bins_a, mode="clip")
+        risk_counts(bins_a[0], bins_a[1], at_risk[0], deaths[0])
+        np.subtract(pooled_at_risk, at_risk[0], out=at_risk[1])
+        np.subtract(pooled_deaths, deaths[0], out=deaths[1])
+        survival_levels(at_risk, deaths, levels)
+        s_a, s_b = levels[:, columns]
+        if kind == "surv_diff":
+            np.subtract(s_a, s_b, out=row)
+        else:
+            row.fill(np.nan)
+            np.divide(s_a, s_b, out=row, where=np.not_equal(s_b, 0.0, out=defined))
 
 
 # numpy's SeedSequence hash (O'Neill's seed_seq_fe), which numpy keeps
@@ -415,7 +432,6 @@ def permutation_envelope(
 
     pool = _pool(sample_a, sample_b, curve.grid)
     replicates = np.empty((n_permutations, curve.grid.size))
-    for b, rng in enumerate(replicate_streams(seed, range(n_permutations))):
-        replicates[b] = _relabelled_values(pool, kind, rng)
+    _relabelled_values(pool, kind, replicate_streams(seed, range(n_permutations)), replicates)
     lower, upper, counts = _band(replicates, band_quantiles)
     return replace(curve, lower=lower, upper=upper, defined_counts=counts, n_permutations=n_permutations)

@@ -9,7 +9,8 @@ computed as exact segment sums, never by quadrature.
 ``km_fit`` and the permutation envelope share one product-limit kernel:
 ``event_bins`` (binning, in one pass over subjects in ``SurvivalSample``
 order), ``risk_counts`` (n_j and d_j) and ``survival_levels`` (the
-running product).
+running product); the last two write into buffers their caller owns, so
+an envelope reuses one set across its replicates.
 """
 
 from __future__ import annotations
@@ -126,8 +127,10 @@ def km_fit(sample: SurvivalSample) -> KmCurve:
     curve reaches 0 only when the last-ordered observation is an event.
     """
     event_times, past, death_at = event_bins(sample.times, sample.statuses == 1)
-    at_risk, deaths = risk_counts(past, death_at, event_times.size)
-    levels = survival_levels(at_risk, deaths)
+    at_risk, deaths = np.empty((2, event_times.size), dtype=np.int64)
+    risk_counts(past, death_at, at_risk, deaths)
+    levels = np.empty(event_times.size + 1)
+    survival_levels(at_risk.astype(float), deaths.astype(float), levels)
     return KmCurve(
         event_times=event_times,
         at_risk=at_risk,
@@ -157,18 +160,31 @@ def event_bins(times: np.ndarray, died: np.ndarray) -> tuple[np.ndarray, np.ndar
     return event_times, past, np.where(died, past - 1, event_times.size)
 
 
-def risk_counts(past: np.ndarray, death_at: np.ndarray, n_times: int) -> tuple[np.ndarray, np.ndarray]:
-    """Subjects at risk just before, and deaths at, each of the event times."""
-    at_risk = past.size - np.cumsum(np.bincount(past, minlength=n_times + 1))[:n_times]
-    return at_risk, np.bincount(death_at, minlength=n_times + 1)[:n_times]
+def risk_counts(past: np.ndarray, death_at: np.ndarray, at_risk: np.ndarray, deaths: np.ndarray) -> None:
+    """Write the subjects at risk just before, and the deaths at, each event
+    time into ``at_risk`` and ``deaths`` (one entry per event time, int64 or
+    float64); the two bincounts are the only arrays it allocates."""
+    n_times = at_risk.size
+    at_risk[...] = np.bincount(past, minlength=n_times + 1)[:n_times]
+    np.cumsum(at_risk, out=at_risk)
+    np.subtract(past.size, at_risk, out=at_risk)
+    deaths[...] = np.bincount(death_at, minlength=n_times + 1)[:n_times]
 
 
-def survival_levels(at_risk: np.ndarray, deaths: np.ndarray) -> np.ndarray:
-    """1.0, then the running product of (r - d) / r: entry j is the survival after j event times.
+def survival_levels(at_risk: np.ndarray, deaths: np.ndarray, levels: np.ndarray) -> None:
+    """Write 1.0, then the running product of (r - d) / r, along the last axis
+    of ``levels``: entry j is the survival after j event times.
 
-    A time where one group of the pooled subjects has no death gives r / r
-    = 1.0 (1 / 1 past its last subject, where r is 0), which changes no
-    bits of the product: the group's levels equal ``km_fit`` on it alone.
+    ``at_risk`` and ``deaths`` are float64 buffers with one event time per
+    column (one row per group, or one row), which this overwrites; ``levels``
+    has one more column. Counts below 2**53 are exact in float64, so each
+    factor has the bits of the int64 true division. A time where one group
+    of the pooled subjects has no death gives r / r = 1.0 (1 / 1 past its
+    last subject, where r is 0), which changes no bits of the product: the
+    group's levels equal ``km_fit`` on it alone.
     """
-    at_risk = np.maximum(at_risk, 1)
-    return np.concatenate(([1.0], np.cumprod((at_risk - deaths) / at_risk)))
+    np.maximum(at_risk, 1.0, out=at_risk)
+    np.subtract(at_risk, deaths, out=deaths)
+    np.divide(deaths, at_risk, out=deaths)
+    levels[..., 0] = 1.0
+    np.cumprod(deaths, axis=-1, out=levels[..., 1:])

@@ -3,7 +3,7 @@
 The McNemar test acts on the discordant-pair counts of paired binary
 outcomes; the default is the continuity-corrected chi-square
 (|b - c| - 1)^2 / (b + c), with an exact two-sided binomial variant whose
-tail is summed by an exact integer recurrence in O(min(b, c)) steps.
+tail is summed exactly by binary splitting (``_binomial_tail``).
 The Wilcoxon signed-rank test drops zero differences, average-ranks ties,
 and is exact (full sign-assignment distribution) up to 25 nonzero
 differences, switching to a tie-corrected normal approximation above.
@@ -30,6 +30,10 @@ from .dataset import LabelTable, fields_equal, freeze_columns, label_codes, read
 from .errors import EstimationError, ParseError, SchemaError
 
 EXACT_WILCOXON_LIMIT = 25
+# Terms per leaf of ``_binomial_tail``'s splitting, summed by a plain loop.
+# In process (x86-64, Python 3.11) at b, c of 1,590 and 6,350 and ten times
+# that, leaves of 32 and 64 terms were about equally fast, 8 and 16 no faster.
+_TAIL_LEAF = 32
 
 
 @dataclass(frozen=True)
@@ -81,15 +85,44 @@ def mcnemar_test(pairs: PairedBinary, method: str = "continuity_corrected") -> M
         return McnemarResult(statistic=statistic, p_value=p, method=method)
     if method == "exact":
         k = min(pairs.b, pairs.c)
-        # C(n, i + 1) = C(n, i) * (n - i) // (i + 1) is exact: the product is a
-        # multiple of i + 1, so the tail is the same integer as the comb sum.
-        term = tail = 1
-        for i in range(k):
-            term = term * (n - i) // (i + 1)
-            tail += term
-        p = min(1.0, 2 * tail / 2**n)
+        tail, denominator = _binomial_tail(n, k)
+        # tail / denominator is the comb sum exactly, so this one correctly
+        # rounded int/int division gives the bits of 2 * sum / 2**n.
+        p = min(1.0, 2 * tail / (denominator << n))
         return McnemarResult(statistic=float(k), p_value=p, method=method)
     raise ValueError(f"unknown method {method!r}")
+
+
+def _binomial_tail(n: int, k: int) -> tuple[int, int]:
+    """Integers (T, Q) with T / Q = C(n, 0) + C(n, 1) + ... + C(n, k).
+
+    Term i is term i - 1 times p(i) / q(i), with p(i) = n + 1 - i and
+    q(i) = i (both 1 at i = 0). Over a range [a, b) of terms, P and Q are
+    the products of p and q, and T / Q sums the range's terms each divided
+    by term a - 1 (by 1 for a = 0); two halves join as P = P1 P2, Q = Q1 Q2 and T = T1 Q2 +
+    P1 T2 (binary splitting). The products grow evenly, so the big
+    multiplications stay subquadratic where a term-by-term recurrence makes
+    k steps on n-bit integers.
+    """
+
+    def split(a: int, b: int) -> tuple[int, int, int]:
+        if b - a <= _TAIL_LEAF:
+            p = q = 1
+            t = 0
+            for i in range(a, b):
+                if i:
+                    p *= n + 1 - i
+                    q *= i
+                    t *= i
+                t += p
+            return p, q, t
+        m = (a + b) // 2
+        p1, q1, t1 = split(a, m)
+        p2, q2, t2 = split(m, b)
+        return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+
+    _, q, t = split(0, k + 1)
+    return t, q
 
 
 def _average_ranks(magnitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

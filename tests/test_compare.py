@@ -138,7 +138,8 @@ def test_pool_matches_the_unsorted_reference_bitwise(samples, grid):
     a, b = samples
     times = np.concatenate((a.times, b.times))
     event_times, past, death_at = reference_bins(times, np.concatenate((a.statuses, b.statuses)) == 1)
-    at_risk, deaths = risk_counts(past, death_at, event_times.size)
+    at_risk, deaths = np.empty((2, event_times.size), dtype=np.int64)
+    risk_counts(past, death_at, at_risk, deaths)
     grid = sorted_grid(grid)
     pool = _pool(a, b, grid)
     assert pool.n_a == a.n
@@ -324,8 +325,8 @@ class TestPermutationEnvelope:
         a, b = exponential_sample(8), exponential_sample(9)
         env = permutation_envelope(a, b, "surv_diff", n_permutations=50, seed=11)
         pool = _pool(a, b, np.array(env.grid))
-        rows = [_relabelled_values(pool, "surv_diff", rng) for rng in replicate_streams(11, range(49, -1, -1))]
-        stacked = np.stack(rows)
+        stacked = np.empty((50, env.grid.size))
+        _relabelled_values(pool, "surv_diff", replicate_streams(11, range(49, -1, -1)), stacked)
         assert np.quantile(stacked, 0.025, axis=0) == pytest.approx(env.lower, abs=0.0)
         assert np.quantile(stacked, 0.975, axis=0) == pytest.approx(env.upper, abs=0.0)
 
@@ -409,8 +410,46 @@ def envelope_cases(draw):
     )
 
 
+# Pooled event times 1, 1.5, 2, 2.5, 3 and 3.5; A follows up to 4, B to 3.5.
+GRID_A = make_sample([(1.0, 1), (2.0, 1), (3.0, 1), (4.0, 0)])
+GRID_B = make_sample([(1.5, 1), (2.5, 1), (3.5, 1)])
+# Each grid with the pooled event-time bins (``_Pool.at_grid``) it reads:
+# the levels are read as a slice only where every step is exactly 1.
+GRID_SHAPES = {
+    "span of a run, not a run": ([1.0, 1.2, 2.0], [1, 1, 3]),
+    "before the first event": ([0.0, 0.5, 1.0], [0, 0, 1]),
+    "empty": ([], []),
+    "past both follow-ups": ([10.0, 20.0], [6, 6]),
+    "default prefix": (None, [1, 2, 3, 4, 5, 6]),
+}
+
+
+def grid_case(kind, shape):
+    grid = GRID_SHAPES[shape][0]
+    curve = None if grid is None else on_grid(grid)
+    return dict(a=GRID_A, b=GRID_B, kind=kind, n_permutations=20, seed=3, curve=curve, band_quantiles=(0.1, 0.9))
+
+
+@pytest.mark.parametrize("shape", GRID_SHAPES)
+def test_grid_shape_examples_read_the_bins_they_name(shape):
+    grid, bins = GRID_SHAPES[shape]
+    if grid is None:
+        grid = survival_difference(km_fit(GRID_A), km_fit(GRID_B)).grid
+    assert _pool(GRID_A, GRID_B, sorted_grid(grid)).at_grid.tolist() == bins
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(case=envelope_cases())
+@example(case=grid_case("surv_diff", "span of a run, not a run"))
+@example(case=grid_case("surv_ratio", "span of a run, not a run"))
+@example(case=grid_case("surv_diff", "before the first event"))
+@example(case=grid_case("surv_ratio", "before the first event"))
+@example(case=grid_case("surv_diff", "empty"))
+@example(case=grid_case("surv_ratio", "empty"))
+@example(case=grid_case("surv_diff", "past both follow-ups"))
+@example(case=grid_case("surv_ratio", "past both follow-ups"))
+@example(case=grid_case("surv_diff", "default prefix"))
+@example(case=grid_case("surv_ratio", "default prefix"))
 def test_envelope_matches_reference_bitwise(case):
     if case["curve"] is None:
         base = survival_difference if case["kind"] == "surv_diff" else survival_ratio
@@ -473,6 +512,26 @@ def test_band_memory_stays_below_a_quarter_of_the_replicates():
     finally:
         tracemalloc.stop()
     assert peak < replicates.nbytes / 4
+
+
+def test_envelope_memory_stays_within_the_replicates_and_a_constant():
+    # Measured 386 KB above the 631 KB replicate matrix (G = 1,577), peaking
+    # in the band: its mask of defined values (B x G bytes), one 256-column
+    # block copy and its sort (100 KB), with the pool and the replicate
+    # loop's per-call buffers (about 100 KB) still alive. 512 KiB leaves room
+    # for numpy's sort and ufunc buffers yet stays below one more matrix.
+    a, b = exponential_sample(71, n=1000), exponential_sample(72, n=1000, mean=2.5)
+    limit = 512 * 1024
+    for kind in ("surv_diff", "surv_ratio"):
+        tracemalloc.start()
+        try:
+            env = permutation_envelope(a, b, kind, n_permutations=50, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        replicate_bytes = 50 * env.grid.size * 8
+        assert limit < replicate_bytes
+        assert peak <= replicate_bytes + limit
 
 
 def test_band_of_empty_and_single_value_columns_warns_nothing():

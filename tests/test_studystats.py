@@ -527,6 +527,12 @@ def test_signed_rank_matches_the_reference_bitwise(differences):
 @example(25, 25)
 @example(3000, 3000)
 @example(1600, 6400)
+# min(b, c) + 1 terms: one full leaf of the binary splitting, then one term more
+@example(studystats._TAIL_LEAF - 1, 40)
+@example(50, studystats._TAIL_LEAF)
+# b + c = 20,000 at the first k whose p does not underflow: 5e-324, rounded
+# from just above half the smallest subnormal
+@example(7294, 12706)
 def test_exact_mcnemar_matches_the_comb_sum_bitwise(b, c):
     if b + c == 0:
         with pytest.raises(EstimationError, match="no discordant pairs"):
