@@ -165,8 +165,8 @@ def risk_counts(past: np.ndarray, death_at: np.ndarray, at_risk: np.ndarray, dea
     time into ``at_risk`` and ``deaths`` (one entry per event time, int64 or
     float64); the two bincounts are the only arrays it allocates."""
     n_times = at_risk.size
-    at_risk[...] = np.bincount(past, minlength=n_times + 1)[:n_times]
-    np.cumsum(at_risk, out=at_risk)
+    passed = np.bincount(past, minlength=n_times + 1)
+    at_risk[...] = np.cumsum(passed, out=passed)[:n_times]
     np.subtract(past.size, at_risk, out=at_risk)
     deaths[...] = np.bincount(death_at, minlength=n_times + 1)[:n_times]
 
