@@ -184,6 +184,8 @@ def _relabelled_values(pool: _Pool, kind: str, streams: Iterator[np.random.Gener
         columns = slice(start, start + columns.size)
     defined = np.empty(out.shape[1], dtype=bool)
     for row, rng in zip(out, streams):
+        # A permutation's indices are in range; "clip" spares the copy that
+        # take's default "raise" mode makes of an ``out`` array.
         np.take(bins, rng.permutation(pool.past.size)[: pool.n_a], axis=1, out=bins_a, mode="clip")
         risk_counts(bins_a[0], bins_a[1], at_risk[0], deaths[0])
         np.subtract(pooled_at_risk, at_risk[0], out=at_risk[1])
