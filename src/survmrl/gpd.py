@@ -48,7 +48,6 @@ _S_TOL = 1e-10
 class GpdFit:
     shape: float
     scale: float
-    threshold: float
     n_exceedances: int
     n_tail_events: int
     log_likelihood: float
@@ -214,7 +213,7 @@ def gpd_log_likelihood(excess, status, shape: float, scale: float) -> float:
     return _loglik(*_tail_sample(excess, status), shape, scale)
 
 
-def fit_gpd(excess, status, threshold: float = 0.0) -> GpdFit:
+def fit_gpd(excess, status) -> GpdFit:
     """Maximum-likelihood GPD fit to censored exceedances.
 
     ``excess`` and ``status`` are as for ``gpd_log_likelihood``. A scan of
@@ -257,7 +256,6 @@ def fit_gpd(excess, status, threshold: float = 0.0) -> GpdFit:
     return GpdFit(
         shape=shape,
         scale=scale,
-        threshold=float(threshold),
         n_exceedances=m,
         n_tail_events=int(k),
         log_likelihood=_loglik(excess, status, shape, scale),

@@ -118,7 +118,7 @@ def fit_hybrid_mrl(
     """
     u = select_threshold(sample, config)
     above = sample.times > u  # censored excesses enter the fit too
-    gpd = fit_gpd(sample.times[above] - u, sample.statuses[above], threshold=u)
+    gpd = fit_gpd(sample.times[above] - u, sample.statuses[above])
     tail_mean = gpd_mrl_at_threshold(gpd)
     curve = km_fit(sample)
 

@@ -2,7 +2,8 @@
 
 The McNemar test acts on the discordant-pair counts of paired binary
 outcomes; the default is the continuity-corrected chi-square
-(|b - c| - 1)^2 / (b + c), with an exact two-sided binomial variant whose
+(|b - c| - 1)^2 / (b + c), corrected only when b != c (0 when b = c, as
+R's ``mcnemar.test``), with an exact two-sided binomial variant whose
 tail is summed exactly by binary splitting (``_binomial_tail``).
 The Wilcoxon signed-rank test drops zero differences, average-ranks ties,
 and is exact (full sign-assignment distribution) up to 25 nonzero
@@ -38,14 +39,13 @@ _TAIL_LEAF = 32
 
 @dataclass(frozen=True)
 class PairedBinary:
-    """Discordant and concordant pair counts from paired binary outcomes."""
+    """Discordant pair counts from paired binary outcomes."""
 
     b: int  # correct -> incorrect
     c: int  # incorrect -> correct
-    n_concordant: int = 0
 
     def __post_init__(self):
-        if self.b < 0 or self.c < 0 or self.n_concordant < 0:
+        if self.b < 0 or self.c < 0:
             raise ValueError("pair counts must be >= 0")
 
 
@@ -53,7 +53,6 @@ class PairedBinary:
 class McnemarResult:
     statistic: float
     p_value: float
-    method: str
 
 
 @dataclass(frozen=True)
@@ -70,8 +69,6 @@ class BootstrapCi:
     lower: float
     upper: float
     n_replicates: int
-    seed: int
-    quantiles: tuple[float, float]
 
 
 def mcnemar_test(pairs: PairedBinary, method: str = "continuity_corrected") -> McnemarResult:
@@ -80,16 +77,16 @@ def mcnemar_test(pairs: PairedBinary, method: str = "continuity_corrected") -> M
     if n == 0:
         raise EstimationError("no discordant pairs")
     if method == "continuity_corrected":
-        statistic = (abs(pairs.b - pairs.c) - 1) ** 2 / n
-        p = math.erfc(math.sqrt(statistic / 2.0))
-        return McnemarResult(statistic=statistic, p_value=p, method=method)
+        # corrected only when b != c, as R's mcnemar.test: at b == c, (0 - 1)**2 / n would read 1/n
+        statistic = max(abs(pairs.b - pairs.c) - 1, 0) ** 2 / n
+        return McnemarResult(statistic=statistic, p_value=math.erfc(math.sqrt(statistic / 2.0)))
     if method == "exact":
         k = min(pairs.b, pairs.c)
         tail, denominator = _binomial_tail(n, k)
         # tail / denominator is the comb sum exactly, so this one correctly
         # rounded int/int division gives the bits of 2 * sum / 2**n.
         p = min(1.0, 2 * tail / (denominator << n))
-        return McnemarResult(statistic=float(k), p_value=p, method=method)
+        return McnemarResult(statistic=float(k), p_value=p)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -239,14 +236,7 @@ def bootstrap_proportion_cis(
         start = stop
     lower, upper, _ = _band((sums / n).T, quantiles)
     return tuple(
-        BootstrapCi(
-            estimate=float(values.mean()),
-            lower=float(lo),
-            upper=float(hi),
-            n_replicates=n_replicates,
-            seed=seed,
-            quantiles=(float(quantiles[0]), float(quantiles[1])),
-        )
+        BootstrapCi(estimate=float(values.mean()), lower=float(lo), upper=float(hi), n_replicates=n_replicates)
         for values, lo, hi in zip(columns, lower, upper)
     )
 
@@ -359,11 +349,7 @@ def load_paired_survey(source: str | bytes | os.PathLike) -> PairedSurvey:
         ids=ids,
         pre=np.bincount(who, weights=pre) / n_answered,
         post=np.bincount(who, weights=post) / n_answered,
-        transitions=PairedBinary(
-            b=int(np.count_nonzero(pre > post)),
-            c=int(np.count_nonzero(pre < post)),
-            n_concordant=int(np.count_nonzero(pre == post)),
-        ),
+        transitions=PairedBinary(b=int(np.count_nonzero(pre > post)), c=int(np.count_nonzero(pre < post))),
         n_items=len(item_table.labels),
         n_pairs=who.size,
     )

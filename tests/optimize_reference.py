@@ -106,7 +106,7 @@ def nelder_mead(
     return SimplexResult(x=best, fx=fvals[order[0]], iterations=iterations, converged=converged)
 
 
-def reference_fit_gpd(excess, status, threshold: float = 0.0) -> GpdFit:
+def reference_fit_gpd(excess, status) -> GpdFit:
     """Maximum-likelihood GPD fit by the three-start simplex search;
     ``converged`` reports whether the best run met the diameter tolerance."""
     excess, status = _tail_sample(excess, status)
@@ -147,7 +147,6 @@ def reference_fit_gpd(excess, status, threshold: float = 0.0) -> GpdFit:
     return GpdFit(
         shape=float(shape),
         scale=float(math.exp(log_scale)),
-        threshold=float(threshold),
         n_exceedances=m,
         n_tail_events=n_events,
         log_likelihood=float(-best.fx),

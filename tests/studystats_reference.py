@@ -33,7 +33,7 @@ def load_paired_survey(source) -> SimpleNamespace:
     pre_by_participant: dict[str, list[int]] = {}
     post_by_participant: dict[str, list[int]] = {}
     item_rows: dict[str, dict[str, int]] = {}  # participant -> item -> row number
-    b = c = concordant = 0
+    b = c = 0
     for row_number, row in rows:
         participant = row[idx["participant"]].strip()
         if not participant:
@@ -63,8 +63,6 @@ def load_paired_survey(source) -> SimpleNamespace:
             b += 1
         elif pre_value == 0 and post_value == 1:
             c += 1
-        else:
-            concordant += 1
     if not pre_by_participant:
         raise SchemaError("empty dataset")
 
@@ -76,7 +74,6 @@ def load_paired_survey(source) -> SimpleNamespace:
         post_scores=tuple(float(np.mean(post_by_participant[i])) for i in ids),
         b=b,
         c=c,
-        n_concordant=concordant,
         n_items=len(items),
         n_pairs=sum(len(v) for v in pre_by_participant.values()),
     )
@@ -135,6 +132,4 @@ def bootstrap_proportion_ci(values, n_replicates, seed, quantiles=(0.025, 0.975)
         lower=float(np.quantile(means, quantiles[0])),
         upper=float(np.quantile(means, quantiles[1])),
         n_replicates=n_replicates,
-        seed=seed,
-        quantiles=(float(quantiles[0]), float(quantiles[1])),
     )

@@ -132,11 +132,11 @@ def test_criterion_03_gpd_mle_consistency_and_grid_oracle():
 
 def test_criterion_04_tail_mean_exactness():
     start = time.perf_counter()
-    exponential_like = gpd_mrl_at_threshold(GpdFit(0.0, 1.0, 0.0, 10, 10, 0.0, True))
-    heavy = gpd_mrl_at_threshold(GpdFit(0.5, 2.0, 0.0, 10, 10, 0.0, True))
+    exponential_like = gpd_mrl_at_threshold(GpdFit(0.0, 1.0, 10, 10, 0.0, True))
+    heavy = gpd_mrl_at_threshold(GpdFit(0.5, 2.0, 10, 10, 0.0, True))
     raised = False
     try:
-        gpd_mrl_at_threshold(GpdFit(1.0, 2.0, 0.0, 10, 10, 0.0, True))
+        gpd_mrl_at_threshold(GpdFit(1.0, 2.0, 10, 10, 0.0, True))
     except EstimationError:
         raised = True
     elapsed = time.perf_counter() - start

@@ -500,8 +500,10 @@ def test_band_matches_np_quantile_bitwise(block, case):
         assert column.tobytes() == expected.tobytes()
 
 
-def test_band_memory_stays_below_a_quarter_of_the_replicates():
-    # the envelope workload's shape: 200 replicates on a 5,547-point grid
+def band_peak_on_the_envelope_shape():
+    """tracemalloc's peak inside one ``_band`` call on the envelope
+    workload's shape (200 replicates on a 5,547-point grid, 1% undefined),
+    and the replicate matrix's bytes."""
     rng = np.random.default_rng(61)
     replicates = rng.standard_normal((200, 5547))
     replicates[rng.random(replicates.shape) < 0.01] = np.nan
@@ -511,15 +513,29 @@ def test_band_memory_stays_below_a_quarter_of_the_replicates():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < replicates.nbytes / 4
+    return peak, replicates.nbytes
+
+
+def test_band_memory_stays_below_a_quarter_of_the_replicates():
+    peak, replicate_bytes = band_peak_on_the_envelope_shape()
+    assert peak < replicate_bytes / 4
+
+
+def test_band_counts_without_a_mask_of_the_whole_matrix():
+    # Measured 0.99 MB: two 256-column block copies (410 KB each) and the
+    # band. A (B, G) bool mask of the defined values, B * G bytes, took it
+    # to 1.20 MB.
+    peak, replicate_bytes = band_peak_on_the_envelope_shape()
+    assert peak < replicate_bytes / 8
 
 
 def test_envelope_memory_stays_within_the_replicates_and_a_constant():
-    # Measured 386 KB above the 631 KB replicate matrix (G = 1,577), peaking
-    # in the band: its mask of defined values (B x G bytes), one 256-column
-    # block copy and its sort (100 KB), with the pool and the replicate
-    # loop's per-call buffers (about 100 KB) still alive. 512 KiB leaves room
-    # for numpy's sort and ufunc buffers yet stays below one more matrix.
+    # Measured 381-394 KB above the 631 KB replicate matrix (G = 1,577),
+    # peaking in the band: two 256-column block copies (100 KB each, the
+    # last still alive while the next is made), its counts and quantile
+    # arrays, with the pool and the replicate loop's per-call buffers (about
+    # 110 KB) still alive. 512 KiB leaves room for numpy's sort and ufunc
+    # buffers yet stays below one more matrix.
     a, b = exponential_sample(71, n=1000), exponential_sample(72, n=1000, mean=2.5)
     limit = 512 * 1024
     for kind in ("surv_diff", "surv_ratio"):

@@ -112,8 +112,7 @@ class TestFitGpd:
     def test_log_likelihood_field_matches_function(self):
         rng = np.random.default_rng(8)
         x = rng.exponential(2.0, 200)
-        fit = fit_gpd(x, np.ones(x.size), threshold=3.0)
-        assert fit.threshold == 3.0
+        fit = fit_gpd(x, np.ones(x.size))
         assert fit.log_likelihood == gpd_log_likelihood(x, np.ones(x.size), fit.shape, fit.scale)
 
     def test_beats_grid_search(self):
@@ -288,21 +287,21 @@ def test_fit_evaluates_at_most_70_profile_points(name, monkeypatch):
         u = select_threshold(sample, ThresholdConfig())
         above = sample.times > u
         points.clear()
-        fit_gpd(sample.times[above] - u, sample.statuses[above], threshold=u)
+        fit_gpd(sample.times[above] - u, sample.statuses[above])
         assert 32 < sum(points) <= 70
 
 
 class TestMrlAtThreshold:
     def test_exponential_mean(self):
-        fit = GpdFit(0.0, 1.0, 0.0, 10, 10, 0.0, True)
+        fit = GpdFit(0.0, 1.0, 10, 10, 0.0, True)
         assert gpd_mrl_at_threshold(fit) == 1.0
 
     def test_direct_substitution(self):
-        fit = GpdFit(0.5, 2.0, 0.0, 10, 10, 0.0, True)
+        fit = GpdFit(0.5, 2.0, 10, 10, 0.0, True)
         assert gpd_mrl_at_threshold(fit) == 4.0
 
     def test_unit_shape_is_error(self):
-        fit = GpdFit(1.0, 2.0, 0.0, 10, 10, 0.0, True)
+        fit = GpdFit(1.0, 2.0, 10, 10, 0.0, True)
         with pytest.raises(EstimationError, match="infinite mean residual life"):
             gpd_mrl_at_threshold(fit)
 

@@ -157,7 +157,7 @@ class TestFitHybridMrl:
             km_component=[0.0],
             tail_component=[1.0],
             threshold=2.0,
-            gpd=GpdFit(0.0, 1.0, 2.0, 10, 10, 0.0, True),
+            gpd=GpdFit(0.0, 1.0, 10, 10, 0.0, True),
             survival=StepFunction([1.0], [0.0], 1.0),
         )
         with pytest.raises(EstimationError, match=r"^MRL undefined at t=1\.5: zero survival$"):

@@ -37,7 +37,7 @@ def _censored_tail(seed, shape, log_scale, n, censor_rate):
 
 def _outcome(fit, tail):
     try:
-        return fit(*_censored_tail(*tail), threshold=1.5)
+        return fit(*_censored_tail(*tail))
     except EstimationError as exc:
         return f"EstimationError({exc})"
 
@@ -61,7 +61,7 @@ def test_fit_gpd_at_least_matches_the_reference_simplex(seed, shape, log_scale, 
         assert got == ref
         return
     assert got.log_likelihood >= ref.log_likelihood - 1e-9 * max(1.0, abs(ref.log_likelihood))
-    assert (got.threshold, got.n_exceedances, got.n_tail_events) == (ref.threshold, ref.n_exceedances, ref.n_tail_events)
+    assert (got.n_exceedances, got.n_tail_events) == (ref.n_exceedances, ref.n_tail_events)
     assert got.converged
 
 

@@ -6,7 +6,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 from scipy import stats as scipy_stats
 
 import studystats_reference as reference
@@ -63,9 +63,28 @@ class TestMcnemar:
             assert result.p_value == pytest.approx(expected, rel=1e-12)
 
     def test_balanced_discordance(self):
+        # no continuity correction at b == c, as R's mcnemar.test
         result = mcnemar_test(PairedBinary(b=5, c=5))
-        assert result.statistic == pytest.approx(0.1)
-        assert result.p_value == pytest.approx(0.752, abs=1e-3)
+        assert result.statistic == 0.0
+        assert result.p_value == 1.0
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        b=st.integers(0, 60) | st.integers(0, 10**9),
+        c=st.integers(0, 60) | st.integers(0, 10**9),
+    )
+    @example(b=5, c=5)
+    @example(b=5, c=6)
+    @example(b=1, c=0)
+    def test_corrected_p_never_rises_with_the_discordance(self, b, c):
+        # At fixed n = b + c the corrected p is 1.0 exactly when |b - c| <= 1,
+        # and one pair moved further from balance never raises it.
+        assume(b + c > 0)
+        p = mcnemar_test(PairedBinary(b, c)).p_value
+        assert (p == 1.0) == (abs(b - c) <= 1)
+        if min(b, c) > 0:
+            further = (b + 1, c - 1) if b >= c else (b - 1, c + 1)
+            assert mcnemar_test(PairedBinary(*further)).p_value <= p
 
     def test_exact_binomial_tail(self):
         result = mcnemar_test(PairedBinary(b=1, c=9), method="exact")
@@ -77,7 +96,7 @@ class TestMcnemar:
 
     def test_no_discordant_pairs_is_error(self):
         with pytest.raises(EstimationError, match="no discordant pairs"):
-            mcnemar_test(PairedBinary(b=0, c=0, n_concordant=12))
+            mcnemar_test(PairedBinary(b=0, c=0))
 
     def test_swap_symmetry_both_methods(self):
         rng = np.random.default_rng(0)
@@ -280,7 +299,7 @@ class TestLoadPairedSurvey:
         survey = load_paired_survey(SURVEY)
         assert survey.transitions.b == 1  # correct -> incorrect
         assert survey.transitions.c == 2  # incorrect -> correct
-        assert survey.transitions.n_concordant == 3
+        assert survey.n_pairs - survey.transitions.b - survey.transitions.c == 3
 
     def test_schema_errors(self):
         with pytest.raises(SchemaError, match="empty dataset"):
@@ -333,7 +352,7 @@ class TestLoadPairedSurvey:
             ids=("a", "b", "c"),
             pre=given_scores,
             post=given_scores,
-            transitions=PairedBinary(0, 0, 3),
+            transitions=PairedBinary(0, 0),
             n_items=1,
             n_pairs=3,
         )
@@ -445,10 +464,8 @@ def test_survey_loader_matches_the_reference(monkeypatch, text, block_bytes):
     assert all(type(i) is str for i in survey.ids)
     assert _bits(survey.pre) == _bits(expected.pre_scores)
     assert _bits(survey.post) == _bits(expected.post_scores)
-    counts = (
-        survey.transitions.b, survey.transitions.c, survey.transitions.n_concordant, survey.n_items, survey.n_pairs
-    )
-    assert counts == (expected.b, expected.c, expected.n_concordant, expected.n_items, expected.n_pairs)
+    counts = (survey.transitions.b, survey.transitions.c, survey.n_items, survey.n_pairs)
+    assert counts == (expected.b, expected.c, expected.n_items, expected.n_pairs)
     assert all(type(v) is int for v in counts)
     differences = [b - a for a, b in zip(expected.pre_scores, expected.post_scores)]
     if any(differences):
