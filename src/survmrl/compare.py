@@ -368,20 +368,22 @@ def _band(
     The quantiles follow numpy's default "linear" method (Hyndman & Fan
     1996, type 7) step for step, so they are bitwise what numpy's
     quantile gives for each column's defined values. Each block of grid
-    columns is copied as rows, sorted once and its defined values counted
-    there; undefined values are NaN, which sorts last, so the first
-    ``count`` entries of a row are exactly its column's defined values. A
-    column without a defined value stays NaN. Sorting treats -0.0 and 0.0
-    as equal, so where both occur the sign of a zero bound is not defined
-    (as in numpy); neither envelope replicates nor bootstrap means hold
-    -0.0.
+    columns is copied as rows into one buffer reused across blocks, sorted
+    once and its defined values counted there; undefined values are NaN,
+    which sorts last, so the first ``count`` entries of a row are exactly
+    its column's defined values. A column without a defined value stays
+    NaN. Sorting treats -0.0 and 0.0 as equal, so where both occur the sign
+    of a zero bound is not defined (as in numpy); neither envelope
+    replicates nor bootstrap means hold -0.0.
     """
     q = np.asarray(quantiles, dtype=float)[:, None]
     band = np.full((2, replicates.shape[1]), np.nan)
     counts = np.empty(replicates.shape[1], dtype=np.int64)
+    buffer = np.empty((min(_QUANTILE_BLOCK, replicates.shape[1]), replicates.shape[0]), replicates.dtype)
     for start in range(0, replicates.shape[1], _QUANTILE_BLOCK):
-        stop = start + _QUANTILE_BLOCK
-        block = replicates[:, start:stop].T.copy()
+        stop = min(start + _QUANTILE_BLOCK, replicates.shape[1])
+        block = buffer[: stop - start]
+        np.copyto(block, replicates[:, start:stop].T)
         block.sort(axis=1)
         counts[start:stop] = np.count_nonzero(np.isfinite(block), axis=1)
         defined = np.flatnonzero(counts[start:stop])

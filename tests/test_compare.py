@@ -522,19 +522,26 @@ def test_band_memory_stays_below_a_quarter_of_the_replicates():
 
 
 def test_band_counts_without_a_mask_of_the_whole_matrix():
-    # Measured 0.99 MB: two 256-column block copies (410 KB each) and the
+    # Measured 0.70 MB: one reused 256-column block buffer (410 KB) and the
     # band. A (B, G) bool mask of the defined values, B * G bytes, took it
     # to 1.20 MB.
     peak, replicate_bytes = band_peak_on_the_envelope_shape()
     assert peak < replicate_bytes / 8
 
 
+def test_band_copies_each_block_into_one_buffer():
+    # Measured 0.70 MB with one 256-column block buffer (410 KB) reused
+    # across the blocks; a fresh copy per block, made while the previous one
+    # is still alive, held two and peaked at 0.99 MB.
+    peak, replicate_bytes = band_peak_on_the_envelope_shape()
+    assert peak < replicate_bytes / 11
+
+
 def test_envelope_memory_stays_within_the_replicates_and_a_constant():
-    # Measured 381-394 KB above the 631 KB replicate matrix (G = 1,577),
-    # peaking in the band: two 256-column block copies (100 KB each, the
-    # last still alive while the next is made), its counts and quantile
-    # arrays, with the pool and the replicate loop's per-call buffers (about
-    # 110 KB) still alive. 512 KiB leaves room for numpy's sort and ufunc
+    # Measured 360-371 KB above the 631 KB replicate matrix (G = 1,577),
+    # peaking in the band: its one reused 256-column block buffer (100 KB),
+    # its counts and quantile arrays, with the pool and the replicate loop's
+    # per-call buffers (about 110 KB) still alive. 512 KiB leaves room for numpy's sort and ufunc
     # buffers yet stays below one more matrix.
     a, b = exponential_sample(71, n=1000), exponential_sample(72, n=1000, mean=2.5)
     limit = 512 * 1024
