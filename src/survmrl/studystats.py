@@ -6,8 +6,8 @@ outcomes; the default is the continuity-corrected chi-square
 R's ``mcnemar.test``), with an exact two-sided binomial variant whose
 tail is summed exactly by binary splitting (``_binomial_tail``).
 The Wilcoxon signed-rank test drops zero differences, average-ranks ties,
-and is exact (full sign-assignment distribution) up to 25 nonzero
-differences, switching to a tie-corrected normal approximation above.
+and is exact (full sign-assignment distribution) up to 62 nonzero differences,
+since each count (at most 2**n) must fit int64, and tie-corrected normal above.
 Proportion intervals are percentile bootstrap over participants, seeded
 per replicate; score vectors over the same participants share each
 replicate's draw. The draws come a block of replicates at a time from
@@ -30,7 +30,8 @@ from .compare import _band, bootstrap_indices
 from .dataset import LabelTable, fields_equal, freeze_columns, label_codes, read_csv, zero_one_column
 from .errors import EstimationError, ParseError, SchemaError
 
-EXACT_WILCOXON_LIMIT = 25
+# Exact up to n = 62: every count of the exact null is at most 2**n and must fit int64.
+EXACT_WILCOXON_LIMIT = 62
 # Terms per leaf of ``_binomial_tail``'s splitting, summed by a plain loop.
 # In process (x86-64, Python 3.11) at b, c of 1,590 and 6,350 and ten times
 # that, leaves of 32 and 64 terms were about equally fast, 8 and 16 no faster.
@@ -123,32 +124,28 @@ def _binomial_tail(n: int, k: int) -> tuple[int, int]:
 
 
 def _average_ranks(magnitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Average rank of each magnitude, and the size of each group of ties.
+    """Twice the average rank of each magnitude (int64), and the size of each group of ties.
 
-    Ties at sorted positions first .. last - 1 share rank (first + last + 1) / 2.
+    Ties at sorted positions first .. last - 1 share doubled rank first + last + 1 = 2 * last - ties + 1.
     """
     _, group, tie_counts = np.unique(magnitudes, return_inverse=True, return_counts=True)
     last = np.cumsum(tie_counts)
-    return ((last - tie_counts + last + 1) / 2.0)[group], tie_counts
+    return (2 * last - tie_counts + 1)[group], tie_counts
 
 
-def _exact_two_sided_p(doubled_ranks: list[int], doubled_w: int) -> float:
+def _exact_two_sided_p(doubled_ranks: np.ndarray, doubled_w: int) -> float:
     """Two-sided p over the full sign-assignment distribution of W+.
 
-    Ranks are doubled so tied (half-integer) average ranks stay integral;
+    ``counts[s]`` assignments give doubled W+ = s, one shifted add per rank;
     counts are exact integers, so equal inputs give bitwise-equal p.
     """
-    total = sum(doubled_ranks)
-    counts = [0] * (total + 1)
+    counts = np.zeros(int(doubled_ranks.sum()) + 1, dtype=np.int64)
     counts[0] = 1
-    for r in doubled_ranks:
-        for s in range(total, r - 1, -1):
-            if counts[s - r]:
-                counts[s] += counts[s - r]
-    n_assignments = 1 << len(doubled_ranks)
-    at_most = sum(counts[: doubled_w + 1])
-    at_least = sum(counts[doubled_w:])
-    return min(1.0, 2 * min(at_most, at_least) / n_assignments)
+    for r in doubled_ranks.tolist():  # each r >= 2
+        counts[r:] += counts[: counts.size - r].copy()
+    at_most = int(counts[: doubled_w + 1].sum())
+    at_least = int(counts[doubled_w:].sum())
+    return min(1.0, 2 * min(at_most, at_least) / (1 << len(doubled_ranks)))
 
 
 def wilcoxon_signed_rank(pre: np.ndarray, post: np.ndarray) -> WilcoxonResult:
@@ -169,11 +166,11 @@ def wilcoxon_from_differences(differences: Sequence[float]) -> WilcoxonResult:
     n = len(d)
     if n == 0:
         raise EstimationError("no nonzero differences")
-    ranks, tie_counts = _average_ranks(np.abs(d))
-    w_plus = float(np.sum(ranks[d > 0.0]))
+    doubled_ranks, tie_counts = _average_ranks(np.abs(d))
+    doubled_w = int(doubled_ranks[d > 0.0].sum())
+    w_plus = doubled_w / 2
     if n <= EXACT_WILCOXON_LIMIT:
-        doubled = [int(round(2 * r)) for r in ranks]
-        p = _exact_two_sided_p(doubled, int(round(2 * w_plus)))
+        p = _exact_two_sided_p(doubled_ranks, doubled_w)
         return WilcoxonResult(statistic=w_plus, p_value=p, n_nonzero=n, method="exact")
     mean = n * (n + 1) / 4.0
     tie_term = float(np.sum(tie_counts**3 - tie_counts))

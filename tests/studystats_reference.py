@@ -7,8 +7,12 @@ one ``np.mean`` per participant; ``_average_ranks`` walks each run of
 ties with a ``while`` loop, and the normal approximation counts ties with
 a second ``np.unique``. Scores come back as tuples of Python floats.
 Differences must be finite: a NaN makes ``_average_ranks`` loop forever.
-The exact McNemar tail sums ``math.comb`` term by term, and the bootstrap
-resamples one score vector per call.
+The signed-rank test is exact up to 62 nonzero differences, where its
+counts (at most 2**n) still fit the int64 table of ``studystats``; here
+they are Python ints, counted sign by sign in a double loop.
+The exact McNemar tail sums the term-by-term integer recurrence
+``term * (n - i) // (i + 1)``, and the bootstrap resamples one score
+vector per call.
 """
 
 from __future__ import annotations
@@ -20,7 +24,9 @@ import numpy as np
 
 from dataset_reference import read_csv
 from survmrl.errors import EstimationError, ParseError, SchemaError
-from survmrl.studystats import EXACT_WILCOXON_LIMIT, BootstrapCi, WilcoxonResult, _exact_two_sided_p
+from survmrl.studystats import BootstrapCi, WilcoxonResult
+
+EXACT_WILCOXON_LIMIT = 62
 
 
 def load_paired_survey(source) -> SimpleNamespace:
@@ -92,6 +98,22 @@ def _average_ranks(magnitudes: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _exact_two_sided_p(doubled_ranks: list[int], doubled_w: int) -> float:
+    """Two-sided p over the full sign-assignment distribution of W+,
+    for ranks doubled to integers."""
+    total = sum(doubled_ranks)
+    counts = [0] * (total + 1)
+    counts[0] = 1
+    for r in doubled_ranks:
+        for s in range(total, r - 1, -1):
+            if counts[s - r]:
+                counts[s] += counts[s - r]
+    n_assignments = 1 << len(doubled_ranks)
+    at_most = sum(counts[: doubled_w + 1])
+    at_least = sum(counts[doubled_w:])
+    return min(1.0, 2 * min(at_most, at_least) / n_assignments)
+
+
 def wilcoxon_from_differences(differences) -> WilcoxonResult:
     d = np.asarray(differences, dtype=float)
     d = d[d != 0.0]
@@ -117,7 +139,10 @@ def wilcoxon_from_differences(differences) -> WilcoxonResult:
 
 def mcnemar_exact_p(b: int, c: int) -> float:
     n = b + c
-    tail = sum(math.comb(n, i) for i in range(min(b, c) + 1))
+    term = tail = 1  # C(n, 0)
+    for i in range(min(b, c)):
+        term = term * (n - i) // (i + 1)  # C(n, i + 1), exact
+        tail += term
     return min(1.0, 2 * tail / 2**n)
 
 

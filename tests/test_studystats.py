@@ -157,8 +157,9 @@ class TestWilcoxon:
 
     def test_normal_approximation_against_scipy(self):
         rng = np.random.default_rng(3)
-        d = rng.normal(0.3, 1.0, 60)
+        d = rng.normal(0.3, 1.0, 80)
         d = d[d != 0]
+        assert d.size > EXACT_WILCOXON_LIMIT
         result = wilcoxon_from_differences(d)
         assert result.method == "normal"
         expected = scipy_stats.wilcoxon(
@@ -509,7 +510,7 @@ DIFFERENCES = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 1 / 3, -1 / 3, 0.25, -0.25, 2.0,
 
 @st.composite
 def difference_vectors(draw) -> list[float]:
-    """Lengths mostly around the exact/normal switch at 25 nonzero
+    """Lengths mostly around the exact/normal switch at 62 nonzero
     differences; values mostly from a small tie-heavy pool with zeros and
     -0.0, otherwise any finite float."""
     n = draw(st.one_of(st.integers(1, 40), st.integers(EXACT_WILCOXON_LIMIT - 3, EXACT_WILCOXON_LIMIT + 3)))
@@ -530,7 +531,60 @@ def test_signed_rank_matches_the_reference_bitwise(differences):
         return
     assert repr(wilcoxon_from_differences(differences)) == repr(expected)
     magnitudes = np.abs([d for d in differences if d != 0.0])
-    assert _bits(_average_ranks(magnitudes)[0]) == _bits(reference._average_ranks(magnitudes))
+    assert _bits(_average_ranks(magnitudes)[0] / 2) == _bits(reference._average_ranks(magnitudes))
+
+
+def _signed_differences(rng, n, tied):
+    """n nonzero differences with random signs: magnitudes 1..n, or drawn
+    from a few values so most are tied."""
+    magnitudes = rng.integers(1, max(2, n // 4) + 1, n) if tied else rng.permutation(n) + 1
+    return magnitudes * rng.choice([-1.0, 1.0], n)
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 24, 25, 26, 32, 50, 61, 62, 63])
+def test_exact_null_matches_the_python_loop_bitwise(n, tied):
+    # the int64 shifted adds against the reference's Python-int double loop,
+    # at the observed W+ and across the whole support, up to the limit of 62
+    rng = np.random.default_rng(1000 * n + tied)
+    d = _signed_differences(rng, n, tied)
+    result = wilcoxon_from_differences(d)
+    assert repr(result) == repr(reference.wilcoxon_from_differences(d))
+    assert result.method == ("exact" if n <= 62 else "normal")
+    if n > 62:
+        return  # past the limit, where the int64 counts could overflow
+    doubled_ranks = _average_ranks(np.abs(d))[0]
+    assert doubled_ranks.tolist() == [int(2 * r) for r in reference._average_ranks(np.abs(d))]
+    total = int(doubled_ranks.sum())
+    for doubled_w in {0, 1, total // 3, total // 2, total // 2 + 1, total - 1, total}:
+        p = studystats._exact_two_sided_p(doubled_ranks, doubled_w)
+        assert _bits(p) == _bits(reference._exact_two_sided_p(doubled_ranks.tolist(), doubled_w))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 10, 20, 25, 26, 32, 40, 49, 50])
+def test_exact_matches_scipy_on_untied_samples(n):
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        d = _signed_differences(rng, n, tied=False)
+        result = wilcoxon_from_differences(d)
+        assert result.method == "exact"
+        expected = scipy_stats.wilcoxon(d, method="exact", alternative="two-sided").pvalue
+        assert result.p_value == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [11, 13, 14, 15, 16])
+def test_exact_matches_enumeration_of_every_sign_vector_on_tied_samples(n):
+    # all 2**n sign vectors as the bits of 0 .. 2**n - 1, with scipy's
+    # average ranks: W+ of each vector is one dot product
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        d = _signed_differences(rng, n, tied=True)
+        doubled = np.rint(2 * scipy_stats.rankdata(np.abs(d))).astype(np.int64)
+        signs = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+        w = signs @ doubled
+        observed = int(doubled[d > 0].sum())
+        tail = min(np.count_nonzero(w <= observed), np.count_nonzero(w >= observed))
+        assert wilcoxon_from_differences(d).p_value == min(1.0, 2 * tail / (1 << n))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
