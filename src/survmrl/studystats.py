@@ -136,12 +136,12 @@ def _average_ranks(magnitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _exact_two_sided_p(doubled_ranks: np.ndarray, doubled_w: int) -> float:
     """Two-sided p over the full sign-assignment distribution of W+.
 
-    ``counts[s]`` assignments give doubled W+ = s, one shifted add per rank;
-    counts are exact integers, so equal inputs give bitwise-equal p.
+    Ranks are doubled so tied (half-integer) average ranks stay integral; one shifted add
+    per rank counts the assignments of each doubled W+ exactly, so equal inputs give bitwise-equal p.
     """
     counts = np.zeros(int(doubled_ranks.sum()) + 1, dtype=np.int64)
     counts[0] = 1
-    for r in doubled_ranks.tolist():  # each r >= 2
+    for r in doubled_ranks.tolist():
         counts[r:] += counts[: counts.size - r].copy()
     at_most = int(counts[: doubled_w + 1].sum())
     at_least = int(counts[doubled_w:].sum())

@@ -61,8 +61,7 @@ def _run(argv: list[str], text: str) -> tuple[int, str, str, dict[str, bytes]]:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = run_cli([argv[0], "--input", str(source), *argv[1:], *outputs])
         files = {p.name: p.read_bytes() for p in sorted(work.iterdir()) if p.name != "input.csv"}
-        shown = (stdout.getvalue().replace(str(source), "input.csv"), stderr.getvalue().replace(str(source), "input.csv"))
-    return code, *shown, files
+    return code, *(text.getvalue().replace(str(source), "input.csv") for text in (stdout, stderr)), files
 
 
 @st.composite
