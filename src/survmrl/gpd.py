@@ -15,9 +15,9 @@ The fit maximises the profile likelihood over theta = shape / sigma
 sum(log1p(theta * t)) / k over k tail events, clipped into (-0.99, 0.99)
 so the tail mean stays finite. A coarse scan, evaluated in blocks of rows
 of about _SCAN_ELEMENTS elements (at least one row), brackets every local
-maximum of the profile, and Brent's parabolic search refines each. A fit
-on the shape's upper bound, or with sigma outside exp(-50)..exp(50), is
-an error.
+maximum of the profile, and Brent's zero finder refines each to the root
+of the score equation. A fit on the shape's upper bound, or with sigma
+outside exp(-50)..exp(50), is an error.
 """
 
 from __future__ import annotations
@@ -40,8 +40,9 @@ _SCALE_RANGE = f"exp(-{_LOG_SCALE_LIMIT:g})..exp({_LOG_SCALE_LIMIT:g})"
 _OPEN_BOUND = math.nextafter(SHAPE_BOUND, 0.0)  # largest |shape| inside the box
 _SCAN_POINTS = 32
 _SCAN_ELEMENTS = 1 << 16  # elements (512 KiB of float64) per block of scan rows
-_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # Brent's golden-section step, 1 - 1/phi
-_S_TOL = 1e-10
+# Rounding (about k * eps / |t|) swamps the score below |s| ~ 1e-8: the floor lies far below
+# every ulp of s it resolves, and bounds a search that closes in on s = 0 to about 100 halvings.
+_S_FLOOR = math.ulp(1.0) ** 2
 
 
 @dataclass(frozen=True)
@@ -92,42 +93,56 @@ def _tail_sample(excess, status) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Profile:
-    """The profile log likelihood of a tail over s = log1p(theta * max x).
-
-    The scan and the search run over s, free of the data's scale:
-    geometric towards theta = -1/max x and theta_hi, linear around 0.
+    """The profile log likelihood of a tail less the constant -k * log(max x),
+    and its score, over s = log1p(t), t = theta * max x. Both read the rows
+    w = (t / max x) * x, which a power-of-two change of the data's unit leaves
+    bitwise the same. The scan and the root search run over s: geometric
+    towards theta = -1/max x and theta_hi, linear around 0.
     """
 
     def __init__(self, excess: np.ndarray, status: np.ndarray, k: float):
         self.excess, self.status, self.k = excess, status, k
         self.top = float(np.max(excess))
 
-    def _at(self, theta: float, total: float, events: float) -> tuple[float, float, float]:
-        """(log likelihood, shape, scale) at theta, from the sums of
-        log1p(theta * x) over all exceedances (total) and over the events."""
+    def _at(self, t: float, total: float, events: float) -> tuple[float, float, float]:
+        """(profile value, shape, scale) at t, from the sums of log1p(w)
+        over all exceedances (total) and over the events."""
         k = self.k
         shape = min(max(total / k, -_OPEN_BOUND), _OPEN_BOUND)
-        if shape == 0.0:  # theta == 0: the exponential fit
+        if shape == 0.0:  # t == 0: the exponential fit
             scale = float(np.add.reduce(self.excess)) / k
-            return -k * math.log(scale) - k, 0.0, scale
-        scale = shape / theta
-        return -k * math.log(scale) - total / shape - events, shape, scale
+            return -k * math.log(scale / self.top) - k, 0.0, scale
+        return -k * math.log(shape / t) - total / shape - events, shape, shape / t * self.top
 
     def __call__(self, s: float) -> tuple[float, float, float]:
-        """(log likelihood, shape, scale) at s."""
-        theta = math.expm1(s) / self.top
-        log_arg = np.log1p(theta * self.excess)
-        return self._at(theta, float(np.add.reduce(log_arg)), float(self.status @ log_arg))
+        """(profile value, shape, scale) at s."""
+        t = math.expm1(s)
+        log_arg = np.log1p(t / self.top * self.excess)
+        return self._at(t, float(np.add.reduce(log_arg)), float(self.status @ log_arg))
+
+    def score(self, s: float) -> float:
+        """The profile's slope in t at s, (k - B / shape - B_E) / t, with B the sum of
+        w / (1 + w) over all exceedances and B_E over the events (the profile is C1 where
+        the clip starts, so this holds on the clip too); at t = 0 its limit
+        k * sum(y^2) / (2 sum(y)) - sum_E(y), y = x / max x."""
+        k, t = self.k, math.expm1(s)
+        w = t / self.top * self.excess
+        shape = min(max(float(np.add.reduce(np.log1p(w))) / k, -_OPEN_BOUND), _OPEN_BOUND)
+        if shape == 0.0:
+            y = self.excess / self.top
+            return k * float(y @ y) / (2.0 * float(np.add.reduce(y))) - float(self.status @ y)
+        w /= 1.0 + w
+        return (k - float(np.add.reduce(w)) / shape - float(self.status @ w)) / t
 
     def scan(self) -> tuple[np.ndarray, list[float]]:
-        """The _SCAN_POINTS points of the coarse scan and the log
-        likelihood at each, evaluated as (rows, m) arrays of about
-        _SCAN_ELEMENTS elements, at least one row, so the memory a scan
-        takes stays bounded however long the tail.
+        """The _SCAN_POINTS points of the coarse scan and the profile value
+        at each, evaluated as (rows, m) arrays of about _SCAN_ELEMENTS
+        elements, at least one row, so the memory a scan takes stays
+        bounded however long the tail.
 
-        Below s_lo the profile rises (its slope in t = theta * max x is at
-        least g / (1 + t) - k / |t|); past theta_hi the shape is clipped, or
-        every shape puts sigma below exp(-50). No maximum lies outside.
+        Below s_lo the profile rises (its slope in t is at least
+        g / (1 + t) - k / |t|); past t_hi the shape is clipped, or every
+        shape puts sigma below exp(-50). No maximum lies outside.
         """
         g = 1.0 / SHAPE_BOUND - 1.0
         s_lo = math.log(g / (self.k + g))
@@ -135,72 +150,55 @@ class _Profile:
         while self(math.log1p(t_hi))[1] < _OPEN_BOUND and t_hi < self.top * math.exp(_LOG_SCALE_LIMIT):
             t_hi *= 2.0
         points = np.linspace(s_lo, math.log1p(t_hi), _SCAN_POINTS)
-        thetas = [math.expm1(s) / self.top for s in points]
         block = max(1, _SCAN_ELEMENTS // self.excess.size)
         values = []
         for start in range(0, _SCAN_POINTS, block):
-            block_thetas = thetas[start : start + block]
+            block_ts = [math.expm1(s) for s in points[start : start + block]]
             # Row sums of the array are bitwise the per-point sums; one
             # rows @ status is not, so each row gets its own dot product.
-            rows = np.array(block_thetas)[:, None] * self.excess
+            rows = np.array(block_ts)[:, None] / self.top * self.excess
             np.log1p(rows, out=rows)
             totals = np.add.reduce(rows, axis=1).tolist()
             values += [
-                self._at(theta, total, float(self.status @ row))[0]
-                for theta, total, row in zip(block_thetas, totals, rows)
+                self._at(t, total, float(self.status @ row))[0]
+                for t, total, row in zip(block_ts, totals, rows)
             ]
         return points, values
 
 
-def _brent_max(f, a: float, b: float, c: float, fb: float) -> tuple[float, float]:
-    """(f(x), x) at a local maximum of f in the bracket a <= b <= c, where
-    f(b) = fb, by Brent's method (Brent 1973, *Algorithms for Minimization
-    without Derivatives*, ch. 5), stopped once c - a <= _S_TOL.
-
-    Each step is the vertex of the parabola through the three best points
-    so far, or a golden-section step into the larger part of the bracket
-    when that vertex falls outside it or the steps stop shrinking fast
-    enough. No step is shorter than _S_TOL / 4, so near the maximum the
-    bracket closes in on both sides, and the loop ends no later than
-    Brent's own stop, max(x - a, c - x) <= _S_TOL / 2, which implies
-    c - a <= _S_TOL.
-    """
-    tol = _S_TOL / 4.0
-    x = w = v = b  # best, second best and previous second best point
-    fx = fw = fv = fb
-    d = e = 0.0  # the last step and the one before it
-    while c - a > _S_TOL:
-        mid = 0.5 * (a + c)
-        golden = True
-        if abs(e) > tol:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            # take the vertex only inside the bracket and when it moves less
-            # than half the step before last
-            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (c - x):
-                e, d, golden = d, p / q, False
-                if x + d - a < 2.0 * tol or c - (x + d) < 2.0 * tol:
-                    d = math.copysign(tol, mid - x)
-        if golden:
-            e = (a if x >= mid else c) - x
-            d = _GOLDEN * e
-        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
-        fu = f(u)
-        if fu >= fx:
-            a, c = (x, c) if u >= x else (a, x)
-            v, w, x, fv, fw, fx = w, x, u, fw, fx, fu
-        else:
-            a, c = (u, c) if u < x else (a, u)
-            if fu >= fw or w == x:
-                v, w, fv, fw = w, u, fw, fu
-            elif fu >= fv or v in (x, w):
-                v, fv = u, fu
-    return fx, x
+def _zeroin(f, a: float, b: float, fa: float, fb: float) -> float:
+    """A root of f between a and b, where f(a) = fa and f(b) = fb differ in sign, by Brent's
+    zero finder (Brent 1973, *Algorithms for Minimization without Derivatives*, ch. 4,
+    "zeroin"): secant or inverse quadratic steps inside the bracket [b, c] that keeps the sign
+    change, or bisection when they stop shrinking it fast enough, until the bracket is within
+    2 * tol, tol = 2 ulp(b) + _S_FLOOR: a few ulps of b, or of the floor."""
+    c, fc = b, fb  # the first pass takes c = a
+    while True:
+        if (fb > 0.0) == (fc > 0.0):  # keep the sign change between b and c
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):  # b is the better estimate
+            a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
+        tol = 2.0 * math.ulp(b) + _S_FLOOR
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            return b
+        accept = False
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            r = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * r, 1.0 - r
+            else:  # inverse quadratic interpolation
+                q, u = fa / fc, fb / fc
+                p = r * (2.0 * m * q * (q - u) - (b - a) * (u - 1.0))
+                q = (q - 1.0) * (u - 1.0) * (r - 1.0)
+            p, q = (p, -q) if p > 0.0 else (-p, q)
+            # a step well inside the bracket, shorter than half the step before last
+            accept = 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q))
+        e, d = (d, p / q) if accept else (m, m)
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
 
 
 def gpd_log_likelihood(excess, status, shape: float, scale: float) -> float:
@@ -219,9 +217,9 @@ def fit_gpd(excess, status) -> GpdFit:
     ``excess`` and ``status`` are as for ``gpd_log_likelihood``. A scan of
     theta over (-1/max x, theta_hi], theta_hi doubled from 1/max x until the
     shape reaches its bound, evaluates the profile at its points in row
-    blocks of bounded size; Brent's method refines each local maximum of the scan and the
-    best one is the fit. ``converged`` (the search bracket met its
-    tolerance) is always True.
+    blocks of bounded size; Brent's zero finder refines each local maximum
+    of the scan to the root of the profile's score, and the best one is the
+    fit. ``converged`` (the search bracket met its tolerance) is always True.
     """
     excess, status = _tail_sample(excess, status)
     m = excess.size
@@ -237,13 +235,15 @@ def fit_gpd(excess, status) -> GpdFit:
 
     profile = _Profile(excess, status, k)
     scan, values = profile.scan()
-    best = max(zip(values, scan))
-    # Refine every local maximum of the scan by Brent's method on its
-    # bracket (a, b, c): a small tail's profile can have two near-equal modes.
+    # Refine every local maximum of the scan to the root of the score in the bracket (a, c) of
+    # its neighbours when the score falls from + to - across it; otherwise (on the clip or the
+    # scan's edge) the scan point stands. A small tail's profile can have two near-equal modes.
+    fits = []
     for i in [j for j, v in enumerate(values) if v == max(values[max(j - 1, 0):j + 2])]:
-        a, b, c = scan[max(i - 1, 0)], scan[i], scan[min(i + 1, _SCAN_POINTS - 1)]
-        best = max(best, _brent_max(lambda s: profile(s)[0], a, b, c, values[i]))
-    _, shape, scale = profile(best[1])
+        a, c = scan[max(i - 1, 0)], scan[min(i + 1, _SCAN_POINTS - 1)]
+        fa, fc = profile.score(a), profile.score(c)
+        fits.append(profile(_zeroin(profile.score, a, c, fa, fc) if fa > 0.0 > fc else scan[i]))
+    _, shape, scale = max(fits)
     # Only the upper bound is fatal: there the constrained optimum is an
     # artifact of the box and the tail mean would be unbounded. A fit
     # resting near the lower edge (short-tailed data, e.g. uniform) is a

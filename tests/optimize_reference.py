@@ -9,6 +9,11 @@ iterations. ``reference_fit_gpd`` runs it over (shape, log(scale)) in the
 box (-0.99, 0.99) x [-50, 50] from three starts (moment-style,
 exponential, heavy-tailed), keeps the best, and raises the errors the
 fitter raised.
+
+``score_root_shape`` is the oracle for the fit at the root of the profile's
+score: it scans the profile on a fine grid, bisects the score to adjacent
+floats in the bracket of each local maximum where the score falls from +
+to -, and returns the best shape. Every sum is a ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from survmrl import EstimationError, GpdFit
-from survmrl.gpd import SHAPE_BOUND, _loglik, _tail_sample
+from survmrl.gpd import SHAPE_BOUND, _OPEN_BOUND, _loglik, _tail_sample
 
 _ALPHA = 1.0   # reflection
 _GAMMA = 2.0   # expansion
@@ -152,3 +157,49 @@ def reference_fit_gpd(excess, status) -> GpdFit:
         log_likelihood=float(-best.fx),
         converged=best.converged,
     )
+
+
+def _fsum_profile(y, status, k, t) -> tuple[float, float, float]:
+    """(profile value less -k * log(max x), shape, score in t) at t, over
+    the excesses y scaled to a largest of 1, from fsums of the rows."""
+    if t == 0.0:
+        return -k * math.log(math.fsum(y) / k) - k, 0.0, k * math.fsum(v * v for v in y) / (2.0 * math.fsum(y)) - math.fsum(v for v, d in zip(y, status) if d)
+    w = [t * v for v in y]
+    logs = [math.log1p(v) for v in w]
+    shape = min(max(math.fsum(logs) / k, -_OPEN_BOUND), _OPEN_BOUND)
+    events = math.fsum(v for v, d in zip(logs, status) if d)
+    value = -k * math.log(shape / t) - math.fsum(logs) / shape - events
+    ratios = [v / (1.0 + v) for v in w]
+    score = (k - math.fsum(ratios) / shape - math.fsum(v for v, d in zip(ratios, status) if d)) / t
+    return value, shape, score
+
+
+def score_root_shape(excess, status, points: int = 400) -> float:
+    """The shape at the best root of the profile's score, or at the best
+    point of a ``points``-point scan in s = log1p(t) where no bracket of a
+    scan maximum holds a + to - change of the score."""
+    excess, status = _tail_sample(excess, status)
+    top = float(np.max(excess))
+    y, flags, k = (excess / top).tolist(), status.tolist(), float(np.sum(status))
+    at = lambda s: _fsum_profile(y, flags, k, math.expm1(s))
+    g = 1.0 / SHAPE_BOUND - 1.0
+    t_hi = 1.0  # the shape reaches its bound past t_hi, as in the fit's scan
+    while at(math.log1p(t_hi))[1] < _OPEN_BOUND and t_hi < 2.0**200:
+        t_hi *= 2.0
+    grid = np.linspace(math.log(g / (k + g)), math.log1p(t_hi), points).tolist()
+    values = [at(s)[0] for s in grid]
+    best = []
+    for i, v in enumerate(values):
+        if v != max(values[max(i - 1, 0) : i + 2]):
+            continue
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, points - 1)]
+        if not at(lo)[2] > 0.0 > at(hi)[2]:
+            best.append(at(grid[i])[:2])
+            continue
+        while math.nextafter(lo, hi) != hi:
+            mid = lo + 0.5 * (hi - lo)
+            if mid in (lo, hi):
+                break
+            lo, hi = (mid, hi) if at(mid)[2] > 0.0 else (lo, mid)
+        best.append(at(lo)[:2])
+    return max(best)[1]

@@ -5,13 +5,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from survmrl import (
     EstimationError,
     GpdFit,
+    SurvivalSample,
     ThresholdConfig,
     fit_gpd,
+    fit_hybrid_mrl,
     gpd_log_likelihood,
     gpd_mrl_at_threshold,
     load_dataset,
@@ -19,6 +21,7 @@ from survmrl import (
 )
 from survmrl import gpd
 
+from optimize_reference import score_root_shape
 from test_optimize import LOWER_SHAPE_BOUND, TWO_MODES, _censored_tail
 
 
@@ -162,6 +165,13 @@ class TestFitGpd:
             assert fit2.shape == pytest.approx(fit1.shape, abs=1e-4)
             assert fit2.scale == pytest.approx(fit1.scale * c, rel=1e-4)
 
+    def test_a_decimal_change_of_unit_moves_the_shape_only_by_rounding(self):
+        rng = np.random.default_rng(6)
+        x = gpd_draw(rng, 0.2, 1.5, 800)
+        shape = fit_gpd(x, np.ones(x.size)).shape
+        for c in [37.0] + [10.0**k for k in range(-21, 22)]:
+            assert fit_gpd(x * c, np.ones(x.size)).shape == pytest.approx(shape, rel=1e-12)
+
     @pytest.mark.parametrize("c", [1e-25, 1e25, 1e299])
     def test_data_scale_outside_the_scale_range_is_an_error(self, c):
         rng = np.random.default_rng(6)
@@ -236,16 +246,98 @@ def test_array_scan_matches_the_per_point_profile(tail, block_rows):
     assert np.array_equal(values, [profile(s)[0] for s in points])
 
 
+# The score's rounding noise puts its sign in doubt within about 1e-13
+# relative of the root (the fits below land within 2e-14 of the oracle),
+# while a search that stops on the profile's flat top, as a maximiser does,
+# lands up to 1.7e-7 away on these tails. A fit on the clip has no root;
+# most short tied tails drawn by censored_tails() end there, so GPD draws
+# join them.
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    tail=st.one_of(
+        censored_tails(),
+        st.builds(
+            _censored_tail,
+            st.integers(0, 2**32 - 1),
+            st.floats(-0.8, 0.8),
+            st.floats(-8.0, 8.0),
+            st.integers(10, 300),
+            st.floats(0.0, 2.0),
+        ),
+    )
+)
+def test_fit_gpd_is_at_the_root_of_the_score(tail):
+    try:
+        shape = fit_gpd(*tail).shape
+    except EstimationError:
+        return
+    if abs(shape) == gpd._OPEN_BOUND:
+        return
+    assert shape == pytest.approx(score_root_shape(*tail), rel=1e-10)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(tail=censored_tails(), k=st.sampled_from([-7, -1, 1, 3, 20]))
+def test_fits_are_bitwise_equivariant_under_a_power_of_two_unit(tail, k):
+    # every w = (t / max x) * x, and so the whole search, is bitwise the same
+    # in the new unit; the scale and the MRL curve are bitwise 2**k times
+    excess, status = np.array(tail[0]), tail[1]
+    try:
+        fit = fit_gpd(excess, status)
+    except EstimationError:
+        assume(False)
+    scaled = fit_gpd(np.ldexp(excess, k), status)
+    assert (scaled.shape, scaled.scale) == (fit.shape, np.ldexp(fit.scale, k))
+    config = ThresholdConfig(min_exceedances=2)
+    try:
+        curve = fit_hybrid_mrl(SurvivalSample(excess, status), config)
+    except EstimationError:
+        return
+    scaled = fit_hybrid_mrl(SurvivalSample(np.ldexp(excess, k), status), config)
+    assert scaled.gpd.shape == curve.gpd.shape
+    for name in ("grid", "values", "km_component", "tail_component"):
+        assert np.array_equal(getattr(scaled, name), np.ldexp(getattr(curve, name), k)), name
+
+
+def test_the_score_is_the_slope_of_the_profile():
+    # a central difference in t, on an interior and a clipped stretch of the
+    # profile, and the limit the score takes at t = 0
+    for tail in (TWO_MODES, LOWER_SHAPE_BOUND, (5, 0.1, 0.0, 200, 0.3)):
+        excess, status = gpd._tail_sample(*_censored_tail(*tail))
+        profile = gpd._Profile(excess, status, float(np.sum(status)))
+        points, _ = profile.scan()
+        for s in [*points[1:-1:3], 0.0]:
+            h = 1e-6
+            slope = (profile(s + h)[0] - profile(s - h)[0]) / (math.expm1(s + h) - math.expm1(s - h))
+            assert profile.score(s) == pytest.approx(slope, rel=1e-5, abs=1e-5)
+
+
+def test_a_root_at_theta_zero_ends_the_search(monkeypatch):
+    # k * sum(y^2) = 2 * sum(y)^2 over all-event excesses puts the root of the
+    # score at t = 0, where rounding swamps it; the floor under the search's
+    # stop ends it there in a few dozen steps
+    x = np.random.default_rng(0).exponential(1.0, 199)
+    m, total, squares = 200, x.sum(), (x * x).sum()
+    a, b, c = m - 2.0, -4.0 * total, m * squares - 2.0 * total * total
+    x = np.append(x, (-b + math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a))
+    score, calls = gpd._Profile.score, []
+    monkeypatch.setattr(gpd._Profile, "score", lambda self, s: calls.append(s) or score(self, s))
+    fit = fit_gpd(x, np.ones(m))
+    assert abs(fit.shape) < 1e-7
+    assert len(calls) < 100
+
+
 def test_the_profile_at_theta_zero_is_the_exponential_fit():
     # s = 0 is theta = 0, where the shape is 0 and the profile takes the
     # exponential limit's branch; either side of it the general formula
-    # must meet that branch
+    # must meet that branch. The profile leaves out the constant
+    # -k * log(max x), so it is the log likelihood plus k * log(max x).
     x, status, k = [0.4, 1.9, 0.2, 0.7], [1, 0, 1, 1], 3.0
     profile = gpd._Profile(np.array(x), np.array(status, dtype=float), k)
     scale = sum(x) / k
     at_zero = profile(0.0)
-    assert at_zero == (-k * math.log(scale) - k, 0.0, scale)
-    assert at_zero[0] == gpd_log_likelihood(x, status, 0.0, scale)
+    assert at_zero == (-k * math.log(scale / max(x)) - k, 0.0, scale)
+    assert at_zero[0] - k * math.log(max(x)) == pytest.approx(gpd_log_likelihood(x, status, 0.0, scale), rel=1e-15)
     for s in (1e-9, -1e-9):
         assert abs(profile(s)[0] - at_zero[0]) < 4e-10
 
@@ -274,8 +366,9 @@ def test_a_long_tail_fit_peaks_below_16_mib():
 
 @pytest.mark.parametrize("name", ["two_groups.csv", "tail_ties.csv"])
 def test_fit_evaluates_at_most_70_profile_points(name, monkeypatch):
-    # 32 scan points, the theta_hi doublings, the search and the two final
-    # evaluations; with golden-section steps a fit took 86-88 points here
+    # 32 scan points, the theta_hi doublings, the score at both ends of each
+    # scan maximum's bracket, the root search and the final evaluations (50-55
+    # points here); Brent's parabolic search took 57-62, golden-section steps 86-88
     log1p, points = np.log1p, []
 
     def counting_log1p(x, *args, **kwargs):

@@ -1,12 +1,16 @@
-"""Metamorphic relations between whole runs, checked on bytes through ``run_cli``.
+"""Metamorphic relations between whole runs.
 
 No reference implementation is needed: two runs whose inputs differ only
 in a way the output must not see have to write the same bytes. Shuffling
-the data rows leaves every output of ``km``, ``diff``, ``mrl-diff`` and
-``stats --bootstrap`` unchanged, and so does adding rows of a group that
-the survival commands do not select. The drawn inputs mix tied and
-censored times, quoted labels (read by the csv module rather than the
-quote-free split), ``\\r\\n`` line ends and blank lines.
+the data rows leaves every output of ``km``, ``mrl``, ``diff``, ``ratio``,
+``mrl-diff`` and ``stats --bootstrap`` unchanged, and so does adding rows
+of a group that the survival commands do not select; both are checked on
+bytes through ``run_cli``. The relations on values are checked through
+library calls: swapping the groups negates the survival and MRL
+differences exactly, and a power-of-two change of time unit rescales the
+MRL curves bitwise. The drawn inputs mix tied and censored times, quoted
+labels (read by the csv module rather than the quote-free split),
+``\\r\\n`` line ends and blank lines.
 """
 
 from __future__ import annotations
@@ -18,15 +22,30 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from survmrl import (
+    EstimationError,
+    SurvivalSample,
+    fit_hybrid_mrl,
+    km_fit,
+    load_dataset,
+    mrl_difference,
+    survival_difference,
+)
 from survmrl.cli import run_cli
 
 SURVIVAL_COMMANDS = {
     "km": ["km", "--groups", "A,B"],
+    "mrl": ["mrl", "--groups", "A,B"],
     "diff": ["diff", "--groups", "A,B", "--permutations", "100", "--seed", "3"],
+    "ratio": ["ratio", "--groups", "A,B", "--permutations", "100", "--seed", "3"],
     "mrl-diff": ["mrl-diff", "--groups", "A,B", "--min-exceedances", "10"],
 }
+# a drawn tie can leave fewer exceedances than an MRL fit needs: the MRL
+# commands must then fail alike, however the rows are ordered
+MUST_SUCCEED = {"km", "diff", "ratio"}
 STATS = ["stats", "--bootstrap", "200", "--seed", "5"]
 
 
@@ -64,39 +83,98 @@ def _run(argv: list[str], text: str) -> tuple[int, str, str, dict[str, bytes]]:
     return code, *(text.getvalue().replace(str(source), "input.csv") for text in (stdout, stderr)), files
 
 
-@st.composite
-def survival_cases(draw):
-    """Rows of groups A and B (60-150 each), rows of an unused group C,
-    a shuffle of the rows and a way to write them. Times are rounded to 0-2
-    decimals, so many tie, and a drawn share is censored."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    decimals = draw(st.sampled_from([0, 1, 2]))
-    censored = draw(st.sampled_from([0.0, 0.3, 0.6]))
+def _survival_rows(seed: int, decimals: int, censored: float) -> tuple[list[list[str]], list[bool], np.ndarray]:
+    """Rows of groups A and B (60-150 each) and of an unused group C, which
+    rows are C's, and a shuffle of the rows. Times are rounded to
+    ``decimals`` decimals, so many tie, and a share ``censored`` is censored."""
+    rng = np.random.default_rng(seed)
     rows = []
     for group, mean in (("A", 2.0), ("B", 3.0), ("C", 1.0)):
         n = int(rng.integers(60, 151)) if group != "C" else int(rng.integers(1, 40))
         times = np.round(rng.exponential(mean, n), decimals) + 10.0**-decimals
         statuses = (rng.random(n) >= censored).astype(int)
         rows += [[repr(float(t)), str(s), group] for t, s in zip(times, statuses)]
-    in_c = [row[2] == "C" for row in rows]
+    return rows, [row[2] == "C" for row in rows], rng.permutation(len(rows))
+
+
+@st.composite
+def survival_cases(draw):
+    """``_survival_rows`` of drawn arguments and a way to write them."""
+    rows, in_c, order = _survival_rows(
+        draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from([0, 1, 2])), draw(st.sampled_from([0.0, 0.3, 0.6]))
+    )
     layout = draw(st.booleans()), draw(st.sampled_from(["\n", "\r\n"]))
     blank_after = set(draw(st.lists(st.integers(0, len(rows) - 1), max_size=4)))
-    return rows, in_c, rng.permutation(len(rows)), layout, blank_after
+    return rows, in_c, order, layout, blank_after
 
 
-@settings(max_examples=12, deadline=None, derandomize=True)
+def _samples(case) -> dict:
+    """The groups of ``case``'s rows, loaded as the CLI loads them."""
+    rows, _, _, (quoted, line_end), blank_after = case
+    return load_dataset(_text("time,status,group", rows, quoted, line_end, blank_after).encode("utf-8"))
+
+
+# a case on which `mrl` fits both groups
+MRL_FITS = (*_survival_rows(11, 2, 0.3), (True, "\r\n"), {5})
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
 @given(command=st.sampled_from(sorted(SURVIVAL_COMMANDS)), case=survival_cases())
+@example(command="mrl", case=MRL_FITS)
 def test_survival_outputs_ignore_row_order_and_unused_groups(command, case):
     rows, in_c, order, (quoted, line_end), blank_after = case
     argv = SURVIVAL_COMMANDS[command]
     without_c = [row for row, c in zip(rows, in_c) if not c]
     expected = _run(argv, _text("time,status,group", without_c, quoted, line_end, blank_after))
-    assert expected[0] == 0, expected[2]
-    assert expected[3]
+    if command in MUST_SUCCEED:
+        assert expected[0] == 0, expected[2]
+    assert bool(expected[3]) == (expected[0] == 0)
     shuffled = [rows[k] for k in order]
     assert _run(argv, _text("time,status,group", shuffled, quoted, line_end, blank_after)) == expected
     shuffled_without_c = [row for row in shuffled if row[2] != "C"]
     assert _run(argv, _text("time,status,group", shuffled_without_c, quoted, line_end, blank_after)) == expected
+
+
+def test_the_pinned_mrl_case_fits_both_groups():
+    rows, _, _, (quoted, line_end), blank_after = MRL_FITS
+    code, _, stderr, files = _run(SURVIVAL_COMMANDS["mrl"], _text("time,status,group", rows, quoted, line_end, blank_after))
+    assert code == 0, stderr
+    assert set(files) == {"out.A.csv", "out.B.csv", "out.svg"}
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(case=survival_cases())
+def test_swapping_the_groups_negates_the_differences(case):
+    # a - b and -(b - a) are the same float, but for the sign of a zero
+    samples = _samples(case)
+    km_a, km_b = km_fit(samples["A"]), km_fit(samples["B"])
+    forward, backward = survival_difference(km_a, km_b), survival_difference(km_b, km_a)
+    assert np.array_equal(backward.grid, forward.grid)
+    assert np.array_equal(backward.values, -forward.values)
+    try:
+        mrl_a, mrl_b = fit_hybrid_mrl(samples["A"]), fit_hybrid_mrl(samples["B"])
+    except EstimationError:
+        return
+    forward, backward = mrl_difference(mrl_a, mrl_b), mrl_difference(mrl_b, mrl_a)
+    assert np.array_equal(backward.grid, forward.grid)
+    assert np.array_equal(backward.values, -forward.values)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(case=survival_cases(), k=st.sampled_from([-3, 5]))
+def test_a_power_of_two_time_unit_rescales_the_mrl_curves_bitwise(case, k):
+    for group, sample in sorted(_samples(case).items()):
+        scaled = SurvivalSample(np.ldexp(sample.times, k), sample.statuses)
+        try:
+            curve = fit_hybrid_mrl(sample)
+        except EstimationError:
+            with pytest.raises(EstimationError):
+                fit_hybrid_mrl(scaled)
+            continue
+        got = fit_hybrid_mrl(scaled)
+        assert (got.threshold, got.gpd.shape) == (np.ldexp(curve.threshold, k), curve.gpd.shape), group
+        for name in ("grid", "values", "km_component", "tail_component"):
+            assert np.array_equal(getattr(got, name), np.ldexp(getattr(curve, name), k)), (group, name)
 
 
 @st.composite
