@@ -163,7 +163,8 @@ def _fsum_profile(y, status, k, t) -> tuple[float, float, float]:
     """(profile value less -k * log(max x), shape, score in t) at t, over
     the excesses y scaled to a largest of 1, from fsums of the rows."""
     if t == 0.0:
-        return -k * math.log(math.fsum(y) / k) - k, 0.0, k * math.fsum(v * v for v in y) / (2.0 * math.fsum(y)) - math.fsum(v for v, d in zip(y, status) if d)
+        limit = k * math.fsum(v * v for v in y) / (2.0 * math.fsum(y)) - math.fsum(v for v, d in zip(y, status) if d)
+        return -k * math.log(math.fsum(y) / k) - k, 0.0, limit
     w = [t * v for v in y]
     logs = [math.log1p(v) for v in w]
     shape = min(max(math.fsum(logs) / k, -_OPEN_BOUND), _OPEN_BOUND)

@@ -302,12 +302,12 @@ def test_fits_are_bitwise_equivariant_under_a_power_of_two_unit(tail, k):
 def test_the_score_is_the_slope_of_the_profile():
     # a central difference in t, on an interior and a clipped stretch of the
     # profile, and the limit the score takes at t = 0
+    h = 1e-6
     for tail in (TWO_MODES, LOWER_SHAPE_BOUND, (5, 0.1, 0.0, 200, 0.3)):
         excess, status = gpd._tail_sample(*_censored_tail(*tail))
         profile = gpd._Profile(excess, status, float(np.sum(status)))
         points, _ = profile.scan()
         for s in [*points[1:-1:3], 0.0]:
-            h = 1e-6
             slope = (profile(s + h)[0] - profile(s - h)[0]) / (math.expm1(s + h) - math.expm1(s - h))
             assert profile.score(s) == pytest.approx(slope, rel=1e-5, abs=1e-5)
 

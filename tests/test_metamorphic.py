@@ -137,7 +137,8 @@ def test_survival_outputs_ignore_row_order_and_unused_groups(command, case):
 
 def test_the_pinned_mrl_case_fits_both_groups():
     rows, _, _, (quoted, line_end), blank_after = MRL_FITS
-    code, _, stderr, files = _run(SURVIVAL_COMMANDS["mrl"], _text("time,status,group", rows, quoted, line_end, blank_after))
+    text = _text("time,status,group", rows, quoted, line_end, blank_after)
+    code, _, stderr, files = _run(SURVIVAL_COMMANDS["mrl"], text)
     assert code == 0, stderr
     assert set(files) == {"out.A.csv", "out.B.csv", "out.svg"}
 
